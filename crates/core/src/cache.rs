@@ -37,6 +37,7 @@ use crate::detector::SeizureDetector;
 use crate::space::DesignPoint;
 use crate::sweep::SweepResult;
 use efficsense_faults::FaultPlan;
+use efficsense_obs::json::Json;
 use efficsense_power::{PowerBreakdown, Watts};
 use efficsense_signals::EegDataset;
 use std::collections::HashMap;
@@ -451,8 +452,7 @@ fn entry_to_json(key: PointKey, r: &SweepResult) -> Option<String> {
 
 fn entry_from_json(line: &str) -> Option<(PointKey, SweepResult)> {
     let v = Json::parse(line)?;
-    let obj = v.as_obj()?;
-    let get = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    let get = |name: &str| v.get(name);
     let key = PointKey::from_hex(get("key")?.as_str()?)?;
     let architecture = match get("architecture")?.as_str()? {
         "baseline" => Architecture::Baseline,
@@ -510,200 +510,6 @@ fn entry_from_json(line: &str) -> Option<(PointKey, SweepResult)> {
             area_units: finite(get("area_units")?.as_f64()?)?,
         },
     ))
-}
-
-/// Minimal JSON value model — just enough for the cache line format.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Option<Json> {
-        let mut p = JsonParser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i == p.b.len() {
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        self.skip_ws();
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string().map(Json::Str),
-            b'n' => {
-                if self.b[self.i..].starts_with(b"null") {
-                    self.i += 4;
-                    Some(Json::Null)
-                } else {
-                    None
-                }
-            }
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut out = Vec::new();
-        if self.peek()? == b'}' {
-            self.i += 1;
-            return Some(Json::Obj(out));
-        }
-        loop {
-            let k = {
-                self.skip_ws();
-                self.string()?
-            };
-            self.eat(b':')?;
-            let v = self.value()?;
-            out.push((k, v));
-            match self.peek()? {
-                b',' => self.i += 1,
-                b'}' => {
-                    self.i += 1;
-                    return Some(Json::Obj(out));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        if self.peek()? == b']' {
-            self.i += 1;
-            return Some(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek()? {
-                b',' => self.i += 1,
-                b']' => {
-                    self.i += 1;
-                    return Some(Json::Arr(out));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.b.get(self.i) != Some(&b'"') {
-            return None;
-        }
-        self.i += 1;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let esc = *self.b.get(self.i)?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        _ => return None, // \u and friends: not in our format
-                    }
-                }
-                _ => out.push(c as char),
-            }
-        }
-        None
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        let start = self.i;
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        if self.i == start {
-            return None;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()?
-            .parse::<f64>()
-            .ok()
-            .map(Json::Num)
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -32,12 +32,24 @@
 //! over length-prefixed fields (the [`crate::cache`] scheme) with float
 //! axes compared by IEEE-754 bit pattern.
 //!
+//! The lookups sit at the stage boundaries of the simulation stream
+//! ([`crate::stream`]) and serve whole-record runs only
+//! ([`Simulator::run`], which fingerprints its record before the stream
+//! opens). The `acquired` class is consulted before the stream opens —
+//! a hit skips the front end and decode alike; `analog` (with `ct` on a
+//! miss), `sampled` and `reference` are consulted by the stages they
+//! replace, and each built artifact is inserted as its stage completes.
+//! Chunked streams never consult the store.
+//!
 //! Unlike the unbounded L2 stores, every class here is **capped**: values
 //! are whole per-record signal buffers, so a long-running sweep server
 //! holding a store open must not grow without bound. Each class carries an
 //! element budget (one element ≈ one `f64`); inserts beyond the budget
 //! evict the oldest entries first. Eviction only ever costs future hits —
 //! rebuilt artifacts are bit-identical by construction.
+
+//!
+//! [`Simulator::run`]: crate::simulate::Simulator::run
 
 use crate::cache::KeyHasher;
 use efficsense_faults::{LinkStats, LnaRailFault};

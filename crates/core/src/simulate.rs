@@ -1,32 +1,25 @@
 //! End-to-end system simulation (functional + power, simultaneously).
+//!
+//! A [`Simulator`] holds everything fixed per design point — the
+//! validated configuration, the sensing schedule and decoder dictionary,
+//! an injected fault plan, an attached prefix store — plus the power and
+//! area models. The acquisition chain itself lives in [`crate::stream`]:
+//! [`Simulator::run`] is one push of the whole record into a
+//! [`StreamSimulator`] followed by its `finish`, with the Level-3
+//! `acquired` lookup ([`crate::prefix`]) answered before the stream
+//! opens.
 
 use crate::config::{ConfigError, CsConfig, SystemConfig};
-use crate::prefix::{self, AcquiredPrefix, AnalogParams, PrefixKey, PrefixStore};
-use efficsense_blocks::{ChargeSharingEncoder, Lna, Sampler, SarAdc, Transmitter};
-use efficsense_cs::decode::reconstruct_batch;
+use crate::prefix::{self, PrefixStore};
+use crate::stream::{self, StreamSimulator};
+use efficsense_blocks::{ChargeSharingEncoder, Lna, Transmitter};
 use efficsense_cs::matrix::SensingMatrix;
 use efficsense_cs::memo::{self, DictionaryArtifacts, DictionaryParams};
-use efficsense_cs::recon::OmpConfig;
-use efficsense_dsp::resample::{resample_linear, sample_at};
 use efficsense_faults::{FaultPlan, LinkStats};
 use efficsense_power::area::AreaModel;
 use efficsense_power::models::SampleHoldModel;
 use efficsense_power::{PowerBreakdown, PowerModel};
-use efficsense_rng::Rng64;
-use efficsense_signals::noise::Gaussian;
 use std::sync::Arc;
-
-/// Per-block fault-stream salts (see [`FaultPlan::stream`]); spaced so the
-/// per-record mix `salt + 256·noise_seed` stays injective.
-pub(crate) const SALT_LNA: u64 = 1;
-pub(crate) const SALT_CLOCK: u64 = 2;
-pub(crate) const SALT_LINK: u64 = 3;
-
-/// Mixes a block salt with the record's noise seed so every record sees a
-/// fresh fault realisation while staying reproducible.
-pub(crate) fn record_salt(salt: u64, noise_seed: u64) -> u64 {
-    salt.wrapping_add(noise_seed.wrapping_mul(256))
-}
 
 /// The result of simulating one record through a candidate system.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,7 +104,7 @@ impl SimScratch {
     }
 
     /// Pops a cleared buffer with at least `capacity` reserved.
-    fn take(&mut self, capacity: usize) -> Vec<f64> {
+    pub(crate) fn take(&mut self, capacity: usize) -> Vec<f64> {
         let mut v = self.pool.pop().unwrap_or_default();
         v.clear();
         v.reserve(capacity);
@@ -131,25 +124,6 @@ impl SimScratch {
     pub fn reclaim_output(&mut self, out: SimOutput) {
         self.reclaim(out.input_referred);
         self.reclaim(out.reference);
-    }
-}
-
-/// A signal buffer that is either shared out of the prefix store or owned
-/// by this run; both deref to the same slice, keeping the downstream
-/// pipeline agnostic of where its input came from.
-enum Buf {
-    Shared(Arc<Vec<f64>>),
-    Owned(Vec<f64>),
-}
-
-impl std::ops::Deref for Buf {
-    type Target = [f64];
-
-    fn deref(&self) -> &[f64] {
-        match self {
-            Buf::Shared(v) => v,
-            Buf::Owned(v) => v,
-        }
     }
 }
 
@@ -312,7 +286,12 @@ impl Simulator {
 
     /// [`Simulator::run`] drawing its output buffers from a caller-held
     /// scratch pool; sweep workers keep one per thread so steady-state
-    /// evaluation stops allocating per record.
+    /// evaluation stops allocating output buffers per record.
+    ///
+    /// The record runs as one push of a [`StreamSimulator`] followed by its
+    /// `finish`. With a prefix store attached, the record's `acquired`
+    /// artifact is consulted first: a hit skips the front end and decode
+    /// entirely, so it answers before the stream opens.
     ///
     /// # Panics
     ///
@@ -326,8 +305,9 @@ impl Simulator {
     ) -> SimOutput {
         assert!(!input.is_empty(), "cannot simulate an empty record");
         assert!(fs_in > 0.0, "input rate must be positive");
+        let f_s = self.cfg.design.f_sample_hz();
         if let ArchState::Cs(state) = &self.arch {
-            let n_samples = (input.len() as f64 / fs_in * self.cfg.design.f_sample_hz()) as usize;
+            let n_samples = (input.len() as f64 / fs_in * f_s) as usize;
             assert!(
                 n_samples >= state.cs.n_phi,
                 "record too short for the CS architecture: {n_samples} samples at f_sample \
@@ -335,33 +315,23 @@ impl Simulator {
                 state.cs.n_phi
             );
         }
-        let cfg = &self.cfg;
-        let f_ct = cfg.f_ct_hz();
-        let f_s = cfg.design.f_sample_hz();
         // L3: fingerprint the record once per run; every prefix key hangs
-        // off it. `None` keeps the store-less path allocation-for-allocation
-        // identical to before the store existed.
-        let store = self.prefix.as_deref().map(|s| {
+        // off it.
+        let acquired = self.prefix.as_deref().map(|store| {
             let fp = prefix::record_fingerprint(input);
-            (s, fp)
+            let key = prefix::acquired_key(&self.cfg_key, &self.plan_key, fp, fs_in, noise_seed);
+            (store, fp, key)
         });
-        // Deepest prefix first: a whole acquired front-end output makes the
-        // resample/LNA/encode/decode chain unnecessary.
-        let acquired_key = store.map(|(s, fp)| {
-            (
-                s,
-                prefix::acquired_key(&self.cfg_key, &self.plan_key, fp, fs_in, noise_seed),
-            )
-        });
-        if let Some((s, key)) = acquired_key {
-            if let Some(acq) = s.get_acquired(key) {
-                let mut input_referred = scratch.take(acq.input_referred.len());
-                input_referred.extend_from_slice(&acq.input_referred);
-                let reference =
-                    self.reference_signal(input, fs_in, f_s, input_referred.len(), store, scratch);
+        if let Some((store, fp, key)) = acquired {
+            if let Some(hit) = store.get_acquired(key) {
+                let len = hit.input_referred.len();
+                let mut input_referred = scratch.take(len);
+                input_referred.extend_from_slice(&hit.input_referred);
+                let mut reference = scratch.take(len);
+                stream::whole_reference(Some((store, fp)), input, fs_in, f_s, len, &mut reference);
                 let power = {
                     let _power_span = efficsense_obs::span!("stage.power");
-                    self.power_breakdown(acq.adc_in_rms)
+                    self.power_breakdown(hit.adc_in_rms)
                 };
                 return SimOutput {
                     input_referred,
@@ -369,409 +339,30 @@ impl Simulator {
                     fs_out: f_s,
                     power,
                     area_units: self.area_units(),
-                    words: acq.words,
-                    link: acq.link,
+                    words: hit.words,
+                    link: hit.link,
                 };
             }
         }
-        // Steps 1–2 under their own span so per-stage telemetry separates the
-        // analog front end (resample + LNA) from acquisition and decode. The
-        // analog key is derived from the exact LNA constructor inputs and
-        // fault stream, so two runs sharing a key are bit-identical by
-        // construction.
-        let lna_seed = cfg.seed ^ noise_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let lna_fault = self.plan.as_ref().and_then(|plan| {
-            plan.lna
-                .filter(|f| !f.is_noop())
-                .map(|f| (f, plan.stream(record_salt(SALT_LNA, noise_seed))))
-        });
-        let analog_key = store.map(|(s, fp)| {
-            (
-                s,
-                prefix::analog_key(&AnalogParams {
-                    record_fp: fp,
-                    fs_in,
-                    f_ct,
-                    gain: cfg.lna.gain,
-                    noise_floor_vrms: cfg.lna.noise_floor_vrms,
-                    bandwidth_hz: cfg.design.bw_lna_hz(),
-                    k3: cfg.lna.k3,
-                    v_clip: cfg.design.v_dd / 2.0,
-                    lna_seed,
-                    fault: lna_fault,
-                }),
-            )
-        });
-        let amplified: Buf = {
-            let _analog_span = efficsense_obs::span!("sim.analog");
-            match analog_key.and_then(|(s, key)| s.get_analog(key)) {
-                Some(hit) => Buf::Shared(hit),
-                None => {
-                    // Priced by the L3 cache-efficacy report: this span is
-                    // exactly the work an `memo.analog` hit avoids.
-                    let _build_span = efficsense_obs::span!("sim.analog.build");
-                    let ct = self.ct_signal(input, fs_in, f_ct, store);
-                    // LNA: fresh instance; noise varies with the record.
-                    let mut lna = Lna::from_design(
-                        &cfg.design,
-                        cfg.lna.gain,
-                        cfg.lna.noise_floor_vrms,
-                        cfg.lna.k3,
-                        f_ct,
-                        lna_seed,
-                    );
-                    if let Some((fault, stream_seed)) = lna_fault {
-                        lna.inject_rail_fault(Some(fault), stream_seed);
-                    }
-                    let built = lna.process_buffer(&ct);
-                    match analog_key {
-                        Some((s, key)) => Buf::Shared(s.insert_analog(key, built)),
-                        None => Buf::Owned(built),
-                    }
-                }
-            }
-        };
-        efficsense_dsp::approx::debug_assert_all_finite(&amplified, "simulate: LNA output");
-        // Step 3: architecture-specific acquisition.
-        let (acquired, words, adc_in_rms, link) = match &self.arch {
-            ArchState::Baseline => self.acquire_baseline(&amplified, f_ct, noise_seed),
-            ArchState::Cs(state) => {
-                self.acquire_cs(state, &amplified, f_ct, noise_seed, analog_key)
-            }
-        };
-        // Refer back to the sensor input.
-        let mut input_referred = scratch.take(acquired.len());
-        input_referred.extend(acquired.iter().map(|v| v / cfg.lna.gain));
+        let acquired = acquired.map(|(_, fp, key)| (fp, key));
+        let mut stream =
+            StreamSimulator::for_record(self, input.len(), fs_in, noise_seed, acquired, scratch);
+        let chunk = stream.push(input);
+        let (tail, summary) = stream.finish();
+        debug_assert!(tail.is_empty(), "a whole-record run completes in its push");
         efficsense_dsp::approx::debug_assert_all_finite(
-            &input_referred,
+            &chunk.input_referred,
             "simulate: input-referred output",
         );
-        scratch.reclaim(acquired);
-        if let Some((s, key)) = acquired_key {
-            s.insert_acquired(
-                key,
-                AcquiredPrefix {
-                    input_referred: input_referred.clone(),
-                    words,
-                    adc_in_rms,
-                    link,
-                },
-            );
-        }
-        let reference =
-            self.reference_signal(input, fs_in, f_s, input_referred.len(), store, scratch);
-        let power = {
-            let _power_span = efficsense_obs::span!("stage.power");
-            self.power_breakdown(adc_in_rms)
-        };
-        let area_units = self.area_units();
         SimOutput {
-            input_referred,
-            reference,
-            fs_out: f_s,
-            power,
-            area_units,
-            words,
-            link,
+            input_referred: chunk.input_referred,
+            reference: chunk.reference,
+            fs_out: summary.fs_out,
+            power: summary.power,
+            area_units: summary.area_units,
+            words: summary.words,
+            link: summary.link,
         }
-    }
-
-    /// The resampled continuous-time record — via the prefix store when one
-    /// is attached (the artifact is fault-free and config-independent, so it
-    /// is shared across every sweep point touching this record).
-    fn ct_signal(
-        &self,
-        input: &[f64],
-        fs_in: f64,
-        f_ct: f64,
-        store: Option<(&PrefixStore, u64)>,
-    ) -> Buf {
-        match store {
-            Some((s, fp)) => {
-                let key = prefix::ct_key(fp, fs_in, f_ct);
-                match s.get_ct(key) {
-                    Some(hit) => Buf::Shared(hit),
-                    None => Buf::Shared(s.insert_ct(key, resample_linear(input, fs_in, f_ct))),
-                }
-            }
-            None => Buf::Owned(resample_linear(input, fs_in, f_ct)),
-        }
-    }
-
-    /// The clean reference signal (input at `f_sample`, exactly `len`
-    /// samples), memoized per record when a store is attached. The collect
-    /// covers `0..len` exactly, so no trailing truncation is needed.
-    fn reference_signal(
-        &self,
-        input: &[f64],
-        fs_in: f64,
-        f_s: f64,
-        len: usize,
-        store: Option<(&PrefixStore, u64)>,
-        scratch: &mut SimScratch,
-    ) -> Vec<f64> {
-        let build = |out: &mut Vec<f64>| {
-            // Priced by the L3 cache-efficacy report (memo.reference).
-            let _build_span = efficsense_obs::span!("sim.reference.build");
-            out.extend((0..len).map(|i| sample_at(input, fs_in, i as f64 / f_s)));
-        };
-        let mut reference = scratch.take(len);
-        match store {
-            Some((s, fp)) => {
-                let key = prefix::reference_key(fp, fs_in, f_s, len);
-                match s.get_reference(key) {
-                    Some(hit) => reference.extend_from_slice(&hit),
-                    None => {
-                        build(&mut reference);
-                        s.insert_reference(key, reference.clone());
-                    }
-                }
-            }
-            None => build(&mut reference),
-        }
-        reference
-    }
-
-    /// Simulates the lossy link over a word stream, concealing undelivered
-    /// words by holding the last delivered value (the receiver's zero-order
-    /// concealment). Returns `None` stats when no link fault is active.
-    fn apply_link_hold(&self, data: &mut [f64], noise_seed: u64) -> Option<LinkStats> {
-        let plan = self.plan.as_ref()?;
-        let link = plan.link.filter(|l| !l.is_noop())?;
-        let mut rng = Rng64::new(plan.stream(record_salt(SALT_LINK, noise_seed)));
-        let (delivered, stats) = link.apply(data.len(), &mut rng);
-        let mut held = 0.0;
-        for (v, ok) in data.iter_mut().zip(&delivered) {
-            if *ok {
-                held = *v;
-            } else {
-                *v = held;
-            }
-        }
-        Some(stats)
-    }
-
-    fn acquire_baseline(
-        &self,
-        amplified: &[f64],
-        f_ct: f64,
-        noise_seed: u64,
-    ) -> (Vec<f64>, u64, f64, Option<LinkStats>) {
-        let cfg = &self.cfg;
-        let mut sampler = Sampler::new(
-            cfg.design.f_sample_hz(),
-            self.sh_cap_f(),
-            0.0,
-            cfg.seed ^ noise_seed ^ 0x5A5A,
-        );
-        if let Some(plan) = &self.plan {
-            sampler
-                .inject_clock_fault(plan.clock, plan.stream(record_salt(SALT_CLOCK, noise_seed)));
-        }
-        let sampled = sampler.sample(amplified, f_ct);
-        let mut adc = SarAdc::new(
-            cfg.design.n_bits,
-            cfg.design.v_fs,
-            cfg.adc.c_u_f,
-            cfg.adc.comparator_noise_v,
-            cfg.adc.comparator_offset_v,
-            &cfg.tech,
-            cfg.seed,
-        );
-        if let Some(plan) = &self.plan {
-            adc.inject_stuck_bit(plan.adc);
-        }
-        // Shifted RMS as a running fold — the same sequential square/sum/
-        // sqrt order as `dsp::stats::rms` over a shifted copy (bit-identical)
-        // without materialising the copy.
-        let mut shifted_sq = 0.0;
-        for v in &sampled {
-            let s = v + cfg.design.v_fs / 2.0;
-            shifted_sq += s * s;
-        }
-        let shifted_rms = if sampled.is_empty() {
-            0.0
-        } else {
-            (shifted_sq / sampled.len() as f64).sqrt()
-        };
-        let mut out = adc.process_buffer(&sampled);
-        let words = out.len() as u64;
-        let link = self.apply_link_hold(&mut out, noise_seed);
-        (out, words, shifted_rms, link)
-    }
-
-    fn acquire_cs(
-        &self,
-        state: &CsState,
-        amplified: &[f64],
-        f_ct: f64,
-        noise_seed: u64,
-        sampled_ctx: Option<(&PrefixStore, PrefixKey)>,
-    ) -> (Vec<f64>, u64, f64, Option<LinkStats>) {
-        let cfg = &self.cfg;
-        let cs = &state.cs;
-        let phi = state.phi.as_ref();
-        let art = state.art.as_ref();
-        let f_s = cfg.design.f_sample_hz();
-        // The encoder's own sample caps do the sampling; take ideal instants
-        // unless a clock fault jitters/drops them.
-        let duration = amplified.len() as f64 / f_ct;
-        let n_samples = (duration * f_s).floor() as usize;
-        let clock = self
-            .plan
-            .as_ref()
-            .and_then(|p| p.clock.filter(|c| !c.is_noop()));
-        let sampled: Buf = if let Some(c) = clock {
-            // Mirrors Sampler's fault path: a failed acquisition holds the
-            // previous sample-cap charge. (Not memoized: clock faults are a
-            // per-plan stream, so sharing would buy nothing.)
-            let seed = self
-                .plan
-                .as_ref()
-                .map_or(0, |p| p.stream(record_salt(SALT_CLOCK, noise_seed)));
-            let mut jitter_rng = Gaussian::new(seed ^ 0x0C10_CC00);
-            let mut drop_rng = Rng64::new(seed ^ 0x0D20_9ED5);
-            let mut out = Vec::with_capacity(n_samples);
-            let mut held = 0.0;
-            for i in 0..n_samples {
-                let mut t = i as f64 / f_s;
-                if c.jitter_periods > 0.0 {
-                    t += jitter_rng.sample_scaled(c.jitter_periods / f_s);
-                }
-                if drop_rng.chance(c.drop_prob) {
-                    out.push(held);
-                    continue;
-                }
-                held = sample_at(amplified, f_ct, t.max(0.0));
-                out.push(held);
-            }
-            Buf::Owned(out)
-        } else {
-            // Clean-clock sampling is a pure function of the amplified
-            // buffer, so its memo key composes the analog key.
-            let key =
-                sampled_ctx.map(|(s, analog)| (s, prefix::sampled_key(analog, f_s, n_samples)));
-            match key.and_then(|(s, k)| s.get_sampled(k)) {
-                Some(hit) => Buf::Shared(hit),
-                None => {
-                    // Priced by the L3 cache-efficacy report (memo.sampled).
-                    let _build_span = efficsense_obs::span!("sim.sample.build");
-                    let built: Vec<f64> = (0..n_samples)
-                        .map(|i| sample_at(amplified, f_ct, i as f64 / f_s))
-                        .collect();
-                    match key {
-                        Some((s, k)) => Buf::Shared(s.insert_sampled(k, built)),
-                        None => Buf::Owned(built),
-                    }
-                }
-            }
-        };
-        let mut encoder = ChargeSharingEncoder::new(
-            phi.clone(),
-            cs.c_sample_f,
-            cs.c_hold_f,
-            1.0 / f_s,
-            cs.imperfections,
-            &cfg.tech,
-            &cfg.design,
-            cfg.seed ^ noise_seed.rotate_left(17),
-        );
-        let mut adc = SarAdc::new(
-            cfg.design.n_bits,
-            cfg.design.v_fs,
-            cfg.adc.c_u_f,
-            cfg.adc.comparator_noise_v,
-            cfg.adc.comparator_offset_v,
-            &cfg.tech,
-            cfg.seed,
-        );
-        let mut link_ctx = None;
-        if let Some(plan) = &self.plan {
-            encoder.inject_leakage_fault(plan.leakage, &cfg.tech, &cfg.design);
-            adc.inject_stuck_bit(plan.adc);
-            if let Some(l) = plan.link.filter(|l| !l.is_noop()) {
-                link_ctx = Some((
-                    l,
-                    Rng64::new(plan.stream(record_salt(SALT_LINK, noise_seed))),
-                ));
-            }
-        }
-        // Discrepancy-principle stopping (Morozov): the designer knows the
-        // front-end noise level, so the decoder stops fitting once the
-        // residual reaches the expected measurement noise instead of fitting
-        // noise into spurious atoms. Per-measurement noise variance:
-        //   (vn·gain)²·Σw²  (sampled LNA noise through the weights)
-        // + σ_kTC²·Σw²      (per-share sampling noise)
-        // + LSB²/12         (measurement quantisation).
-        let sampled_noise = cfg.lna.noise_floor_vrms * cfg.lna.gain;
-        let ktc_var = if cs.imperfections.ktc_noise {
-            efficsense_power::kt() / cs.c_sample_f
-        } else {
-            0.0
-        };
-        let lsb = cfg.design.lsb();
-        let meas_noise_var =
-            (sampled_noise * sampled_noise + ktc_var) * art.mean_row_w2 + lsb * lsb / 12.0;
-        let noise_norm = (meas_noise_var * cs.m as f64).sqrt();
-        let mut out = Vec::with_capacity(n_samples);
-        let mut words = 0u64;
-        let mut rms_acc = 0.0;
-        let mut rms_n = 0usize;
-        let mut link_stats: Option<LinkStats> = None;
-        // Front-end pass: encode and digitise every frame first (the encoder
-        // and ADC are stateful, so their sample order is unchanged), then
-        // hand the whole record to the batched decoder in one call.
-        let n_frames = n_samples / cs.n_phi;
-        let mut frames: Vec<Vec<f64>> = Vec::with_capacity(n_frames);
-        let mut omp_cfgs: Vec<OmpConfig> = Vec::with_capacity(n_frames);
-        let encode_span = efficsense_obs::span!("sim.encode");
-        for frame in sampled.chunks_exact(cs.n_phi) {
-            let measurements = encoder.encode_frame(frame);
-            // Digitise the measurements.
-            let mut digitised: Vec<f64> = measurements.iter().map(|&v| adc.process(v)).collect();
-            words += digitised.len() as u64;
-            for &v in &digitised {
-                rms_acc += (v + cfg.design.v_fs / 2.0).powi(2);
-                rms_n += 1;
-            }
-            // Measurement words lost on the radio: the decoder knows which
-            // packets never arrived, so it treats them as zero-valued
-            // measurements (erasure handling) before inverting.
-            if let Some((l, rng)) = &mut link_ctx {
-                let (delivered, stats) = l.apply(digitised.len(), rng);
-                for (v, ok) in digitised.iter_mut().zip(&delivered) {
-                    if !*ok {
-                        *v = 0.0;
-                    }
-                }
-                link_stats
-                    .get_or_insert_with(LinkStats::default)
-                    .accumulate(&stats);
-            }
-            let y_norm = efficsense_cs::linalg::norm2(&digitised).max(1e-300);
-            omp_cfgs.push(OmpConfig {
-                sparsity: cs.omp_sparsity,
-                residual_tol: (noise_norm / y_norm).clamp(1e-4, 0.9),
-            });
-            frames.push(digitised);
-        }
-        drop(encode_span);
-        // Decode with the nominal dictionary (the decoder does not know the
-        // mismatch/kTC realisation). All frames of the record go through the
-        // Gram-cached batch decoder in one call.
-        {
-            let _recon_span = efficsense_obs::span!("stage.reconstruct");
-            let decoded = reconstruct_batch(art, &frames, &omp_cfgs, self.decode_threads);
-            for xh in decoded {
-                out.extend(xh);
-            }
-        }
-        let adc_in_rms = if rms_n > 0 {
-            (rms_acc / rms_n as f64).sqrt()
-        } else {
-            0.0
-        };
-        (out, words, adc_in_rms, link_stats)
     }
 
     /// Assembles the Table II power breakdown for this configuration.
@@ -795,15 +386,7 @@ impl Simulator {
             lna.power(self.lna_load_f(), &cfg.tech, &cfg.design),
         );
         // ADC (comparator + SAR logic + DAC).
-        let adc = SarAdc::new(
-            cfg.design.n_bits,
-            cfg.design.v_fs,
-            cfg.adc.c_u_f,
-            cfg.adc.comparator_noise_v,
-            cfg.adc.comparator_offset_v,
-            &cfg.tech,
-            cfg.seed,
-        );
+        let adc = stream::sar_adc(cfg);
         b = b.merged(&adc.power_breakdown(adc_in_rms, &cfg.tech, &cfg.design));
         // A lossy link retransmits: the radio clocks out expected-attempts×
         // the data words, inflating the average TX power by the same factor.

@@ -1,54 +1,60 @@
-//! Streaming, bounded-memory simulation of the acquisition chain.
+//! The acquisition chain — LNA → S&H or charge-sharing encoder → SAR ADC →
+//! link — as one streaming, bounded-memory pipeline.
 //!
-//! [`Simulator::run`](crate::simulate::Simulator::run) evaluates one record
-//! held entirely in memory. Long-duration scenarios — a sensor that runs
-//! for months while its faults age — need the same chain as a *stream*:
-//! input arrives in chunks of any size, every block carries its state
-//! (filter tails, hold charge, partial CS frames, link packet accounting)
-//! across chunk boundaries, and memory stays bounded no matter how long
-//! the stream runs.
+//! [`StreamSimulator`] is the only implementation of the chain: input
+//! arrives in chunks of any size, every block carries its state across
+//! chunk boundaries, and memory stays bounded however long the stream runs.
+//! [`Simulator::run`] is the same stream fed its whole record in one push.
+//! Each push advances three stages as far as the buffered input allows —
+//! (1) resample to the continuous-time proxy grid and amplify, (2) the
+//! back end (acquisition, then ADC → link, or encoder → ADC → link
+//! erasures → batched OMP decode), (3) the clean reference at the output
+//! rate. Values are emitted *eagerly* once their inputs can no longer
+//! change; end-of-record clamps resolve only once the input is complete.
+//! Every block draws from its own RNG stream in sample order, so output is
+//! invariant to the chunking: any chunking of a static plan reproduces
+//! [`Simulator::run`] bit for bit, and a [`CompoundPlan`] — severity
+//! updated at epoch boundaries of each block's own sample index — gives
+//! the same bits for any chunk size or decode thread count.
 //!
-//! [`StreamSimulator`] is that pipeline. Its contract has two halves:
+//! **Whole-record runs.** [`Simulator::run`] knows its record before the
+//! stream opens. Its one push completes every stage, so each stage reports
+//! one per-record span (`sim.analog` ⊃ `sim.analog.build`,
+//! `sim.sample.build`, `sim.encode`, `sim.reference.build`); and with a
+//! Level-3 [`PrefixStore`] attached, the stage boundaries consult it: an
+//! `analog` hit replaces stage 1 and is read in place, a `ct` hit its
+//! resampling half, a `sampled` hit the CS clean-clock acquisition, a
+//! `reference` hit stage 3; whatever is built instead is inserted as its
+//! stage completes. The `acquired` boundary is answered before the stream
+//! opens. Chunked streams stay store-free: their record fingerprint only
+//! exists once the stream ends.
 //!
-//! * **Static plans are bit-identical to the batch path.** For any chunking
-//!   of the input, the concatenated output of [`StreamSimulator::push`] +
-//!   [`StreamSimulator::finish`] equals [`Simulator::run`] on the whole
-//!   record, bit for bit — clean or with any static [`FaultPlan`](efficsense_faults::FaultPlan). This
-//!   holds because every random draw happens in the same stream and the
-//!   same order as the batch path: values are emitted *eagerly* once their
-//!   inputs can no longer change (interior interpolation points), and
-//!   end-of-record clamps are resolved only at [`StreamSimulator::finish`].
-//! * **Compound plans are chunk-invariant.** A [`CompoundPlan`] threads
-//!   time-varying severity through the per-block fault hooks. Parameters
-//!   update only at epoch boundaries computed from absolute sample indices
-//!   in each block's own sample domain, and every fault keeps its private
-//!   RNG stream, so the realisation depends on the plan and the input —
-//!   never on how the stream was chunked or how many decode threads run.
+//! Every decode flush runs under a `stage.reconstruct` span; chunked
+//! streams tick a `stream.heartbeat` counter (plus a `stream.progress`
+//! trace event when a sink is installed) at fixed output-sample intervals.
+//! All of it fires at chunk-invariant points, so
+//! [`LogicalClock`](efficsense_obs::LogicalClock) snapshots match across
+//! chunkings.
 //!
-//! The streaming path reports progress: a `stream.heartbeat` counter (plus
-//! a `stream.progress` trace event when a sink is installed) ticks at
-//! fixed output-sample intervals, and each batched decode flush is timed
-//! under a `stream.chunk` span. All instrumentation fires at
-//! chunk-invariant points so [`LogicalClock`](efficsense_obs::LogicalClock)
-//! snapshots stay identical across chunkings.
+//! [`Simulator::run`]: crate::simulate::Simulator::run
 
-use crate::config::CsConfig;
-use crate::simulate::{
-    record_salt, ArchState, SimOutput, Simulator, SALT_CLOCK, SALT_LINK, SALT_LNA,
-};
+use crate::config::{CsConfig, SystemConfig};
+use crate::prefix::{self, AcquiredPrefix, AnalogParams, PrefixKey, PrefixStore};
+use crate::simulate::{ArchState, CsState, SimOutput, SimScratch, Simulator};
 use efficsense_blocks::{ChargeSharingEncoder, Lna, Sampler, SarAdc};
 use efficsense_cs::decode::reconstruct_batch;
 use efficsense_cs::memo::DictionaryArtifacts;
 use efficsense_cs::recon::OmpConfig;
-use efficsense_faults::{ClockFault, CompoundPlan, FaultKind, LinkFault, LinkStats, LnaRailFault};
+use efficsense_faults::{
+    ClockFault, CompoundPlan, FaultKind, FaultPlan, LinkFault, LinkStats, LnaRailFault,
+};
 use efficsense_power::{DesignParams, PowerBreakdown, TechnologyParams};
 use efficsense_rng::Rng64;
-use efficsense_signals::noise::Gaussian;
 use std::sync::Arc;
 
-/// Frames digitised before each batched decode flush. Flush boundaries are
-/// counted in *frames*, so they are invariant to how the raw input was
-/// chunked; each flush runs under a `stream.chunk` span.
+/// Frames digitised before each batched decode flush of a chunked stream.
+/// Flush boundaries are counted in *frames*, so they are invariant to how
+/// the raw input was chunked. A whole-record run decodes in one flush.
 const DECODE_BATCH: usize = 16;
 
 /// Output samples between `stream.heartbeat` ticks.
@@ -62,6 +68,12 @@ const CT_GUARD: u64 = 4096;
 
 /// Raw-ring guard (input samples) behind the resampler/reference cursors.
 const RAW_GUARD: u64 = 8;
+
+/// Per-block fault-stream salts (see [`FaultPlan::stream`]); spaced so the
+/// per-record mix `salt + 256·noise_seed` stays injective.
+const SALT_LNA: u64 = 1;
+const SALT_CLOCK: u64 = 2;
+const SALT_LINK: u64 = 3;
 
 /// A zero-effect railing fault, used to arm the LNA's private fault stream
 /// before a severity profile first becomes active.
@@ -87,81 +99,211 @@ const NOOP_LINK: LinkFault = LinkFault {
     packet_words: 16,
 };
 
-/// An append-only sample buffer addressed by *absolute* index, with
-/// deterministic pruning of the consumed prefix. The first sample is
-/// cached so the `t <= 0` edge clamp of
-/// [`sample_at`](efficsense_dsp::resample::sample_at) survives pruning.
+/// A read view of a signal addressed by *absolute* sample index: `buf[0]`
+/// is sample `base`, and `first` is sample 0, kept so the `t <= 0` edge
+/// clamp of [`sample_at`](efficsense_dsp::resample::sample_at) survives
+/// pruning. Interpolation mirrors `sample_at` bit for bit on the growing
+/// signal; the end clamp resolves only once the signal is `finished`.
+#[derive(Clone, Copy)]
+struct Track<'a> {
+    base: u64,
+    buf: &'a [f64],
+    first: f64,
+}
+
+impl<'a> Track<'a> {
+    /// A whole signal held in memory.
+    fn whole(buf: &'a [f64]) -> Self {
+        Self {
+            base: 0,
+            buf,
+            first: buf.first().copied().unwrap_or(0.0),
+        }
+    }
+
+    fn len(&self) -> u64 {
+        self.base + self.buf.len() as u64
+    }
+
+    /// Interpolation at `pos` samples for `0 < pos < len − 1`. The pruning
+    /// guards keep `pos >= base`; the saturating clamp only keeps the
+    /// accessor total.
+    fn interior(&self, pos: f64) -> f64 {
+        // `pos > 0`, so truncation is `sample_at`'s floor — without a libm
+        // call on baseline x86-64.
+        let i = pos as u64;
+        let frac = pos - i as f64;
+        let j = i.saturating_sub(self.base) as usize;
+        self.buf[j] * (1.0 - frac) + self.buf[j + 1] * frac
+    }
+
+    /// The signal (rate `fs`) at `t` seconds, or `None` while the
+    /// interpolation neighbourhood could still change.
+    fn interp_at(&self, fs: f64, t: f64, finished: bool) -> Option<f64> {
+        let total = self.len();
+        let pos = t * fs;
+        if total == 0 {
+            None
+        } else if pos <= 0.0 {
+            Some(self.first)
+        } else if pos < (total - 1) as f64 {
+            Some(self.interior(pos))
+        } else {
+            finished.then(|| self.buf[self.buf.len() - 1])
+        }
+    }
+
+    /// Resamples the signal (rate `fs`) onto an `f_out` grid, output `k` at
+    /// `k / f_out` seconds: the final values of outputs `next..end` — the
+    /// interior ones, then, once `finished`, the end-clamped tail — and the
+    /// index after the last. The fixed-grid form of [`Track::interp_at`],
+    /// as one exact-length iterator.
+    fn resample(
+        self,
+        fs: f64,
+        f_out: f64,
+        next: u64,
+        end: u64,
+        finished: bool,
+    ) -> (u64, impl Iterator<Item = f64> + 'a) {
+        let total = self.len();
+        let pos = move |k: u64| k as f64 / f_out * fs;
+        let interior = |k: u64| total > 0 && (k == 0 || pos(k) < (total - 1) as f64);
+        let estimate = (total.saturating_sub(1) as f64 / fs * f_out).ceil() as u64;
+        let mut stop = estimate.clamp(next, end.max(next));
+        while stop > next && !interior(stop - 1) {
+            stop -= 1;
+        }
+        while stop < end && interior(stop) {
+            stop += 1;
+        }
+        let tail_end = if finished && total > 0 { end } else { stop };
+        let last = self.buf.last().copied().unwrap_or(self.first);
+        let values = (next..stop)
+            .map(move |k| {
+                let p = pos(k);
+                if p <= 0.0 {
+                    self.first
+                } else {
+                    self.interior(p)
+                }
+            })
+            .chain((stop..tail_end).map(move |_| last));
+        (tail_end.max(next), values)
+    }
+}
+
+/// Appends `values` to `buf`, growing it to a power of two as repeated
+/// pushes would: a stream of equal pushes then settles on one allocation
+/// instead of doubling an exact fit every other push.
+fn append(buf: &mut Vec<f64>, values: impl Iterator<Item = f64>) {
+    let need = buf.len() + values.size_hint().0;
+    if need > buf.capacity() {
+        buf.reserve_exact(need.next_power_of_two() - buf.len());
+    }
+    buf.extend(values);
+}
+
+/// An append-only sample buffer addressed by absolute index, with
+/// deterministic pruning of the consumed prefix.
 #[derive(Debug, Clone, Default)]
 struct Ring {
     /// Absolute index of `buf[0]`.
     base: u64,
     buf: Vec<f64>,
-    /// Value at absolute index 0 (valid once `total > 0`).
+    /// Sample 0, recorded when the first prune drops it.
     first: f64,
-    /// Total samples ever pushed (`base + buf.len()`).
-    total: u64,
 }
 
 impl Ring {
-    fn push(&mut self, v: f64) {
-        if self.total == 0 {
-            self.first = v;
-        }
-        self.buf.push(v);
-        self.total += 1;
-    }
-
     fn len(&self) -> u64 {
-        self.total
+        self.base + self.buf.len() as u64
     }
 
-    /// Value at absolute index `i`, clamped into the retained window. The
-    /// below-`base` clamp is unreachable under the pruning guards; it
-    /// exists so the accessor is total.
-    fn get_clamped(&self, i: u64) -> f64 {
-        if self.buf.is_empty() {
-            return self.first;
+    fn view(&self) -> Track<'_> {
+        match self.base {
+            0 => Track::whole(&self.buf),
+            base => Track {
+                base,
+                buf: &self.buf,
+                first: self.first,
+            },
         }
-        let idx = i.saturating_sub(self.base).min(self.buf.len() as u64 - 1);
-        self.buf[idx as usize]
-    }
-
-    /// Mirrors [`sample_at`](efficsense_dsp::resample::sample_at) bit for
-    /// bit on the growing record: returns `None` while the interpolation
-    /// neighbourhood could still change (the end clamp is only valid once
-    /// `finished`).
-    fn interp_at(&self, fs: f64, t: f64, finished: bool) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let pos = t * fs;
-        if pos <= 0.0 {
-            return Some(self.first);
-        }
-        let i = pos.floor() as u64;
-        if i + 1 >= self.total {
-            return finished.then(|| self.get_clamped(self.total - 1));
-        }
-        let frac = pos - i as f64;
-        Some(self.get_clamped(i) * (1.0 - frac) + self.get_clamped(i + 1) * frac)
     }
 
     /// Drops samples below absolute index `keep_from` (amortised: only
     /// compacts once ≥ 1024 samples are prunable). Always retains at least
     /// one sample so the end clamp stays serviceable.
     fn prune_below(&mut self, keep_from: u64) {
-        let keep = keep_from.min(self.total.saturating_sub(1)).max(self.base);
+        let keep = keep_from.min(self.len().saturating_sub(1)).max(self.base);
         let n = keep - self.base;
         if n >= 1024 {
+            self.first = self.view().first;
             self.buf.drain(..n as usize);
             self.base = keep;
         }
     }
 }
 
-/// Which fault hooks a [`CompoundPlan`] can ever activate. Member blocks
-/// get their fault state *installed* up front (private streams armed, even
-/// at severity 0) so later severity changes never shift any stream.
+/// The design point's SAR converter (mismatch drawn from the config seed,
+/// so every record and the power model see the same chip).
+pub(crate) fn sar_adc(cfg: &SystemConfig) -> SarAdc {
+    SarAdc::new(
+        cfg.design.n_bits,
+        cfg.design.v_fs,
+        cfg.adc.c_u_f,
+        cfg.adc.comparator_noise_v,
+        cfg.adc.comparator_offset_v,
+        &cfg.tech,
+        cfg.seed,
+    )
+}
+
+/// The Level-3 context of a whole-record run with a store attached: the
+/// record fingerprint every prefix key hangs off, known before the stream
+/// opens.
+#[derive(Debug, Clone)]
+struct RecordPrefix {
+    store: Arc<PrefixStore>,
+    fp: u64,
+    /// Key of the record's LNA-amplified buffer.
+    analog: PrefixKey,
+    /// Key of the run's acquired output, inserted as the run completes.
+    acquired: PrefixKey,
+}
+
+/// The `reference` stage of a whole record: the clean `input` at `f_s`,
+/// exactly `len` samples, appended to `out` — served from (or recorded in)
+/// the store's `reference` class when a store and the record fingerprint
+/// are given.
+pub(crate) fn whole_reference(
+    prefix: Option<(&PrefixStore, u64)>,
+    input: &[f64],
+    fs_in: f64,
+    f_s: f64,
+    len: usize,
+    out: &mut Vec<f64>,
+) {
+    let key = prefix.map(|(store, fp)| (store, prefix::reference_key(fp, fs_in, f_s, len)));
+    if let Some(hit) = key.and_then(|(store, key)| store.get_reference(key)) {
+        out.extend_from_slice(&hit);
+        return;
+    }
+    let start = out.len();
+    {
+        // Priced by the L3 cache-efficacy report (memo.reference).
+        let _build_span = efficsense_obs::span!("sim.reference.build");
+        let (_, values) = Track::whole(input).resample(fs_in, f_s, 0, len as u64, true);
+        out.extend(values);
+    }
+    if let Some((store, key)) = key {
+        store.insert_reference(key, out[start..].to_vec());
+    }
+}
+
+/// The fault hooks a stream arms. Armed blocks get their fault state
+/// *installed* up front (private streams created, even at severity 0) so
+/// later severity changes never shift any stream.
 #[derive(Debug, Clone, Copy, Default)]
 struct Members {
     lna: bool,
@@ -171,47 +313,62 @@ struct Members {
     link: bool,
 }
 
-fn members_of(plan: &CompoundPlan) -> Members {
-    let mut m = Members::default();
-    for (kind, profile) in plan.faults() {
-        if profile.max_severity() <= 0.0 {
-            continue;
+impl Members {
+    /// The hooks a compound plan can ever activate.
+    fn of(plan: &CompoundPlan) -> Self {
+        let mut m = Self::default();
+        for (kind, profile) in plan.faults() {
+            if profile.max_severity() <= 0.0 {
+                continue;
+            }
+            match kind {
+                FaultKind::LnaRail => m.lna = true,
+                FaultKind::AdcStuckBit => m.adc = true,
+                FaultKind::CapLeakage => m.leakage = true,
+                FaultKind::ClockJitter | FaultKind::DroppedSamples => m.clock = true,
+                FaultKind::PacketLoss => m.link = true,
+            }
         }
-        match kind {
-            FaultKind::LnaRail => m.lna = true,
-            FaultKind::AdcStuckBit => m.adc = true,
-            FaultKind::CapLeakage => m.leakage = true,
-            FaultKind::ClockJitter | FaultKind::DroppedSamples => m.clock = true,
-            FaultKind::PacketLoss => m.link = true,
+        m
+    }
+
+    /// The hooks a static plan perturbs (no-op faults arm nothing).
+    fn active(plan: &FaultPlan) -> Self {
+        Self {
+            lna: plan.lna.is_some_and(|f| !f.is_noop()),
+            adc: plan.adc.is_some(),
+            leakage: plan.leakage.is_some(),
+            clock: plan.clock.is_some_and(|c| !c.is_noop()),
+            link: plan.link.is_some_and(|l| !l.is_noop()),
         }
     }
-    m
 }
 
-/// Link parameters in force during the epoch containing `t_s`, with the
-/// [`NOOP_LINK`] geometry when the profile sits at severity 0.
-fn link_params_at(plan: &CompoundPlan, t_s: f64) -> LinkFault {
-    plan.materialize(t_s).link.unwrap_or(NOOP_LINK)
-}
-
-/// How faults are driven through the stream.
+/// A compound plan driving per-epoch parameter updates through its member
+/// hooks.
 #[derive(Debug, Clone)]
-enum FaultMode {
-    /// The simulator's own static [`FaultPlan`](efficsense_faults::FaultPlan) snapshot; injection mirrors
-    /// the batch path exactly (bit-identical).
-    Static,
-    /// A compound plan with per-epoch severity updates.
-    Compound {
-        plan: CompoundPlan,
-        members: Members,
-    },
+struct Compound {
+    plan: CompoundPlan,
+    members: Members,
+}
+
+impl Compound {
+    /// The parameters in force at stream time `t_s` when it falls in a
+    /// later epoch than `last` (the hook's last update, advanced here).
+    fn update(&self, t_s: f64, last: &mut u64) -> Option<FaultPlan> {
+        let epoch = self.plan.epoch_index(t_s);
+        (epoch != *last).then(|| {
+            *last = epoch;
+            self.plan.materialize_at_epoch(epoch)
+        })
+    }
 }
 
 /// The pair sequence produced by one [`StreamSimulator::push`] (or the
 /// final flush): acquired samples referred to the sensor input, and the
 /// clean reference resampled to the output rate. Both vectors are always
 /// the same length; concatenating every chunk reproduces the
-/// [`SimOutput`] vectors of the batch path.
+/// [`SimOutput`] vectors of [`Simulator::run`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamChunk {
     /// Input-referred acquired signal (V) at `f_sample`.
@@ -240,9 +397,10 @@ impl StreamChunk {
 pub struct StreamSummary {
     /// Output sample rate (Hz).
     pub fs_out: f64,
-    /// Per-block power estimate (W). Static plans reproduce the batch
-    /// breakdown; compound plans scale the transmitter entry by the
-    /// *measured* retry factor of the time-varying link.
+    /// Per-block power estimate (W). Static plans give the
+    /// [`Simulator::power_breakdown`] figure; compound plans scale the
+    /// transmitter entry by the *measured* retry factor of the time-varying
+    /// link.
     pub power: PowerBreakdown,
     /// Capacitor area in `C_u,min` multiples.
     pub area_units: f64,
@@ -256,14 +414,12 @@ pub struct StreamSummary {
 
 /// Streaming link state for the baseline chain: words buffer until a
 /// packet fills, then one bounded-retry decision is drawn — the same
-/// packet boundaries and RNG order as
-/// [`LinkFault::apply`] over the whole record.
+/// packet boundaries and RNG order as [`LinkFault::apply`] over the whole
+/// record.
 #[derive(Debug, Clone)]
 struct StreamLink {
     rng: Rng64,
     cur: LinkFault,
-    /// `true` in static mode: parameters never change mid-stream.
-    fixed: bool,
     buf: Vec<f64>,
     held: f64,
     stats: LinkStats,
@@ -272,304 +428,337 @@ struct StreamLink {
 }
 
 impl StreamLink {
-    fn push_word(
-        &mut self,
-        w: f64,
-        compound: Option<&CompoundPlan>,
-        f_s: f64,
-        gain: f64,
-        out: &mut Vec<f64>,
-    ) {
-        if self.buf.is_empty() && !self.fixed {
-            if let Some(plan) = compound {
-                self.cur = link_params_at(plan, self.word_index as f64 / f_s);
+    fn push_word(&mut self, w: f64, compound: Option<&Compound>, f_s: f64, out: &mut Vec<f64>) {
+        if self.buf.is_empty() {
+            if let Some(c) = compound {
+                // Packet parameters re-materialise at packet starts only.
+                let plan = c.plan.materialize(self.word_index as f64 / f_s);
+                self.cur = plan.link.unwrap_or(NOOP_LINK);
             }
         }
         self.buf.push(w);
         if self.buf.len() >= self.cur.packet_words.max(1) {
-            self.decide_packet(gain, out);
+            self.decide_packet(out);
         }
     }
 
-    /// Draws the bounded-retry outcome for the buffered packet and emits
-    /// its words with hold-last-delivered concealment.
-    fn decide_packet(&mut self, gain: f64, out: &mut Vec<f64>) {
+    /// Draws the bounded-retry outcome for the buffered packet (one packet:
+    /// the buffer never outgrows it) and emits its words with
+    /// hold-last-delivered concealment (the receiver's zero-order
+    /// concealment of undelivered words).
+    fn decide_packet(&mut self, out: &mut Vec<f64>) {
         if self.buf.is_empty() {
             return;
         }
-        let p = self.cur.loss_prob.clamp(0.0, 1.0);
-        let len = self.buf.len() as u64;
-        self.stats.packets += 1;
-        self.stats.data_words += len;
-        let mut attempts = 0u64;
-        let mut ok = false;
-        while attempts <= u64::from(self.cur.max_retries) {
-            attempts += 1;
-            if !self.rng.chance(p) {
-                ok = true;
-                break;
-            }
-        }
-        self.stats.tx_words += attempts * len;
-        if !ok {
-            self.stats.lost_packets += 1;
-        }
-        for &v in &self.buf {
+        let (delivered, stats) = self.cur.apply(self.buf.len(), &mut self.rng);
+        self.stats.accumulate(&stats);
+        for (&v, ok) in self.buf.iter().zip(delivered) {
             if ok {
                 self.held = v;
             }
-            out.push(self.held / gain);
+            out.push(self.held);
         }
+        self.word_index += stats.data_words;
         self.buf.clear();
-        self.word_index += len;
     }
 }
 
-/// Baseline (Nyquist) back end: S&H → SAR ADC → link.
+/// The sampling front both back ends share: the S&H clock decides each
+/// acquisition instant — drawing clock-fault jitter and drop-outs from its
+/// private streams, a dropped acquisition holding the previous value — and
+/// the amplified signal is interpolated there. The baseline S&H adds its
+/// kT/C noise to every acquired value; the CS encoder's sample caps take
+/// the value as is.
 #[derive(Debug, Clone)]
-struct BaselineBack {
+struct Acquisition {
     sampler: Sampler,
-    adc: SarAdc,
-    /// Next output sample index to decide.
+    /// Add the S&H's kT/C noise (baseline) or not (CS).
+    ktc: bool,
+    /// An armed clock decides instants draw by draw; a clean one samples
+    /// the ideal grid in one tight loop.
+    clocked: bool,
+    /// Next sample index to acquire.
     next_i: u64,
-    /// Acquisition instant decided (draws consumed) but awaiting proxy
+    /// Acquisition instant decided (draws consumed) but awaiting amplified
     /// data that covers it.
     pending_t: Option<f64>,
     held: f64,
-    rms_acc: f64,
-    rms_n: u64,
-    words: u64,
-    link: Option<StreamLink>,
-    /// Epoch of the last sampler/ADC parameter update (compound mode).
-    sample_epoch: u64,
+    /// Epoch of the last clock parameter update (compound mode).
+    epoch: u64,
     f_s: f64,
     f_ct: f64,
-    v_fs: f64,
-    gain: f64,
 }
 
-impl BaselineBack {
-    fn drain(&mut self, amplified: &Ring, mode: &FaultMode, finished: bool, out: &mut Vec<f64>) {
-        let n_out = (amplified.len() as f64 / self.f_ct * self.f_s).floor() as u64;
-        loop {
-            if self.pending_t.is_none() {
-                if self.next_i >= n_out {
-                    break;
+impl Acquisition {
+    /// Acquires samples `next_i..n` as far as the amplified data reaches,
+    /// appending them to `out`.
+    fn run(
+        &mut self,
+        amplified: Track,
+        compound: Option<&Compound>,
+        finished: bool,
+        n: u64,
+        out: &mut Vec<f64>,
+    ) {
+        if !self.clocked {
+            let start = out.len();
+            let (next, values) = amplified.resample(self.f_ct, self.f_s, self.next_i, n, finished);
+            append(out, values);
+            self.next_i = next;
+            if self.ktc {
+                for v in &mut out[start..] {
+                    *v = self.sampler.acquire(*v);
                 }
-                let t0 = self.next_i as f64 / self.f_s;
-                if let FaultMode::Compound { plan, members } = mode {
-                    if (members.clock || members.adc) && plan.epoch_index(t0) != self.sample_epoch {
-                        self.sample_epoch = plan.epoch_index(t0);
-                        let p = plan.materialize_at_epoch(self.sample_epoch);
-                        if members.clock {
+            }
+            return;
+        }
+        while self.next_i < n {
+            let t = match self.pending_t {
+                Some(t) => t,
+                None => {
+                    if let Some(c) = compound.filter(|c| c.members.clock) {
+                        if let Some(p) = c.update(self.next_i as f64 / self.f_s, &mut self.epoch) {
                             self.sampler
                                 .set_clock_fault_params(p.clock.unwrap_or(NOOP_CLOCK));
                         }
-                        if members.adc {
-                            self.adc.inject_stuck_bit(p.adc);
+                    }
+                    match self.sampler.acquisition_instant(self.next_i) {
+                        Some(t) => t,
+                        None => {
+                            out.push(self.held);
+                            self.next_i += 1;
+                            continue;
                         }
                     }
                 }
-                match self.sampler.acquisition_instant(self.next_i) {
-                    Some(t) => self.pending_t = Some(t),
-                    // Dropped conversion: conceal with the held value and
-                    // fall through to the common digitising tail.
-                    None => {
-                        self.convert(self.held, mode, out);
-                        continue;
-                    }
-                }
-            }
-            if let Some(t) = self.pending_t {
-                match amplified.interp_at(self.f_ct, t.max(0.0), finished) {
-                    Some(v) => {
-                        self.pending_t = None;
-                        self.held = self.sampler.acquire(v);
-                        self.convert(self.held, mode, out);
-                    }
-                    None => break,
-                }
-            }
-        }
-        if finished {
-            if let Some(link) = &mut self.link {
-                link.decide_packet(self.gain, out);
-            }
+            };
+            let Some(v) = amplified.interp_at(self.f_ct, t.max(0.0), finished) else {
+                self.pending_t = Some(t);
+                return;
+            };
+            self.pending_t = None;
+            self.held = if self.ktc { self.sampler.acquire(v) } else { v };
+            out.push(self.held);
+            self.next_i += 1;
         }
     }
 
-    /// Digitises one sampled value: RMS accounting, ADC, link. Mirrors the
-    /// batch order (the whole-record RMS sum accumulates left-to-right
-    /// before the ADC in the batch path, but the two use disjoint state so
-    /// interleaving per sample keeps both bit-identical).
-    fn convert(&mut self, v: f64, mode: &FaultMode, out: &mut Vec<f64>) {
-        let shifted = v + self.v_fs / 2.0;
-        self.rms_acc += shifted * shifted;
-        self.rms_n += 1;
-        let code = self.adc.process(v);
-        self.words += 1;
-        let compound = match mode {
-            FaultMode::Compound { plan, .. } => Some(plan),
-            FaultMode::Static => None,
-        };
-        match &mut self.link {
-            Some(link) => link.push_word(code, compound, self.f_s, self.gain, out),
-            None => out.push(code / self.gain),
-        }
-        self.next_i += 1;
-    }
-
+    /// Oldest amplified sample a future acquisition can still touch.
     fn min_ct_needed(&self) -> u64 {
-        let pos = self
-            .pending_t
-            .unwrap_or(self.next_i as f64 / self.f_s)
-            .max(0.0)
-            * self.f_ct;
-        (pos.floor() as u64).saturating_sub(CT_GUARD)
+        let t = self.pending_t.unwrap_or(self.next_i as f64 / self.f_s);
+        ((t.max(0.0) * self.f_ct).floor() as u64).saturating_sub(CT_GUARD)
     }
 }
 
-/// The CS chain's clock-fault state, mirroring the inline jitter/dropout
-/// path of the batch simulator (the encoder's sample caps take the
-/// acquisition, so there is no kT/C-noising [`Sampler`] here).
+/// What follows acquisition on each architecture.
 #[derive(Debug, Clone)]
-struct CsClock {
-    fault: ClockFault,
-    jitter_rng: Gaussian,
-    drop_rng: Rng64,
+enum Path {
+    /// Baseline: every sample is digitised and sent over the link.
+    Nyquist {
+        link: Option<StreamLink>,
+        /// Epoch of the last ADC parameter update (compound mode).
+        epoch: u64,
+    },
+    /// Compressive sensing: frames → encoder → ADC → link erasures →
+    /// batched decode.
+    Cs(Box<CsPath>),
 }
 
-/// Compressive-sensing back end: frame assembly → charge-sharing encoder →
-/// SAR ADC → per-frame link erasures → batched OMP decode.
 #[derive(Debug, Clone)]
-struct CsBack {
+struct CsPath {
     cs: CsConfig,
     art: Arc<DictionaryArtifacts>,
     encoder: ChargeSharingEncoder,
-    adc: SarAdc,
-    clock: Option<CsClock>,
-    tech: TechnologyParams,
-    design: DesignParams,
-    next_i: u64,
-    pending_t: Option<f64>,
-    held: f64,
-    frame_buf: Vec<f64>,
+    link: Option<(LinkFault, Rng64)>,
+    link_stats: Option<LinkStats>,
     frames: Vec<Vec<f64>>,
     omp_cfgs: Vec<OmpConfig>,
     frames_encoded: u64,
+    /// Frames digitised before each decode flush.
+    decode_batch: usize,
+    /// Discrepancy-principle residual target of one frame.
     noise_norm: f64,
-    rms_acc: f64,
-    rms_n: u64,
-    words: u64,
-    link: Option<(LinkFault, Rng64)>,
-    link_stats: Option<LinkStats>,
     threads: usize,
-    /// Epoch of the last clock parameter update (compound mode).
-    clock_epoch: u64,
     /// Epoch of the last encoder/ADC/link parameter update (compound mode).
-    frame_epoch: u64,
-    f_s: f64,
-    f_ct: f64,
+    epoch: u64,
+    tech: TechnologyParams,
+    design: DesignParams,
+}
+
+/// Data words handed to the transmitter and the running square sum of
+/// their converter values in the unipolar frame (the DAC-switching RMS).
+#[derive(Debug, Clone, Copy)]
+struct Tally {
+    words: u64,
+    sq_sum: f64,
     v_fs: f64,
+}
+
+impl Tally {
+    fn add(&mut self, v: f64) {
+        let shifted = v + self.v_fs / 2.0;
+        self.sq_sum += shifted * shifted;
+        self.words += 1;
+    }
+
+    fn rms(&self) -> f64 {
+        if self.words > 0 {
+            (self.sq_sum / self.words as f64).sqrt()
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Stage 2: acquisition, the SAR ADC and the architecture's path.
+#[derive(Debug, Clone)]
+struct BackEnd {
+    acq: Acquisition,
+    adc: SarAdc,
+    /// Acquired samples not yet digitised or encoded; `samples[0]` is
+    /// sample `samples_base`.
+    samples: Vec<f64>,
+    samples_base: u64,
+    tally: Tally,
+    path: Path,
     gain: f64,
 }
 
-impl CsBack {
-    fn drain(&mut self, amplified: &Ring, mode: &FaultMode, finished: bool, out: &mut Vec<f64>) {
-        let n_samples = (amplified.len() as f64 / self.f_ct * self.f_s).floor() as u64;
-        loop {
-            if self.pending_t.is_none() {
-                if self.next_i >= n_samples {
-                    break;
-                }
-                let t0 = self.next_i as f64 / self.f_s;
-                if let FaultMode::Compound { plan, members } = mode {
-                    if members.clock && plan.epoch_index(t0) != self.clock_epoch {
-                        self.clock_epoch = plan.epoch_index(t0);
-                        let p = plan.materialize_at_epoch(self.clock_epoch);
-                        if let Some(c) = &mut self.clock {
-                            c.fault = p.clock.unwrap_or(NOOP_CLOCK);
+impl BackEnd {
+    /// `(adc_in_rms, words, link_stats)` for the summary.
+    fn summary_parts(&self) -> (f64, u64, Option<LinkStats>) {
+        let link = match &self.path {
+            Path::Nyquist { link, .. } => link.as_ref().map(|l| l.stats),
+            Path::Cs(cs) => cs.link_stats,
+        };
+        (self.tally.rms(), self.tally.words, link)
+    }
+
+    fn drain(
+        &mut self,
+        amplified: Track,
+        compound: Option<&Compound>,
+        finished: bool,
+        whole: bool,
+        prefix: Option<&RecordPrefix>,
+        out: &mut Vec<f64>,
+    ) {
+        let f_s = self.acq.f_s;
+        let n_samples = (amplified.len() as f64 / self.acq.f_ct * f_s).floor() as u64;
+        match &mut self.path {
+            Path::Nyquist { link, epoch } => {
+                self.acq
+                    .run(amplified, compound, finished, n_samples, &mut self.samples);
+                for &v in &self.samples {
+                    if let Some(c) = compound.filter(|c| c.members.adc) {
+                        if let Some(p) = c.update(self.samples_base as f64 / f_s, epoch) {
+                            self.adc.inject_stuck_bit(p.adc);
                         }
                     }
+                    self.samples_base += 1;
+                    self.tally.add(v);
+                    let code = self.adc.process(v) / self.gain;
+                    match link {
+                        Some(link) => link.push_word(code, compound, f_s, out),
+                        None => out.push(code),
+                    }
                 }
-                if let Some(c) = &mut self.clock {
-                    let mut t = t0;
-                    if c.fault.jitter_periods > 0.0 {
-                        t += c
-                            .jitter_rng
-                            .sample_scaled(c.fault.jitter_periods / self.f_s);
+                self.samples.clear();
+                if let Some(link) = link.as_mut().filter(|_| finished) {
+                    link.decide_packet(out);
+                }
+            }
+            Path::Cs(cs) => {
+                // The `sampled` boundary: a whole record's clean-clock
+                // acquisition is a pure function of its amplified buffer, so
+                // its key composes the `analog` key. (Clock-fault sampling is
+                // a per-plan stream; sharing it would buy nothing.)
+                let sampled = prefix.filter(|_| !self.acq.clocked).map(|p| {
+                    let key = prefix::sampled_key(p.analog, f_s, n_samples as usize);
+                    (p, key, p.store.get_sampled(key))
+                });
+                let hit = sampled.as_ref().and_then(|(_, _, hit)| hit.clone());
+                if hit.is_none() {
+                    // Priced by the L3 cache-efficacy report (memo.sampled).
+                    let _build_span = (whole && !self.acq.clocked)
+                        .then(|| efficsense_obs::span!("sim.sample.build"));
+                    self.acq
+                        .run(amplified, compound, finished, n_samples, &mut self.samples);
+                }
+                if let Some((p, key, None)) = &sampled {
+                    p.store.insert_sampled(*key, self.samples.clone());
+                }
+                let (src, base, available) = match &hit {
+                    Some(hit) => (hit.as_slice(), 0, hit.len() as u64),
+                    None => (self.samples.as_slice(), self.samples_base, self.acq.next_i),
+                };
+                let n_phi = cs.cs.n_phi as u64;
+                {
+                    let _encode_span = whole.then(|| efficsense_obs::span!("sim.encode"));
+                    while (cs.frames_encoded + 1) * n_phi <= available {
+                        let start = (cs.frames_encoded * n_phi - base) as usize;
+                        let frame = &src[start..start + cs.cs.n_phi];
+                        cs.encode(frame, &mut self.adc, &mut self.tally, compound, f_s);
                     }
-                    if c.drop_rng.chance(c.fault.drop_prob) {
-                        // Dropped acquisition: the sample cap keeps its
-                        // previous charge.
-                        let held = self.held;
-                        self.take_sample(held, mode, out);
-                        continue;
-                    }
-                    self.pending_t = Some(t);
+                }
+                // Drop the encoded prefix; at the end of the record the
+                // trailing partial frame never reaches the encoder either.
+                let encoded = (cs.frames_encoded * n_phi).saturating_sub(self.samples_base);
+                let consumed = if finished {
+                    self.samples.len()
                 } else {
-                    self.pending_t = Some(t0);
+                    (encoded as usize).min(self.samples.len())
+                };
+                self.samples.drain(..consumed);
+                self.samples_base += consumed as u64;
+                while cs.frames.len() >= cs.decode_batch || (finished && !cs.frames.is_empty()) {
+                    cs.decode(cs.frames.len().min(cs.decode_batch), self.gain, out);
                 }
             }
-            if let Some(t) = self.pending_t {
-                match amplified.interp_at(self.f_ct, t.max(0.0), finished) {
-                    Some(v) => {
-                        self.pending_t = None;
-                        self.held = v;
-                        self.take_sample(v, mode, out);
+        }
+    }
+}
+
+impl CsPath {
+    /// Encodes, digitises and transmits one frame (after applying the
+    /// frame-epoch parameters of a compound plan), queueing its words for
+    /// decoding. The decoder knows which packets never arrived, so it treats
+    /// their words as zero-valued measurements (erasures).
+    fn encode(
+        &mut self,
+        frame: &[f64],
+        adc: &mut SarAdc,
+        tally: &mut Tally,
+        compound: Option<&Compound>,
+        f_s: f64,
+    ) {
+        if let Some(c) = compound {
+            let m = c.members;
+            let t = (self.frames_encoded * self.cs.n_phi as u64) as f64 / f_s;
+            if m.leakage || m.adc || m.link {
+                if let Some(p) = c.update(t, &mut self.epoch) {
+                    if m.leakage {
+                        self.encoder
+                            .inject_leakage_fault(p.leakage, &self.tech, &self.design);
                     }
-                    None => break,
-                }
-            }
-        }
-        if finished {
-            // A trailing partial frame never reaches the encoder (the batch
-            // path only encodes `chunks_exact(N_Φ)`).
-            self.frame_buf.clear();
-            self.flush_decode(out);
-        }
-    }
-
-    fn take_sample(&mut self, v: f64, mode: &FaultMode, out: &mut Vec<f64>) {
-        self.frame_buf.push(v);
-        self.next_i += 1;
-        if self.frame_buf.len() >= self.cs.n_phi {
-            self.encode_frame(mode, out);
-        }
-    }
-
-    fn encode_frame(&mut self, mode: &FaultMode, out: &mut Vec<f64>) {
-        if let FaultMode::Compound { plan, members } = mode {
-            let t = (self.frames_encoded * self.cs.n_phi as u64) as f64 / self.f_s;
-            if (members.leakage || members.adc || members.link)
-                && plan.epoch_index(t) != self.frame_epoch
-            {
-                self.frame_epoch = plan.epoch_index(t);
-                let p = plan.materialize_at_epoch(self.frame_epoch);
-                if members.leakage {
-                    self.encoder
-                        .inject_leakage_fault(p.leakage, &self.tech, &self.design);
-                }
-                if members.adc {
-                    self.adc.inject_stuck_bit(p.adc);
-                }
-                if members.link {
-                    if let Some((params, _)) = &mut self.link {
+                    if m.adc {
+                        adc.inject_stuck_bit(p.adc);
+                    }
+                    if let Some((params, _)) = self.link.as_mut().filter(|_| m.link) {
                         *params = p.link.unwrap_or(NOOP_LINK);
                     }
                 }
             }
         }
-        let measurements = self.encoder.encode_frame(&self.frame_buf);
-        let mut digitised: Vec<f64> = measurements.iter().map(|&v| self.adc.process(v)).collect();
-        self.words += digitised.len() as u64;
-        for &v in &digitised {
-            self.rms_acc += (v + self.v_fs / 2.0).powi(2);
-            self.rms_n += 1;
+        self.frames_encoded += 1;
+        let measurements = self.encoder.encode_frame(frame);
+        let mut words: Vec<f64> = measurements.iter().map(|&v| adc.process(v)).collect();
+        for &v in &words {
+            tally.add(v);
         }
         if let Some((params, rng)) = &mut self.link {
-            let (delivered, stats) = params.apply(digitised.len(), rng);
-            for (v, ok) in digitised.iter_mut().zip(&delivered) {
+            let (delivered, stats) = params.apply(words.len(), rng);
+            for (v, ok) in words.iter_mut().zip(&delivered) {
                 if !*ok {
                     *v = 0.0;
                 }
@@ -578,81 +767,31 @@ impl CsBack {
                 .get_or_insert_with(LinkStats::default)
                 .accumulate(&stats);
         }
-        let y_norm = efficsense_cs::linalg::norm2(&digitised).max(1e-300);
+        let y_norm = efficsense_cs::linalg::norm2(&words).max(1e-300);
         self.omp_cfgs.push(OmpConfig {
             sparsity: self.cs.omp_sparsity,
             residual_tol: (self.noise_norm / y_norm).clamp(1e-4, 0.9),
         });
-        self.frames.push(digitised);
-        self.frames_encoded += 1;
-        self.frame_buf.clear();
-        if self.frames.len() >= DECODE_BATCH {
-            self.flush_decode(out);
-        }
+        self.frames.push(words);
     }
 
-    /// Decodes the buffered frames in one batched call. The batch decoder
-    /// is per-frame independent, so flushing every [`DECODE_BATCH`] frames
-    /// is bit-identical to the batch path's single whole-record call.
-    fn flush_decode(&mut self, out: &mut Vec<f64>) {
-        if self.frames.is_empty() {
-            return;
-        }
-        let _chunk_span = efficsense_obs::span!("stream.chunk");
-        let decoded = reconstruct_batch(&self.art, &self.frames, &self.omp_cfgs, self.threads);
+    /// Decodes the first `n` queued frames in one batched call with the
+    /// nominal dictionary (the decoder does not know the mismatch/kT/C
+    /// realisation). Frames decode independently, so the flush grouping
+    /// never changes a bit.
+    fn decode(&mut self, n: usize, gain: f64, out: &mut Vec<f64>) {
+        let _recon_span = efficsense_obs::span!("stage.reconstruct");
+        let decoded = reconstruct_batch(
+            &self.art,
+            &self.frames[..n],
+            &self.omp_cfgs[..n],
+            self.threads,
+        );
         for xh in decoded {
-            for v in xh {
-                out.push(v / self.gain);
-            }
+            out.extend(xh.iter().map(|v| v / gain));
         }
-        self.frames.clear();
-        self.omp_cfgs.clear();
-    }
-
-    fn min_ct_needed(&self) -> u64 {
-        let pos = self
-            .pending_t
-            .unwrap_or(self.next_i as f64 / self.f_s)
-            .max(0.0)
-            * self.f_ct;
-        (pos.floor() as u64).saturating_sub(CT_GUARD)
-    }
-}
-
-#[derive(Debug, Clone)]
-enum BackEnd {
-    Baseline(Box<BaselineBack>),
-    Cs(Box<CsBack>),
-}
-
-impl BackEnd {
-    fn drain(&mut self, amplified: &Ring, mode: &FaultMode, finished: bool, out: &mut Vec<f64>) {
-        match self {
-            BackEnd::Baseline(b) => b.drain(amplified, mode, finished, out),
-            BackEnd::Cs(b) => b.drain(amplified, mode, finished, out),
-        }
-    }
-
-    fn min_ct_needed(&self) -> u64 {
-        match self {
-            BackEnd::Baseline(b) => b.min_ct_needed(),
-            BackEnd::Cs(b) => b.min_ct_needed(),
-        }
-    }
-
-    /// `(adc_in_rms, words, link_stats)` for the summary.
-    fn summary_parts(&self) -> (f64, u64, Option<LinkStats>) {
-        let (acc, n, words, link) = match self {
-            BackEnd::Baseline(b) => (
-                b.rms_acc,
-                b.rms_n,
-                b.words,
-                b.link.as_ref().map(|l| l.stats),
-            ),
-            BackEnd::Cs(b) => (b.rms_acc, b.rms_n, b.words, b.link_stats),
-        };
-        let rms = if n > 0 { (acc / n as f64).sqrt() } else { 0.0 };
-        (rms, words, link)
+        self.frames.drain(..n);
+        self.omp_cfgs.drain(..n);
     }
 }
 
@@ -663,17 +802,19 @@ impl BackEnd {
 #[derive(Debug, Clone)]
 pub struct StreamSimulator {
     sim: Simulator,
-    mode: FaultMode,
+    compound: Option<Compound>,
     fs_in: f64,
     f_ct: f64,
     f_s: f64,
     raw: Ring,
-    /// Continuous-time proxy samples emitted so far.
+    /// Continuous-time proxy samples amplified so far.
     next_ct: u64,
     lna: Lna,
     /// Epoch of the last LNA parameter update (compound mode).
     lna_epoch: u64,
     amplified: Ring,
+    /// A whole record's `analog` artifact, read in place of `amplified`.
+    analog: Option<Arc<Vec<f64>>>,
     back: BackEnd,
     /// Final input-referred values not yet paired with a reference.
     pending_out: Vec<f64>,
@@ -683,14 +824,19 @@ pub struct StreamSimulator {
     out_produced: u64,
     /// Next reference index to interpolate.
     ref_next: u64,
+    /// `true` for the whole-record run behind [`Simulator::run`]: its one
+    /// push completes the record and each stage reports a per-record span.
+    whole: bool,
+    /// L3 context of a whole-record run with a store attached.
+    prefix: Option<RecordPrefix>,
     started_ns: u64,
     last_progress_ns: u64,
 }
 
 impl StreamSimulator {
-    /// Opens a stream that mirrors `sim`'s batch behaviour — including its
-    /// static fault plan, if any — for one record at `fs_in` Hz with the
-    /// given `noise_seed`. Concatenated chunk output is bit-identical to
+    /// Opens a stream that runs `sim`'s chain — including its static fault
+    /// plan, if any — for one record at `fs_in` Hz with the given
+    /// `noise_seed`. Concatenated chunk output is bit-identical to
     /// [`Simulator::run`] on the whole record.
     ///
     /// # Panics
@@ -698,7 +844,7 @@ impl StreamSimulator {
     /// Panics if `fs_in` is not positive.
     #[must_use]
     pub fn new(sim: &Simulator, fs_in: f64, noise_seed: u64) -> Self {
-        Self::build(sim, fs_in, noise_seed, FaultMode::Static)
+        Self::build(sim, fs_in, noise_seed, None, None).started()
     }
 
     /// Opens a stream driven by a compound, time-varying fault plan. The
@@ -717,59 +863,150 @@ impl StreamSimulator {
         noise_seed: u64,
         plan: &CompoundPlan,
     ) -> Self {
-        let members = members_of(plan);
-        Self::build(
-            sim,
-            fs_in,
-            noise_seed,
-            FaultMode::Compound {
-                plan: plan.clone(),
-                members,
-            },
-        )
+        let compound = Compound {
+            plan: plan.clone(),
+            members: Members::of(plan),
+        };
+        Self::build(sim, fs_in, noise_seed, Some(compound), None).started()
     }
 
-    fn build(sim: &Simulator, fs_in: f64, noise_seed: u64, mode: FaultMode) -> Self {
+    /// Opens the whole-record stream behind [`Simulator::run`] for a record
+    /// of `len` samples. `acquired` carries the record fingerprint and the
+    /// run's `acquired` key when a prefix store is attached; the output
+    /// buffers come from `scratch`.
+    pub(crate) fn for_record(
+        sim: &Simulator,
+        len: usize,
+        fs_in: f64,
+        noise_seed: u64,
+        acquired: Option<(u64, PrefixKey)>,
+        scratch: &mut SimScratch,
+    ) -> Self {
+        let mut stream = Self::build(sim, fs_in, noise_seed, None, acquired);
+        stream.whole = true;
+        if let Path::Cs(cs) = &mut stream.back.path {
+            cs.decode_batch = usize::MAX;
+        }
+        let out_len = (len as f64 / fs_in * stream.f_s).ceil() as usize;
+        stream.pending_out = scratch.take(out_len);
+        stream.pending_ref = scratch.take(out_len);
+        // Size the record's own buffers up front too: power-of-two growth
+        // would leave per-record holes in the heap around the prefix
+        // store's artifacts.
+        let ct_len = (len as f64 / fs_in * stream.f_ct).ceil() as usize;
+        stream.amplified.buf.reserve_exact(ct_len);
+        stream.back.samples.reserve_exact(out_len);
+        stream
+    }
+
+    /// Starts a chunked stream's progress clock.
+    fn started(mut self) -> Self {
+        self.started_ns = efficsense_obs::global().now_ns();
+        self.last_progress_ns = self.started_ns;
+        self
+    }
+
+    fn build(
+        sim: &Simulator,
+        fs_in: f64,
+        noise_seed: u64,
+        compound: Option<Compound>,
+        acquired: Option<(u64, PrefixKey)>,
+    ) -> Self {
         assert!(fs_in > 0.0, "input rate must be positive");
         let cfg = &sim.cfg;
         let f_ct = cfg.f_ct_hz();
         let f_s = cfg.design.f_sample_hz();
+        // The faults this record runs with: a static plan's active hooks,
+        // or every member of a compound plan at its epoch-0 parameters.
+        // Each block draws from a private stream salted per record.
+        let (p0, arm) = match &compound {
+            Some(c) => (c.plan.materialize_at_epoch(0), c.members),
+            None => match &sim.plan {
+                Some(plan) => (plan.clone(), Members::active(plan)),
+                None => (FaultPlan::default(), Members::default()),
+            },
+        };
+        let stream_of = |salt: u64| p0.stream(salt.wrapping_add(noise_seed.wrapping_mul(256)));
+        // LNA: fresh instance; noise varies with the record.
+        let lna_seed = cfg.seed ^ noise_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut lna = Lna::from_design(
             &cfg.design,
             cfg.lna.gain,
             cfg.lna.noise_floor_vrms,
             cfg.lna.k3,
             f_ct,
-            cfg.seed ^ noise_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            lna_seed,
         );
-        match &mode {
-            FaultMode::Static => {
-                if let Some(plan) = &sim.plan {
-                    lna.inject_rail_fault(plan.lna, plan.stream(record_salt(SALT_LNA, noise_seed)));
-                }
-            }
-            FaultMode::Compound { plan, members } => {
-                if members.lna {
-                    let epoch0 = plan.materialize_at_epoch(0);
-                    lna.install_rail_fault(
-                        epoch0.lna.unwrap_or(NOOP_RAIL),
-                        epoch0.stream(record_salt(SALT_LNA, noise_seed)),
-                    );
-                }
-            }
+        let rail = arm
+            .lna
+            .then(|| (p0.lna.unwrap_or(NOOP_RAIL), stream_of(SALT_LNA)));
+        if let Some((fault, seed)) = rail {
+            lna.install_rail_fault(fault, seed);
         }
-        let back = match &sim.arch {
-            ArchState::Baseline => BackEnd::Baseline(Box::new(Self::build_baseline(
-                sim, noise_seed, &mode, f_ct, f_s,
-            ))),
-            ArchState::Cs(state) => BackEnd::Cs(Box::new(Self::build_cs(
-                sim, state, noise_seed, &mode, f_ct, f_s,
+        // The analog key hashes the LNA's exact constructor inputs and
+        // fault stream, so two runs sharing a key are bit-identical by
+        // construction.
+        let prefix = sim
+            .prefix
+            .clone()
+            .zip(acquired)
+            .map(|(store, (fp, acquired))| RecordPrefix {
+                store,
+                fp,
+                analog: prefix::analog_key(&AnalogParams {
+                    record_fp: fp,
+                    fs_in,
+                    f_ct,
+                    gain: lna.gain,
+                    noise_floor_vrms: lna.noise_floor_vrms,
+                    bandwidth_hz: lna.bandwidth_hz,
+                    k3: lna.k3,
+                    v_clip: lna.v_clip,
+                    lna_seed,
+                    fault: rail,
+                }),
+                acquired,
+            });
+        let (c_sample_f, ktc) = match &sim.arch {
+            ArchState::Baseline => (sim.sh_cap_f(), true),
+            // The encoder's own sample caps take the CS samples; this S&H
+            // only keeps the clock.
+            ArchState::Cs(state) => (state.cs.c_sample_f, false),
+        };
+        let mut sampler = Sampler::new(f_s, c_sample_f, 0.0, cfg.seed ^ noise_seed ^ 0x5A5A);
+        if arm.clock {
+            sampler.install_clock_fault(p0.clock.unwrap_or(NOOP_CLOCK), stream_of(SALT_CLOCK));
+        }
+        let mut adc = sar_adc(cfg);
+        if arm.adc {
+            adc.inject_stuck_bit(p0.adc);
+        }
+        let link = arm.link.then(|| {
+            (
+                p0.link.unwrap_or(NOOP_LINK),
+                Rng64::new(stream_of(SALT_LINK)),
+            )
+        });
+        let path = match &sim.arch {
+            ArchState::Baseline => Path::Nyquist {
+                link: link.map(|(cur, rng)| StreamLink {
+                    rng,
+                    cur,
+                    buf: Vec::new(),
+                    held: 0.0,
+                    stats: LinkStats::default(),
+                    word_index: 0,
+                }),
+                epoch: 0,
+            },
+            ArchState::Cs(state) => Path::Cs(Box::new(Self::cs_path(
+                sim, state, noise_seed, &p0, arm, link,
             ))),
         };
-        let started_ns = efficsense_obs::global().now_ns();
         Self {
             sim: sim.clone(),
-            mode,
+            compound,
             fs_in,
             f_ct,
             f_s,
@@ -778,175 +1015,71 @@ impl StreamSimulator {
             lna,
             lna_epoch: 0,
             amplified: Ring::default(),
-            back,
+            analog: None,
+            back: BackEnd {
+                acq: Acquisition {
+                    sampler,
+                    ktc,
+                    clocked: arm.clock,
+                    next_i: 0,
+                    pending_t: None,
+                    held: 0.0,
+                    epoch: 0,
+                    f_s,
+                    f_ct,
+                },
+                adc,
+                samples: Vec::new(),
+                samples_base: 0,
+                tally: Tally {
+                    words: 0,
+                    sq_sum: 0.0,
+                    v_fs: cfg.design.v_fs,
+                },
+                path,
+                gain: cfg.lna.gain,
+            },
             pending_out: Vec::new(),
             pending_ref: Vec::new(),
             out_produced: 0,
             ref_next: 0,
-            started_ns,
-            last_progress_ns: started_ns,
+            whole: false,
+            prefix,
+            started_ns: 0,
+            last_progress_ns: 0,
         }
     }
 
-    fn build_baseline(
+    fn cs_path(
         sim: &Simulator,
+        state: &CsState,
         noise_seed: u64,
-        mode: &FaultMode,
-        f_ct: f64,
-        f_s: f64,
-    ) -> BaselineBack {
-        let cfg = &sim.cfg;
-        let mut sampler = Sampler::new(f_s, sim.sh_cap_f(), 0.0, cfg.seed ^ noise_seed ^ 0x5A5A);
-        let mut adc = SarAdc::new(
-            cfg.design.n_bits,
-            cfg.design.v_fs,
-            cfg.adc.c_u_f,
-            cfg.adc.comparator_noise_v,
-            cfg.adc.comparator_offset_v,
-            &cfg.tech,
-            cfg.seed,
-        );
-        let mut link = None;
-        match mode {
-            FaultMode::Static => {
-                if let Some(plan) = &sim.plan {
-                    sampler.inject_clock_fault(
-                        plan.clock,
-                        plan.stream(record_salt(SALT_CLOCK, noise_seed)),
-                    );
-                    adc.inject_stuck_bit(plan.adc);
-                    if let Some(l) = plan.link.filter(|l| !l.is_noop()) {
-                        link = Some(StreamLink {
-                            rng: Rng64::new(plan.stream(record_salt(SALT_LINK, noise_seed))),
-                            cur: l,
-                            fixed: true,
-                            buf: Vec::new(),
-                            held: 0.0,
-                            stats: LinkStats::default(),
-                            word_index: 0,
-                        });
-                    }
-                }
-            }
-            FaultMode::Compound { plan, members } => {
-                let epoch0 = plan.materialize_at_epoch(0);
-                if members.clock {
-                    sampler.install_clock_fault(
-                        epoch0.clock.unwrap_or(NOOP_CLOCK),
-                        epoch0.stream(record_salt(SALT_CLOCK, noise_seed)),
-                    );
-                }
-                if members.adc {
-                    adc.inject_stuck_bit(epoch0.adc);
-                }
-                if members.link {
-                    link = Some(StreamLink {
-                        rng: Rng64::new(epoch0.stream(record_salt(SALT_LINK, noise_seed))),
-                        cur: epoch0.link.unwrap_or(NOOP_LINK),
-                        fixed: false,
-                        buf: Vec::new(),
-                        held: 0.0,
-                        stats: LinkStats::default(),
-                        word_index: 0,
-                    });
-                }
-            }
-        }
-        BaselineBack {
-            sampler,
-            adc,
-            next_i: 0,
-            pending_t: None,
-            held: 0.0,
-            rms_acc: 0.0,
-            rms_n: 0,
-            words: 0,
-            link,
-            sample_epoch: 0,
-            f_s,
-            f_ct,
-            v_fs: cfg.design.v_fs,
-            gain: cfg.lna.gain,
-        }
-    }
-
-    fn build_cs(
-        sim: &Simulator,
-        state: &crate::simulate::CsState,
-        noise_seed: u64,
-        mode: &FaultMode,
-        f_ct: f64,
-        f_s: f64,
-    ) -> CsBack {
+        p0: &FaultPlan,
+        arm: Members,
+        link: Option<(LinkFault, Rng64)>,
+    ) -> CsPath {
         let cfg = &sim.cfg;
         let cs = &state.cs;
         let mut encoder = ChargeSharingEncoder::new(
             state.phi.as_ref().clone(),
             cs.c_sample_f,
             cs.c_hold_f,
-            1.0 / f_s,
+            1.0 / cfg.design.f_sample_hz(),
             cs.imperfections,
             &cfg.tech,
             &cfg.design,
             cfg.seed ^ noise_seed.rotate_left(17),
         );
-        let mut adc = SarAdc::new(
-            cfg.design.n_bits,
-            cfg.design.v_fs,
-            cfg.adc.c_u_f,
-            cfg.adc.comparator_noise_v,
-            cfg.adc.comparator_offset_v,
-            &cfg.tech,
-            cfg.seed,
-        );
-        let mut clock = None;
-        let mut link = None;
-        match mode {
-            FaultMode::Static => {
-                if let Some(plan) = &sim.plan {
-                    encoder.inject_leakage_fault(plan.leakage, &cfg.tech, &cfg.design);
-                    adc.inject_stuck_bit(plan.adc);
-                    if let Some(c) = plan.clock.filter(|c| !c.is_noop()) {
-                        let seed = plan.stream(record_salt(SALT_CLOCK, noise_seed));
-                        clock = Some(CsClock {
-                            fault: c,
-                            jitter_rng: Gaussian::new(seed ^ 0x0C10_CC00),
-                            drop_rng: Rng64::new(seed ^ 0x0D20_9ED5),
-                        });
-                    }
-                    if let Some(l) = plan.link.filter(|l| !l.is_noop()) {
-                        link = Some((
-                            l,
-                            Rng64::new(plan.stream(record_salt(SALT_LINK, noise_seed))),
-                        ));
-                    }
-                }
-            }
-            FaultMode::Compound { plan, members } => {
-                let epoch0 = plan.materialize_at_epoch(0);
-                if members.leakage {
-                    encoder.inject_leakage_fault(epoch0.leakage, &cfg.tech, &cfg.design);
-                }
-                if members.adc {
-                    adc.inject_stuck_bit(epoch0.adc);
-                }
-                if members.clock {
-                    let seed = epoch0.stream(record_salt(SALT_CLOCK, noise_seed));
-                    clock = Some(CsClock {
-                        fault: epoch0.clock.unwrap_or(NOOP_CLOCK),
-                        jitter_rng: Gaussian::new(seed ^ 0x0C10_CC00),
-                        drop_rng: Rng64::new(seed ^ 0x0D20_9ED5),
-                    });
-                }
-                if members.link {
-                    link = Some((
-                        epoch0.link.unwrap_or(NOOP_LINK),
-                        Rng64::new(epoch0.stream(record_salt(SALT_LINK, noise_seed))),
-                    ));
-                }
-            }
+        if arm.leakage {
+            encoder.inject_leakage_fault(p0.leakage, &cfg.tech, &cfg.design);
         }
-        // Same discrepancy-principle stopping threshold as the batch path.
+        // Discrepancy-principle stopping (Morozov): the designer knows the
+        // front-end noise level, so the decoder stops fitting once the
+        // residual reaches the expected measurement noise instead of fitting
+        // noise into spurious atoms. Per-measurement noise variance:
+        //   (vn·gain)²·Σw²  (sampled LNA noise through the weights)
+        // + σ_kTC²·Σw²      (per-share sampling noise)
+        // + LSB²/12         (measurement quantisation).
         let sampled_noise = cfg.lna.noise_floor_vrms * cfg.lna.gain;
         let ktc_var = if cs.imperfections.ktc_noise {
             efficsense_power::kt() / cs.c_sample_f
@@ -956,46 +1089,34 @@ impl StreamSimulator {
         let lsb = cfg.design.lsb();
         let meas_noise_var =
             (sampled_noise * sampled_noise + ktc_var) * state.art.mean_row_w2 + lsb * lsb / 12.0;
-        let noise_norm = (meas_noise_var * cs.m as f64).sqrt();
-        CsBack {
+        CsPath {
             cs: cs.clone(),
             art: state.art.clone(),
             encoder,
-            adc,
-            clock,
-            tech: cfg.tech.clone(),
-            design: cfg.design.clone(),
-            next_i: 0,
-            pending_t: None,
-            held: 0.0,
-            frame_buf: Vec::new(),
+            link,
+            link_stats: None,
             frames: Vec::new(),
             omp_cfgs: Vec::new(),
             frames_encoded: 0,
-            noise_norm,
-            rms_acc: 0.0,
-            rms_n: 0,
-            words: 0,
-            link,
-            link_stats: None,
+            decode_batch: DECODE_BATCH,
+            noise_norm: (meas_noise_var * cs.m as f64).sqrt(),
             threads: sim.decode_threads,
-            clock_epoch: 0,
-            frame_epoch: 0,
-            f_s,
-            f_ct,
-            v_fs: cfg.design.v_fs,
-            gain: cfg.lna.gain,
+            epoch: 0,
+            tech: cfg.tech.clone(),
+            design: cfg.design.clone(),
         }
     }
 
     /// Feeds the next chunk of raw input (any length, including empty) and
-    /// returns every (acquired, reference) pair that became final.
+    /// returns every (acquired, reference) pair that became final. The
+    /// whole-record stream behind [`Simulator::run`] receives its record in
+    /// this one push, so every stage completes here.
     pub fn push(&mut self, input: &[f64]) -> StreamChunk {
-        for &v in input {
-            self.raw.push(v);
+        self.raw.buf.extend_from_slice(input);
+        self.advance(self.whole);
+        if !self.whole {
+            self.prune();
         }
-        self.advance(false);
-        self.prune();
         self.take_pairs()
     }
 
@@ -1003,14 +1124,16 @@ impl StreamSimulator {
     /// final link packet and decode batch, and returns the last chunk with
     /// the whole-stream summary.
     pub fn finish(mut self) -> (StreamChunk, StreamSummary) {
-        self.advance(true);
+        if !self.whole {
+            self.advance(true);
+        }
         let chunk = self.take_pairs();
         let (adc_in_rms, words, link) = self.back.summary_parts();
         let mut power = {
             let _power_span = efficsense_obs::span!("stage.power");
             self.sim.power_breakdown(adc_in_rms)
         };
-        if matches!(self.mode, FaultMode::Compound { .. }) {
+        if self.compound.is_some() {
             // The static path scales TX analytically from the plan; a
             // time-varying link has no single expected-attempts figure, so
             // use the measured retry inflation instead.
@@ -1031,10 +1154,10 @@ impl StreamSimulator {
         (chunk, summary)
     }
 
-    /// Convenience wrapper proving the contract: runs `input` through the
-    /// stream in `chunk_len`-sample pushes and assembles a [`SimOutput`]
-    /// directly comparable with [`Simulator::run`]. An empty `input`
-    /// yields an empty output (the batch path rejects empty records).
+    /// Runs `input` through the stream in `chunk_len`-sample pushes and
+    /// assembles a [`SimOutput`] directly comparable with
+    /// [`Simulator::run`]. An empty `input` yields an empty output
+    /// (`Simulator::run` rejects empty records).
     #[must_use]
     pub fn run_chunked(
         sim: &Simulator,
@@ -1071,48 +1194,119 @@ impl StreamSimulator {
         self.out_produced
     }
 
-    /// Advances every stage as far as the available data allows.
+    /// Advances every stage as far as the buffered input allows.
     fn advance(&mut self, finished: bool) {
-        // Stage 1: resample the raw input onto the continuous-time proxy
-        // grid and amplify. Eager emission: a proxy sample is final once
-        // its interpolation neighbourhood is interior (or the stream has
-        // finished and the edge clamp is known).
-        let n_ct = (self.raw.len() as f64 / self.fs_in * self.f_ct).round() as u64;
-        while self.next_ct < n_ct {
-            let t = self.next_ct as f64 / self.f_ct;
-            let Some(v) = self.raw.interp_at(self.fs_in, t, finished) else {
-                break;
-            };
-            if let FaultMode::Compound { plan, members } = &self.mode {
-                if members.lna && plan.epoch_index(t) != self.lna_epoch {
-                    self.lna_epoch = plan.epoch_index(t);
-                    let p = plan.materialize_at_epoch(self.lna_epoch);
-                    self.lna.set_rail_fault_params(p.lna.unwrap_or(NOOP_RAIL));
-                }
-            }
-            let amplified = self.lna.process(v);
-            efficsense_dsp::approx::debug_assert_all_finite(
-                std::slice::from_ref(&amplified),
-                "stream: LNA output",
-            );
-            self.amplified.push(amplified);
-            self.next_ct += 1;
-        }
-        // Stage 2: architecture back end.
+        self.amplify(finished);
         let before = self.out_produced;
         let pending_before = self.pending_out.len();
-        self.back
-            .drain(&self.amplified, &self.mode, finished, &mut self.pending_out);
+        let amplified = match &self.analog {
+            Some(buf) => Track::whole(buf),
+            None => self.amplified.view(),
+        };
+        self.back.drain(
+            amplified,
+            self.compound.as_ref(),
+            finished,
+            self.whole,
+            self.prefix.as_ref(),
+            &mut self.pending_out,
+        );
         self.out_produced += (self.pending_out.len() - pending_before) as u64;
-        self.heartbeat(before);
         // Stage 3: the clean reference, one value per produced output.
-        while self.ref_next < self.out_produced {
-            let t = self.ref_next as f64 / self.f_s;
-            let Some(v) = self.raw.interp_at(self.fs_in, t, finished) else {
-                break;
-            };
-            self.pending_ref.push(v);
-            self.ref_next += 1;
+        if self.whole {
+            let prefix = self.prefix.as_ref().map(|p| (&*p.store, p.fp));
+            let len = self.out_produced as usize;
+            whole_reference(
+                prefix,
+                &self.raw.buf,
+                self.fs_in,
+                self.f_s,
+                len,
+                &mut self.pending_ref,
+            );
+            self.ref_next = self.out_produced;
+            if let Some(p) = &self.prefix {
+                let (adc_in_rms, words, link) = self.back.summary_parts();
+                let acquired = AcquiredPrefix {
+                    input_referred: self.pending_out.clone(),
+                    words,
+                    adc_in_rms,
+                    link,
+                };
+                p.store.insert_acquired(p.acquired, acquired);
+            }
+        } else {
+            self.heartbeat(before);
+            let (next, values) = self.raw.view().resample(
+                self.fs_in,
+                self.f_s,
+                self.ref_next,
+                self.out_produced,
+                finished,
+            );
+            append(&mut self.pending_ref, values);
+            self.ref_next = next;
+        }
+    }
+
+    /// Stage 1: resamples the raw input onto the continuous-time proxy grid
+    /// and amplifies it. On a whole-record run with a store, an `analog`
+    /// hit serves the whole stage and a `ct` hit its resampling; what is
+    /// built instead is inserted.
+    fn amplify(&mut self, finished: bool) {
+        let _analog_span = self.whole.then(|| efficsense_obs::span!("sim.analog"));
+        self.analog = self
+            .prefix
+            .as_ref()
+            .and_then(|p| p.store.get_analog(p.analog));
+        if self.analog.is_some() {
+            return;
+        }
+        let amplified = &mut self.amplified;
+        // Priced by the L3 cache-efficacy report: this span is exactly the
+        // work an `analog` hit avoids.
+        let _build_span = self
+            .whole
+            .then(|| efficsense_obs::span!("sim.analog.build"));
+        let (lna, lna_epoch, f_ct) = (&mut self.lna, &mut self.lna_epoch, self.f_ct);
+        let compound = self.compound.as_ref().filter(|c| c.members.lna);
+        let mut k = self.next_ct;
+        let mut amplify = |v: f64| {
+            if let Some(p) = compound.and_then(|c| c.update(k as f64 / f_ct, lna_epoch)) {
+                lna.set_rail_fault_params(p.lna.unwrap_or(NOOP_RAIL));
+            }
+            k += 1;
+            lna.process(v)
+        };
+        let start = amplified.buf.len();
+        let n_ct = (self.raw.len() as f64 / self.fs_in * f_ct).round() as u64;
+        let raw = self.raw.view();
+        match &self.prefix {
+            // The `ct` boundary: the resampled record is fault-free and
+            // config-independent, so every sweep point touching this record
+            // shares it.
+            Some(p) => {
+                let key = prefix::ct_key(p.fp, self.fs_in, f_ct);
+                let ct = p.store.get_ct(key).unwrap_or_else(|| {
+                    let (_, values) = raw.resample(self.fs_in, f_ct, 0, n_ct, true);
+                    p.store.insert_ct(key, values.collect())
+                });
+                amplified.buf.extend(ct.iter().map(|&v| amplify(v)));
+                self.next_ct = n_ct;
+            }
+            None => {
+                let (next, values) = raw.resample(self.fs_in, f_ct, self.next_ct, n_ct, finished);
+                append(&mut amplified.buf, values.map(amplify));
+                self.next_ct = next;
+            }
+        }
+        efficsense_dsp::approx::debug_assert_all_finite(
+            &amplified.buf[start..],
+            "stream: LNA output",
+        );
+        if let Some(p) = &self.prefix {
+            let built = std::mem::take(&mut amplified.buf);
+            self.analog = Some(p.store.insert_analog(p.analog, built));
         }
     }
 
@@ -1149,12 +1343,20 @@ impl StreamSimulator {
         }
     }
 
-    /// Hands out the aligned prefix of the two pending queues.
+    /// Hands out the aligned prefix of the two pending queues — all of
+    /// both, buffers included, on a whole-record run.
     fn take_pairs(&mut self) -> StreamChunk {
         let n = self.pending_out.len().min(self.pending_ref.len());
-        let chunk = StreamChunk {
-            input_referred: self.pending_out.drain(..n).collect(),
-            reference: self.pending_ref.drain(..n).collect(),
+        let chunk = if self.whole {
+            StreamChunk {
+                input_referred: std::mem::take(&mut self.pending_out),
+                reference: std::mem::take(&mut self.pending_ref),
+            }
+        } else {
+            StreamChunk {
+                input_referred: self.pending_out.drain(..n).collect(),
+                reference: self.pending_ref.drain(..n).collect(),
+            }
         };
         efficsense_dsp::approx::debug_assert_all_finite(
             &chunk.input_referred,
@@ -1169,6 +1371,6 @@ impl StreamSimulator {
         let ref_pos = (self.ref_next as f64 / self.f_s * self.fs_in).floor() as u64;
         self.raw
             .prune_below(ct_pos.min(ref_pos).saturating_sub(RAW_GUARD));
-        self.amplified.prune_below(self.back.min_ct_needed());
+        self.amplified.prune_below(self.back.acq.min_ct_needed());
     }
 }

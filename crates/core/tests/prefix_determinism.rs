@@ -2,8 +2,9 @@
 //! change a single output bit — (a) simulator on/off identity on clean and
 //! fully-faulted plans for both architectures, (b) sweep on/off identity
 //! across 1/2/4 worker threads, (c) identity under eviction churn with a
-//! tiny budget, and (d) the PR-8 streaming path stays pinned to the
-//! store-assisted batch path.
+//! tiny budget, (d) chunked streams stay pinned to the store-assisted
+//! whole-record run, and (e) the stage boundary that serves a run when
+//! the store holds intermediate artifacts but no `acquired` one.
 
 use efficsense_core::config::CsConfig;
 use efficsense_core::prefix::{PrefixBudgets, PrefixStore};
@@ -190,5 +191,60 @@ fn streaming_path_stays_pinned_to_the_store_assisted_batch_path() {
         let batch_warm = sim.run(&x, FS_IN, 3);
         assert_eq!(batch_cold, streamed);
         assert_eq!(batch_warm, streamed);
+    }
+}
+
+/// Per-class `(hits, misses)` of a store: ct, analog, reference, sampled,
+/// acquired.
+fn class_counts(store: &PrefixStore) -> [(u64, u64); 5] {
+    let s = store.stats();
+    [s.ct, s.analog, s.reference, s.sampled, s.acquired].map(|c| (c.hits, c.misses))
+}
+
+#[test]
+fn intermediate_boundaries_serve_runs_without_an_acquired_artifact() {
+    let x = tone(4.0);
+    let cs_with_m = |m| {
+        let mut cfg = SystemConfig::compressive(
+            8,
+            CsConfig {
+                m,
+                ..Default::default()
+            },
+        );
+        cfg.lna.noise_floor_vrms = 2e-6;
+        Simulator::new(cfg).expect("valid CS config")
+    };
+    let mut baseline_cfg = SystemConfig::baseline(8);
+    baseline_cfg.lna.noise_floor_vrms = 2e-6;
+    let baseline = Simulator::new(baseline_cfg).expect("valid baseline config");
+    // (run that fills the store, run under test, its per-class counts).
+    let cases = [
+        // Two CS points differing only in M share the record's amplified
+        // buffer, its clean-clock sampling and its reference.
+        (
+            cs_with_m(150),
+            cs_with_m(96),
+            [(0, 0), (1, 0), (1, 0), (1, 0), (0, 1)],
+        ),
+        // A baseline and a CS point at one noise level share only the
+        // amplified buffer: their outputs, and so their references, differ
+        // in length.
+        (
+            baseline,
+            cs_with_m(150),
+            [(0, 0), (1, 0), (0, 1), (0, 1), (0, 1)],
+        ),
+    ];
+    for (mut first, mut second, expected) in cases {
+        let off = second.run(&x, FS_IN, 7);
+        let store = Arc::new(PrefixStore::new());
+        first.set_prefix_store(Some(Arc::clone(&store)));
+        first.run(&x, FS_IN, 7);
+        store.reset_stats();
+        second.set_prefix_store(Some(Arc::clone(&store)));
+        let on = second.run(&x, FS_IN, 7);
+        assert_eq!(off, on, "intermediate artifacts changed the output");
+        assert_eq!(class_counts(&store), expected, "{:?}", store.stats());
     }
 }

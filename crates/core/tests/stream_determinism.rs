@@ -125,6 +125,7 @@ fn run_compound(
 
 #[test]
 fn clean_stream_is_bit_identical_to_batch_on_both_architectures() {
+    let _guard = obs_lock();
     let x = tone(4.0);
     for sim in [baseline_sim(), cs_sim()] {
         let batch = sim.run(&x, FS_IN, 1);
@@ -137,6 +138,7 @@ fn clean_stream_is_bit_identical_to_batch_on_both_architectures() {
 
 #[test]
 fn faulted_static_stream_is_bit_identical_to_batch_on_both_architectures() {
+    let _guard = obs_lock();
     let x = tone(4.0);
     let plan = everything_plan();
     for cfg in [
@@ -154,6 +156,7 @@ fn faulted_static_stream_is_bit_identical_to_batch_on_both_architectures() {
 
 #[test]
 fn single_push_equals_many_small_pushes() {
+    let _guard = obs_lock();
     let x = tone(3.0);
     let sim = cs_sim();
     let whole = StreamSimulator::run_chunked(&sim, &x, FS_IN, 2, x.len().max(1));
@@ -163,6 +166,7 @@ fn single_push_equals_many_small_pushes() {
 
 #[test]
 fn compound_stream_is_chunk_size_invariant_on_both_architectures() {
+    let _guard = obs_lock();
     let x = tone(5.0);
     let plan = compound_plan();
     for sim in [baseline_sim(), cs_sim()] {
@@ -177,6 +181,7 @@ fn compound_stream_is_chunk_size_invariant_on_both_architectures() {
 
 #[test]
 fn compound_stream_actually_degrades_the_output() {
+    let _guard = obs_lock();
     // Guard against the compound path silently running clean: the faulted
     // stream must differ from the clean stream on the same input.
     let x = tone(4.0);
@@ -188,6 +193,7 @@ fn compound_stream_actually_degrades_the_output() {
 
 #[test]
 fn compound_decode_is_thread_count_invariant() {
+    let _guard = obs_lock();
     let x = tone(5.0);
     let plan = compound_plan();
     let mut one = cs_sim();
@@ -232,6 +238,7 @@ fn logical_clock_snapshot_is_identical_across_chunkings() {
 
 #[test]
 fn empty_and_trickle_streams_are_graceful() {
+    let _guard = obs_lock();
     let sim = cs_sim();
     let out = StreamSimulator::run_chunked(&sim, &[], FS_IN, 1, 64);
     assert!(out.input_referred.is_empty());
