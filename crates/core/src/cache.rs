@@ -7,8 +7,8 @@
 //! that share a workload. This module makes those evaluations *content
 //! addressed*: a [`PointKey`] is a 128-bit FNV-1a hash over the canonical
 //! rendering of everything that determines a [`SweepResult`] bit pattern,
-//! and a [`SweepCache`] maps keys to results in a sharded concurrent map
-//! with optional JSON-lines persistence.
+//! and a [`SweepCache`] maps keys to results in an unbounded
+//! [`efficsense_obs::Store`] with optional JSON-lines persistence.
 //!
 //! ## Key canonicalization
 //!
@@ -38,15 +38,14 @@ use crate::space::DesignPoint;
 use crate::sweep::SweepResult;
 use efficsense_faults::FaultPlan;
 use efficsense_obs::json::Json;
+use efficsense_obs::Store;
 use efficsense_power::{PowerBreakdown, Watts};
 use efficsense_signals::EegDataset;
-use std::collections::HashMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-/// Number of independently locked map shards (bounds worker contention).
-const SHARDS: usize = 16;
+/// Hit/miss/occupancy counters of a [`SweepCache`].
+pub use efficsense_obs::StoreStats as CacheStats;
 
 /// Bump on any change to the key derivation or the persisted line format;
 /// every persisted cache entry from older versions then misses harmlessly.
@@ -125,6 +124,42 @@ impl KeyHasher {
     }
 }
 
+/// Incremental FNV-1a-64, the 64-bit content digest behind
+/// [`dataset_fingerprint`] (byte writes) and
+/// [`crate::prefix::record_fingerprint`] (word writes).
+pub(crate) struct Fnv64(u64);
+
+impl Fnv64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    pub(crate) fn new() -> Self {
+        Self(Self::OFFSET)
+    }
+
+    /// Starts from the offset basis salted with `salt` (the record
+    /// fingerprint salts it with the record length).
+    pub(crate) fn salted(salt: u64) -> Self {
+        Self(Self::OFFSET ^ salt.wrapping_mul(Self::PRIME))
+    }
+
+    /// FNV-1a proper: one xor-multiply per byte.
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_word(u64::from(b));
+        }
+    }
+
+    /// One xor-multiply for a whole 64-bit word.
+    pub(crate) fn write_word(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::PRIME);
+    }
+
+    pub(crate) fn digest(self) -> u64 {
+        self.0
+    }
+}
+
 /// The sweep-level context a key must capture beyond the per-point
 /// configuration and fault plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,64 +222,30 @@ pub fn point_key_for_fault(cfg: &SystemConfig, fault_key: &str, ctx: &EvalContex
 /// and the exact bit pattern of every sample.
 #[must_use]
 pub fn dataset_fingerprint(dataset: &EegDataset) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut acc = OFFSET;
-    let mut write = |bytes: &[u8]| {
-        for &b in bytes {
-            acc ^= u64::from(b);
-            acc = acc.wrapping_mul(PRIME);
-        }
-    };
-    write(format!("{:?}", dataset.config).as_bytes());
+    let mut h = Fnv64::new();
+    h.write(format!("{:?}", dataset.config).as_bytes());
     for rec in &dataset.records {
-        write(&(rec.id as u64).to_le_bytes());
-        write(format!("{:?}", rec.class).as_bytes());
-        write(&rec.fs.to_bits().to_le_bytes());
-        write(&(rec.samples.len() as u64).to_le_bytes());
+        h.write(&(rec.id as u64).to_le_bytes());
+        h.write(format!("{:?}", rec.class).as_bytes());
+        h.write(&rec.fs.to_bits().to_le_bytes());
+        h.write(&(rec.samples.len() as u64).to_le_bytes());
         for s in &rec.samples {
-            write(&s.to_bits().to_le_bytes());
+            h.write(&s.to_bits().to_le_bytes());
         }
     }
-    acc
+    h.digest()
 }
 
 // ---------------------------------------------------------------------------
 // SweepCache
 // ---------------------------------------------------------------------------
 
-/// Hit/miss/occupancy counters of a [`SweepCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to evaluation.
-    pub misses: u64,
-    /// Entries currently held.
-    pub entries: usize,
-}
-
-impl CacheStats {
-    /// Fraction of lookups served from the cache (0 when idle).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Sharded concurrent `PointKey → SweepResult` map with hit accounting and
+/// Concurrent `PointKey → SweepResult` store with hit accounting and
 /// JSON-lines persistence. Share one instance across sweeps via
 /// [`crate::sweep::Sweep::with_cache`].
 #[derive(Debug)]
 pub struct SweepCache {
-    shards: Vec<Mutex<HashMap<u128, SweepResult>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    store: Store<PointKey, SweepResult>,
 }
 
 impl Default for SweepCache {
@@ -254,56 +255,30 @@ impl Default for SweepCache {
 }
 
 impl SweepCache {
-    /// An empty cache.
+    /// An empty cache, counting under `cache.l1.*`.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            store: Store::unbounded("cache.l1"),
         }
-    }
-
-    fn shard(&self, key: &PointKey) -> &Mutex<HashMap<u128, SweepResult>> {
-        // The key is already a high-quality hash; its low bits pick a shard.
-        &self.shards[(key.0 as usize) % SHARDS]
-    }
-
-    fn lock(
-        m: &Mutex<HashMap<u128, SweepResult>>,
-    ) -> std::sync::MutexGuard<'_, HashMap<u128, SweepResult>> {
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Looks up a cached result, counting the hit or miss.
     #[must_use]
     pub fn get(&self, key: &PointKey) -> Option<SweepResult> {
-        let found = Self::lock(self.shard(key)).get(&key.0).cloned();
-        match found {
-            Some(r) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                efficsense_obs::counter!("cache.l1.hit").incr();
-                Some(r)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                efficsense_obs::counter!("cache.l1.miss").incr();
-                None
-            }
-        }
+        self.store.get(key).map(|r| (*r).clone())
     }
 
-    /// Inserts (or overwrites) a result. Evaluation is deterministic per
-    /// key, so concurrent inserts under one key write identical values.
+    /// Inserts a result. Evaluation is deterministic per key, so a second
+    /// insert under one key carries the value already held and is dropped.
     pub fn insert(&self, key: PointKey, result: SweepResult) {
-        efficsense_obs::counter!("cache.l1.insert").incr();
-        Self::lock(self.shard(&key)).insert(key.0, result);
+        self.store.insert(key, result);
     }
 
     /// Number of cached results.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock(s).len()).sum()
+        self.stats().entries
     }
 
     /// `true` when no results are cached.
@@ -315,17 +290,12 @@ impl SweepCache {
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.len(),
-        }
+        self.store.stats()
     }
 
     /// Zeroes the hit/miss counters (entries stay cached).
     pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.store.reset_stats();
     }
 
     /// Serialises every entry as JSON lines (sorted by key, so the file is
@@ -338,17 +308,10 @@ impl SweepCache {
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        let mut lines: Vec<(u128, String)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            for (k, r) in Self::lock(shard).iter() {
-                if let Some(line) = entry_to_json(PointKey(*k), r) {
-                    lines.push((*k, line));
-                }
+        for (key, result) in self.store.sorted_entries() {
+            if let Some(line) = entry_to_json(key, &result) {
+                writeln!(w, "{line}")?;
             }
-        }
-        lines.sort_unstable_by_key(|(k, _)| *k);
-        for (_, line) in &lines {
-            writeln!(w, "{line}")?;
         }
         Ok(())
     }
@@ -516,13 +479,6 @@ fn entry_from_json(line: &str) -> Option<(PointKey, SweepResult)> {
 // Trained-detector memoization
 // ---------------------------------------------------------------------------
 
-type DetectorKey = (u64, u64, u64, u64);
-
-fn detector_store() -> &'static Mutex<HashMap<DetectorKey, Arc<SeizureDetector>>> {
-    static STORE: OnceLock<Mutex<HashMap<DetectorKey, Arc<SeizureDetector>>>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 /// Memoized detector training: one shared [`SeizureDetector`] per
 /// `(dataset fingerprint, sample rate, epoch length, seed)`. Training is
 /// deterministic in that key, so the memoized detector is bit-identical to
@@ -544,32 +500,24 @@ pub fn trained_detector(
     epoch_s: f64,
     seed: u64,
 ) -> Arc<SeizureDetector> {
+    static STORE: OnceLock<Store<(u64, u64, u64, u64), SeizureDetector>> = OnceLock::new();
     let key = (
         dataset_fingerprint(dataset),
         fs.to_bits(),
         epoch_s.to_bits(),
         seed,
     );
-    let mut map = detector_store()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(d) = map.get(&key) {
-        efficsense_obs::counter!("memo.detector.hit").incr();
-        return Arc::clone(d);
-    }
-    efficsense_obs::counter!("memo.detector.miss").incr();
-    // Train under the lock: callers racing on the same key would otherwise
-    // duplicate minutes of training work; distinct-key contention is rare
-    // (one training per sweep).
-    let _train_span = efficsense_obs::span!("detect.train");
-    let detector = if epoch_s > 0.0 {
-        SeizureDetector::train_epoched(dataset, fs, epoch_s, seed)
-    } else {
-        SeizureDetector::train(dataset, fs, seed)
-    };
-    let detector = Arc::new(detector);
-    map.insert(key, Arc::clone(&detector));
-    detector
+    // Trains under the shard lock: callers racing on the same key would
+    // otherwise duplicate minutes of training work.
+    let store = STORE.get_or_init(|| Store::unbounded("memo.detector"));
+    store.get_or_insert_with(key, || {
+        let _train_span = efficsense_obs::span!("detect.train");
+        if epoch_s > 0.0 {
+            SeizureDetector::train_epoched(dataset, fs, epoch_s, seed)
+        } else {
+            SeizureDetector::train(dataset, fs, seed)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -831,6 +779,32 @@ mod tests {
             dataset_fingerprint(&a),
             dataset_fingerprint(&c),
             "a single sample bit flip must change the fingerprint"
+        );
+    }
+
+    #[test]
+    fn fnv64_digests_match_golden_values() {
+        // Persisted L1 keys embed the dataset digest and L3 shard choice
+        // follows the record digest, so both must never drift. The dataset
+        // digest also covers `DatasetConfig::default()`'s rendering.
+        let samples = [0.0, -1.5e-6, 2.25e-5, f64::MIN_POSITIVE, 1.0];
+        let dataset = EegDataset {
+            records: vec![efficsense_signals::Record {
+                id: 7,
+                class: efficsense_signals::EegClass::Seizure,
+                samples: samples.to_vec(),
+                fs: 173.61,
+            }],
+            config: DatasetConfig::default(),
+        };
+        assert_eq!(dataset_fingerprint(&dataset), 0x73ca_e67b_6adf_8e2c);
+        assert_eq!(
+            crate::prefix::record_fingerprint(&samples),
+            0x81b9_8b30_6a7b_95ab
+        );
+        assert_eq!(
+            crate::prefix::record_fingerprint(&[]),
+            0xcbf2_9ce4_8422_2325
         );
     }
 

@@ -51,15 +51,13 @@
 //!
 //! [`Simulator::run`]: crate::simulate::Simulator::run
 
-use crate::cache::KeyHasher;
+use crate::cache::{Fnv64, KeyHasher};
 use efficsense_faults::{LinkStats, LnaRailFault};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use efficsense_obs::Store;
+use std::sync::Arc;
 
-/// Independently locked shards per artifact class (bounds worker
-/// contention; the key's low bits pick the shard).
-const SHARDS: usize = 16;
+/// Hit/miss/eviction/occupancy counters of one artifact class.
+pub use efficsense_obs::StoreStats as ClassStats;
 
 /// Bump on any change to prefix-key derivation; disjoint from the L1
 /// `efficsense-pointkey-*` tags so the two key families can never alias.
@@ -92,14 +90,11 @@ impl PrefixKey {
 pub fn record_fingerprint(samples: &[f64]) -> u64 {
     // FNV-1a over 64-bit words (not bytes): one multiply per sample keeps
     // the per-run fingerprint cost far below the work the store amortizes.
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut acc = OFFSET ^ (samples.len() as u64).wrapping_mul(PRIME);
+    let mut h = Fnv64::salted(samples.len() as u64);
     for s in samples {
-        acc ^= s.to_bits();
-        acc = acc.wrapping_mul(PRIME);
+        h.write_word(s.to_bits());
     }
-    acc
+    h.digest()
 }
 
 fn hasher(class: &str) -> KeyHasher {
@@ -244,205 +239,6 @@ pub struct AcquiredPrefix {
     pub link: Option<LinkStats>,
 }
 
-/// Approximate size of a value in budget elements (one element ≈ one
-/// `f64`); drives eviction.
-trait Cost {
-    fn cost(&self) -> usize;
-}
-
-impl Cost for Vec<f64> {
-    fn cost(&self) -> usize {
-        self.len()
-    }
-}
-
-impl Cost for AcquiredPrefix {
-    fn cost(&self) -> usize {
-        // words/rms/link are a rounding error next to the sample buffer.
-        self.input_referred.len() + 8
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bounded sharded store
-// ---------------------------------------------------------------------------
-
-/// Hit/miss/eviction/occupancy counters of one artifact class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClassStats {
-    /// Lookups served from the store.
-    pub hits: u64,
-    /// Lookups that fell through to a fresh build.
-    pub misses: u64,
-    /// Entries dropped by the capacity cap.
-    pub evictions: u64,
-    /// Entries currently held.
-    pub entries: usize,
-    /// Budget elements currently held (≈ `f64`s).
-    pub elements: usize,
-}
-
-impl ClassStats {
-    /// Fraction of lookups served from the store (0 when idle).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-struct ShardMap<V> {
-    /// `key → (insertion stamp, value)`; the stamp orders FIFO eviction.
-    map: HashMap<u128, (u64, Arc<V>)>,
-    elements: usize,
-}
-
-/// One bounded artifact class: a sharded `PrefixKey → Arc<V>` map with an
-/// element budget and oldest-first eviction.
-struct Bounded<V> {
-    shards: Vec<Mutex<ShardMap<V>>>,
-    /// Element budget per shard (total budget / `SHARDS`, at least 1).
-    shard_budget: usize,
-    stamp: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    obs_hits: Arc<efficsense_obs::Counter>,
-    obs_misses: Arc<efficsense_obs::Counter>,
-    obs_evictions: Arc<efficsense_obs::Counter>,
-}
-
-impl<V: Cost> Bounded<V> {
-    fn new(name: &str, budget_elements: usize) -> Self {
-        let obs = efficsense_obs::global();
-        Self {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(ShardMap {
-                        map: HashMap::new(),
-                        elements: 0,
-                    })
-                })
-                .collect(),
-            shard_budget: (budget_elements / SHARDS).max(1),
-            stamp: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            obs_hits: obs.counter(&format!("memo.{name}.hit")),
-            obs_misses: obs.counter(&format!("memo.{name}.miss")),
-            obs_evictions: obs.counter(&format!("memo.{name}.evict")),
-        }
-    }
-
-    fn shard(&self, key: PrefixKey) -> &Mutex<ShardMap<V>> {
-        // The key is already a high-quality hash; its low bits pick a shard.
-        &self.shards[(key.0 as usize) % SHARDS]
-    }
-
-    fn lock(m: &Mutex<ShardMap<V>>) -> std::sync::MutexGuard<'_, ShardMap<V>> {
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Looks the key up, counting the hit or miss. Misses do **not** build
-    /// under the lock — artifacts here cost milliseconds, so racing workers
-    /// build concurrently and the duplicate insert (bit-identical by
-    /// construction) is the cheaper waste.
-    fn get(&self, key: PrefixKey) -> Option<Arc<V>> {
-        let found = Self::lock(self.shard(key))
-            .map
-            .get(&key.0)
-            .map(|(_, v)| Arc::clone(v));
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.obs_hits.incr();
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.obs_misses.incr();
-            }
-        }
-        found
-    }
-
-    /// Inserts a freshly built value, evicting oldest entries while the
-    /// shard exceeds its budget (the new entry itself is never evicted —
-    /// a single oversized artifact may transiently overshoot the budget,
-    /// bounded by one value).
-    fn insert(&self, key: PrefixKey, value: V) -> Arc<V> {
-        let value = Arc::new(value);
-        let cost = value.cost();
-        // relaxed: stamp is a monotone insertion counter; only relative
-        // order among stamps matters and each is written once under a lock.
-        let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
-        let mut shard = Self::lock(self.shard(key));
-        if let Some((_, existing)) = shard.map.get(&key.0) {
-            // A racing worker built the same (bit-identical) value first;
-            // keep the established Arc so sharing stays maximal.
-            return Arc::clone(existing);
-        }
-        shard.elements += cost;
-        shard.map.insert(key.0, (stamp, Arc::clone(&value)));
-        let mut evicted = 0u64;
-        if shard.elements > self.shard_budget && shard.map.len() > 1 {
-            // Deterministic eviction order: sort candidates by insertion
-            // stamp (oldest first), never touching the just-inserted entry.
-            let mut order: Vec<(u64, u128)> = shard
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key.0)
-                .map(|(k, (s, _))| (*s, *k))
-                .collect();
-            order.sort_unstable();
-            for (_, k) in order {
-                if shard.elements <= self.shard_budget {
-                    break;
-                }
-                if let Some((_, v)) = shard.map.remove(&k) {
-                    shard.elements -= v.cost().min(shard.elements);
-                    evicted += 1;
-                }
-            }
-        }
-        drop(shard);
-        if evicted > 0 {
-            // relaxed: monotone statistics counter, read only for reporting.
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            self.obs_evictions.add(evicted);
-        }
-        value
-    }
-
-    fn stats(&self) -> ClassStats {
-        let (mut entries, mut elements) = (0, 0);
-        for s in &self.shards {
-            let s = Self::lock(s);
-            entries += s.map.len();
-            elements += s.elements;
-        }
-        ClassStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            // relaxed: statistics counter read for a monitoring snapshot.
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-            elements,
-        }
-    }
-
-    fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        // relaxed: statistics counter; no data is published through it.
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // PrefixStore
 // ---------------------------------------------------------------------------
@@ -479,25 +275,19 @@ impl Default for PrefixBudgets {
     }
 }
 
-/// The Level-3 prefix store: five bounded, sharded, content-addressed
-/// artifact classes (see the module docs). Cheap to share: clone an
-/// `Arc<PrefixStore>` into every [`crate::sweep::Sweep`] (or attach it to a
-/// bare [`crate::simulate::Simulator`]) that should amortize front-end
-/// work; attaching it never changes results, only cost.
+/// The Level-3 prefix store: five bounded, content-addressed artifact
+/// classes (see the module docs), each a [`Store`] counting under
+/// `memo.<class>.*`. Cheap to share: clone an `Arc<PrefixStore>` into every
+/// [`crate::sweep::Sweep`] (or attach it to a bare
+/// [`crate::simulate::Simulator`]) that should amortize front-end work;
+/// attaching it never changes results, only cost.
+#[derive(Debug)]
 pub struct PrefixStore {
-    ct: Bounded<Vec<f64>>,
-    analog: Bounded<Vec<f64>>,
-    reference: Bounded<Vec<f64>>,
-    sampled: Bounded<Vec<f64>>,
-    acquired: Bounded<AcquiredPrefix>,
-}
-
-impl std::fmt::Debug for PrefixStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrefixStore")
-            .field("stats", &self.stats())
-            .finish()
-    }
+    ct: Store<PrefixKey, Vec<f64>>,
+    analog: Store<PrefixKey, Vec<f64>>,
+    reference: Store<PrefixKey, Vec<f64>>,
+    sampled: Store<PrefixKey, Vec<f64>>,
+    acquired: Store<PrefixKey, AcquiredPrefix>,
 }
 
 impl Default for PrefixStore {
@@ -519,18 +309,19 @@ impl PrefixStore {
     #[must_use]
     pub fn with_budgets(b: PrefixBudgets) -> Self {
         Self {
-            ct: Bounded::new("ct", b.ct),
-            analog: Bounded::new("analog", b.analog),
-            reference: Bounded::new("reference", b.reference),
-            sampled: Bounded::new("sampled", b.sampled),
-            acquired: Bounded::new("acquired", b.acquired),
+            ct: Store::new("memo.ct", b.ct, Vec::len),
+            analog: Store::new("memo.analog", b.analog, Vec::len),
+            reference: Store::new("memo.reference", b.reference, Vec::len),
+            sampled: Store::new("memo.sampled", b.sampled, Vec::len),
+            // words/rms/link are a rounding error next to the sample buffer.
+            acquired: Store::new("memo.acquired", b.acquired, |a| a.input_referred.len() + 8),
         }
     }
 
     /// Looks up a resampled CT record.
     #[must_use]
     pub fn get_ct(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.ct.get(key)
+        self.ct.get(&key)
     }
 
     /// Stores a freshly resampled CT record, returning the shared handle.
@@ -542,7 +333,7 @@ impl PrefixStore {
     /// Looks up an LNA-amplified buffer.
     #[must_use]
     pub fn get_analog(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.analog.get(key)
+        self.analog.get(&key)
     }
 
     /// Stores a freshly amplified buffer, returning the shared handle.
@@ -554,7 +345,7 @@ impl PrefixStore {
     /// Looks up a clean reference signal.
     #[must_use]
     pub fn get_reference(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.reference.get(key)
+        self.reference.get(&key)
     }
 
     /// Stores a freshly built reference signal, returning the shared handle.
@@ -565,7 +356,7 @@ impl PrefixStore {
     /// Looks up a clean-clock CS sampling.
     #[must_use]
     pub fn get_sampled(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.sampled.get(key)
+        self.sampled.get(&key)
     }
 
     /// Stores a freshly built CS sampling, returning the shared handle.
@@ -576,7 +367,7 @@ impl PrefixStore {
     /// Looks up an acquired front-end output.
     #[must_use]
     pub fn get_acquired(&self, key: PrefixKey) -> Option<Arc<AcquiredPrefix>> {
-        self.acquired.get(key)
+        self.acquired.get(&key)
     }
 
     /// Stores a freshly acquired front-end output, returning the shared
@@ -627,34 +418,35 @@ pub struct PrefixStats {
 }
 
 impl PrefixStats {
+    fn total(&self, field: fn(&ClassStats) -> u64) -> u64 {
+        [
+            self.ct,
+            self.analog,
+            self.reference,
+            self.sampled,
+            self.acquired,
+        ]
+        .iter()
+        .map(field)
+        .sum()
+    }
+
     /// Total hits across every class.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.ct.hits
-            + self.analog.hits
-            + self.reference.hits
-            + self.sampled.hits
-            + self.acquired.hits
+        self.total(|c| c.hits)
     }
 
     /// Total misses across every class.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.ct.misses
-            + self.analog.misses
-            + self.reference.misses
-            + self.sampled.misses
-            + self.acquired.misses
+        self.total(|c| c.misses)
     }
 
     /// Total evictions across every class.
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        self.ct.evictions
-            + self.analog.evictions
-            + self.reference.evictions
-            + self.sampled.evictions
-            + self.acquired.evictions
+        self.total(|c| c.evictions)
     }
 }
 

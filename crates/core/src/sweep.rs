@@ -286,8 +286,6 @@ impl Sweep {
         });
         let cache = self.cache.as_deref();
         let prefix = self.prefix.as_ref();
-        let cache_attached = self.cache.is_some();
-        let prefix_attached = self.prefix.is_some();
         let points = space.points();
         let n_threads = if self.config.threads == 0 {
             std::thread::available_parallelism()
@@ -437,8 +435,8 @@ impl Sweep {
                                     n,
                                     total,
                                     sweep_start_ns,
-                                    cache_attached,
-                                    prefix_attached,
+                                    cache,
+                                    prefix.map(|p| &**p),
                                 );
                             }
                         }
@@ -484,18 +482,20 @@ impl Sweep {
 
 /// Emits sweep progress: a heartbeat counter tick, a trace event when a
 /// sink is installed, and — only once a sweep has run long enough to be
-/// worth watching — a stderr progress line. `cache_attached` gates the
-/// `cache_hits` field: a cacheless sweep has no hit count to report, and a
-/// hard-coded 0 would read as "cache attached but cold". `prefix_attached`
-/// gates the L3 prefix-store fields the same way: `l3_hits`/`l3_misses`
-/// sum the per-class prefix counters so a long sweep's heartbeats show
-/// the store warming up alongside the L1 line.
+/// worth watching — a stderr progress line. The `cache_hits` field reports
+/// the sweep's own L1 cache, and only when one is attached: a cacheless
+/// sweep has no hit count to report, and a hard-coded 0 would read as
+/// "cache attached but cold". `l3_hits`/`l3_misses` report the attached
+/// prefix store the same way, summed over its classes, so a long sweep's
+/// heartbeats show the store warming up alongside the L1 line. Both read
+/// the stores' own counters, never the process-wide registry, which also
+/// counts every other store the process has held.
 fn progress_heartbeat(
     done: usize,
     total: usize,
     sweep_start_ns: u64,
-    cache_attached: bool,
-    prefix_attached: bool,
+    cache: Option<&crate::cache::SweepCache>,
+    prefix: Option<&crate::prefix::PrefixStore>,
 ) {
     efficsense_obs::counter!("sweep.heartbeat").incr();
     let obs = efficsense_obs::global();
@@ -512,20 +512,15 @@ fn progress_heartbeat(
             .field("total", efficsense_obs::FieldValue::U64(total as u64))
             .field("elapsed_ns", efficsense_obs::FieldValue::U64(elapsed_ns))
             .field("eta_ns", efficsense_obs::FieldValue::U64(eta_ns));
-        if cache_attached {
-            let hits = efficsense_obs::counter!("cache.l1.hit").get();
+        if let Some(cache) = cache {
+            let hits = cache.stats().hits;
             ev = ev.field("cache_hits", efficsense_obs::FieldValue::U64(hits));
         }
-        if prefix_attached {
-            let sum = |field: &str| {
-                ["ct", "analog", "reference", "sampled", "acquired"]
-                    .iter()
-                    .map(|class| obs.counter(&format!("memo.{class}.{field}")).get())
-                    .fold(0u64, u64::saturating_add)
-            };
+        if let Some(prefix) = prefix {
+            let l3 = prefix.stats();
             ev = ev
-                .field("l3_hits", efficsense_obs::FieldValue::U64(sum("hit")))
-                .field("l3_misses", efficsense_obs::FieldValue::U64(sum("miss")));
+                .field("l3_hits", efficsense_obs::FieldValue::U64(l3.hits()))
+                .field("l3_misses", efficsense_obs::FieldValue::U64(l3.misses()));
         }
         obs.emit(&ev);
     }

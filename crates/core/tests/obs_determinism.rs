@@ -346,6 +346,66 @@ fn heartbeats_report_l3_prefix_counters_when_a_store_is_attached() {
 }
 
 #[test]
+fn heartbeats_count_only_the_sweeps_own_stores() {
+    use efficsense_core::cache::SweepCache;
+    use efficsense_core::prefix::PrefixStore;
+    use efficsense_obs::FieldValue;
+
+    let _guard = obs_lock();
+    let obs = efficsense_obs::global();
+    let ds = tiny_dataset();
+    let space = tiny_space();
+    let sweep = |cache: &Arc<SweepCache>, store: &Arc<PrefixStore>| {
+        Sweep::new(SweepConfig {
+            metric: Metric::Snr,
+            threads: 1,
+            detector_seed: 0,
+            ..Default::default()
+        })
+        .with_cache(Arc::clone(cache))
+        .with_prefix_store(Arc::clone(store))
+        .run(&space, &ds);
+    };
+
+    // Stores A see L3 traffic and, on the second pass, L1 hits. Their
+    // counts stay in the registry: nothing resets it before the next sweep.
+    obs.reset();
+    let (cache_a, store_a) = (Arc::new(SweepCache::new()), Arc::new(PrefixStore::new()));
+    sweep(&cache_a, &store_a);
+    sweep(&cache_a, &store_a);
+    assert!(cache_a.stats().hits > 0 && store_a.stats().misses() > 0);
+
+    let dir = std::env::temp_dir().join("efficsense_obs_profile_test");
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let path = dir.join("trace_heartbeat_own_stores.jsonl");
+    let file = std::fs::File::create(&path).expect("trace file is creatable");
+    obs.set_sink(Some(Box::new(std::io::BufWriter::new(file))));
+    let (cache_b, store_b) = (Arc::new(SweepCache::new()), Arc::new(PrefixStore::new()));
+    sweep(&cache_b, &store_b);
+    obs.set_sink(None);
+
+    let text = std::fs::read_to_string(&path).expect("trace file is readable");
+    std::fs::remove_file(&path).ok();
+    let last = text
+        .lines()
+        .rev()
+        .filter_map(TraceEvent::parse)
+        .find(|e| e.kind == "heartbeat" && e.name == "sweep.progress")
+        .expect("sweep completion emits a heartbeat");
+    let field = |k: &str| match last.get(k) {
+        Some(FieldValue::U64(v)) => *v,
+        other => panic!("heartbeat {k} must be a U64 field, got {other:?}"),
+    };
+    let l3 = store_b.stats();
+    assert_eq!(
+        field("l3_hits") + field("l3_misses"),
+        l3.hits() + l3.misses(),
+        "the last heartbeat must count store B's lookups only"
+    );
+    assert_eq!(field("cache_hits"), cache_b.stats().hits);
+}
+
+#[test]
 fn panicking_point_flushes_the_trace_before_quarantine() {
     let _guard = obs_lock();
     let obs = efficsense_obs::global();

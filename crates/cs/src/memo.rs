@@ -6,7 +6,8 @@
 //! same effective dictionary `A = Φ_eff·Ψ` and the same OMP column norms.
 //! Rebuilding them per point dominated cold-sweep time (the amortization
 //! lever of the fast BSBL / CS-telemonitoring literature), so this module
-//! caches them once per key in sharded global maps and hands out `Arc`s.
+//! caches them once per key in unbounded global [`Store`]s (counting under
+//! `memo.{srbm,basis,dict}.*`) and hands out `Arc`s.
 //!
 //! Everything here is *derived deterministically from its key*, so memoized
 //! artifacts are bit-identical to freshly built ones — callers may switch
@@ -18,122 +19,11 @@
 use crate::basis::Basis;
 use crate::linalg::Matrix;
 use crate::matrix::SensingMatrix;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Number of independent locks per store; bounds contention when many sweep
-/// workers miss simultaneously on different keys.
-const SHARDS: usize = 16;
-
-/// A sharded, hit-counting `key → Arc<value>` map.
-///
-/// Values are built *under the shard lock*, which serialises builders that
-/// race on the same shard but guarantees each key is computed exactly once —
-/// the right trade for sweep start-up, where every worker wants the same
-/// few dictionaries at the same moment.
-struct Shards<K, V> {
-    maps: Vec<Mutex<HashMap<K, Arc<V>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Telemetry mirrors of `hits`/`misses` on the global [`ObsRegistry`]
-    /// (`memo.<name>.hit` / `memo.<name>.miss`), resolved once per store.
-    ///
-    /// [`ObsRegistry`]: efficsense_obs::ObsRegistry
-    obs_hits: Arc<efficsense_obs::Counter>,
-    obs_misses: Arc<efficsense_obs::Counter>,
-}
-
-impl<K: Hash + Eq + Clone, V> Shards<K, V> {
-    fn new(name: &str) -> Self {
-        let obs = efficsense_obs::global();
-        Self {
-            maps: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            obs_hits: obs.counter(&format!("memo.{name}.hit")),
-            obs_misses: obs.counter(&format!("memo.{name}.miss")),
-        }
-    }
-
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<V>>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.maps[(h.finish() as usize) % SHARDS]
-    }
-
-    fn get_or_insert_with(&self, key: &K, build: impl FnOnce() -> V) -> Arc<V> {
-        let mut map = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(v) = map.get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.obs_hits.incr();
-            return Arc::clone(v);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.obs_misses.incr();
-        let v = Arc::new(build());
-        map.insert(key.clone(), Arc::clone(&v));
-        v
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .maps
-                .iter()
-                .map(|m| {
-                    m.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .len()
-                })
-                .sum(),
-        }
-    }
-
-    fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
-    fn clear(&self) {
-        for m in &self.maps {
-            m.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
-        self.reset_stats();
-    }
-}
+use efficsense_obs::Store;
+use std::sync::{Arc, OnceLock};
 
 /// Hit/miss/occupancy counters of one memoization store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreStats {
-    /// Lookups served from the store.
-    pub hits: u64,
-    /// Lookups that had to build the artifact.
-    pub misses: u64,
-    /// Keys currently held.
-    pub entries: usize,
-}
-
-impl StoreStats {
-    /// Fraction of lookups served from the store (0 when idle).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+pub use efficsense_obs::StoreStats;
 
 /// Counters of every store in this module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -151,19 +41,19 @@ type BasisKey = (Basis, usize);
 /// `(m, n_phi, s, seed, c_sample bits, c_hold bits, decay bits, basis)`.
 type DictKey = (usize, usize, usize, u64, u64, u64, u64, Basis);
 
-fn srbm_store() -> &'static Shards<SrbmKey, SensingMatrix> {
-    static STORE: OnceLock<Shards<SrbmKey, SensingMatrix>> = OnceLock::new();
-    STORE.get_or_init(|| Shards::new("srbm"))
+fn srbm_store() -> &'static Store<SrbmKey, SensingMatrix> {
+    static STORE: OnceLock<Store<SrbmKey, SensingMatrix>> = OnceLock::new();
+    STORE.get_or_init(|| Store::unbounded("memo.srbm"))
 }
 
-fn basis_store() -> &'static Shards<BasisKey, Matrix> {
-    static STORE: OnceLock<Shards<BasisKey, Matrix>> = OnceLock::new();
-    STORE.get_or_init(|| Shards::new("basis"))
+fn basis_store() -> &'static Store<BasisKey, Matrix> {
+    static STORE: OnceLock<Store<BasisKey, Matrix>> = OnceLock::new();
+    STORE.get_or_init(|| Store::unbounded("memo.basis"))
 }
 
-fn dict_store() -> &'static Shards<DictKey, DictionaryArtifacts> {
-    static STORE: OnceLock<Shards<DictKey, DictionaryArtifacts>> = OnceLock::new();
-    STORE.get_or_init(|| Shards::new("dict"))
+fn dict_store() -> &'static Store<DictKey, DictionaryArtifacts> {
+    static STORE: OnceLock<Store<DictKey, DictionaryArtifacts>> = OnceLock::new();
+    STORE.get_or_init(|| Store::unbounded("memo.dict"))
 }
 
 /// Memoized [`SensingMatrix::srbm`]: one shared instance per
@@ -174,13 +64,13 @@ fn dict_store() -> &'static Shards<DictKey, DictionaryArtifacts> {
 /// Panics on the same invalid-schedule conditions as
 /// [`SensingMatrix::srbm`].
 pub fn srbm(m: usize, n: usize, s: usize, seed: u64) -> Arc<SensingMatrix> {
-    srbm_store().get_or_insert_with(&(m, n, s, seed), || SensingMatrix::srbm(m, n, s, seed))
+    srbm_store().get_or_insert_with((m, n, s, seed), || SensingMatrix::srbm(m, n, s, seed))
 }
 
 /// Memoized [`Basis::matrix`]: one shared `n × n` synthesis matrix per
 /// `(basis, n)`.
 pub fn basis_matrix(basis: Basis, n: usize) -> Arc<Matrix> {
-    basis_store().get_or_insert_with(&(basis, n), || basis.matrix(n))
+    basis_store().get_or_insert_with((basis, n), || basis.matrix(n))
 }
 
 /// Everything the charge-sharing decoder precomputes per design point:
@@ -314,7 +204,7 @@ impl DictionaryArtifacts {
 ///
 /// Panics on the same invalid parameters as [`DictionaryArtifacts::build`].
 pub fn dictionary(p: &DictionaryParams) -> Arc<DictionaryArtifacts> {
-    dict_store().get_or_insert_with(&p.key(), || DictionaryArtifacts::build(p))
+    dict_store().get_or_insert_with(p.key(), || DictionaryArtifacts::build(p))
 }
 
 /// Current counters of every store.

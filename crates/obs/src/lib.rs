@@ -3,8 +3,9 @@
 //! A design-space product sweep runs for hours across worker threads,
 //! caches, retries and fault plans; this crate is the window into it.
 //! Std-only by design — it must build in the same offline environment as
-//! the models it observes — and strictly *passive*: instrumentation may
-//! never change an evaluation result, only record timing and counts.
+//! the models it observes — and strictly *passive*: nothing in this crate
+//! may change an evaluation result, only record timing and counts or, in
+//! the case of the [`store`], decide what a lookup costs.
 //!
 //! Three instrument kinds, aggregated in a process-wide [`ObsRegistry`]:
 //!
@@ -40,18 +41,26 @@
 //! folded-stack flamegraph text, cache-efficacy estimates, and a
 //! per-stage [`profile::diff`] that attributes a throughput change to
 //! the stages responsible.
+//!
+//! The [`store`] module holds the one content-addressed [`Store`] behind
+//! every evaluation cache (L1 results, L2 memo, detector memo, L3
+//! prefixes), with its `<namespace>.{hit,miss,evict}` counters. It sits
+//! here because both `efficsense-cs` and `efficsense-core` depend on this
+//! crate and the profiler already reads those counters.
 
 pub mod clock;
 pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod registry;
+pub mod store;
 pub mod trace;
 
 pub use clock::{Clock, LogicalClock, MonotonicClock};
 pub use metrics::{bucket_floor_us, bucket_index, Counter, Histogram, HistogramSnapshot, BUCKETS};
 pub use profile::{Profile, ProfileBuilder, ProfileDiff, StageStats};
 pub use registry::{global, ObsRegistry, Snapshot, SpanGuard};
+pub use store::{Store, StoreStats};
 pub use trace::{FieldValue, TraceEvent};
 
 /// Opens a named span on the [`global`] registry, returning a guard that

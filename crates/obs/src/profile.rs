@@ -423,26 +423,9 @@ pub struct CacheLevelReport {
     pub est_saved_ns: Option<f64>,
 }
 
-fn level(
-    out: &mut Vec<CacheLevelReport>,
-    name: &'static str,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    est_miss_cost_ns: Option<f64>,
-) {
-    out.push(CacheLevelReport {
-        level: name,
-        hits,
-        misses,
-        evictions,
-        est_miss_cost_ns,
-        est_saved_ns: est_miss_cost_ns.map(|c| c * hits as f64),
-    });
-}
-
 /// Joins the trace's cache counters with span durations into per-level
-/// time-saved estimates. Levels with zero traffic are omitted.
+/// time-saved estimates. Every level is a [`crate::Store`] counting
+/// `<namespace>.{hit,miss,evict}`; levels with zero traffic are omitted.
 ///
 /// Pricing rules (all estimates, not measurements):
 ///
@@ -467,103 +450,48 @@ pub fn cache_efficacy(p: &Profile) -> Vec<CacheLevelReport> {
             .filter(|s| s.count > 0)
             .map(|s| s.total_ns as f64 / s.count as f64)
     };
-    let mut out = Vec::new();
 
     let evals = c("sweep.evaluations");
     let eval_work = p.stages.get("stage.simulate").map_or(0, |s| s.total_ns)
         + p.stages.get("stage.detect").map_or(0, |s| s.total_ns);
     let l1_cost = (evals > 0 && eval_work > 0).then(|| eval_work as f64 / evals as f64);
-    level(
-        &mut out,
-        "l1.point",
-        c("cache.l1.hit"),
-        c("cache.l1.miss"),
-        0,
-        l1_cost,
-    );
-
-    level(
-        &mut out,
-        "l2.dict",
-        c("memo.dict.hit"),
-        c("memo.dict.miss"),
-        0,
-        mean("recon.gram"),
-    );
-    level(
-        &mut out,
-        "l2.srbm",
-        c("memo.srbm.hit"),
-        c("memo.srbm.miss"),
-        0,
-        None,
-    );
-    level(
-        &mut out,
-        "l2.basis",
-        c("memo.basis.hit"),
-        c("memo.basis.miss"),
-        0,
-        None,
-    );
-    level(
-        &mut out,
-        "l2.detector",
-        c("memo.detector.hit"),
-        c("memo.detector.miss"),
-        0,
-        None,
-    );
-
-    let l3 = |name: &str, field: &str| c(&format!("memo.{name}.{field}"));
-    level(
-        &mut out,
-        "l3.ct",
-        l3("ct", "hit"),
-        l3("ct", "miss"),
-        l3("ct", "evict"),
-        None,
-    );
-    level(
-        &mut out,
-        "l3.analog",
-        l3("analog", "hit"),
-        l3("analog", "miss"),
-        l3("analog", "evict"),
-        mean("sim.analog.build"),
-    );
-    level(
-        &mut out,
-        "l3.reference",
-        l3("reference", "hit"),
-        l3("reference", "miss"),
-        l3("reference", "evict"),
-        mean("sim.reference.build"),
-    );
-    level(
-        &mut out,
-        "l3.sampled",
-        l3("sampled", "hit"),
-        l3("sampled", "miss"),
-        l3("sampled", "evict"),
-        mean("sim.sample.build"),
-    );
     let acquired_parts: Vec<f64> = ["sim.analog", "sim.encode", "stage.reconstruct"]
         .iter()
         .filter_map(|s| mean(s))
         .collect();
     let acquired_cost = (!acquired_parts.is_empty()).then(|| acquired_parts.iter().sum());
-    level(
-        &mut out,
-        "l3.acquired",
-        l3("acquired", "hit"),
-        l3("acquired", "miss"),
-        l3("acquired", "evict"),
-        acquired_cost,
-    );
 
-    out.retain(|r| r.hits + r.misses + r.evictions > 0);
-    out
+    let levels: [(&'static str, &str, Option<f64>); 10] = [
+        ("l1.point", "cache.l1", l1_cost),
+        ("l2.dict", "memo.dict", mean("recon.gram")),
+        ("l2.srbm", "memo.srbm", None),
+        ("l2.basis", "memo.basis", None),
+        ("l2.detector", "memo.detector", None),
+        ("l3.ct", "memo.ct", None),
+        ("l3.analog", "memo.analog", mean("sim.analog.build")),
+        (
+            "l3.reference",
+            "memo.reference",
+            mean("sim.reference.build"),
+        ),
+        ("l3.sampled", "memo.sampled", mean("sim.sample.build")),
+        ("l3.acquired", "memo.acquired", acquired_cost),
+    ];
+    levels
+        .into_iter()
+        .map(|(level, ns, est_miss_cost_ns)| {
+            let hits = c(&format!("{ns}.hit"));
+            CacheLevelReport {
+                level,
+                hits,
+                misses: c(&format!("{ns}.miss")),
+                evictions: c(&format!("{ns}.evict")),
+                est_miss_cost_ns,
+                est_saved_ns: est_miss_cost_ns.map(|cost| cost * hits as f64),
+            }
+        })
+        .filter(|r| r.hits + r.misses + r.evictions > 0)
+        .collect()
 }
 
 /// Per-stage share of a throughput delta between two profiles.
