@@ -23,6 +23,7 @@ use efficsense_core::config::CsConfig;
 use efficsense_core::prelude::*;
 use efficsense_core::stream::StreamSimulator;
 use efficsense_dsp::metrics::snr_fit_db;
+use efficsense_obs::json::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Master seed of every compound fault stream (fixed: reruns bit-identical).
@@ -337,20 +338,6 @@ fn gauntlet(arch: Architecture, input: &[f64], fs_in: f64) -> (bool, u64) {
     }
 }
 
-fn json_array(values: &[f64]) -> String {
-    let parts: Vec<String> = values
-        .iter()
-        .map(|v| {
-            if v.is_finite() {
-                format!("{v:?}")
-            } else {
-                "null".to_string()
-            }
-        })
-        .collect();
-    format!("[{}]", parts.join(", "))
-}
-
 fn main() {
     let obs_session = obs_from_args();
     let dataset = EegDataset::generate(&dataset_config());
@@ -425,27 +412,36 @@ fn main() {
     );
 
     let monotone = drifts.iter().filter(|d| d.monotone_snr).count();
-    let mut kinds_json = Vec::new();
-    for d in &drifts {
-        kinds_json.push(format!(
-            "    \"{}\": {{\n      \"architecture\": \"{}\",\n      \"snr_db\": {},\n      \"accuracy\": {},\n      \"power_uw\": {},\n      \"monotone_snr\": {}\n    }}",
-            d.label,
-            d.architecture,
-            json_array(&d.snr_db),
-            json_array(&d.accuracy),
-            json_array(&d.power_uw),
-            d.monotone_snr
-        ));
-    }
+    let kinds = Json::obj(drifts.iter().map(|d| {
+        let drift = Json::obj([
+            ("architecture", d.architecture.to_string().into()),
+            ("snr_db", d.snr_db.iter().copied().collect()),
+            ("accuracy", d.accuracy.iter().copied().collect()),
+            ("power_uw", d.power_uw.iter().copied().collect()),
+            ("monotone_snr", d.monotone_snr.into()),
+        ]);
+        (d.label.as_str(), drift)
+    }));
     let snap = obs_session.finish();
-    let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"replay_seconds\": {seconds:?},\n  \"windows\": {WINDOWS},\n  \"kinds\": {{\n{}\n  }},\n  \"monotone_kinds\": {monotone},\n  \"gauntlet\": {{\n    \"baseline_ok\": {base_ok},\n    \"baseline_samples\": {base_n},\n    \"cs_ok\": {cs_ok},\n    \"cs_samples\": {cs_n}\n  }},\n  \"profile\": {}\n}}\n",
-        scale().name(),
-        kinds_json.join(",\n"),
-        efficsense_bench::profile_summary_json(&snap)
-    );
-    std::fs::write("BENCH_longevity.json", &json).expect("can write BENCH_longevity.json");
-    println!("  wrote BENCH_longevity.json");
+    let summary = Json::obj([
+        ("scale", scale().name().into()),
+        ("host", efficsense_bench::host_json()),
+        ("replay_seconds", seconds.into()),
+        ("windows", WINDOWS.into()),
+        ("kinds", kinds),
+        ("monotone_kinds", monotone.into()),
+        (
+            "gauntlet",
+            Json::obj([
+                ("baseline_ok", base_ok.into()),
+                ("baseline_samples", base_n.into()),
+                ("cs_ok", cs_ok.into()),
+                ("cs_samples", cs_n.into()),
+            ]),
+        ),
+        ("profile", efficsense_bench::profile_summary_json(&snap)),
+    ]);
+    efficsense_bench::write_bench_json("BENCH_longevity.json", &summary);
 
     if let Some(s) = snap.span("longevity.kind") {
         let secs = s.total_ns as f64 / 1e9;

@@ -13,6 +13,7 @@ use efficsense_cs::decode::{reconstruct_batch, reconstruct_fast, OmpScratch};
 use efficsense_cs::memo::DictionaryArtifacts;
 use efficsense_cs::recon::{reconstruct_with_artifacts, OmpConfig};
 use efficsense_cs::SensingMatrix;
+use efficsense_obs::json::Json;
 use std::time::Instant;
 
 /// SplitMix64 avalanche for deterministic frame synthesis.
@@ -118,14 +119,19 @@ fn main() {
     });
 
     let speedup = fast_rate / naive_rate.max(1e-9);
-    let json = format!(
-        "{{\n  \"m\": {m},\n  \"n\": {n},\n  \"sparsity\": {},\n  \"frames\": {n_frames},\n  \
-         \"naive_decodes_per_s\": {naive_rate:?},\n  \"fast_decodes_per_s\": {fast_rate:?},\n  \
-         \"batched_decodes_per_s\": {batched_rate:?},\n  \"fast_over_naive\": {speedup:?}\n}}\n",
-        cfg.sparsity
-    );
-    std::fs::write("BENCH_omp.json", &json).expect("can write BENCH_omp.json");
-    println!("  wrote BENCH_omp.json (fast/naive = {speedup:.1}×)");
+    let summary = Json::obj([
+        ("host", efficsense_bench::host_json()),
+        ("m", m.into()),
+        ("n", n.into()),
+        ("sparsity", cfg.sparsity.into()),
+        ("frames", n_frames.into()),
+        ("naive_decodes_per_s", naive_rate.into()),
+        ("fast_decodes_per_s", fast_rate.into()),
+        ("batched_decodes_per_s", batched_rate.into()),
+        ("fast_over_naive", speedup.into()),
+    ]);
+    efficsense_bench::write_bench_json("BENCH_omp.json", &summary);
+    println!("  fast/naive = {speedup:.1}×");
 
     assert!(
         speedup >= 5.0,

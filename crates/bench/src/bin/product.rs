@@ -34,6 +34,7 @@ use efficsense_core::prefix::PrefixStore;
 use efficsense_core::prelude::*;
 use efficsense_core::sweep::Metric;
 use efficsense_cs::memo;
+use efficsense_obs::json::Json;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -386,71 +387,67 @@ fn main() {
 
     // ---- BENCH_sweep.json for CI. `uncached_*` is the fresh-prefix-store
     // pass A (the gated headline); `prefix_off_s` documents the pre-L3 cost.
-    let scaling_json = threads_scaling
+    let per_s = |s: f64| Json::from(points_per_pass as f64 / s.max(1e-9));
+    let scaling = threads_scaling
         .iter()
-        .map(|(threads, s)| {
-            format!(
-                "{{ \"threads\": {}, \"seconds\": {:?}, \"points_per_s\": {:?} }}",
-                threads,
-                s,
-                points_per_pass as f64 / s.max(1e-9)
-            )
+        .map(|&(threads, s)| {
+            Json::obj([
+                ("threads", threads.into()),
+                ("seconds", s.into()),
+                ("points_per_s", per_s(s)),
+            ])
         })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"cells\": {},\n  \"points_per_pass\": {},\n  \
-         \"records\": {},\n  \"uncached_s\": {:?},\n  \"prefix_off_s\": {:?},\n  \
-         \"prefix_speedup\": {:?},\n  \"cold_s\": {:?},\n  \"warm_s\": {:?},\n  \
-         \"reload_s\": {:?},\n  \"cold_speedup\": {:?},\n  \"warm_speedup\": {:?},\n  \
-         \"uncached_points_per_s\": {:?},\n  \"warm_points_per_s\": {:?},\n  \
-         \"threads_scaling\": [{}],\n  \"scaling_4t\": {:?},\n  \
-         \"cache_entries\": {},\n  \"cold_hits\": {},\n  \"cold_misses\": {},\n  \
-         \"warm_hit_rate\": {:?},\n  \"prefix_store\": {{\n    \"analog_hits\": {},\n    \
-         \"analog_misses\": {},\n    \"sampled_hits\": {},\n    \"sampled_misses\": {},\n    \
-         \"reference_hits\": {},\n    \"reference_misses\": {},\n    \"acquired_hits\": {},\n    \
-         \"acquired_misses\": {},\n    \"evictions\": {}\n  }},\n  \
-         \"artifact_memo\": {{\n    \"cold_s\": {:?},\n    \
-         \"warm_s\": {:?},\n    \"speedup\": {:?},\n    \"dictionary_builds\": {},\n    \"dictionary_hits\": {}\n  }},\n  \"profile\": {},\n  \"obs\": {}\n}}\n",
-        sc.name(),
-        cells.len(),
-        points_per_pass,
-        dataset.len(),
-        secs(t_uncached),
-        secs(t_prefix_off),
-        prefix_speedup,
-        secs(t_cold),
-        secs(t_warm),
-        secs(t_reload),
-        cold_speedup,
-        warm_speedup,
-        points_per_pass as f64 / secs(t_uncached).max(1e-9),
-        points_per_pass as f64 / secs(t_warm).max(1e-9),
-        scaling_json,
-        scaling_4t,
-        cache.len(),
-        cold_stats.hits,
-        cold_stats.misses,
-        warm_stats.hit_rate(),
-        pstats.analog.hits,
-        pstats.analog.misses,
-        pstats.sampled.hits,
-        pstats.sampled.misses,
-        pstats.reference.hits,
-        pstats.reference.misses,
-        pstats.acquired.hits,
-        pstats.acquired.misses,
-        pstats.evictions(),
-        secs(t_memo_cold),
-        secs(t_memo_warm),
-        artifact_speedup,
-        dict_builds,
-        dict_hits_within_sweep,
-        efficsense_bench::profile_summary_json(&snap),
-        snap.to_json()
-    );
-    std::fs::write("BENCH_sweep.json", &json).expect("can write BENCH_sweep.json");
-    println!("  wrote BENCH_sweep.json");
+        .collect();
+    let summary = Json::obj([
+        ("scale", sc.name().into()),
+        ("host", efficsense_bench::host_json()),
+        ("cells", cells.len().into()),
+        ("points_per_pass", points_per_pass.into()),
+        ("records", dataset.len().into()),
+        ("uncached_s", secs(t_uncached).into()),
+        ("prefix_off_s", secs(t_prefix_off).into()),
+        ("prefix_speedup", prefix_speedup.into()),
+        ("cold_s", secs(t_cold).into()),
+        ("warm_s", secs(t_warm).into()),
+        ("reload_s", secs(t_reload).into()),
+        ("cold_speedup", cold_speedup.into()),
+        ("warm_speedup", warm_speedup.into()),
+        ("uncached_points_per_s", per_s(secs(t_uncached))),
+        ("warm_points_per_s", per_s(secs(t_warm))),
+        ("threads_scaling", scaling),
+        ("scaling_4t", scaling_4t.into()),
+        ("cache_entries", cache.len().into()),
+        ("cold_hits", cold_stats.hits.into()),
+        ("cold_misses", cold_stats.misses.into()),
+        ("warm_hit_rate", warm_stats.hit_rate().into()),
+        (
+            "prefix_store",
+            Json::obj([
+                ("analog_hits", pstats.analog.hits.into()),
+                ("analog_misses", pstats.analog.misses.into()),
+                ("sampled_hits", pstats.sampled.hits.into()),
+                ("sampled_misses", pstats.sampled.misses.into()),
+                ("reference_hits", pstats.reference.hits.into()),
+                ("reference_misses", pstats.reference.misses.into()),
+                ("acquired_hits", pstats.acquired.hits.into()),
+                ("acquired_misses", pstats.acquired.misses.into()),
+                ("evictions", pstats.evictions().into()),
+            ]),
+        ),
+        (
+            "artifact_memo",
+            Json::obj([
+                ("cold_s", secs(t_memo_cold).into()),
+                ("warm_s", secs(t_memo_warm).into()),
+                ("speedup", artifact_speedup.into()),
+                ("dictionary_builds", dict_builds.into()),
+                ("dictionary_hits", dict_hits_within_sweep.into()),
+            ]),
+        ),
+        ("profile", efficsense_bench::profile_summary_json(&snap)),
+        ("obs", Json::from(&snap)),
+    ]);
+    efficsense_bench::write_bench_json("BENCH_sweep.json", &summary);
 
     assert!(
         warm_speedup >= 3.0,

@@ -26,6 +26,7 @@ use efficsense_bench::{
 use efficsense_core::cache::SweepCache;
 use efficsense_core::prelude::*;
 use efficsense_core::sweep::{FailurePolicy, Metric, QuarantinedPoint, SweepReport};
+use efficsense_obs::json::Json;
 use std::sync::Arc;
 
 /// Master seed of every injected fault stream (kept fixed so reruns are
@@ -224,23 +225,20 @@ fn main() {
 
     // BENCH_robustness.json: the matrix verdicts plus the per-stage
     // profile, mirroring the product/longevity summaries for CI trends.
-    let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"fault_kinds\": {},\n  \"severity_steps\": {},\n  \
-         \"points_per_cell\": {},\n  \"monotone_kinds\": {monotone},\n  \
-         \"quarantined\": {},\n  \"l1_entries\": {},\n  \"l1_hits\": {},\n  \
-         \"l1_misses\": {},\n  \"profile\": {}\n}}\n",
-        scale().name(),
-        FaultKind::ALL.len(),
-        severities.len(),
-        points_per_cell,
-        report.quarantine.len(),
-        stats.entries,
-        stats.hits,
-        stats.misses,
-        efficsense_bench::profile_summary_json(&snap)
-    );
-    std::fs::write("BENCH_robustness.json", &json).expect("can write BENCH_robustness.json");
-    println!("  wrote BENCH_robustness.json");
+    let summary = Json::obj([
+        ("scale", scale().name().into()),
+        ("host", efficsense_bench::host_json()),
+        ("fault_kinds", FaultKind::ALL.len().into()),
+        ("severity_steps", severities.len().into()),
+        ("points_per_cell", points_per_cell.into()),
+        ("monotone_kinds", monotone.into()),
+        ("quarantined", report.quarantine.len().into()),
+        ("l1_entries", stats.entries.into()),
+        ("l1_hits", stats.hits.into()),
+        ("l1_misses", stats.misses.into()),
+        ("profile", efficsense_bench::profile_summary_json(&snap)),
+    ]);
+    efficsense_bench::write_bench_json("BENCH_robustness.json", &summary);
 
     assert!(
         monotone >= 3,

@@ -11,6 +11,7 @@
 //! * full — paper-scale evaluation (hours; 501 × 23.6 s records).
 
 use efficsense_core::prelude::*;
+use efficsense_obs::json::Json;
 use efficsense_signals::DatasetConfig;
 use std::path::{Path, PathBuf};
 
@@ -181,12 +182,12 @@ impl ObsSession {
     }
 }
 
-/// Renders a compact per-stage profile block for a `BENCH_*.json` summary:
-/// the top stages by self time with their share of total self time, plus
-/// per-occurrence quantile upper bounds from the histogram buckets. Embeds
-/// verbatim as the value of a `"profile"` key.
+/// The per-stage profile block of a `BENCH_*.json` summary (its
+/// `"profile"` key): the top stages by self time with their share of total
+/// self time, plus per-occurrence quantile upper bounds from the histogram
+/// buckets.
 #[must_use]
-pub fn profile_summary_json(snap: &efficsense_obs::Snapshot) -> String {
+pub fn profile_summary_json(snap: &efficsense_obs::Snapshot) -> Json {
     let mut rows: Vec<(&String, &efficsense_obs::HistogramSnapshot)> =
         snap.spans.iter().map(|(n, s)| (n, s)).collect();
     rows.sort_by(|a, b| b.1.self_ns.cmp(&a.1.self_ns).then_with(|| a.0.cmp(b.0)));
@@ -200,23 +201,40 @@ pub fn profile_summary_json(snap: &efficsense_obs::Snapshot) -> String {
             } else {
                 s.self_ns as f64 / total_self as f64
             };
-            format!(
-                "{{ \"stage\": \"{name}\", \"count\": {}, \"self_s\": {:?}, \
-                 \"self_share\": {:?}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {} }}",
-                s.count,
-                s.self_ns as f64 / 1e9,
-                share,
-                s.p50_us(),
-                s.p95_us(),
-                s.p99_us()
-            )
+            Json::obj([
+                ("stage", name.as_str().into()),
+                ("count", s.count.into()),
+                ("self_s", (s.self_ns as f64 / 1e9).into()),
+                ("self_share", share.into()),
+                ("p50_us", s.p50_us().into()),
+                ("p95_us", s.p95_us().into()),
+                ("p99_us", s.p99_us().into()),
+            ])
         })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{ \"total_self_s\": {:?}, \"stages\": [{stages}] }}",
-        total_self as f64 / 1e9
-    )
+        .collect();
+    Json::obj([
+        ("total_self_s", (total_self as f64 / 1e9).into()),
+        ("stages", stages),
+    ])
+}
+
+/// The `"host"` block of every `BENCH_*.json` summary: the core count the
+/// numbers were measured with, since scaling figures taken on a 1–2-core
+/// host say nothing about the code.
+#[must_use]
+pub fn host_json() -> Json {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    Json::obj([("available_parallelism", cores.into())])
+}
+
+/// Writes a bench summary to `path` as indented JSON and logs the path.
+///
+/// # Panics
+///
+/// Panics on I/O errors, like every other bench output.
+pub fn write_bench_json(path: &str, summary: &Json) {
+    std::fs::write(path, format!("{summary:#}\n")).expect("can write bench summary");
+    println!("  wrote {path}");
 }
 
 /// Runs (or loads from the figure cache) the main design-space sweep used by
@@ -292,14 +310,8 @@ pub fn persist_quarantine(results_csv_name: &str, report: &SweepReport) {
         let obs = efficsense_obs::global();
         if obs.sink_enabled() {
             let ev = efficsense_obs::TraceEvent::new(obs.now_ns(), "quarantine", &qname)
-                .field(
-                    "count",
-                    efficsense_obs::FieldValue::U64(report.quarantine.len() as u64),
-                )
-                .field(
-                    "total",
-                    efficsense_obs::FieldValue::U64(report.points_total as u64),
-                );
+                .field("count", report.quarantine.len())
+                .field("total", report.points_total);
             obs.emit(&ev);
         }
         println!(
@@ -379,173 +391,6 @@ pub fn parse_results(text: &str) -> Option<Vec<SweepResult>> {
     }
 }
 
-/// Minimal wall-clock timing harness for the `harness = false` benches.
-///
-/// Calibrates an iteration count per benchmark so each sample lasts roughly
-/// 20 ms, then reports per-iteration min/median/mean over the sample set.
-/// The first non-flag CLI argument acts as a substring filter, so
-/// `cargo bench -- encoder` narrows the run exactly as before.
-pub mod harness {
-    pub use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    const DEFAULT_SAMPLES: usize = 20;
-    const SAMPLE_TARGET_NS: u128 = 20_000_000;
-
-    /// Summary statistics over one benchmark's timing samples.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Stats {
-        /// Fastest per-iteration sample.
-        pub min: Duration,
-        /// Median per-iteration sample.
-        pub median: Duration,
-        /// Mean per-iteration cost across samples.
-        pub mean: Duration,
-        /// Number of timed samples.
-        pub samples: usize,
-        /// Iterations timed per sample.
-        pub iters_per_sample: u64,
-    }
-
-    /// Measurement loop handle passed to each registered benchmark closure.
-    pub struct Bencher {
-        samples: usize,
-        result: Option<Stats>,
-    }
-
-    impl Bencher {
-        /// Calibrates the iteration count from one warm-up run, then times
-        /// batches of the routine and records per-iteration statistics.
-        pub fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
-            let t0 = Instant::now();
-            black_box(routine());
-            let once = t0.elapsed().max(Duration::from_nanos(1));
-            let iters = (SAMPLE_TARGET_NS / once.as_nanos()).clamp(1, 1_000_000_000) as u64;
-            let mut per_iter: Vec<Duration> = Vec::with_capacity(self.samples);
-            for _ in 0..self.samples {
-                let t = Instant::now();
-                for _ in 0..iters {
-                    black_box(routine());
-                }
-                per_iter.push(t.elapsed() / iters as u32);
-            }
-            per_iter.sort_unstable();
-            let mean = per_iter.iter().sum::<Duration>() / per_iter.len() as u32;
-            self.result = Some(Stats {
-                min: per_iter[0],
-                median: per_iter[per_iter.len() / 2],
-                mean,
-                samples: per_iter.len(),
-                iters_per_sample: iters,
-            });
-        }
-    }
-
-    fn fmt(d: Duration) -> String {
-        let ns = d.as_nanos();
-        if ns < 1_000 {
-            format!("{ns} ns")
-        } else if ns < 1_000_000 {
-            format!("{:.2} µs", ns as f64 / 1e3)
-        } else if ns < 1_000_000_000 {
-            format!("{:.2} ms", ns as f64 / 1e6)
-        } else {
-            format!("{:.3} s", ns as f64 / 1e9)
-        }
-    }
-
-    /// Registers and runs benchmarks, honouring the CLI substring filter.
-    pub struct Harness {
-        filter: Option<String>,
-        samples: usize,
-    }
-
-    impl Default for Harness {
-        fn default() -> Self {
-            Self::from_args()
-        }
-    }
-
-    impl Harness {
-        /// Builds a harness from the process arguments; flags such as
-        /// `--bench` (added by cargo) are ignored.
-        pub fn from_args() -> Self {
-            let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-            Self {
-                filter,
-                samples: DEFAULT_SAMPLES,
-            }
-        }
-
-        /// Overrides the per-benchmark sample count (use a small count for
-        /// slow workloads, as criterion groups did).
-        pub fn sample_size(&mut self, n: usize) -> &mut Self {
-            self.samples = n.max(2);
-            self
-        }
-
-        /// Restores the default sample count.
-        pub fn default_sample_size(&mut self) -> &mut Self {
-            self.samples = DEFAULT_SAMPLES;
-            self
-        }
-
-        /// Runs one benchmark's measurement loop and prints a report line,
-        /// unless the name fails the CLI filter.
-        pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
-            if let Some(flt) = &self.filter {
-                if !name.contains(flt.as_str()) {
-                    return self;
-                }
-            }
-            let mut b = Bencher {
-                samples: self.samples,
-                result: None,
-            };
-            f(&mut b);
-            match b.result {
-                Some(s) => println!(
-                    "{name:<44} median {:>10}  min {:>10}  mean {:>10}  ({} samples × {} iters)",
-                    fmt(s.median),
-                    fmt(s.min),
-                    fmt(s.mean),
-                    s.samples,
-                    s.iters_per_sample
-                ),
-                None => println!("{name:<44} (no measurement recorded)"),
-            }
-            self
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn bencher_records_statistics() {
-            let mut b = Bencher {
-                samples: 3,
-                result: None,
-            };
-            b.iter(|| black_box(2u64 + 2));
-            let s = b.result.expect("stats recorded");
-            assert_eq!(s.samples, 3);
-            assert!(s.iters_per_sample >= 1);
-            assert!(s.min <= s.median);
-            assert!(s.min <= s.mean);
-        }
-
-        #[test]
-        fn duration_formatting_scales() {
-            assert_eq!(fmt(Duration::from_nanos(12)), "12 ns");
-            assert_eq!(fmt(Duration::from_micros(12)), "12.00 µs");
-            assert_eq!(fmt(Duration::from_millis(12)), "12.00 ms");
-            assert_eq!(fmt(Duration::from_secs(12)), "12.000 s");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,6 +451,28 @@ mod tests {
         let lna_err = a.breakdown.get(BlockKind::Lna) - b.breakdown.get(BlockKind::Lna);
         assert!(lna_err.value().abs() < 1e-11);
         assert!((a.area_units - b.area_units).abs() < 1.0);
+    }
+
+    #[test]
+    fn bench_json_files_parse() {
+        // Every BENCH_*.json at the repository root, committed or freshly
+        // written by a bench binary, must be a document `obs::json` reads.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut checked = Vec::new();
+        for entry in std::fs::read_dir(&root).expect("repository root is readable") {
+            let path = entry.expect("directory entry").path();
+            let name = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or_default()
+                .to_string();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let text = std::fs::read_to_string(&path).expect("bench JSON is readable");
+                assert!(Json::parse(&text).is_some(), "{name} is not valid JSON");
+                checked.push(name);
+            }
+        }
+        assert!(!checked.is_empty(), "no BENCH_*.json found in {root:?}");
     }
 
     #[test]

@@ -301,8 +301,8 @@ impl SweepCache {
     /// Serialises every entry as JSON lines (sorted by key, so the file is
     /// deterministic for a given content set). Entries containing
     /// non-finite floats — impossible via the sweep engine, which rejects
-    /// non-finite results — are skipped rather than emitted as invalid
-    /// JSON.
+    /// non-finite results — are skipped rather than written as `null`s the
+    /// reader would reject.
     ///
     /// # Errors
     ///
@@ -368,49 +368,36 @@ impl SweepCache {
 // JSONL entry codec
 // ---------------------------------------------------------------------------
 
-/// `{:?}` renders f64 in shortest-round-trip form, which is also valid JSON
-/// for finite values; `None` for NaN/±inf.
-fn json_f64(v: f64) -> Option<String> {
-    if v.is_finite() {
-        Some(format!("{v:?}"))
-    } else {
-        None
-    }
-}
-
 fn entry_to_json(key: PointKey, r: &SweepResult) -> Option<String> {
     let p = &r.point;
-    let opt_usize = |v: Option<usize>| v.map_or_else(|| "null".to_string(), |v| v.to_string());
-    let opt_f64 =
-        |v: Option<f64>| -> Option<String> { v.map_or(Some("null".to_string()), json_f64) };
-    let mut breakdown = String::from("[");
-    for (i, (k, w)) in r.breakdown.iter().enumerate() {
-        if i > 0 {
-            breakdown.push(',');
-        }
-        breakdown.push_str(&format!(
-            "[\"{}\",{}]",
-            crate::report::block_slug(k),
-            json_f64(w.value())?
-        ));
+    let watts = r.breakdown.iter().map(|(_, w)| w.value());
+    let finite = [p.lna_noise_vrms, r.metric, r.power_w, r.area_units]
+        .into_iter()
+        .chain(p.c_hold_f)
+        .chain(watts)
+        .all(f64::is_finite);
+    if !finite {
+        return None;
     }
-    breakdown.push(']');
-    Some(format!(
-        "{{\"key\":\"{}\",\"architecture\":\"{}\",\"lna_noise_vrms\":{},\"n_bits\":{},\
-         \"m\":{},\"s\":{},\"c_hold_f\":{},\"metric\":{},\"power_w\":{},\"area_units\":{},\
-         \"breakdown\":{}}}",
-        key.hex(),
-        p.architecture,
-        json_f64(p.lna_noise_vrms)?,
-        p.n_bits,
-        opt_usize(p.m),
-        opt_usize(p.s),
-        opt_f64(p.c_hold_f)?,
-        json_f64(r.metric)?,
-        json_f64(r.power_w)?,
-        json_f64(r.area_units)?,
-        breakdown
-    ))
+    let breakdown = r
+        .breakdown
+        .iter()
+        .map(|(k, w)| Json::Arr(vec![crate::report::block_slug(k).into(), w.value().into()]))
+        .collect();
+    let entry = Json::obj([
+        ("key", key.hex().into()),
+        ("architecture", p.architecture.to_string().into()),
+        ("lna_noise_vrms", p.lna_noise_vrms.into()),
+        ("n_bits", p.n_bits.into()),
+        ("m", p.m.into()),
+        ("s", p.s.into()),
+        ("c_hold_f", p.c_hold_f.into()),
+        ("metric", r.metric.into()),
+        ("power_w", r.power_w.into()),
+        ("area_units", r.area_units.into()),
+        ("breakdown", breakdown),
+    ]);
+    Some(entry.to_string())
 }
 
 fn entry_from_json(line: &str) -> Option<(PointKey, SweepResult)> {
@@ -851,6 +838,46 @@ mod tests {
         let mut buf2 = Vec::new();
         reloaded.write_jsonl(&mut buf2).expect("write to vec");
         assert_eq!(text, String::from_utf8(buf2).expect("utf8"));
+    }
+
+    #[test]
+    fn jsonl_line_bytes_are_pinned() {
+        // Golden bytes: any writer refactor must reproduce the persisted
+        // L1 format exactly, so existing cache files stay readable.
+        let cache = SweepCache::new();
+        let key = PointKey::from_hex("00112233445566778899aabbccddeeff").expect("valid hex");
+        cache.insert(key, sample_result());
+        let mut buf = Vec::new();
+        cache.write_jsonl(&mut buf).expect("write to vec");
+        assert_eq!(
+            String::from_utf8(buf).expect("utf8"),
+            concat!(
+                r#"{"key":"00112233445566778899aabbccddeeff","architecture":"cs","#,
+                r#""lna_noise_vrms":3.61e-6,"n_bits":8,"m":75,"s":2,"c_hold_f":5e-13,"#,
+                r#""metric":0.9933,"power_w":5.3e-6,"area_units":75000.0,"#,
+                r#""breakdown":[["tx",4.3e-6],["lna",1e-6]]}"#,
+                "\n"
+            )
+        );
+    }
+
+    #[test]
+    fn non_finite_entries_are_skipped_on_write() {
+        let nan_metric = SweepResult {
+            metric: f64::NAN,
+            ..sample_result()
+        };
+        let mut inf_c_hold = sample_result();
+        inf_c_hold.point.c_hold_f = Some(f64::INFINITY);
+        let mut nan_noise = sample_result();
+        nan_noise.point.lna_noise_vrms = f64::NAN;
+        let cache = SweepCache::new();
+        for (bits, r) in [(6, nan_metric), (7, inf_c_hold), (8, nan_noise)] {
+            cache.insert(point_key(&SystemConfig::baseline(bits), None, &ctx()), r);
+        }
+        let mut buf = Vec::new();
+        cache.write_jsonl(&mut buf).expect("write to vec");
+        assert!(buf.is_empty(), "{}", String::from_utf8_lossy(&buf));
     }
 
     #[test]

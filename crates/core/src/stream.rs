@@ -1320,14 +1320,8 @@ impl StreamSimulator {
         let now_ns = obs.now_ns();
         if obs.sink_enabled() {
             let ev = efficsense_obs::TraceEvent::new(now_ns, "heartbeat", "stream.progress")
-                .field(
-                    "out_samples",
-                    efficsense_obs::FieldValue::U64(self.out_produced),
-                )
-                .field(
-                    "raw_samples",
-                    efficsense_obs::FieldValue::U64(self.raw.len()),
-                );
+                .field("out_samples", self.out_produced)
+                .field("raw_samples", self.raw.len());
             obs.emit(&ev);
         }
         const PROGRESS_NS: u64 = 10_000_000_000;

@@ -508,19 +508,19 @@ fn progress_heartbeat(
     };
     if obs.sink_enabled() {
         let mut ev = efficsense_obs::TraceEvent::new(now_ns, "heartbeat", "sweep.progress")
-            .field("done", efficsense_obs::FieldValue::U64(done as u64))
-            .field("total", efficsense_obs::FieldValue::U64(total as u64))
-            .field("elapsed_ns", efficsense_obs::FieldValue::U64(elapsed_ns))
-            .field("eta_ns", efficsense_obs::FieldValue::U64(eta_ns));
+            .field("done", done)
+            .field("total", total)
+            .field("elapsed_ns", elapsed_ns)
+            .field("eta_ns", eta_ns);
         if let Some(cache) = cache {
             let hits = cache.stats().hits;
-            ev = ev.field("cache_hits", efficsense_obs::FieldValue::U64(hits));
+            ev = ev.field("cache_hits", hits);
         }
         if let Some(prefix) = prefix {
             let l3 = prefix.stats();
             ev = ev
-                .field("l3_hits", efficsense_obs::FieldValue::U64(l3.hits()))
-                .field("l3_misses", efficsense_obs::FieldValue::U64(l3.misses()));
+                .field("l3_hits", l3.hits())
+                .field("l3_misses", l3.misses());
         }
         obs.emit(&ev);
     }

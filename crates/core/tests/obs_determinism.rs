@@ -297,7 +297,7 @@ fn reconstructed_profile_is_identical_across_thread_counts() {
 #[test]
 fn heartbeats_report_l3_prefix_counters_when_a_store_is_attached() {
     use efficsense_core::prefix::PrefixStore;
-    use efficsense_obs::FieldValue;
+    use efficsense_obs::json::Json;
 
     let _guard = obs_lock();
     let obs = efficsense_obs::global();
@@ -333,7 +333,7 @@ fn heartbeats_report_l3_prefix_counters_when_a_store_is_attached() {
     assert!(!heartbeats.is_empty(), "sweep completion emits a heartbeat");
     for hb in &heartbeats {
         let l3 = |k: &str| match hb.get(k) {
-            Some(FieldValue::U64(v)) => *v,
+            Some(Json::Int(v)) => *v,
             other => panic!("heartbeat {k} must be a U64 field, got {other:?}"),
         };
         // The store starts cold: every lookup so far is classified, so the
@@ -349,7 +349,7 @@ fn heartbeats_report_l3_prefix_counters_when_a_store_is_attached() {
 fn heartbeats_count_only_the_sweeps_own_stores() {
     use efficsense_core::cache::SweepCache;
     use efficsense_core::prefix::PrefixStore;
-    use efficsense_obs::FieldValue;
+    use efficsense_obs::json::Json;
 
     let _guard = obs_lock();
     let obs = efficsense_obs::global();
@@ -393,7 +393,7 @@ fn heartbeats_count_only_the_sweeps_own_stores() {
         .find(|e| e.kind == "heartbeat" && e.name == "sweep.progress")
         .expect("sweep completion emits a heartbeat");
     let field = |k: &str| match last.get(k) {
-        Some(FieldValue::U64(v)) => *v,
+        Some(Json::Int(v)) => *v,
         other => panic!("heartbeat {k} must be a U64 field, got {other:?}"),
     };
     let l3 = store_b.stats();

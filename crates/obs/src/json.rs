@@ -1,19 +1,33 @@
-//! Minimal hand-rolled JSON codec shared by the trace parser, the registry
-//! snapshot serialiser and `cargo xtask bench-diff`.
+//! The workspace's one JSON codec: every JSON document the workspace
+//! writes (trace lines, L1 cache JSONL, `.prof` profiles, `--metrics`
+//! snapshots, lint reports, `BENCH_*.json`) is a [`Json`] value rendered by
+//! its [`Display`](fmt::Display) impl, and every one it reads goes through
+//! [`Json::parse`].
 //!
-//! Deliberately small: objects, arrays, strings, numbers and `null` — the
-//! only shapes our own writers emit. Numbers keep the integer/float
-//! distinction ([`Json::Int`] vs [`Json::Float`]) so `u64` trace fields
-//! round-trip exactly instead of passing through `f64`'s 53-bit mantissa.
+//! Deliberately small: objects, arrays, strings, numbers, booleans and
+//! `null`. Numbers keep the integer/float distinction ([`Json::Int`] vs
+//! [`Json::Float`]) so `u64` counters round-trip exactly instead of passing
+//! through `f64`'s 53-bit mantissa. The format decisions live here alone:
+//!
+//! * `{}` renders compact JSON with no whitespace; `{:#}` indents by two
+//!   spaces per level, keeping arrays of scalars on one line;
+//! * [`Json::Float`] renders in Rust's shortest round-trip `{:?}` form, so
+//!   the token always carries a `.` or an exponent and parses back as a
+//!   float; non-finite floats render as `null`;
+//! * strings are escaped by [`escape`]'s rules.
 
-/// A parsed JSON value.
+use std::fmt::{self, Write as _};
+
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
+    /// `true` or `false`.
+    Bool(bool),
     /// A number token with no `.`/`e`/`-` that fits a `u64`.
     Int(u64),
-    /// Any other number token.
+    /// Any other number token; non-finite values render as `null`.
     Float(f64),
     /// A string.
     Str(String),
@@ -24,6 +38,12 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` entries, in iteration order.
+    #[must_use]
+    pub fn obj<K: Into<String>>(entries: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Parses one complete JSON value; `None` on any syntax error or
     /// trailing garbage.
     #[must_use]
@@ -97,26 +117,161 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Writes the value; `indent` is the current depth when pretty
+    /// printing, `None` for compact output.
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Int(v) => write!(f, "{v}"),
+            Json::Float(v) if v.is_finite() => write!(f, "{v:?}"),
+            Json::Float(_) => f.write_str("null"),
+            Json::Str(s) => write_quoted(f, s),
+            Json::Arr(items) => {
+                // Arrays of scalars (bucket counts, per-window series) stay
+                // on one line even when pretty printing.
+                let inline = items
+                    .iter()
+                    .all(|v| !matches!(v, Json::Arr(_) | Json::Obj(_)));
+                write_seq(f, indent, inline, ('[', ']'), items, |f, v, inner| {
+                    v.write(f, inner)
+                })
+            }
+            Json::Obj(entries) => {
+                write_seq(f, indent, false, ('{', '}'), entries, |f, (k, v), inner| {
+                    write_quoted(f, k)?;
+                    f.write_str(if inner.is_some() { ": " } else { ":" })?;
+                    v.write(f, inner)
+                })
+            }
+        }
+    }
+}
+
+/// Renders compact JSON with `{}` and two-space indented JSON with `{:#}`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, f.alternate().then_some(0))
+    }
+}
+
+/// Writes `open item, item close`: compact, on one line (`inline`), or one
+/// item per line indented a level deeper than `indent`.
+fn write_seq<T>(
+    f: &mut fmt::Formatter<'_>,
+    indent: Option<usize>,
+    inline: bool,
+    (open, close): (char, char),
+    items: &[T],
+    mut item: impl FnMut(&mut fmt::Formatter<'_>, &T, Option<usize>) -> fmt::Result,
+) -> fmt::Result {
+    let inner = indent.map(|n| n + 1);
+    let newline =
+        |f: &mut fmt::Formatter<'_>, depth: usize| write!(f, "\n{:width$}", "", width = 2 * depth);
+    f.write_char(open)?;
+    for (i, v) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_char(',')?;
+        }
+        match inner {
+            Some(depth) if !inline => newline(f, depth)?,
+            Some(_) if i > 0 => f.write_char(' ')?,
+            _ => {}
+        }
+        item(f, v, inner)?;
+    }
+    if let Some(depth) = indent.filter(|_| !inline && !items.is_empty()) {
+        newline(f, depth)?;
+    }
+    f.write_char(close)
+}
+
+/// Writes `s` as a quoted JSON string.
+fn write_quoted(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    write_escaped(out, s)?;
+    out.write_char('"')
+}
+
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\t' => out.write_str("\\t")?,
+            '\r' => out.write_str("\\r")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    Ok(())
 }
 
 /// Escapes a string for embedding between JSON double quotes.
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    // Writing into a `String` cannot fail.
+    let _ = write_escaped(&mut out, s);
     out
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Int(v)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(v: u32) -> Json {
+        Json::Int(u64::from(v))
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Int(v as u64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Float(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+
+/// `None` renders as `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Collects into a [`Json::Arr`].
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Json {
+        Json::Arr(iter.into_iter().map(Into::into).collect())
+    }
 }
 
 struct Parser<'a> {
@@ -151,15 +306,19 @@ impl Parser<'_> {
             b'{' => self.object(),
             b'[' => self.array(),
             b'"' => self.string().map(Json::Str),
-            b'n' => {
-                if self.b[self.i..].starts_with(b"null") {
-                    self.i += 4;
-                    Some(Json::Null)
-                } else {
-                    None
-                }
-            }
+            b'n' => self.literal("null", Json::Null),
+            b't' => self.literal("true", Json::Bool(true)),
+            b'f' => self.literal("false", Json::Bool(false)),
             _ => self.number(),
+        }
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Option<Json> {
+        if self.b[self.i..].starts_with(word.as_bytes()) {
+            self.i += word.len();
+            Some(v)
+        } else {
+            None
         }
     }
 
@@ -317,6 +476,84 @@ mod tests {
             v.get("b").and_then(|b| b.get("c")),
             Some(Json::Float(_))
         ));
+    }
+
+    #[test]
+    fn booleans_parse() {
+        let v = Json::parse(r#"{"ok":true,"flags":[false, true]}"#).expect("parses");
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(
+            v.get("flags").and_then(Json::as_arr),
+            Some(&[Json::Bool(false), Json::Bool(true)][..])
+        );
+        for bad in ["tru", "fals", "truee", "True"] {
+            assert_eq!(Json::parse(bad), None, "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn writer_output_parses_back_compact_and_pretty() {
+        let v = Json::obj([
+            ("max", Json::Int(u64::MAX)),
+            (
+                "floats",
+                Json::from_iter([-0.0, 1e-7, 3.0, 2.5e300, -12.75]),
+            ),
+            (
+                "text",
+                Json::from(
+                    "quote\" back\\ nl\n tab\t cr\r ctl\u{1}\u{1f} caf\u{e9} \u{6f22}\u{1f600}",
+                ),
+            ),
+            (
+                "flags",
+                Json::Arr(vec![true.into(), false.into(), Json::Null]),
+            ),
+            (
+                "nested",
+                Json::obj([
+                    ("empty_obj", Json::obj::<&str>([])),
+                    ("empty_arr", Json::Arr(Vec::new())),
+                    (
+                        "rows",
+                        Json::Arr(vec![Json::obj([("k\"ey", Json::Int(1))])]),
+                    ),
+                ]),
+            ),
+        ]);
+        assert_eq!(Json::parse(&v.to_string()), Some(v.clone()));
+        assert_eq!(Json::parse(&format!("{v:#}")), Some(v.clone()));
+        // -0.0 == 0.0 under PartialEq, so pin the sign in the text.
+        assert_eq!(Json::Float(-0.0).to_string(), "-0.0");
+        assert_eq!(Json::Float(3.0).to_string(), "3.0");
+        assert_eq!(Json::Float(1e-7).to_string(), "1e-7");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let arr = Json::Arr(vec![Json::Float(bad)]);
+            assert_eq!(arr.to_string(), "[null]");
+            assert_eq!(
+                Json::parse(&format!("{arr:#}")),
+                Some(Json::Arr(vec![Json::Null]))
+            );
+        }
+    }
+
+    #[test]
+    fn pretty_layout_indents_containers_and_inlines_scalar_arrays() {
+        let v = Json::obj([
+            ("a", Json::from_iter([1u64, 2])),
+            ("b", Json::obj([("c", Json::Null)])),
+            ("d", Json::Arr(Vec::new())),
+            ("e", Json::Arr(vec![Json::obj([("f", Json::Bool(false))])])),
+        ]);
+        assert_eq!(
+            format!("{v:#}"),
+            "{\n  \"a\": [1, 2],\n  \"b\": {\n    \"c\": null\n  },\n  \"d\": [],\n  \
+             \"e\": [\n    {\n      \"f\": false\n    }\n  ]\n}"
+        );
+        assert_eq!(
+            v.to_string(),
+            r#"{"a":[1,2],"b":{"c":null},"d":[],"e":[{"f":false}]}"#
+        );
     }
 
     #[test]

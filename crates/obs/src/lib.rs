@@ -32,8 +32,12 @@
 //! snapshots regardless of worker-thread count or interleaving.
 //!
 //! [`ObsRegistry::snapshot`] freezes everything into an ordered
-//! name → value map ([`Snapshot`]) that serialises to JSON via the same
-//! hand-rolled [`json`] module the trace parser uses.
+//! name → value map ([`Snapshot`]) that serialises to JSON.
+//!
+//! The [`json`] module is the workspace's one JSON codec: a [`json::Json`]
+//! value type whose `Display` impl is the only JSON writer (trace lines,
+//! snapshots, profiles, the L1 cache file, lint reports and bench
+//! summaries) and whose parser reads all of them back.
 //!
 //! The [`profile`] module closes the loop offline: it rebuilds the span
 //! forest from a JSONL trace and aggregates it into a deterministic
@@ -61,7 +65,7 @@ pub use metrics::{bucket_floor_us, bucket_index, Counter, Histogram, HistogramSn
 pub use profile::{Profile, ProfileBuilder, ProfileDiff, StageStats};
 pub use registry::{global, ObsRegistry, Snapshot, SpanGuard};
 pub use store::{Store, StoreStats};
-pub use trace::{FieldValue, TraceEvent};
+pub use trace::TraceEvent;
 
 /// Opens a named span on the [`global`] registry, returning a guard that
 /// records into the span's histogram when dropped. The histogram handle is

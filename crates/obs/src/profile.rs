@@ -25,8 +25,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{escape, Json};
-use crate::trace::{FieldValue, TraceEvent};
+use crate::json::Json;
+use crate::trace::TraceEvent;
 
 /// Profile file format version (the `"version"` key in
 /// [`Profile::to_json`]).
@@ -84,10 +84,7 @@ pub struct Profile {
 }
 
 fn field_u64(ev: &TraceEvent, key: &str) -> Option<u64> {
-    match ev.get(key) {
-        Some(FieldValue::U64(v)) => Some(*v),
-        _ => None,
-    }
+    ev.get(key)?.as_u64()
 }
 
 /// Exact nearest-rank quantile over an ascending-sorted slice (0 when
@@ -174,7 +171,7 @@ impl ProfileBuilder {
                     .fields
                     .iter()
                     .filter_map(|(k, v)| match v {
-                        FieldValue::U64(n) if k != "run" => Some((k.clone(), *n)),
+                        Json::Int(n) if k != "run" => Some((k.clone(), *n)),
                         _ => None,
                     })
                     .collect();
@@ -298,49 +295,39 @@ impl Profile {
     /// ```
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"version\":{PROFILE_VERSION},\"events\":{},\"skipped_lines\":{},\"orphans\":{},\
-             \"stages\":{{",
-            self.events, self.skipped_lines, self.orphans
-        );
-        for (i, (name, s)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"total_ns\":{},\"self_ns\":{},\"p50_ns\":{},\
-                 \"p95_ns\":{},\"p99_ns\":{}}}",
-                escape(name),
-                s.count,
-                s.total_ns,
-                s.self_ns,
-                s.p50_ns,
-                s.p95_ns,
-                s.p99_ns
-            ));
-        }
-        out.push_str("},\"stacks\":{");
-        for (i, (path, s)) in self.stacks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                escape(path),
-                s.count,
-                s.total_ns,
-                s.self_ns
-            ));
-        }
-        out.push_str("},\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", escape(k)));
-        }
-        out.push_str("}}");
-        out
+        let stages = self.stages.iter().map(|(name, s)| {
+            let stats = Json::obj([
+                ("count", s.count.into()),
+                ("total_ns", s.total_ns.into()),
+                ("self_ns", s.self_ns.into()),
+                ("p50_ns", s.p50_ns.into()),
+                ("p95_ns", s.p95_ns.into()),
+                ("p99_ns", s.p99_ns.into()),
+            ]);
+            (name.as_str(), stats)
+        });
+        let stacks = self.stacks.iter().map(|(path, s)| {
+            let stats = Json::obj([
+                ("count", s.count.into()),
+                ("total_ns", s.total_ns.into()),
+                ("self_ns", s.self_ns.into()),
+            ]);
+            (path.as_str(), stats)
+        });
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, v)| (k.as_str(), Json::Int(*v)));
+        Json::obj([
+            ("version", PROFILE_VERSION.into()),
+            ("events", self.events.into()),
+            ("skipped_lines", self.skipped_lines.into()),
+            ("orphans", self.orphans.into()),
+            ("stages", Json::obj(stages)),
+            ("stacks", Json::obj(stacks)),
+            ("counters", Json::obj(counters)),
+        ])
+        .to_string()
     }
 
     /// Parses a profile serialised by [`Profile::to_json`]; `None` on
@@ -662,6 +649,24 @@ mod tests {
         assert_eq!(back.to_json(), json, "re-render is byte-identical");
         assert_eq!(Profile::parse("{\"version\":999}"), None);
         assert_eq!(Profile::parse("not json"), None);
+    }
+
+    #[test]
+    fn profile_json_bytes_are_pinned() {
+        // Golden bytes of the `.prof` format `trace diff` reads back.
+        assert_eq!(
+            Profile::from_trace(&sample_trace()).to_json(),
+            concat!(
+                r#"{"version":1,"events":9,"skipped_lines":0,"orphans":0,"stages":{"#,
+                r#""sim.analog":{"count":1,"total_ns":2,"self_ns":2,"p50_ns":2,"p95_ns":2,"p99_ns":2},"#,
+                r#""stage.simulate":{"count":1,"total_ns":5,"self_ns":3,"p50_ns":5,"p95_ns":5,"p99_ns":5},"#,
+                r#""sweep.point":{"count":2,"total_ns":12,"self_ns":7,"p50_ns":4,"p95_ns":8,"p99_ns":8}},"#,
+                r#""stacks":{"sweep.point":{"count":2,"total_ns":12,"self_ns":7},"#,
+                r#""sweep.point;stage.simulate":{"count":1,"total_ns":5,"self_ns":3},"#,
+                r#""sweep.point;stage.simulate;sim.analog":{"count":1,"total_ns":2,"self_ns":2}},"#,
+                r#""counters":{"cache.l1.hit":3,"cache.l1.miss":2,"sweep.evaluations":2}}"#
+            )
+        );
     }
 
     #[test]

@@ -8,9 +8,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::json::escape;
 use crate::metrics::{Counter, Histogram, HistogramSnapshot};
-use crate::trace::{FieldValue, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// One open span on a thread's stack: the child-time accumulator for
 /// self-time accounting, the span's lineage id, and whether the span's
@@ -215,10 +214,10 @@ impl ObsRegistry {
         if !self.sink_enabled() {
             return;
         }
-        let stamped = event.clone().field("run", FieldValue::Str(self.run_id()));
+        let stamped = event.clone().field("run", self.run_id());
         let mut slot = recover(self.sink.lock());
         if let Some(sink) = slot.as_mut() {
-            let mut line = stamped.to_json_line();
+            let mut line = stamped.into_json_line();
             line.push('\n');
             if let Err(e) = sink.write_all(line.as_bytes()) {
                 eprintln!("warning: trace sink write failed ({e}); tracing disabled");
@@ -251,7 +250,7 @@ impl ObsRegistry {
     fn counters_event(&self) -> TraceEvent {
         let mut ev = TraceEvent::new(self.now_ns(), "counters", "registry.counters");
         for (k, v) in recover(self.counters.lock()).iter() {
-            ev = ev.field(k, FieldValue::U64(v.get()));
+            ev = ev.field(k, v.get());
         }
         ev
     }
@@ -266,8 +265,8 @@ impl ObsRegistry {
         }
         let mut line = self
             .counters_event()
-            .field("run", FieldValue::Str(self.run_id()))
-            .to_json_line();
+            .field("run", self.run_id())
+            .into_json_line();
         line.push('\n');
         let mut slot = recover(self.sink.lock());
         if let Some(sink) = slot.as_mut() {
@@ -316,12 +315,11 @@ impl ObsRegistry {
         });
         let start_ns = self.now_ns();
         if traced {
-            let mut ev =
-                TraceEvent::new(start_ns, "begin", name).field("span", FieldValue::U64(span_id));
+            let mut ev = TraceEvent::new(start_ns, "begin", name).field("span", span_id);
             if let Some(p) = parent_id {
-                ev = ev.field("parent", FieldValue::U64(p));
+                ev = ev.field("parent", p);
             }
-            self.emit(&ev.field("thread", FieldValue::U64(u64::from(thread))));
+            self.emit(&ev.field("thread", thread));
         }
         SpanGuard {
             registry: self,
@@ -349,8 +347,8 @@ impl ObsRegistry {
         self.counter(name).add(count);
         if self.sink_enabled() {
             let ev = TraceEvent::new(self.now_ns(), "warn", name)
-                .field("count", FieldValue::U64(count))
-                .field("text", FieldValue::Str(text.to_string()));
+                .field("count", count)
+                .field("text", text);
             self.emit(&ev);
         }
     }
@@ -439,15 +437,14 @@ impl Drop for SpanGuard<'_> {
         let self_ns = total.saturating_sub(child);
         self.hist.record(total, self_ns);
         if self.traced {
-            let mut ev = TraceEvent::new(end_ns, "span", self.name)
-                .field("span", FieldValue::U64(self.span_id));
+            let mut ev = TraceEvent::new(end_ns, "span", self.name).field("span", self.span_id);
             if let Some(p) = self.parent_id {
-                ev = ev.field("parent", FieldValue::U64(p));
+                ev = ev.field("parent", p);
             }
             let ev = ev
-                .field("thread", FieldValue::U64(u64::from(self.thread)))
-                .field("total_ns", FieldValue::U64(total))
-                .field("self_ns", FieldValue::U64(self_ns));
+                .field("thread", self.thread)
+                .field("total_ns", total)
+                .field("self_ns", self_ns);
             self.registry.emit(&ev);
         }
     }
@@ -492,40 +489,36 @@ impl Snapshot {
     /// (see [`HistogramSnapshot::quantile_upper_us`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", escape(k)));
-        }
-        out.push_str("},\"spans\":{");
-        for (i, (k, s)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"total_ns\":{},\"self_ns\":{},\"mean_ns\":{:?},\
-                 \"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"buckets\":[",
-                escape(k),
-                s.count,
-                s.total_ns,
-                s.self_ns,
-                s.mean_ns(),
-                s.p50_us(),
-                s.p95_us(),
-                s.p99_us()
-            ));
-            for (j, b) in s.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{b}"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
+        crate::json::Json::from(self).to_string()
+    }
+}
+
+impl From<&Snapshot> for crate::json::Json {
+    fn from(snap: &Snapshot) -> Self {
+        // Imported here, not at module level: the tests' glob import would
+        // turn their `crate::json::Json` paths into unused qualifications.
+        use crate::json::Json;
+        let counters = snap
+            .counters
+            .iter()
+            .map(|(k, v)| (k.as_str(), Json::Int(*v)));
+        let spans = snap.spans.iter().map(|(k, s)| {
+            let stats = Json::obj([
+                ("count", s.count.into()),
+                ("total_ns", s.total_ns.into()),
+                ("self_ns", s.self_ns.into()),
+                ("mean_ns", s.mean_ns().into()),
+                ("p50_us", s.p50_us().into()),
+                ("p95_us", s.p95_us().into()),
+                ("p99_us", s.p99_us().into()),
+                ("buckets", s.buckets.iter().copied().collect()),
+            ]);
+            (k.as_str(), stats)
+        });
+        Json::obj([
+            ("counters", Json::obj(counters)),
+            ("spans", Json::obj(spans)),
+        ])
     }
 }
 
@@ -664,6 +657,24 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_json_bytes_are_pinned() {
+        // Golden bytes of the `--metrics` snapshot, on the registry of
+        // `snapshot_json_parses_back`.
+        let reg = ObsRegistry::new();
+        reg.set_clock(Arc::new(LogicalClock::new(500)));
+        reg.counter("hits").add(7);
+        drop(reg.span("stage"));
+        assert_eq!(
+            reg.snapshot().to_json(),
+            concat!(
+                r#"{"counters":{"hits":7},"spans":{"stage":{"count":1,"total_ns":500,"#,
+                r#""self_ns":500,"mean_ns":500.0,"p50_us":1,"p95_us":1,"p99_us":1,"#,
+                r#""buckets":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}}"#
+            )
+        );
+    }
+
+    #[test]
     fn sink_receives_span_warn_and_heartbeat_events() {
         let reg = ObsRegistry::new();
         reg.set_clock(Arc::new(LogicalClock::new(10)));
@@ -683,9 +694,9 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0].kind, "begin");
         assert_eq!(lines[1].kind, "span");
-        assert_eq!(lines[1].get("total_ns"), Some(&FieldValue::U64(10)));
+        assert_eq!(lines[1].get("total_ns"), Some(&crate::json::Json::Int(10)));
         assert_eq!(lines[2].kind, "warn");
-        assert_eq!(lines[2].get("count"), Some(&FieldValue::U64(2)));
+        assert_eq!(lines[2].get("count"), Some(&crate::json::Json::Int(2)));
         assert_eq!(lines[3].kind, "heartbeat");
         reg.set_sink(None);
         assert!(!reg.sink_enabled());
@@ -714,17 +725,26 @@ mod tests {
         assert_eq!(events[0].kind, "begin");
         assert_eq!(events[0].name, "outer");
         let outer_id = match events[0].get("span") {
-            Some(&FieldValue::U64(id)) => id,
+            Some(&crate::json::Json::Int(id)) => id,
             other => panic!("outer begin lacks span id: {other:?}"),
         };
         assert_eq!(events[0].get("parent"), None, "roots omit parent");
         assert_eq!(events[1].name, "inner");
-        assert_eq!(events[1].get("parent"), Some(&FieldValue::U64(outer_id)));
+        assert_eq!(
+            events[1].get("parent"),
+            Some(&crate::json::Json::Int(outer_id))
+        );
         assert_eq!(events[2].kind, "span");
         assert_eq!(events[2].name, "inner");
-        assert_eq!(events[2].get("parent"), Some(&FieldValue::U64(outer_id)));
+        assert_eq!(
+            events[2].get("parent"),
+            Some(&crate::json::Json::Int(outer_id))
+        );
         assert_eq!(events[3].name, "outer");
-        assert_eq!(events[3].get("span"), Some(&FieldValue::U64(outer_id)));
+        assert_eq!(
+            events[3].get("span"),
+            Some(&crate::json::Json::Int(outer_id))
+        );
         assert!(events[3].get("thread").is_some(), "events carry the thread");
     }
 
@@ -754,11 +774,12 @@ mod tests {
         // Every sampled end event's parent (if any) has a begin event, so
         // lineage never dangles under sampling.
         for e in events.iter().filter(|e| e.kind == "span") {
-            if let Some(&FieldValue::U64(p)) = e.get("parent") {
+            if let Some(&crate::json::Json::Int(p)) = e.get("parent") {
                 assert!(
                     events
                         .iter()
-                        .any(|b| b.kind == "begin" && b.get("span") == Some(&FieldValue::U64(p))),
+                        .any(|b| b.kind == "begin"
+                            && b.get("span") == Some(&crate::json::Json::Int(p))),
                     "dangling parent {p}"
                 );
             }
@@ -822,7 +843,7 @@ mod tests {
             .last()
             .expect("teardown appends a closing counters event");
         assert_eq!(counters.kind, "counters");
-        assert_eq!(counters.get("work.done"), Some(&FieldValue::U64(3)));
+        assert_eq!(counters.get("work.done"), Some(&crate::json::Json::Int(3)));
     }
 
     #[test]
@@ -838,7 +859,7 @@ mod tests {
             .expect("counters event parses");
         assert_eq!(ev.kind, "counters");
         assert_eq!(ev.name, "registry.counters");
-        assert_eq!(ev.get("a.hit"), Some(&FieldValue::U64(5)));
+        assert_eq!(ev.get("a.hit"), Some(&crate::json::Json::Int(5)));
     }
 
     #[test]
@@ -856,7 +877,7 @@ mod tests {
             let ev = TraceEvent::parse(line).expect("line parses");
             assert_eq!(
                 ev.get("run"),
-                Some(&FieldValue::Str(id.clone())),
+                Some(&crate::json::Json::Str(id.clone())),
                 "missing run id on: {line}"
             );
         }
@@ -874,7 +895,10 @@ mod tests {
         reg.flush();
         let ev =
             TraceEvent::parse(buf.contents().lines().next().expect("one line")).expect("parses");
-        assert_eq!(ev.get("run"), Some(&FieldValue::Str("ci-1234".to_string())));
+        assert_eq!(
+            ev.get("run"),
+            Some(&crate::json::Json::Str("ci-1234".to_string()))
+        );
     }
 
     #[test]

@@ -8,44 +8,11 @@
 //!
 //! `kind` is a small open vocabulary — the registry emits `"span"`,
 //! `"warn"` and `"heartbeat"`; benches add their own. Field values are
-//! unsigned integers (exact), floats (shortest round-trip `{:?}` form, so
-//! the token always carries a `.` or an exponent and parses back as a
-//! float), or strings. Non-finite floats render as `null` and parse back
-//! as NaN.
+//! scalar [`Json`] values: unsigned integers (exact), floats, strings,
+//! booleans or `null`, rendered by the [`crate::json`] writer (a
+//! non-finite float becomes `null`).
 
-use crate::json::{escape, Json};
-
-/// A trace field value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue {
-    /// An exact unsigned integer.
-    U64(u64),
-    /// A finite-or-not float; non-finite values serialise as `null`.
-    F64(f64),
-    /// A string.
-    Str(String),
-}
-
-impl FieldValue {
-    fn render(&self) -> String {
-        match self {
-            FieldValue::U64(v) => format!("{v}"),
-            FieldValue::F64(v) if v.is_finite() => format!("{v:?}"),
-            FieldValue::F64(_) => "null".to_string(),
-            FieldValue::Str(s) => format!("\"{}\"", escape(s)),
-        }
-    }
-
-    fn from_json(v: &Json) -> Option<FieldValue> {
-        match v {
-            Json::Int(n) => Some(FieldValue::U64(*n)),
-            Json::Float(f) => Some(FieldValue::F64(*f)),
-            Json::Null => Some(FieldValue::F64(f64::NAN)),
-            Json::Str(s) => Some(FieldValue::Str(s.clone())),
-            _ => None,
-        }
-    }
-}
+use crate::json::Json;
 
 /// One structured trace event, serialisable to a single JSONL line.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,8 +25,8 @@ pub struct TraceEvent {
     pub kind: String,
     /// Instrument or event name, e.g. `"sweep.point"`.
     pub name: String,
-    /// Event payload, in insertion order.
-    pub fields: Vec<(String, FieldValue)>,
+    /// Event payload, in insertion order; scalar values only.
+    pub fields: Vec<(String, Json)>,
 }
 
 impl TraceEvent {
@@ -74,58 +41,58 @@ impl TraceEvent {
         }
     }
 
-    /// Appends a field (builder style).
+    /// Appends a scalar field (builder style).
     #[must_use]
-    pub fn field(mut self, key: &str, value: FieldValue) -> Self {
-        self.fields.push((key.to_string(), value));
+    pub fn field(mut self, key: &str, value: impl Into<Json>) -> Self {
+        self.fields.push((key.to_string(), value.into()));
         self
     }
 
     /// Renders the event as one JSON line (no trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut out = format!(
-            "{{\"ts_ns\":{},\"kind\":\"{}\",\"name\":\"{}\",\"fields\":{{",
-            self.ts_ns,
-            escape(&self.kind),
-            escape(&self.name)
-        );
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&escape(k));
-            out.push_str("\":");
-            out.push_str(&v.render());
-        }
-        out.push_str("}}");
-        out
+        self.clone().into_json_line()
+    }
+
+    /// Renders the event as one JSON line, moving its fields into the
+    /// document instead of cloning them (the registry's emit path).
+    pub(crate) fn into_json_line(self) -> String {
+        Json::obj([
+            ("ts_ns", Json::Int(self.ts_ns)),
+            ("kind", Json::Str(self.kind)),
+            ("name", Json::Str(self.name)),
+            ("fields", Json::Obj(self.fields)),
+        ])
+        .to_string()
     }
 
     /// Parses one JSONL line produced by [`TraceEvent::to_json_line`];
-    /// `None` on malformed input or missing keys.
+    /// `None` on malformed input, missing keys, or a field whose value is
+    /// an array or object.
     #[must_use]
     pub fn parse(line: &str) -> Option<TraceEvent> {
         let v = Json::parse(line)?;
         let ts_ns = v.get("ts_ns")?.as_u64()?;
         let kind = v.get("kind")?.as_str()?.to_string();
         let name = v.get("name")?.as_str()?.to_string();
-        let mut fields = Vec::new();
-        for (k, fv) in v.get("fields")?.as_obj()? {
-            fields.push((k.clone(), FieldValue::from_json(fv)?));
+        let fields = v.get("fields")?.as_obj()?;
+        if fields
+            .iter()
+            .any(|(_, fv)| matches!(fv, Json::Arr(_) | Json::Obj(_)))
+        {
+            return None;
         }
         Some(TraceEvent {
             ts_ns,
             kind,
             name,
-            fields,
+            fields: fields.to_vec(),
         })
     }
 
     /// Looks up a field value by key.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&FieldValue> {
+    pub fn get(&self, key: &str) -> Option<&Json> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 }
@@ -137,9 +104,9 @@ mod tests {
     #[test]
     fn renders_and_parses_round_trip() {
         let ev = TraceEvent::new(42, "span", "sweep.point")
-            .field("total_ns", FieldValue::U64(u64::MAX))
-            .field("rate", FieldValue::F64(2.5))
-            .field("note", FieldValue::Str("a\"b\nc".to_string()));
+            .field("total_ns", Json::Int(u64::MAX))
+            .field("rate", Json::Float(2.5))
+            .field("note", Json::Str("a\"b\nc".to_string()));
         let line = ev.to_json_line();
         let back = TraceEvent::parse(&line).expect("round-trips");
         assert_eq!(back, ev);
@@ -150,23 +117,20 @@ mod tests {
 
     #[test]
     fn non_finite_floats_become_null_then_nan() {
-        let ev = TraceEvent::new(1, "warn", "x").field("bad", FieldValue::F64(f64::INFINITY));
+        let ev = TraceEvent::new(1, "warn", "x").field("bad", Json::Float(f64::INFINITY));
         let line = ev.to_json_line();
         assert!(line.contains("\"bad\":null"), "{line}");
         let back = TraceEvent::parse(&line).expect("parses");
-        match back.get("bad") {
-            Some(FieldValue::F64(v)) => assert!(v.is_nan()),
-            other => panic!("expected NaN field, got {other:?}"),
-        }
+        assert_eq!(back.get("bad"), Some(&Json::Null));
     }
 
     #[test]
     fn floats_parse_back_as_floats() {
         // {:?} on a whole-valued f64 prints "3.0" — the '.' keeps it
         // classifiable as a float on the way back in.
-        let ev = TraceEvent::new(1, "span", "x").field("v", FieldValue::F64(3.0));
+        let ev = TraceEvent::new(1, "span", "x").field("v", Json::Float(3.0));
         let back = TraceEvent::parse(&ev.to_json_line()).expect("parses");
-        assert!(matches!(back.get("v"), Some(FieldValue::F64(_))));
+        assert!(matches!(back.get("v"), Some(Json::Float(_))));
     }
 
     #[test]
@@ -186,8 +150,8 @@ mod tests {
     #[test]
     fn truncated_lines_do_not_parse() {
         let full = TraceEvent::new(9, "span", "stage.detect")
-            .field("total_ns", FieldValue::U64(1234))
-            .field("note", FieldValue::Str("mid\u{6c49}point".to_string()))
+            .field("total_ns", Json::Int(1234))
+            .field("note", Json::Str("mid\u{6c49}point".to_string()))
             .to_json_line();
         for cut in 1..full.len() {
             // Byte-boundary prefixes only: mid-UTF-8 cuts are not valid
@@ -211,7 +175,7 @@ mod tests {
         );
         let ev = TraceEvent::parse(&line).expect("parses");
         assert_eq!(ev.ts_ns, u64::MAX);
-        assert_eq!(ev.get("v"), Some(&FieldValue::U64(u64::MAX)));
+        assert_eq!(ev.get("v"), Some(&Json::Int(u64::MAX)));
         assert_eq!(ev.to_json_line(), line);
         // Past u64 range the value falls to float; as a ts_ns it no
         // longer satisfies the schema and the line is rejected.
@@ -230,7 +194,17 @@ mod tests {
             "{\"ts_ns\":1,\"kind\":\"warn\",\"name\":\"n\",\"fields\":{\"t\":\"\\u00e9\"}}",
         )
         .expect("parses");
-        assert_eq!(ev.get("t"), Some(&FieldValue::Str("\u{e9}".to_string())));
+        assert_eq!(ev.get("t"), Some(&Json::Str("\u{e9}".to_string())));
+    }
+
+    #[test]
+    fn nested_field_values_reject_the_line() {
+        for value in ["[1]", "{\"a\":1}"] {
+            let line = format!(
+                "{{\"ts_ns\":1,\"kind\":\"span\",\"name\":\"n\",\"fields\":{{\"v\":{value}}}}}"
+            );
+            assert_eq!(TraceEvent::parse(&line), None, "{line}");
+        }
     }
 
     #[test]

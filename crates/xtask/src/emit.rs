@@ -1,7 +1,7 @@
 //! Machine-readable renderings of lint results.
 //!
-//! Two formats, both hand-rolled on top of `efficsense_obs::json::escape`
-//! (std-only, no serde):
+//! Two formats, both built as `efficsense_obs::json::Json` values and
+//! rendered by its writer (std-only, no serde):
 //!
 //! - [`render_json`] — a compact native schema for scripting: diagnostics,
 //!   per-rule `lint:allow` counts, and the totals CI trend lines key off;
@@ -10,90 +10,94 @@
 //!   diagnostic with a physical location.
 //!
 //! Both emitters are exercised by round-trip fixture tests that re-parse the
-//! output with the workspace JSON parser, so the escaping rules stay honest.
+//! output with the workspace JSON parser.
 
 use crate::rules::{Diagnostic, RULES};
 use crate::LintReport;
-use efficsense_obs::json::escape;
-use std::fmt::Write as _;
+use efficsense_obs::json::Json;
 
 /// Renders a [`LintReport`] as a single-document JSON object.
 #[must_use]
 pub fn render_json(report: &LintReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\"tool\":\"xtask-lint\",\"diagnostics\":[");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"path\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-            escape(&d.path),
-            d.line,
-            escape(d.rule),
-            escape(&d.message)
-        );
-    }
-    out.push_str("],\"allows\":{");
-    for (i, (rule, n)) in report.allow_counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", escape(rule), n);
-    }
+    let diagnostics = report
+        .diagnostics
+        .iter()
+        .map(|d| {
+            Json::obj([
+                ("path", d.path.as_str().into()),
+                ("line", d.line.into()),
+                ("rule", d.rule.into()),
+                ("message", d.message.as_str().into()),
+            ])
+        })
+        .collect();
+    let allows = report
+        .allow_counts
+        .iter()
+        .map(|(rule, n)| (rule.as_str(), Json::from(*n)));
     let total: usize = report.allow_counts.values().sum();
-    let _ = write!(
-        out,
-        "}},\"total_allows\":{},\"total_diagnostics\":{}}}",
-        total,
-        report.diagnostics.len()
-    );
-    out
+    Json::obj([
+        ("tool", "xtask-lint".into()),
+        ("diagnostics", diagnostics),
+        ("allows", Json::obj(allows)),
+        ("total_allows", total.into()),
+        ("total_diagnostics", report.diagnostics.len().into()),
+    ])
+    .to_string()
 }
 
 /// Renders diagnostics as a minimal SARIF 2.1.0 log.
 #[must_use]
 pub fn render_sarif(diagnostics: &[Diagnostic]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\
-         \"name\":\"xtask-lint\",\"informationUri\":\
-         \"https://example.invalid/efficsense/xtask\",\"rules\":[",
-    );
-    for (i, r) in RULES.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-            escape(r.id),
-            escape(r.summary)
-        );
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, d) in diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let rule_index = RULES.iter().position(|r| r.id == d.rule).unwrap_or(0);
-        let _ = write!(
-            out,
-            "{{\"ruleId\":\"{}\",\"ruleIndex\":{},\"level\":\"error\",\
-             \"message\":{{\"text\":\"{}\"}},\"locations\":[{{\
-             \"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
-             \"region\":{{\"startLine\":{}}}}}}}]}}",
-            escape(d.rule),
-            rule_index,
-            escape(&d.message),
-            escape(&d.path),
-            d.line
-        );
-    }
-    out.push_str("]}]}");
-    out
+    let text = |s: &str| Json::obj([("text", s.into())]);
+    let rules = RULES
+        .iter()
+        .map(|r| Json::obj([("id", r.id.into()), ("shortDescription", text(r.summary))]))
+        .collect();
+    let results = diagnostics
+        .iter()
+        .map(|d| {
+            let rule_index = RULES.iter().position(|r| r.id == d.rule).unwrap_or(0);
+            let location = Json::obj([(
+                "physicalLocation",
+                Json::obj([
+                    (
+                        "artifactLocation",
+                        Json::obj([("uri", d.path.as_str().into())]),
+                    ),
+                    ("region", Json::obj([("startLine", d.line.into())])),
+                ]),
+            )]);
+            Json::obj([
+                ("ruleId", d.rule.into()),
+                ("ruleIndex", rule_index.into()),
+                ("level", "error".into()),
+                ("message", text(&d.message)),
+                ("locations", Json::Arr(vec![location])),
+            ])
+        })
+        .collect();
+    let driver = Json::obj([
+        ("name", "xtask-lint".into()),
+        (
+            "informationUri",
+            "https://example.invalid/efficsense/xtask".into(),
+        ),
+        ("rules", rules),
+    ]);
+    let run = Json::obj([
+        ("tool", Json::obj([("driver", driver)])),
+        ("results", results),
+    ]);
+    Json::obj([
+        (
+            "$schema",
+            "https://json.schemastore.org/sarif-2.1.0.json".into(),
+        ),
+        ("version", "2.1.0".into()),
+        ("runs", Json::Arr(vec![run])),
+    ])
+    .to_string()
 }
 
 #[cfg(test)]
