@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p efficsense-bench --bin fig10`
 
 use efficsense_bench::{save_figure, sweep_cached, uw};
-use efficsense_core::pareto::{pareto_front, within_area, Objective};
+use efficsense_core::pareto::{pareto_front, within_area};
 use efficsense_core::sweep::Metric;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
         if feasible.is_empty() {
             continue;
         }
-        let front = pareto_front(&feasible, Objective::MaximizeMetric);
+        let front = pareto_front(&feasible);
         let mut best = -1.0f64;
         for r in &front {
             println!(

@@ -29,8 +29,8 @@ fn report_fronts(name: &str, results: &[SweepResult]) -> (Vec<SweepResult>, Vec<
     let (base, cs) = split_by_architecture(results);
     let base_owned: Vec<SweepResult> = base.into_iter().cloned().collect();
     let cs_owned: Vec<SweepResult> = cs.into_iter().cloned().collect();
-    let base_front = pareto_front(&base_owned, Objective::MaximizeMetric);
-    let cs_front = pareto_front(&cs_owned, Objective::MaximizeMetric);
+    let base_front = pareto_front(&base_owned);
+    let cs_front = pareto_front(&cs_owned);
     println!("--- {name}: baseline Pareto front ---");
     for r in &base_front {
         println!(

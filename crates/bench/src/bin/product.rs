@@ -29,7 +29,7 @@
 
 use efficsense_bench::{dataset_config, design_space, figures_dir, obs_from_args, scale, Scale};
 use efficsense_core::cache::SweepCache;
-use efficsense_core::pareto::{pareto_front, Objective};
+use efficsense_core::pareto::pareto_front;
 use efficsense_core::prefix::PrefixStore;
 use efficsense_core::prelude::*;
 use efficsense_core::sweep::Metric;
@@ -306,7 +306,7 @@ fn main() {
     // ---- Per-cell Pareto summary: CS share of the accuracy/power front.
     println!("  Pareto front CS share per cell:");
     for (cell, report) in cells.iter().zip(&pass_a) {
-        let front = pareto_front(&report.results, Objective::MaximizeMetric);
+        let front = pareto_front(&report.results);
         let cs = front
             .iter()
             .filter(|r| r.point.architecture == Architecture::CompressiveSensing)

@@ -67,7 +67,7 @@ fn front_row(
         .filter(|r| r.point.architecture == architecture)
         .cloned()
         .collect();
-    let front = pareto_front(&arch, Objective::MaximizeMetric);
+    let front = pareto_front(&arch);
     let best = front.iter().max_by(|a, b| a.metric.total_cmp(&b.metric))?;
     Some(FrontRow {
         kind,

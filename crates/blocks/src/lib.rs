@@ -25,9 +25,7 @@
 
 pub mod active_cs;
 pub mod adc;
-pub mod chain;
 pub mod cs_frontend;
-pub mod dsp_block;
 pub mod lc_adc;
 pub mod lna;
 pub mod sampler;

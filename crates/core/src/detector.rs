@@ -10,7 +10,7 @@
 use efficsense_ml::features::FeatureExtractor;
 use efficsense_ml::metrics::Confusion;
 use efficsense_ml::mlp::MlpClassifier;
-use efficsense_ml::{Classifier, Scaler, TrainConfig};
+use efficsense_ml::{Scaler, TrainConfig};
 use efficsense_signals::{EegDataset, Record};
 
 /// A trained seizure detector (features → scaler → MLP).

@@ -7,7 +7,7 @@
 
 use crate::detector::SeizureDetector;
 use crate::simulate::SimOutput;
-use efficsense_dsp::metrics::{sndr_db, snr_fit_db};
+use efficsense_dsp::metrics::snr_fit_db;
 
 /// Scores the outputs of one design point over the evaluation records.
 pub trait GoalFunction {
@@ -39,49 +39,6 @@ impl GoalFunction for SnrGoal {
             acc += snr.min(120.0);
         }
         acc / outputs.len() as f64
-    }
-}
-
-/// Mean single-tone SNDR in dB — the Fig. 4 metric (requires sine inputs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SndrGoal {
-    /// The test-tone frequency (Hz).
-    pub tone_hz: f64,
-}
-
-impl GoalFunction for SndrGoal {
-    fn name(&self) -> &str {
-        "sndr_db"
-    }
-
-    fn evaluate(&self, outputs: &[(SimOutput, usize)]) -> f64 {
-        assert!(!outputs.is_empty(), "cannot score an empty evaluation set");
-        let mut acc = 0.0;
-        for (o, _) in outputs {
-            acc += sndr_db(&o.input_referred, o.fs_out, self.tone_hz).min(120.0);
-        }
-        acc / outputs.len() as f64
-    }
-}
-
-/// Negative mean PRD (percentage root-mean-square difference) — the
-/// standard compressed-EEG reconstruction metric, negated so that higher is
-/// better like every other goal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PrdGoal;
-
-impl GoalFunction for PrdGoal {
-    fn name(&self) -> &str {
-        "neg_prd_percent"
-    }
-
-    fn evaluate(&self, outputs: &[(SimOutput, usize)]) -> f64 {
-        assert!(!outputs.is_empty(), "cannot score an empty evaluation set");
-        let mut acc = 0.0;
-        for (o, _) in outputs {
-            acc += efficsense_dsp::metrics::prd_percent(&o.reference, &o.input_referred).min(1e3);
-        }
-        -(acc / outputs.len() as f64)
     }
 }
 
@@ -166,37 +123,6 @@ mod tests {
         let good = SnrGoal.evaluate(&[(fake_output(x.clone(), slightly), 0)]);
         let bad = SnrGoal.evaluate(&[(fake_output(x, badly), 0)]);
         assert!(good > bad + 20.0, "good {good} vs bad {bad}");
-    }
-
-    #[test]
-    fn sndr_goal_scores_clean_tone_high() {
-        let fs = 537.6;
-        let tone = efficsense_dsp::spectrum::coherent_frequency(64.0, fs, 4096);
-        let x = efficsense_dsp::spectrum::sine(4096, fs, tone, 1.0, 0.0);
-        let goal = SndrGoal { tone_hz: tone };
-        let v = goal.evaluate(&[(fake_output(x.clone(), x), 0)]);
-        assert!(v > 100.0, "clean tone SNDR {v}");
-        assert_eq!(goal.name(), "sndr_db");
-    }
-
-    #[test]
-    fn prd_goal_orders_like_snr() {
-        let x: Vec<f64> = (0..256).map(|i| (i as f64 * 0.1).sin()).collect();
-        let close: Vec<f64> = x
-            .iter()
-            .enumerate()
-            .map(|(i, v)| v + 0.01 * (i as f64).cos())
-            .collect();
-        let far: Vec<f64> = x
-            .iter()
-            .enumerate()
-            .map(|(i, v)| v + 0.3 * (i as f64).cos())
-            .collect();
-        let g_close = PrdGoal.evaluate(&[(fake_output(x.clone(), close), 0)]);
-        let g_far = PrdGoal.evaluate(&[(fake_output(x, far), 0)]);
-        assert!(g_close > g_far, "lower PRD must score higher");
-        assert!(g_close <= 0.0, "metric is negated PRD");
-        assert_eq!(PrdGoal.name(), "neg_prd_percent");
     }
 
     #[test]

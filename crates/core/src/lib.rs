@@ -17,7 +17,7 @@
 //!    [`efficsense_power::PowerBreakdown`] from the Table II models.
 //! 3. **Extract technology parameters** — [`efficsense_power::TechnologyParams`].
 //! 4. **Insert real sensor data** — [`efficsense_signals::EegDataset`].
-//! 5. **Choose goal function** — [`goal::GoalFunction`]: SNR, SNDR or
+//! 5. **Choose goal function** — [`goal::GoalFunction`]: SNR or
 //!    seizure-detection accuracy, then sweep with [`sweep::Sweep`] and pick
 //!    optima with [`pareto`].
 //!
@@ -28,7 +28,7 @@
 //! let space = DesignSpace::paper_defaults();
 //! let sweep = Sweep::new(SweepConfig::default());
 //! let results = sweep.run(&space, &dataset);
-//! let front = pareto_front(&results, Objective::MaximizeMetric);
+//! let front = pareto_front(&results);
 //! for r in front {
 //!     println!("{:?} {} µW metric {:.3}", r.point.architecture, r.power_w * 1e6, r.metric);
 //! }
@@ -56,7 +56,7 @@ pub mod prelude {
     };
     pub use crate::detector::SeizureDetector;
     pub use crate::goal::GoalFunction;
-    pub use crate::pareto::{pareto_front, Objective};
+    pub use crate::pareto::pareto_front;
     pub use crate::prefix::{PrefixBudgets, PrefixStats, PrefixStore};
     pub use crate::simulate::{SimOutput, Simulator};
     pub use crate::space::{DesignPoint, DesignSpace};

@@ -3,20 +3,13 @@
 use crate::sweep::SweepResult;
 use efficsense_dsp::approx::total_eq;
 
-/// Optimisation objective paired with power minimisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Objective {
-    /// Maximise the quality metric while minimising power.
-    MaximizeMetric,
-}
-
 /// Returns the Pareto-optimal subset: points for which no other point has
 /// both lower power and at least as high a metric (with one strictly better).
 ///
 /// The front is sorted by ascending power, so it can be plotted directly as
 /// the Fig. 7 trade-off curve; walking it answers "what is the cheapest
 /// design achieving at least X?" (see [`optimal_under_constraint`]).
-pub fn pareto_front(results: &[SweepResult], _objective: Objective) -> Vec<&SweepResult> {
+pub fn pareto_front(results: &[SweepResult]) -> Vec<&SweepResult> {
     let mut front: Vec<&SweepResult> = Vec::new();
     for candidate in results {
         if !candidate.metric.is_finite() {
@@ -47,19 +40,6 @@ pub fn optimal_under_constraint(results: &[SweepResult], min_metric: f64) -> Opt
         .min_by(|a, b| a.power_w.total_cmp(&b.power_w))
 }
 
-/// Like [`optimal_under_constraint`] with an additional area cap in
-/// `C_u,min` units (the Fig. 10 search).
-pub fn optimal_under_area_constraint(
-    results: &[SweepResult],
-    min_metric: f64,
-    max_area_units: f64,
-) -> Option<&SweepResult> {
-    results
-        .iter()
-        .filter(|r| r.metric >= min_metric && r.area_units <= max_area_units)
-        .min_by(|a, b| a.power_w.total_cmp(&b.power_w))
-}
-
 /// Filters results to those within an area cap, preserving order — used to
 /// rebuild per-constraint Pareto fronts for Fig. 10.
 pub fn within_area(results: &[SweepResult], max_area_units: f64) -> Vec<SweepResult> {
@@ -68,42 +48,6 @@ pub fn within_area(results: &[SweepResult], max_area_units: f64) -> Vec<SweepRes
         .filter(|r| r.area_units <= max_area_units)
         .cloned()
         .collect()
-}
-
-/// Three-objective Pareto front: minimise power, minimise area, maximise the
-/// metric. A point survives unless some other point is at least as good on
-/// all three axes and strictly better on one.
-///
-/// This generalises the paper's Fig. 10 (which re-runs the two-objective
-/// search under a ladder of area caps): the 3-D front contains the union of
-/// all such constrained fronts.
-pub fn pareto_front_3d(results: &[SweepResult]) -> Vec<&SweepResult> {
-    let mut front: Vec<&SweepResult> = Vec::new();
-    for candidate in results {
-        if !candidate.metric.is_finite() {
-            continue;
-        }
-        let dominated = results.iter().any(|other| {
-            !std::ptr::eq(other, candidate)
-                && other.metric.is_finite()
-                && other.power_w <= candidate.power_w
-                && other.area_units <= candidate.area_units
-                && other.metric >= candidate.metric
-                && (other.power_w < candidate.power_w
-                    || other.area_units < candidate.area_units
-                    || other.metric > candidate.metric)
-        });
-        if !dominated {
-            front.push(candidate);
-        }
-    }
-    front.sort_by(|a, b| a.power_w.total_cmp(&b.power_w));
-    front.dedup_by(|a, b| {
-        total_eq(a.power_w, b.power_w)
-            && total_eq(a.metric, b.metric)
-            && total_eq(a.area_units, b.area_units)
-    });
-    front
 }
 
 #[cfg(test)]
@@ -138,7 +82,7 @@ mod tests {
             res(3.0, 0.93, 100.0), // dominated by the 2 µW point
             res(4.0, 0.99, 100.0),
         ];
-        let front = pareto_front(&results, Objective::MaximizeMetric);
+        let front = pareto_front(&results);
         let powers: Vec<f64> = front.iter().map(|r| r.power_w * 1e6).collect();
         assert_eq!(powers, vec![1.0, 2.0, 4.0]);
     }
@@ -150,7 +94,7 @@ mod tests {
             res(1.0, 0.90, 0.0),
             res(3.0, 0.95, 0.0),
         ];
-        let front = pareto_front(&results, Objective::MaximizeMetric);
+        let front = pareto_front(&results);
         for w in front.windows(2) {
             assert!(w[0].power_w <= w[1].power_w);
             assert!(w[0].metric <= w[1].metric);
@@ -170,18 +114,17 @@ mod tests {
     }
 
     #[test]
-    fn area_constraint_excludes_large_designs() {
+    fn within_area_excludes_large_designs() {
         let results = vec![res(1.0, 0.99, 1e5), res(5.0, 0.99, 100.0)];
-        let opt = optimal_under_area_constraint(&results, 0.98, 1000.0).expect("feasible");
-        assert!((opt.power_w * 1e6 - 5.0).abs() < 1e-9);
         let filtered = within_area(&results, 1000.0);
         assert_eq!(filtered.len(), 1);
+        assert!((filtered[0].power_w * 1e6 - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn nan_metric_excluded_from_front() {
         let results = vec![res(1.0, f64::NAN, 0.0), res(2.0, 0.9, 0.0)];
-        let front = pareto_front(&results, Objective::MaximizeMetric);
+        let front = pareto_front(&results);
         assert_eq!(front.len(), 1);
         assert_eq!(front[0].metric, 0.9);
     }
@@ -189,46 +132,7 @@ mod tests {
     #[test]
     fn identical_points_dedup() {
         let results = vec![res(1.0, 0.9, 0.0), res(1.0, 0.9, 0.0)];
-        let front = pareto_front(&results, Objective::MaximizeMetric);
+        let front = pareto_front(&results);
         assert_eq!(front.len(), 1);
-    }
-
-    #[test]
-    fn front_3d_keeps_area_tradeoffs() {
-        // Same power/metric but one is smaller: the larger is dominated.
-        // A point that is worse on power but better on area survives.
-        let results = vec![
-            res(1.0, 0.9, 100.0),
-            res(1.0, 0.9, 50.0),  // dominates the 100-area twin
-            res(2.0, 0.9, 10.0),  // more power, much smaller → survives
-            res(3.0, 0.95, 10.0), // better metric at same area → survives
-        ];
-        let front = pareto_front_3d(&results);
-        let areas: Vec<f64> = front.iter().map(|r| r.area_units).collect();
-        assert_eq!(front.len(), 3);
-        assert!(!areas.contains(&100.0), "dominated large-area twin removed");
-    }
-
-    #[test]
-    fn front_3d_superset_of_2d_front() {
-        let results = vec![
-            res(1.0, 0.90, 1e5),
-            res(2.0, 0.95, 100.0),
-            res(3.0, 0.93, 10.0),
-            res(4.0, 0.99, 1e5),
-        ];
-        let f2: Vec<(f64, f64)> = pareto_front(&results, Objective::MaximizeMetric)
-            .iter()
-            .map(|r| (r.power_w, r.metric))
-            .collect();
-        let f3: Vec<(f64, f64)> = pareto_front_3d(&results)
-            .iter()
-            .map(|r| (r.power_w, r.metric))
-            .collect();
-        for p in &f2 {
-            assert!(f3.contains(p), "3-D front must contain the 2-D front");
-        }
-        // And the area axis rescues the (3.0, 0.93) point that 2-D discards.
-        assert!(f3.contains(&(3.0e-6, 0.93)));
     }
 }

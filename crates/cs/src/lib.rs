@@ -27,7 +27,6 @@
 pub mod basis;
 pub mod charge_sharing;
 pub mod decode;
-pub mod diagnostics;
 pub mod linalg;
 pub mod matrix;
 pub mod memo;

@@ -1,11 +1,9 @@
-//! IIR and FIR filtering.
+//! IIR filtering.
 //!
 //! Provides transposed direct-form-II biquad sections, Butterworth low/high
 //! pass design of arbitrary even/odd order (as biquad cascades), a one-pole
-//! low-pass (the LNA bandwidth model uses this), windowed-sinc FIR design and
-//! zero-phase (forward-backward) filtering.
-
-use crate::window::Window;
+//! low-pass (the LNA bandwidth model uses this) and zero-phase
+//! (forward-backward) filtering.
 
 /// A single second-order IIR section (normalised so `a0 == 1`).
 ///
@@ -238,97 +236,6 @@ impl OnePole {
     }
 }
 
-/// A finite-impulse-response filter with direct-form convolution state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FirFilter {
-    taps: Vec<f64>,
-    delay: Vec<f64>,
-    pos: usize,
-}
-
-impl FirFilter {
-    /// Creates an FIR filter from explicit taps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `taps` is empty.
-    pub fn new(taps: Vec<f64>) -> Self {
-        assert!(!taps.is_empty(), "FIR filter needs at least one tap");
-        let n = taps.len();
-        Self {
-            taps,
-            delay: vec![0.0; n],
-            pos: 0,
-        }
-    }
-
-    /// Designs a windowed-sinc low-pass with `n_taps` taps (made odd if even)
-    /// and cutoff `fc` Hz at rate `fs`, Hamming-windowed and normalised to
-    /// unity DC gain.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fc < fs/2`.
-    pub fn lowpass(n_taps: usize, fc: f64, fs: f64) -> Self {
-        assert!(
-            fc > 0.0 && fc < fs / 2.0,
-            "cutoff {fc} must lie in (0, fs/2)"
-        );
-        let n = if n_taps.is_multiple_of(2) {
-            n_taps + 1
-        } else {
-            n_taps.max(1)
-        };
-        let m = (n - 1) as f64 / 2.0;
-        let wc = 2.0 * fc / fs; // normalised cutoff (cycles/sample * 2)
-        let mut taps: Vec<f64> = (0..n)
-            .map(|i| {
-                let t = i as f64 - m;
-                let sinc = if crate::approx::is_zero(t) {
-                    wc
-                } else {
-                    (std::f64::consts::PI * wc * t).sin() / (std::f64::consts::PI * t)
-                };
-                sinc * Window::Hamming.value(i, n)
-            })
-            .collect();
-        let sum: f64 = taps.iter().sum();
-        for t in &mut taps {
-            *t /= sum;
-        }
-        Self::new(taps)
-    }
-
-    /// Processes one sample.
-    pub fn process(&mut self, x: f64) -> f64 {
-        self.delay[self.pos] = x;
-        let n = self.taps.len();
-        let mut acc = 0.0;
-        let mut idx = self.pos;
-        for &t in &self.taps {
-            acc += t * self.delay[idx];
-            idx = if idx == 0 { n - 1 } else { idx - 1 };
-        }
-        self.pos = (self.pos + 1) % n;
-        acc
-    }
-
-    /// Filters a whole buffer.
-    pub fn filter(&mut self, x: &[f64]) -> Vec<f64> {
-        x.iter().map(|&v| self.process(v)).collect()
-    }
-
-    /// The filter taps.
-    pub fn taps(&self) -> &[f64] {
-        &self.taps
-    }
-
-    /// Group delay in samples (linear-phase symmetric design).
-    pub fn group_delay(&self) -> usize {
-        (self.taps.len() - 1) / 2
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,22 +301,6 @@ mod tests {
             y = lp.process(1.0);
         }
         assert!((y - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fir_lowpass_dc_gain_unity() {
-        let mut f = FirFilter::lowpass(63, 100.0, 1000.0);
-        let y = f.filter(&vec![1.0; 500]);
-        assert!((y[400] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fir_attenuates_stopband() {
-        let fs = 1000.0;
-        let mut f = FirFilter::lowpass(101, 100.0, fs);
-        let x = sine(2000, fs, 400.0, 1.0, 0.0);
-        let y = f.filter(&x);
-        assert!(rms(&y[500..]) < 1e-3);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! This crate provides the numerical machinery every other EffiCSense crate
 //! builds on: an FFT, window functions, spectral estimation (periodogram and
-//! Welch PSD, band power), IIR/FIR filtering with Butterworth design,
+//! Welch PSD, band power), IIR filtering with Butterworth design,
 //! resampling, signal-quality metrics (SNR, SNDR, THD, ENOB) and descriptive
 //! statistics.
 //!

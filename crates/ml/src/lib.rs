@@ -7,16 +7,15 @@
 //! the deep network of Ullah et al. as the detector. That model (and its
 //! training corpus) is not available, so this crate provides an equivalent
 //! goal-function detector: spectral/temporal EEG feature extraction feeding a
-//! small multi-layer perceptron trained with Adam, plus logistic-regression
-//! and k-nearest-neighbour baselines. What matters for the framework is that
-//! detection accuracy is ≥ 98 % on clean signals and degrades as front-end
-//! noise, quantisation and CS reconstruction error corrupt the features —
-//! exactly the property these detectors have.
+//! small multi-layer perceptron trained with Adam. What matters for the
+//! framework is that detection accuracy is ≥ 98 % on clean signals and
+//! degrades as front-end noise, quantisation and CS reconstruction error
+//! corrupt the features — exactly the property this detector has.
 //!
 //! Everything is implemented on plain `Vec<f64>` with seeded determinism.
 //!
 //! ```
-//! use efficsense_ml::{mlp::MlpClassifier, Classifier, TrainConfig};
+//! use efficsense_ml::{mlp::MlpClassifier, TrainConfig};
 //! // Tiny XOR-ish toy problem.
 //! let x = vec![vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
 //! let y = vec![0, 1, 1, 0];
@@ -29,8 +28,6 @@
 #![deny(unsafe_code)]
 
 pub mod features;
-pub mod knn;
-pub mod logreg;
 pub mod metrics;
 pub mod mlp;
 pub mod scaler;
@@ -38,7 +35,7 @@ pub mod scaler;
 pub use features::{FeatureConfig, FeatureExtractor};
 pub use scaler::Scaler;
 
-/// Training hyperparameters shared by the gradient-based classifiers.
+/// Training hyperparameters of [`mlp::MlpClassifier`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Full passes over the training set.
@@ -60,27 +57,4 @@ impl Default for TrainConfig {
             weight_decay: 1e-4,
         }
     }
-}
-
-/// A trainable classifier mapping feature vectors to class indices.
-pub trait Classifier {
-    /// Fits the model to feature rows `x` with labels `y`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `x` and `y` lengths differ or `x` is empty.
-    fn fit(&mut self, x: &[Vec<f64>], y: &[usize], cfg: &TrainConfig);
-
-    /// Predicts the class of one feature vector.
-    fn predict(&self, x: &[f64]) -> usize;
-
-    /// Predicts class probabilities (defaults to a one-hot of `predict`).
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut p = vec![0.0; self.n_classes()];
-        p[self.predict(x)] = 1.0;
-        p
-    }
-
-    /// Number of classes.
-    fn n_classes(&self) -> usize;
 }

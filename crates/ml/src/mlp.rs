@@ -1,6 +1,6 @@
 //! Multi-layer perceptron with Adam, from scratch.
 
-use crate::{Classifier, TrainConfig};
+use crate::TrainConfig;
 use efficsense_rng::Rng64;
 
 /// One dense layer with its Adam state.
@@ -184,10 +184,14 @@ impl MlpClassifier {
         }
         loss / bsz
     }
-}
 
-impl Classifier for MlpClassifier {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[usize], cfg: &TrainConfig) {
+    /// Fits the model to feature rows `x` with labels `y`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` and `y` lengths differ, `x` is empty, or a label is not
+    /// below the class count.
+    pub fn fit(&mut self, x: &[Vec<f64>], y: &[usize], cfg: &TrainConfig) {
         assert_eq!(x.len(), y.len(), "feature and label counts must match");
         assert!(!x.is_empty(), "cannot train on an empty set");
         assert!(y.iter().all(|&c| c < self.n_classes), "label out of range");
@@ -203,7 +207,8 @@ impl Classifier for MlpClassifier {
         }
     }
 
-    fn predict(&self, x: &[f64]) -> usize {
+    /// Predicts the class of one feature vector (the argmax of the logits).
+    pub fn predict(&self, x: &[f64]) -> usize {
         let acts = self.forward_all(x);
         let logits = acts.last().expect("non-empty");
         logits
@@ -214,13 +219,10 @@ impl Classifier for MlpClassifier {
             .unwrap_or(0)
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+    /// Predicts softmax class probabilities for one feature vector.
+    pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
         let acts = self.forward_all(x);
         Self::softmax(acts.last().expect("non-empty"))
-    }
-
-    fn n_classes(&self) -> usize {
-        self.n_classes
     }
 }
 

@@ -1,11 +1,9 @@
 //! Property-style tests for the ML substrate, run as seeded Monte-Carlo
 //! loops.
 
-use efficsense_ml::knn::KnnClassifier;
-use efficsense_ml::logreg::LogisticRegression;
 use efficsense_ml::metrics::{accuracy, Confusion};
 use efficsense_ml::mlp::MlpClassifier;
-use efficsense_ml::{Classifier, Scaler, TrainConfig};
+use efficsense_ml::{Scaler, TrainConfig};
 use efficsense_rng::Rng64;
 
 const CASES: u64 = 48;
@@ -47,41 +45,6 @@ fn mlp_probabilities_form_distribution() {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i);
         assert_eq!(Some(mlp.predict(&x)), arg, "case {case}");
-    }
-}
-
-#[test]
-fn logreg_decision_threshold_consistent() {
-    for case in 0..CASES {
-        let mut g = Rng64::new(0x1069 + case);
-        let x: Vec<f64> = (0..2).map(|_| g.uniform(-5.0, 5.0)).collect();
-        let mut lr = LogisticRegression::new();
-        lr.fit(
-            &[vec![-1.0, 0.0], vec![1.0, 0.0]],
-            &[0, 1],
-            &TrainConfig {
-                epochs: 50,
-                ..Default::default()
-            },
-        );
-        let p = lr.probability(&x);
-        assert_eq!(lr.predict(&x), usize::from(p >= 0.5), "case {case}");
-    }
-}
-
-#[test]
-fn knn_prediction_is_a_training_label() {
-    for case in 0..CASES {
-        let mut g = Rng64::new(0x6AA0 + case);
-        let n = g.range(1, 20);
-        let x: Vec<Vec<f64>> = (0..n).map(|_| vec![g.uniform(-10.0, 10.0)]).collect();
-        let y: Vec<usize> = (0..n).map(|_| g.index(3)).collect();
-        let query = g.uniform(-10.0, 10.0);
-        let k = g.range(1, 5);
-        let mut knn = KnnClassifier::new(k, 3);
-        knn.fit(&x, &y, &TrainConfig::default());
-        let pred = knn.predict(&[query]);
-        assert!(y.contains(&pred), "case {case}");
     }
 }
 

@@ -72,8 +72,8 @@ pub struct Profile {
     /// Lines that failed to parse (e.g. a torn tail write).
     pub skipped_lines: u64,
     /// Closed spans whose parent chain dangled — the referenced parent
-    /// never appeared in the trace (truncation) or the chain exceeded
-    /// [`MAX_STACK_DEPTH`]. Their stack roots where the chain broke.
+    /// never appeared in the trace (truncation) or the chain exceeded 64
+    /// levels. Their stack roots where the chain broke.
     pub orphans: u64,
     /// Per-name aggregates, name-ordered.
     pub stages: BTreeMap<String, StageStats>,

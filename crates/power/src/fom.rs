@@ -1,7 +1,7 @@
 //! Figures of merit.
 //!
 //! The paper's Section II positions EffiCSense against FOM-based power
-//! estimation ([2], [12]): FOMs compress a converter or amplifier into one
+//! estimation (\[2\], \[12\]): FOMs compress a converter or amplifier into one
 //! scalar, which is exactly why they cannot drive mixed-signal co-design —
 //! but they remain the standard way to sanity-check a design point against
 //! survey data. This module computes the classic FOMs from the framework's

@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release --example epilepsy_pathfinding`
 
-use efficsense::core::pareto::{optimal_under_constraint, pareto_front, Objective};
+use efficsense::core::pareto::{optimal_under_constraint, pareto_front};
 use efficsense::core::prelude::*;
 use efficsense::core::sweep::{split_by_architecture, Metric};
 
@@ -45,11 +45,11 @@ fn main() {
     let cs: Vec<SweepResult> = cs.into_iter().cloned().collect();
 
     println!("\nbaseline Pareto front (accuracy vs power):");
-    for r in pareto_front(&base, Objective::MaximizeMetric) {
+    for r in pareto_front(&base) {
         println!("  {:>9.3} µW  accuracy {:.3}", r.power_w * 1e6, r.metric);
     }
     println!("CS Pareto front (accuracy vs power):");
-    for r in pareto_front(&cs, Objective::MaximizeMetric) {
+    for r in pareto_front(&cs) {
         println!("  {:>9.3} µW  accuracy {:.3}", r.power_w * 1e6, r.metric);
     }
 

@@ -3,7 +3,7 @@
 use efficsense::core::config::{Architecture, CsConfig, SystemConfig};
 use efficsense::core::detector::SeizureDetector;
 use efficsense::core::goal::{DetectionGoal, GoalFunction, SnrGoal};
-use efficsense::core::pareto::{optimal_under_constraint, pareto_front, Objective};
+use efficsense::core::pareto::{optimal_under_constraint, pareto_front};
 use efficsense::core::report;
 use efficsense::core::space::DesignSpace;
 use efficsense::core::sweep::{split_by_architecture, Metric, Sweep, SweepConfig, SweepResult};
@@ -47,7 +47,7 @@ fn five_step_flow_produces_actionable_results() {
     let (base, cs) = split_by_architecture(&results);
     assert!(!base.is_empty() && !cs.is_empty());
     let base_owned: Vec<SweepResult> = base.into_iter().cloned().collect();
-    let front = pareto_front(&base_owned, Objective::MaximizeMetric);
+    let front = pareto_front(&base_owned);
     assert!(!front.is_empty());
 
     // The selection step returns a design meeting a (loose) constraint.

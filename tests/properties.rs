@@ -2,7 +2,7 @@
 //! run as seeded Monte-Carlo loops.
 
 use efficsense::core::config::Architecture;
-use efficsense::core::pareto::{pareto_front, Objective};
+use efficsense::core::pareto::pareto_front;
 use efficsense::core::space::DesignPoint;
 use efficsense::core::sweep::SweepResult;
 use efficsense::cs::charge_sharing::{effective_matrix, eq1_weights, share, Accumulator};
@@ -171,7 +171,7 @@ fn pareto_front_is_sound_and_complete() {
         let results: Vec<SweepResult> = (0..n_pts)
             .map(|_| fake_result(g.uniform(0.1, 100.0), g.f64()))
             .collect();
-        let front = pareto_front(&results, Objective::MaximizeMetric);
+        let front = pareto_front(&results);
         assert!(!front.is_empty(), "case {case}");
         // Soundness: no front member is dominated by any result.
         for f in &front {
