@@ -384,6 +384,15 @@ fn main() {
          (got ratio {stage_ratio:.4})"
     );
     println!("    stage self-time sum / point wall time = {stage_ratio:.4}");
+    // The wait on the worker pool is child time: `sweep.run` self time is
+    // its set-up and merge only.
+    let run = snap.span("sweep.run").expect("sweep.run span recorded");
+    let run_self_share = run.self_ns as f64 / (run.total_ns as f64).max(1.0);
+    assert!(
+        run_self_share <= 0.05,
+        "sweep.run self time must be at most 5% of its total (got {run_self_share:.4})"
+    );
+    println!("    sweep.run self / total = {run_self_share:.4}");
 
     // ---- BENCH_sweep.json for CI. `uncached_*` is the fresh-prefix-store
     // pass A (the gated headline); `prefix_off_s` documents the pre-L3 cost.

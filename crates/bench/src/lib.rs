@@ -242,7 +242,7 @@ pub fn write_bench_json(path: &str, summary: &Json) {
 /// and workload scale, so `fig8`/`fig9`/`fig10` reuse `fig7`'s results.
 ///
 /// The sweep runs under [`FailurePolicy::Skip`] and persists its quarantine
-/// (point label, typed error, retry count) to a `*_quarantine.csv` sibling
+/// (point label, typed error, message) to a `*_quarantine.csv` sibling
 /// of the results CSV, so an overnight figure run that loses points leaves
 /// an inspectable record instead of dying or silently thinning the figure.
 pub fn sweep_cached(metric: efficsense_core::sweep::Metric) -> Vec<SweepResult> {

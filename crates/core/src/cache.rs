@@ -28,9 +28,8 @@
 //!    configuration and every sample bit, which also pins the per-record
 //!    noise seeds (they derive from record ids).
 //!
-//! Only *unsalted* (attempt-0) successes are ever cached; salted retry
-//! evaluations (see [`crate::sweep::FailurePolicy::Retry`]) intentionally
-//! perturb seeds and must not alias the clean key.
+//! The sweep stores every successful evaluation under its key; failed
+//! points are quarantined, never cached.
 
 use crate::config::{Architecture, SystemConfig};
 use crate::detector::SeizureDetector;

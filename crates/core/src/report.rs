@@ -75,7 +75,7 @@ fn finite_cell(value: f64, scale: f64, blanked: &mut usize) -> String {
 }
 
 /// Writes a sweep's quarantine as CSV (one row per failed point):
-/// `index,label,error_kind,retries,message`, where `error_kind` is the
+/// `index,label,error_kind,message`, where `error_kind` is the
 /// stable discriminant (`config` / `panicked` / `non_finite`) and `message`
 /// is the quoted human-readable error. An empty quarantine still writes the
 /// header, so a sibling file of the results CSV always exists and parses.
@@ -87,15 +87,14 @@ pub fn write_quarantine_csv<W: Write>(
     mut w: W,
     quarantine: &[QuarantinedPoint],
 ) -> std::io::Result<()> {
-    writeln!(w, "index,label,error_kind,retries,message")?;
+    writeln!(w, "index,label,error_kind,message")?;
     for q in quarantine {
         writeln!(
             w,
-            "{},{},{},{},{}",
+            "{},{},{},{}",
             q.index,
             q.point.label(),
             error_kind(&q.error),
-            q.retries,
             csv_quote(&q.error.to_string())
         )?;
     }
@@ -257,24 +256,22 @@ mod tests {
                 index: 3,
                 point: sample_result().point,
                 error: PointError::NonFinite("metric NaN, power 5e-6 W".to_string()),
-                retries: 2,
             },
             QuarantinedPoint {
                 index: 7,
                 point: sample_result().point,
                 error: PointError::Panicked("said \"no\"".to_string()),
-                retries: 0,
             },
         ];
         let mut buf = Vec::new();
         write_quarantine_csv(&mut buf, &q).expect("write to vec succeeds");
         let s = String::from_utf8(buf).expect("valid utf8");
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines[0], "index,label,error_kind,retries,message");
+        assert_eq!(lines[0], "index,label,error_kind,message");
         assert_eq!(lines.len(), 3);
         assert!(lines[1].starts_with("3,"));
-        assert!(lines[1].contains(",non_finite,2,"));
-        assert!(lines[2].contains(",panicked,0,"));
+        assert!(lines[1].contains(",non_finite,"));
+        assert!(lines[2].contains(",panicked,"));
         // Embedded quotes survive as RFC 4180 doubled quotes.
         assert!(lines[2].ends_with("\"model panicked: said \"\"no\"\"\""));
         // Empty quarantine still produces a parseable header-only file.

@@ -475,3 +475,27 @@ fn panicking_point_flushes_the_trace_before_quarantine() {
     obs.set_clock(Arc::new(efficsense_obs::MonotonicClock::default()));
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn faulted_points_counts_only_active_fault_plans() {
+    let _guard = obs_lock();
+    let obs = efficsense_obs::global();
+    let ds = tiny_dataset();
+    let space = tiny_space();
+    let faulted = |severity: f64| {
+        obs.reset();
+        Sweep::new(SweepConfig {
+            metric: Metric::Snr,
+            threads: 1,
+            detector_seed: 0,
+            failure_policy: FailurePolicy::Skip,
+            fault_plan: Some(FaultPlan::single(FaultKind::AdcStuckBit, severity, 1)),
+            ..Default::default()
+        })
+        .run_report(&space, &ds);
+        obs.snapshot().counter("sweep.faulted_points").unwrap_or(0)
+    };
+    // A severity-0 plan is clean, and the simulator drops it.
+    assert_eq!(faulted(0.0), 0);
+    assert_eq!(faulted(1.0), space.len() as u64);
+}

@@ -18,7 +18,6 @@ use crate::linalg::{dot, norm2, GrowingCholesky, Matrix};
 use crate::memo::DictionaryArtifacts;
 use crate::recon::OmpConfig;
 use efficsense_dsp::approx::is_zero;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Reusable per-decoder workspace: every buffer the fast OMP kernel needs,
 /// allocated once and recycled across frames (and across points — buffers
@@ -280,10 +279,10 @@ pub fn reconstruct_fast(
 /// Decodes every frame of a point in one call.
 ///
 /// `Aᵀy` for all frames is computed as a single cache-blocked pass over the
-/// dictionary, then frames fan out across a bounded `std::thread::scope`
-/// pool (`threads <= 1` decodes inline on the caller). Work is claimed from
-/// an atomic counter and results are collected with their frame index, then
-/// sorted — so the output is **bit-identical for every thread count**.
+/// dictionary, then frames fan out over the shared worker pool
+/// ([`efficsense_obs::ObsRegistry::parallel_map`]; `threads <= 1` decodes
+/// inline on the caller), which returns them in frame order — so the output
+/// is **bit-identical for every thread count**.
 ///
 /// # Panics
 ///
@@ -320,7 +319,7 @@ pub fn reconstruct_batch(
             }
         }
     }
-    let decode = |r: usize, ws: &mut OmpScratch| -> Vec<f64> {
+    let decode = |ws: &mut OmpScratch, r: usize| -> Vec<f64> {
         let _chol_span = efficsense_obs::span!("recon.cholup");
         ws.b.clear();
         ws.b.extend_from_slice(bmat.row(r));
@@ -337,37 +336,9 @@ pub fn reconstruct_batch(
     };
     if threads <= 1 {
         let mut ws = OmpScratch::new();
-        return (0..frames.len()).map(|r| decode(r, &mut ws)).collect();
+        return (0..frames.len()).map(|r| decode(&mut ws, r)).collect();
     }
-    let workers = threads.min(frames.len());
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, Vec<f64>)> = Vec::with_capacity(frames.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ws = OmpScratch::new();
-                    let mut local: Vec<(usize, Vec<f64>)> = Vec::new();
-                    loop {
-                        let r = next.fetch_add(1, Ordering::Relaxed);
-                        if r >= frames.len() {
-                            break;
-                        }
-                        local.push((r, decode(r, &mut ws)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(mut local) => indexed.append(&mut local),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    indexed.sort_by_key(|(r, _)| *r);
-    indexed.into_iter().map(|(_, xh)| xh).collect()
+    efficsense_obs::global().parallel_map(threads, frames.len(), OmpScratch::new, decode)
 }
 
 #[cfg(test)]

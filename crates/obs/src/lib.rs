@@ -1,7 +1,7 @@
 //! Structured telemetry for the EffiCSense sweep engine.
 //!
 //! A design-space product sweep runs for hours across worker threads,
-//! caches, retries and fault plans; this crate is the window into it.
+//! caches and fault plans; this crate is the window into it.
 //! Std-only by design — it must build in the same offline environment as
 //! the models it observes — and strictly *passive*: nothing in this crate
 //! may change an evaluation result, only record timing and counts or, in
@@ -10,7 +10,7 @@
 //! Three instrument kinds, aggregated in a process-wide [`ObsRegistry`]:
 //!
 //! * **Counters** ([`Counter`]) — monotonically increasing atomic event
-//!   counts (cache hits, quarantined points, retry attempts).
+//!   counts (cache hits, evaluations, quarantined points).
 //! * **Spans** ([`SpanGuard`], created by the [`span!`] macro) — scoped
 //!   timers feeding a fixed-bucket latency [`Histogram`] per span name.
 //!   Spans nest on a thread-local stack; every record carries both the
@@ -51,10 +51,15 @@
 //! prefixes), with its `<namespace>.{hit,miss,evict}` counters. It sits
 //! here because both `efficsense-cs` and `efficsense-core` depend on this
 //! crate and the profiler already reads those counters.
+//!
+//! The [`pool`] module holds the one worker pool that the sweep and the
+//! batched OMP decode fan out through, [`ObsRegistry::parallel_map`]. It
+//! books the caller's join wait as child time of the caller's open span.
 
 pub mod clock;
 pub mod json;
 pub mod metrics;
+pub mod pool;
 pub mod profile;
 pub mod registry;
 pub mod store;

@@ -53,6 +53,17 @@ thread_local! {
     };
 }
 
+/// Adds `ns` to the child time of the calling thread's open span, if any, so
+/// a wait on other threads (the [`ObsRegistry::parallel_map`] join) leaves
+/// its self time.
+pub(crate) fn charge_open_span(ns: u64) {
+    SPAN_STATE.with(|s| {
+        if let Some(top) = s.borrow_mut().frames.last_mut() {
+            top.child_ns = top.child_ns.saturating_add(ns);
+        }
+    });
+}
+
 fn recover<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
