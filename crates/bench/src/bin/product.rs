@@ -1,4 +1,4 @@
-//! Severity × design-space product sweep with the two-level evaluation cache.
+//! Severity × design-space product sweep with the three-level evaluation cache.
 //!
 //! The robustness workflow re-runs the whole design-space sweep once per
 //! `(fault kind, severity)` cell. This binary runs that product three ways —
@@ -11,14 +11,16 @@
 //!   precomputations shared per `(m, n, seed, kind)` — measured by running
 //!   one sweep with a cleared memo store and again with a warm one.
 //! * **Level 3** (`efficsense_core::prefix`): stage-prefix artifacts
-//!   (resampled records, LNA output, clean-clock samplings, references,
-//!   whole acquired front-ends) shared across sweep points — measured as a
-//!   store-off pass vs the headline uncached pass, plus an uncached
-//!   thread-scaling section at 1/2/4 workers.
+//!   (resampled records, LNA output, clean-clock samplings, references)
+//!   shared across sweep points — measured as a store-off pass vs the
+//!   headline uncached pass, plus an uncached thread-scaling section at
+//!   1/2/4 workers.
 //! * **Level 1** (`efficsense_core::cache`): whole `evaluate_point` results
 //!   keyed by content ([`efficsense_core::cache::point_key`]) — measured
-//!   across the product passes. Severity-0 cells canonicalise to the clean
-//!   key, so the cold pass already dedupes them.
+//!   across the product passes. L1 is the only store of whole evaluations:
+//!   severity-0 cells canonicalise to the clean key, so the cold pass
+//!   evaluates each distinct plan once per point (asserted), while the
+//!   uncached passes re-evaluate every severity-0 cell.
 //!
 //! Run: `cargo run --release -p efficsense-bench --bin product`
 //! (`EFFICSENSE_SCALE=medium|full` widens the cell grid and workload;
@@ -35,6 +37,7 @@ use efficsense_core::prelude::*;
 use efficsense_core::sweep::Metric;
 use efficsense_cs::memo;
 use efficsense_obs::json::Json;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -192,7 +195,7 @@ fn main() {
     let pstats = prefix_a.stats();
     println!(
         "    store off {:.2}s | on {:.2}s ({:.2}×) — analog {}h/{}m, sampled {}h/{}m, \
-         reference {}h/{}m, acquired {}h/{}m",
+         reference {}h/{}m",
         secs(t_prefix_off),
         secs(t_uncached),
         prefix_speedup,
@@ -202,8 +205,6 @@ fn main() {
         pstats.sampled.misses,
         pstats.reference.hits,
         pstats.reference.misses,
-        pstats.acquired.hits,
-        pstats.acquired.misses,
     );
 
     // ---- Thread scaling: the same uncached workload at fixed worker
@@ -253,6 +254,24 @@ fn main() {
         cold_stats.entries,
         cold_stats.hits
     );
+    // L1 alone dedupes cells whose plans share a canonical key (every
+    // severity-0 cell is the clean chain): the cold pass evaluates each
+    // distinct plan once per point. A failed point is never cached, so the
+    // count holds only when pass A quarantined nothing.
+    let distinct_plans = cells
+        .iter()
+        .map(|c| c.plan.canonical_key())
+        .collect::<BTreeSet<_>>()
+        .len();
+    if pass_a.iter().all(|r| r.quarantine.is_empty()) {
+        assert_eq!(
+            cold_stats.misses,
+            (distinct_plans * space.len()) as u64,
+            "the cold pass must evaluate each of the {distinct_plans} distinct plans once per point"
+        );
+    } else {
+        println!("    (pass A quarantined points: cold-pass miss-count assert skipped)");
+    }
     println!("  pass C: warm cache…");
     cache.reset_stats();
     let (pass_c, t_warm) =
@@ -438,8 +457,6 @@ fn main() {
                 ("sampled_misses", pstats.sampled.misses.into()),
                 ("reference_hits", pstats.reference.hits.into()),
                 ("reference_misses", pstats.reference.misses.into()),
-                ("acquired_hits", pstats.acquired.hits.into()),
-                ("acquired_misses", pstats.acquired.misses.into()),
                 ("evictions", pstats.evictions().into()),
             ]),
         ),

@@ -49,8 +49,7 @@ pub use efficsense_obs::StoreStats as CacheStats;
 /// Bump on any change to the key derivation or the persisted line format;
 /// every persisted cache entry from older versions then misses harmlessly.
 /// v2: [`FaultPlan::canonical_key`] moved from a `Debug` rendering to a
-/// structured `plan;…` encoding, and compound plans entered the key space
-/// under the disjoint `compound;…` prefix.
+/// structured `plan;…` encoding.
 const KEY_VERSION: &str = "efficsense-pointkey-v2";
 
 // ---------------------------------------------------------------------------
@@ -188,29 +187,17 @@ pub fn goal_descriptor(metric: crate::sweep::Metric, detector_seed: u64, epoch_s
 /// `cfg` must be the *instantiated* configuration
 /// ([`DesignPoint::to_config`] applied to the sweep template), so every
 /// template field — seeds, technology constants, CS imperfection switches —
-/// participates in the key.
+/// participates in the key. `None` and every clean plan key alike: a
+/// severity-0 cell is the same evaluation as the clean chain.
 #[must_use]
 pub fn point_key(cfg: &SystemConfig, plan: Option<&FaultPlan>, ctx: &EvalContext) -> PointKey {
-    point_key_for_fault(
-        cfg,
-        &plan.map_or_else(|| "clean".to_string(), FaultPlan::canonical_key),
-        ctx,
-    )
-}
-
-/// Like [`point_key`], but keyed by an explicit canonical fault string —
-/// the entry point for plans outside the static [`FaultPlan`] family, such
-/// as [`CompoundPlan::canonical_key`](efficsense_faults::CompoundPlan::canonical_key).
-/// The two families can never alias: static plans render under the `plan;`
-/// prefix, compound plans under `compound;`, and every clean plan of
-/// either family canonicalises to `"clean"` (aliasing clean cells is the
-/// point — a severity-0 cell is the same evaluation as the clean chain).
-#[must_use]
-pub fn point_key_for_fault(cfg: &SystemConfig, fault_key: &str, ctx: &EvalContext) -> PointKey {
     let mut h = KeyHasher::new();
     h.field("version", KEY_VERSION);
     h.field("cfg", &format!("{cfg:?}"));
-    h.field("plan", fault_key);
+    h.field(
+        "plan",
+        &plan.map_or_else(|| "clean".to_string(), FaultPlan::canonical_key),
+    );
     h.field("goal", &ctx.goal);
     h.field("dataset", &format!("{:016x}", ctx.dataset_fingerprint));
     h.finish()
@@ -553,6 +540,20 @@ mod tests {
     }
 
     #[test]
+    fn point_key_bytes_are_pinned() {
+        // Golden keys: persisted L1 files are keyed by these bytes, so a
+        // refactor of the key derivation must reproduce them exactly.
+        let clean = point_key(&SystemConfig::baseline(8), None, &ctx());
+        let active = point_key(
+            &SystemConfig::compressive(8, CsConfig::default()),
+            Some(&FaultPlan::single(FaultKind::CapLeakage, 0.5, 3)),
+            &ctx(),
+        );
+        assert_eq!(clean.hex(), "7172168f48ca94a35ac0ed6a5f060e7f");
+        assert_eq!(active.hex(), "8f597935c80df6b27fbfb82cdf88fdaa");
+    }
+
+    #[test]
     fn key_is_deterministic() {
         let cfg = SystemConfig::compressive(8, CsConfig::default());
         let plan = FaultPlan::single(FaultKind::CapLeakage, 0.5, 3);
@@ -639,75 +640,6 @@ mod tests {
         assert_ne!(a, by(FaultKind::CapLeakage, 0.6, 1));
         assert_ne!(a, by(FaultKind::CapLeakage, 0.5, 2));
         assert_ne!(a, by(FaultKind::ClockJitter, 0.5, 1));
-    }
-
-    #[test]
-    fn compound_keys_never_alias_static_plans_or_each_other() {
-        use efficsense_faults::{CompoundPlan, SeverityProfile};
-        let cfg = SystemConfig::baseline(8);
-        let c = ctx();
-        let ck = |p: &CompoundPlan| point_key_for_fault(&cfg, &p.canonical_key(), &c);
-        let base =
-            CompoundPlan::new(7, 1.0).with(FaultKind::CapLeakage, SeverityProfile::Constant(0.5));
-        let k = ck(&base);
-        assert_eq!(k, ck(&base.clone()), "key must be deterministic");
-        // A compound plan must not alias the static plan whose parameters
-        // it materialises to at t=0 — the realisations diverge over time.
-        assert_ne!(
-            k,
-            point_key(
-                &cfg,
-                Some(&FaultPlan::single(FaultKind::CapLeakage, 0.5, 7)),
-                &c
-            )
-        );
-        // Seed, update period, membership, profile family, profile
-        // parameters, and the profile-to-member assignment all separate.
-        assert_ne!(
-            k,
-            ck(&CompoundPlan::new(8, 1.0)
-                .with(FaultKind::CapLeakage, SeverityProfile::Constant(0.5)))
-        );
-        assert_ne!(
-            k,
-            ck(&CompoundPlan::new(7, 2.0)
-                .with(FaultKind::CapLeakage, SeverityProfile::Constant(0.5)))
-        );
-        assert_ne!(
-            k,
-            ck(&base
-                .clone()
-                .with(FaultKind::ClockJitter, SeverityProfile::Constant(0.3)))
-        );
-        assert_ne!(
-            k,
-            ck(&CompoundPlan::new(7, 1.0)
-                .with(FaultKind::CapLeakage, SeverityProfile::Constant(0.6)))
-        );
-        // A constant profile and a flat linear ramp reach the same severity
-        // but are distinct plans (the linear one keeps ramping semantics).
-        assert_ne!(
-            k,
-            ck(&CompoundPlan::new(7, 1.0).with(
-                FaultKind::CapLeakage,
-                SeverityProfile::Linear {
-                    start: 0.5,
-                    end: 0.5,
-                    ramp_s: 1.0
-                },
-            ))
-        );
-        // Swapping which member carries which profile must re-key.
-        let ab = CompoundPlan::new(7, 1.0)
-            .with(FaultKind::CapLeakage, SeverityProfile::Constant(0.2))
-            .with(FaultKind::ClockJitter, SeverityProfile::Constant(0.7));
-        let ba = CompoundPlan::new(7, 1.0)
-            .with(FaultKind::CapLeakage, SeverityProfile::Constant(0.7))
-            .with(FaultKind::ClockJitter, SeverityProfile::Constant(0.2));
-        assert_ne!(ck(&ab), ck(&ba));
-        // Clean compound plans collapse onto the clean key, like clean
-        // static plans: a severity-0 cell is the clean evaluation.
-        assert_eq!(ck(&CompoundPlan::new(7, 1.0)), point_key(&cfg, None, &c));
     }
 
     #[test]

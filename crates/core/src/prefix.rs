@@ -14,7 +14,7 @@
 //! * **L3** (this module) — *stage-prefix artifacts* of the simulation
 //!   pipeline, shared across sweep points whose prefixes coincide.
 //!
-//! Five artifact classes are stored, from shallowest to deepest prefix:
+//! Four artifact classes are stored, from shallowest to deepest prefix:
 //!
 //! | class       | contents                                   | key axes |
 //! |-------------|--------------------------------------------|----------|
@@ -22,7 +22,10 @@
 //! | `analog`    | LNA-amplified proxy buffer                 | `ct` axes + LNA gain/noise/bandwidth/k3/v_clip, mixed LNA seed, canonical LNA-fault params + stream seed |
 //! | `reference` | clean input at `f_s`, trimmed to a length  | record fingerprint, `fs_in`, `f_s`, length |
 //! | `sampled`   | clean-clock CS sampling of the `analog` buffer | `analog` key, `f_s`, sample count |
-//! | `acquired`  | full front-end output (input-referred samples, word count, ADC input RMS, link stats) | full `SystemConfig`, canonical fault plan, record fingerprint, `fs_in`, noise seed |
+//!
+//! No class holds a record's finished output: whole evaluations are
+//! cached by L1 alone, so every run still drives its own back end (ADC
+//! and link, plus encoder and decoder on the CS path).
 //!
 //! Every artifact is **derived deterministically from its key**, so a
 //! memoized artifact is bit-identical to a freshly built one: attaching a
@@ -35,11 +38,10 @@
 //! The lookups sit at the stage boundaries of the simulation stream
 //! ([`crate::stream`]) and serve whole-record runs only
 //! ([`Simulator::run`], which fingerprints its record before the stream
-//! opens). The `acquired` class is consulted before the stream opens —
-//! a hit skips the front end and decode alike; `analog` (with `ct` on a
-//! miss), `sampled` and `reference` are consulted by the stages they
-//! replace, and each built artifact is inserted as its stage completes.
-//! Chunked streams never consult the store.
+//! opens). `analog` (with `ct` on a miss), `sampled` and `reference` are
+//! consulted by the stages they replace, and each built artifact is
+//! inserted as its stage completes. Chunked streams never consult the
+//! store.
 //!
 //! Unlike the unbounded L2 stores, every class here is **capped**: values
 //! are whole per-record signal buffers, so a long-running sweep server
@@ -47,12 +49,11 @@
 //! element budget (one element ≈ one `f64`); inserts beyond the budget
 //! evict the oldest entries first. Eviction only ever costs future hits —
 //! rebuilt artifacts are bit-identical by construction.
-
 //!
 //! [`Simulator::run`]: crate::simulate::Simulator::run
 
 use crate::cache::{Fnv64, KeyHasher};
-use efficsense_faults::{LinkStats, LnaRailFault};
+use efficsense_faults::LnaRailFault;
 use efficsense_obs::Store;
 use std::sync::Arc;
 
@@ -196,49 +197,6 @@ pub fn sampled_key(analog: PrefixKey, f_s: f64, n: usize) -> PrefixKey {
     PrefixKey(h.digest())
 }
 
-/// Key of the full acquired front-end output for one record. The deepest
-/// prefix: everything up to (and including) reconstruction, just before
-/// the goal function. Keyed by the complete configuration rendering and
-/// the canonical fault plan — the same canonicalisation discipline as the
-/// L1 [`crate::cache::point_key`] — plus the record content and noise
-/// seed, so it is sufficient for every block the chain instantiates.
-#[must_use]
-pub fn acquired_key(
-    cfg_key: &str,
-    plan_key: &str,
-    record_fp: u64,
-    fs_in: f64,
-    noise_seed: u64,
-) -> PrefixKey {
-    let mut h = hasher("acquired");
-    h.field("cfg", cfg_key);
-    h.field("plan", plan_key);
-    h.field_u64("record", record_fp);
-    h.field_u64("fs_in", fs_in.to_bits());
-    h.field_u64("noise_seed", noise_seed);
-    PrefixKey(h.digest())
-}
-
-// ---------------------------------------------------------------------------
-// Artifact values
-// ---------------------------------------------------------------------------
-
-/// The acquired front-end output of one record: everything
-/// [`crate::simulate::Simulator::run`] derives from the signal path (the
-/// power/area models re-derive cheaply from the config and the stored RMS).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AcquiredPrefix {
-    /// Acquired samples referred back to the sensor input (already divided
-    /// by the LNA gain, which is part of the key).
-    pub input_referred: Vec<f64>,
-    /// Data words sent to the transmitter.
-    pub words: u64,
-    /// Measured RMS at the converter input (feeds the DAC switching model).
-    pub adc_in_rms: f64,
-    /// Radio-link accounting when a packet-loss fault was active.
-    pub link: Option<LinkStats>,
-}
-
 // ---------------------------------------------------------------------------
 // PrefixStore
 // ---------------------------------------------------------------------------
@@ -255,13 +213,11 @@ pub struct PrefixBudgets {
     pub reference: usize,
     /// Clean-clock CS samplings.
     pub sampled: usize,
-    /// Acquired front-end outputs.
-    pub acquired: usize,
 }
 
 impl Default for PrefixBudgets {
     fn default() -> Self {
-        // ~120 MB total at f64 size: comfortably holds a reduced-scale
+        // ~88 MB total at f64 size: comfortably holds a reduced-scale
         // product sweep while bounding a long-running server. The CT and
         // amplified buffers run at the proxy rate (8× oversampled), so they
         // get the larger shares.
@@ -270,12 +226,11 @@ impl Default for PrefixBudgets {
             analog: 4 << 20,
             reference: 1 << 20,
             sampled: 2 << 20,
-            acquired: 4 << 20,
         }
     }
 }
 
-/// The Level-3 prefix store: five bounded, content-addressed artifact
+/// The Level-3 prefix store: four bounded, content-addressed artifact
 /// classes (see the module docs), each a [`Store`] counting under
 /// `memo.<class>.*`. Cheap to share: clone an `Arc<PrefixStore>` into every
 /// [`crate::sweep::Sweep`] (or attach it to a bare
@@ -287,7 +242,6 @@ pub struct PrefixStore {
     analog: Store<PrefixKey, Vec<f64>>,
     reference: Store<PrefixKey, Vec<f64>>,
     sampled: Store<PrefixKey, Vec<f64>>,
-    acquired: Store<PrefixKey, AcquiredPrefix>,
 }
 
 impl Default for PrefixStore {
@@ -313,8 +267,6 @@ impl PrefixStore {
             analog: Store::new("memo.analog", b.analog, Vec::len),
             reference: Store::new("memo.reference", b.reference, Vec::len),
             sampled: Store::new("memo.sampled", b.sampled, Vec::len),
-            // words/rms/link are a rounding error next to the sample buffer.
-            acquired: Store::new("memo.acquired", b.acquired, |a| a.input_referred.len() + 8),
         }
     }
 
@@ -364,22 +316,6 @@ impl PrefixStore {
         self.sampled.insert(key, v)
     }
 
-    /// Looks up an acquired front-end output.
-    #[must_use]
-    pub fn get_acquired(&self, key: PrefixKey) -> Option<Arc<AcquiredPrefix>> {
-        self.acquired.get(&key)
-    }
-
-    /// Stores a freshly acquired front-end output, returning the shared
-    /// handle.
-    pub fn insert_acquired(&self, key: PrefixKey, v: AcquiredPrefix) -> Arc<AcquiredPrefix> {
-        efficsense_dsp::approx::debug_assert_all_finite(
-            &v.input_referred,
-            "prefix: acquired artifact",
-        );
-        self.acquired.insert(key, v)
-    }
-
     /// Current counters of every class.
     #[must_use]
     pub fn stats(&self) -> PrefixStats {
@@ -388,7 +324,7 @@ impl PrefixStore {
             analog: self.analog.stats(),
             reference: self.reference.stats(),
             sampled: self.sampled.stats(),
-            acquired: self.acquired.stats(),
+            acquired: ClassStats::default(),
         }
     }
 
@@ -398,7 +334,6 @@ impl PrefixStore {
         self.analog.reset_stats();
         self.reference.reset_stats();
         self.sampled.reset_stats();
-        self.acquired.reset_stats();
     }
 }
 
@@ -413,22 +348,18 @@ pub struct PrefixStats {
     pub reference: ClassStats,
     /// Clean-clock CS samplings.
     pub sampled: ClassStats,
-    /// Acquired front-end outputs.
+    /// Always zero: the store has no `acquired` class. Kept only because
+    /// the repository benchmark (`benchmark/`) reads it; it is removed in
+    /// the next change that updates `benchmark/`.
     pub acquired: ClassStats,
 }
 
 impl PrefixStats {
     fn total(&self, field: fn(&ClassStats) -> u64) -> u64 {
-        [
-            self.ct,
-            self.analog,
-            self.reference,
-            self.sampled,
-            self.acquired,
-        ]
-        .iter()
-        .map(field)
-        .sum()
+        [self.ct, self.analog, self.reference, self.sampled]
+            .iter()
+            .map(field)
+            .sum()
     }
 
     /// Total hits across every class.
@@ -621,15 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn acquired_key_separates_config_plan_record_and_seed() {
-        let k = acquired_key("cfg-a", "clean", 1, 173.61, 5);
-        assert_ne!(k, acquired_key("cfg-b", "clean", 1, 173.61, 5));
-        assert_ne!(k, acquired_key("cfg-a", "plan;seed=1;x", 1, 173.61, 5));
-        assert_ne!(k, acquired_key("cfg-a", "clean", 2, 173.61, 5));
-        assert_ne!(k, acquired_key("cfg-a", "clean", 1, 173.61, 6));
-    }
-
-    #[test]
     fn classes_never_alias_even_on_equal_axes() {
         // A CT key and a reference key over identical field values must
         // differ: the class tag is part of every key.
@@ -672,7 +594,6 @@ mod tests {
             analog: 32,
             reference: 32,
             sampled: 32,
-            acquired: 32,
         });
         let keys: Vec<PrefixKey> = (0..64).map(|i| ct_key(i, 100.0, 800.0)).collect();
         for &k in &keys {
@@ -703,7 +624,6 @@ mod tests {
             analog: 16,
             reference: 16,
             sampled: 16,
-            acquired: 16,
         });
         let key = ct_key(77, 100.0, 800.0);
         store.insert_ct(key, vec![0.0; 1000]);

@@ -5,9 +5,9 @@
 //! an injected fault plan, an attached prefix store — plus the power and
 //! area models. The acquisition chain itself lives in [`crate::stream`]:
 //! [`Simulator::run`] is one push of the whole record into a
-//! [`StreamSimulator`] followed by its `finish`, with the Level-3
-//! `acquired` lookup ([`crate::prefix`]) answered before the stream
-//! opens.
+//! [`StreamSimulator`] followed by its `finish`. With a Level-3 prefix
+//! store ([`crate::prefix`]) attached, the run fingerprints its record
+//! once, and the stream's stages key their lookups off that fingerprint.
 
 use crate::config::{ConfigError, CsConfig, SystemConfig};
 use crate::prefix::{self, PrefixStore};
@@ -75,13 +75,6 @@ pub struct Simulator {
     /// results — artifacts are derived from their keys — so it is not part
     /// of any cache key.
     pub(crate) prefix: Option<Arc<PrefixStore>>,
-    /// Full configuration rendering, computed once per simulator; the
-    /// config axis of the `acquired` prefix key.
-    pub(crate) cfg_key: Arc<str>,
-    /// Canonical fault-plan rendering (`"clean"` when no active plan); the
-    /// plan axis of the `acquired` prefix key. Kept in lockstep with `plan`
-    /// by [`Simulator::set_fault_plan`].
-    pub(crate) plan_key: Arc<str>,
 }
 
 /// Reusable per-thread simulation buffers. A sweep worker holds one scratch
@@ -194,18 +187,12 @@ impl Simulator {
         } else {
             ArchState::Baseline
         };
-        // The full `Debug` rendering covers every configuration field — the
-        // same sufficiency argument as the L1 point key — and is computed
-        // once here rather than per record.
-        let cfg_key = Arc::from(format!("{cfg:?}"));
         Ok(Self {
             cfg,
             arch,
             plan: None,
             decode_threads: 1,
             prefix: None,
-            cfg_key,
-            plan_key: Arc::from("clean"),
         })
     }
 
@@ -231,10 +218,6 @@ impl Simulator {
     /// calls. Clean plans are dropped so the clean path stays bit-identical.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.plan = plan.filter(|p| !p.is_clean());
-        self.plan_key = match &self.plan {
-            Some(p) => Arc::from(p.canonical_key()),
-            None => Arc::from("clean"),
-        };
     }
 
     /// Attaches (or detaches) a Level-3 prefix store. Attaching a store
@@ -289,9 +272,8 @@ impl Simulator {
     /// evaluation stops allocating output buffers per record.
     ///
     /// The record runs as one push of a [`StreamSimulator`] followed by its
-    /// `finish`. With a prefix store attached, the record's `acquired`
-    /// artifact is consulted first: a hit skips the front end and decode
-    /// entirely, so it answers before the stream opens.
+    /// `finish`. With a prefix store attached, the record is fingerprinted
+    /// first, so the stream's stages can consult the store.
     ///
     /// # Panics
     ///
@@ -305,9 +287,8 @@ impl Simulator {
     ) -> SimOutput {
         assert!(!input.is_empty(), "cannot simulate an empty record");
         assert!(fs_in > 0.0, "input rate must be positive");
-        let f_s = self.cfg.design.f_sample_hz();
         if let ArchState::Cs(state) = &self.arch {
-            let n_samples = (input.len() as f64 / fs_in * f_s) as usize;
+            let n_samples = (input.len() as f64 / fs_in * self.cfg.design.f_sample_hz()) as usize;
             assert!(
                 n_samples >= state.cs.n_phi,
                 "record too short for the CS architecture: {n_samples} samples at f_sample \
@@ -317,36 +298,12 @@ impl Simulator {
         }
         // L3: fingerprint the record once per run; every prefix key hangs
         // off it.
-        let acquired = self.prefix.as_deref().map(|store| {
-            let fp = prefix::record_fingerprint(input);
-            let key = prefix::acquired_key(&self.cfg_key, &self.plan_key, fp, fs_in, noise_seed);
-            (store, fp, key)
-        });
-        if let Some((store, fp, key)) = acquired {
-            if let Some(hit) = store.get_acquired(key) {
-                let len = hit.input_referred.len();
-                let mut input_referred = scratch.take(len);
-                input_referred.extend_from_slice(&hit.input_referred);
-                let mut reference = scratch.take(len);
-                stream::whole_reference(Some((store, fp)), input, fs_in, f_s, len, &mut reference);
-                let power = {
-                    let _power_span = efficsense_obs::span!("stage.power");
-                    self.power_breakdown(hit.adc_in_rms)
-                };
-                return SimOutput {
-                    input_referred,
-                    reference,
-                    fs_out: f_s,
-                    power,
-                    area_units: self.area_units(),
-                    words: hit.words,
-                    link: hit.link,
-                };
-            }
-        }
-        let acquired = acquired.map(|(_, fp, key)| (fp, key));
+        let record_fp = self
+            .prefix
+            .is_some()
+            .then(|| prefix::record_fingerprint(input));
         let mut stream =
-            StreamSimulator::for_record(self, input.len(), fs_in, noise_seed, acquired, scratch);
+            StreamSimulator::for_record(self, input.len(), fs_in, noise_seed, record_fp, scratch);
         let chunk = stream.push(input);
         let (tail, summary) = stream.finish();
         debug_assert!(tail.is_empty(), "a whole-record run completes in its push");

@@ -25,9 +25,8 @@
 //! `analog` hit replaces stage 1 and is read in place, a `ct` hit its
 //! resampling half, a `sampled` hit the CS clean-clock acquisition, a
 //! `reference` hit stage 3; whatever is built instead is inserted as its
-//! stage completes. The `acquired` boundary is answered before the stream
-//! opens. Chunked streams stay store-free: their record fingerprint only
-//! exists once the stream ends.
+//! stage completes. Chunked streams stay store-free: their record
+//! fingerprint only exists once the stream ends.
 //!
 //! Every decode flush runs under a `stage.reconstruct` span; chunked
 //! streams tick a `stream.heartbeat` counter (plus a `stream.progress`
@@ -39,7 +38,7 @@
 //! [`Simulator::run`]: crate::simulate::Simulator::run
 
 use crate::config::{CsConfig, SystemConfig};
-use crate::prefix::{self, AcquiredPrefix, AnalogParams, PrefixKey, PrefixStore};
+use crate::prefix::{self, AnalogParams, PrefixKey, PrefixStore};
 use crate::simulate::{ArchState, CsState, SimOutput, SimScratch, Simulator};
 use efficsense_blocks::{ChargeSharingEncoder, Lna, Sampler, SarAdc};
 use efficsense_cs::decode::reconstruct_batch;
@@ -268,23 +267,20 @@ struct RecordPrefix {
     fp: u64,
     /// Key of the record's LNA-amplified buffer.
     analog: PrefixKey,
-    /// Key of the run's acquired output, inserted as the run completes.
-    acquired: PrefixKey,
 }
 
 /// The `reference` stage of a whole record: the clean `input` at `f_s`,
 /// exactly `len` samples, appended to `out` — served from (or recorded in)
-/// the store's `reference` class when a store and the record fingerprint
-/// are given.
-pub(crate) fn whole_reference(
-    prefix: Option<(&PrefixStore, u64)>,
+/// the store's `reference` class when the run has an L3 context.
+fn whole_reference(
+    prefix: Option<&RecordPrefix>,
     input: &[f64],
     fs_in: f64,
     f_s: f64,
     len: usize,
     out: &mut Vec<f64>,
 ) {
-    let key = prefix.map(|(store, fp)| (store, prefix::reference_key(fp, fs_in, f_s, len)));
+    let key = prefix.map(|p| (&p.store, prefix::reference_key(p.fp, fs_in, f_s, len)));
     if let Some(hit) = key.and_then(|(store, key)| store.get_reference(key)) {
         out.extend_from_slice(&hit);
         return;
@@ -871,18 +867,17 @@ impl StreamSimulator {
     }
 
     /// Opens the whole-record stream behind [`Simulator::run`] for a record
-    /// of `len` samples. `acquired` carries the record fingerprint and the
-    /// run's `acquired` key when a prefix store is attached; the output
-    /// buffers come from `scratch`.
+    /// of `len` samples. `record_fp` is the record's fingerprint when a
+    /// prefix store is attached; the output buffers come from `scratch`.
     pub(crate) fn for_record(
         sim: &Simulator,
         len: usize,
         fs_in: f64,
         noise_seed: u64,
-        acquired: Option<(u64, PrefixKey)>,
+        record_fp: Option<u64>,
         scratch: &mut SimScratch,
     ) -> Self {
-        let mut stream = Self::build(sim, fs_in, noise_seed, None, acquired);
+        let mut stream = Self::build(sim, fs_in, noise_seed, None, record_fp);
         stream.whole = true;
         if let Path::Cs(cs) = &mut stream.back.path {
             cs.decode_batch = usize::MAX;
@@ -911,7 +906,7 @@ impl StreamSimulator {
         fs_in: f64,
         noise_seed: u64,
         compound: Option<Compound>,
-        acquired: Option<(u64, PrefixKey)>,
+        record_fp: Option<u64>,
     ) -> Self {
         assert!(fs_in > 0.0, "input rate must be positive");
         let cfg = &sim.cfg;
@@ -950,8 +945,8 @@ impl StreamSimulator {
         let prefix = sim
             .prefix
             .clone()
-            .zip(acquired)
-            .map(|(store, (fp, acquired))| RecordPrefix {
+            .zip(record_fp)
+            .map(|(store, fp)| RecordPrefix {
                 store,
                 fp,
                 analog: prefix::analog_key(&AnalogParams {
@@ -966,7 +961,6 @@ impl StreamSimulator {
                     lna_seed,
                     fault: rail,
                 }),
-                acquired,
             });
         let (c_sample_f, ktc) = match &sim.arch {
             ArchState::Baseline => (sim.sh_cap_f(), true),
@@ -1214,27 +1208,15 @@ impl StreamSimulator {
         self.out_produced += (self.pending_out.len() - pending_before) as u64;
         // Stage 3: the clean reference, one value per produced output.
         if self.whole {
-            let prefix = self.prefix.as_ref().map(|p| (&*p.store, p.fp));
-            let len = self.out_produced as usize;
             whole_reference(
-                prefix,
+                self.prefix.as_ref(),
                 &self.raw.buf,
                 self.fs_in,
                 self.f_s,
-                len,
+                self.out_produced as usize,
                 &mut self.pending_ref,
             );
             self.ref_next = self.out_produced;
-            if let Some(p) = &self.prefix {
-                let (adc_in_rms, words, link) = self.back.summary_parts();
-                let acquired = AcquiredPrefix {
-                    input_referred: self.pending_out.clone(),
-                    words,
-                    adc_in_rms,
-                    link,
-                };
-                p.store.insert_acquired(p.acquired, acquired);
-            }
         } else {
             self.heartbeat(before);
             let (next, values) = self.raw.view().resample(

@@ -200,7 +200,7 @@ impl Sweep {
 
     /// Attaches a shared Level-3 prefix store ([`crate::prefix`]): every
     /// point evaluation reuses stage-prefix artifacts (resampled records,
-    /// LNA output, reference signals, whole acquired front-ends) built by
+    /// LNA output, clean-clock samplings, reference signals) built by
     /// any other point — in this sweep or any other sweep sharing the
     /// store. Artifacts are derived deterministically from their keys, so
     /// attaching a store never changes sweep output, only cost.
@@ -873,6 +873,40 @@ mod tests {
             assert_eq!(s.misses, 0, "warm run must not re-evaluate any point");
             assert_eq!(s.hits, space.len() as u64);
         }
+    }
+
+    #[test]
+    fn l1_alone_dedupes_severity_zero_cells() {
+        use crate::cache::SweepCache;
+        use crate::prefix::PrefixStore;
+        use efficsense_faults::{FaultKind, FaultPlan};
+        use std::sync::Arc;
+        let ds = tiny_dataset();
+        let space = tiny_space();
+        let clean = skip_sweep(2).run_report(&space, &ds).results;
+        let cache = Arc::new(SweepCache::new());
+        let store = Arc::new(PrefixStore::new());
+        // Two severity-0 cells of the product workflow, sharing both stores.
+        let cell = |kind| {
+            Sweep::new(SweepConfig {
+                fault_plan: Some(FaultPlan::single(kind, 0.0, 0xFA17)),
+                ..skip_sweep(2).config
+            })
+            .with_cache(Arc::clone(&cache))
+            .with_prefix_store(Arc::clone(&store))
+            .run_report(&space, &ds)
+        };
+        let first = cell(FaultKind::AdcStuckBit);
+        assert_eq!(cache.stats().misses, space.len() as u64);
+        cache.reset_stats();
+        let second = cell(FaultKind::CapLeakage);
+        assert_eq!(
+            cache.stats().misses,
+            0,
+            "a second severity-0 cell must replay the first from L1"
+        );
+        assert_eq!(first.results, clean);
+        assert_eq!(second.results, clean);
     }
 
     #[test]

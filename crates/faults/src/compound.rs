@@ -125,41 +125,14 @@ impl SeverityProfile {
             0.0
         }
     }
-
-    /// Canonical text form for cache keys: shape tag plus every parameter
-    /// in shortest-round-trip float rendering, so distinct profiles can
-    /// never alias.
-    #[must_use]
-    pub fn canonical_key(&self) -> String {
-        match *self {
-            SeverityProfile::Constant(s) => format!("const{{s={s:?}}}"),
-            SeverityProfile::Linear { start, end, ramp_s } => {
-                format!("linear{{start={start:?},end={end:?},ramp_s={ramp_s:?}}}")
-            }
-            SeverityProfile::Step {
-                before,
-                after,
-                at_s,
-            } => {
-                format!("step{{before={before:?},after={after:?},at_s={at_s:?}}}")
-            }
-            SeverityProfile::Sinusoid {
-                base,
-                amplitude,
-                period_s,
-            } => {
-                format!("sinusoid{{base={base:?},amp={amplitude:?},period_s={period_s:?}}}")
-            }
-        }
-    }
 }
 
 /// A set of simultaneous faults, each with its own severity profile,
 /// evaluated on a fixed epoch grid in stream time.
 ///
 /// Construction is builder-style and keeps at most one profile per
-/// [`FaultKind`], stored in the stable [`FaultKind::ALL`] order so the
-/// canonical key is independent of insertion order:
+/// [`FaultKind`], stored in the stable [`FaultKind::ALL`] order so plan
+/// equality is independent of insertion order:
 ///
 /// ```
 /// use efficsense_faults::{CompoundPlan, FaultKind, SeverityProfile};
@@ -290,30 +263,6 @@ impl CompoundPlan {
             }
         }
         plan
-    }
-
-    /// Canonical content-addressing form. Never-active plans collapse to
-    /// `"clean"`; active plans encode seed, epoch period, and every member
-    /// kind with its full profile, prefixed so a compound key can never
-    /// alias a static [`FaultPlan::canonical_key`].
-    #[must_use]
-    pub fn canonical_key(&self) -> String {
-        let active: Vec<String> = self
-            .faults
-            .iter()
-            .filter(|(_, p)| p.max_severity() > 0.0)
-            .map(|(k, p)| format!("{}:{}", k.name(), p.canonical_key()))
-            .collect();
-        if active.is_empty() {
-            "clean".to_string()
-        } else {
-            format!(
-                "compound;seed={};period_s={:?};{}",
-                self.seed,
-                self.update_period_s,
-                active.join(";")
-            )
-        }
     }
 
     /// Short stable label of the member kinds that can become active,
@@ -451,58 +400,12 @@ mod tests {
             .with(FaultKind::LnaRail, SeverityProfile::Constant(0.7))
             .with(FaultKind::PacketLoss, SeverityProfile::Constant(0.2));
         assert_eq!(a, b);
-        assert_eq!(a.canonical_key(), b.canonical_key());
         // Re-adding a kind replaces its profile.
         let c = a
             .clone()
             .with(FaultKind::LnaRail, SeverityProfile::Constant(0.1));
         assert_eq!(c.faults().len(), 2);
-        assert_ne!(a.canonical_key(), c.canonical_key());
-    }
-
-    #[test]
-    fn canonical_key_separates_membership_profiles_seed_and_period() {
-        let base = CompoundPlan::new(1, 60.0).with(
-            FaultKind::CapLeakage,
-            SeverityProfile::Linear {
-                start: 0.0,
-                end: 1.0,
-                ramp_s: 3600.0,
-            },
-        );
-        let more = base
-            .clone()
-            .with(FaultKind::PacketLoss, SeverityProfile::Constant(0.5));
-        let other_profile =
-            CompoundPlan::new(1, 60.0).with(FaultKind::CapLeakage, SeverityProfile::Constant(1.0));
-        let other_seed = CompoundPlan::new(2, 60.0).with(
-            FaultKind::CapLeakage,
-            SeverityProfile::Linear {
-                start: 0.0,
-                end: 1.0,
-                ramp_s: 3600.0,
-            },
-        );
-        let other_period = CompoundPlan::new(1, 30.0).with(
-            FaultKind::CapLeakage,
-            SeverityProfile::Linear {
-                start: 0.0,
-                end: 1.0,
-                ramp_s: 3600.0,
-            },
-        );
-        let keys = [
-            base.canonical_key(),
-            more.canonical_key(),
-            other_profile.canonical_key(),
-            other_seed.canonical_key(),
-            other_period.canonical_key(),
-        ];
-        for (i, a) in keys.iter().enumerate() {
-            for b in &keys[i + 1..] {
-                assert_ne!(a, b, "compound keys must not alias");
-            }
-        }
+        assert_ne!(a, c);
     }
 
     #[test]
@@ -518,7 +421,6 @@ mod tests {
                 },
             );
         assert!(plan.is_clean());
-        assert_eq!(plan.canonical_key(), "clean");
         assert_eq!(plan.label(), "clean");
         assert!(plan.materialize(1e6).is_clean());
     }

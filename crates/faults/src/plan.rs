@@ -245,9 +245,7 @@ impl FaultPlan {
     /// round-trip float form, plus the seed (the seed picks the fault
     /// realisation and therefore the result). Noop members are omitted —
     /// they cannot perturb the simulation, so `Some(noop)` and `None`
-    /// must share a key. Time-varying severity lives one level up in
-    /// [`crate::CompoundPlan::canonical_key`], whose `compound;`-prefixed
-    /// keys can never alias these static `plan;`-prefixed ones.
+    /// must share a key.
     #[must_use]
     pub fn canonical_key(&self) -> String {
         if self.is_clean() {

@@ -424,8 +424,6 @@ pub struct CacheLevelReport {
 /// * **L3 analog / reference / sampled** (`memo.<class>.*`) — a hit
 ///   skips the class rebuild, priced by the mean `sim.analog.build`,
 ///   `sim.reference.build` or `sim.sample.build` span.
-/// * **L3 acquired** — a hit skips the analog, encode and reconstruct
-///   stages for one record, priced as the sum of their means.
 /// * Levels without a dedicated rebuild span (l2.srbm, l2.basis,
 ///   l2.detector, l3.ct) report counters only (`est_* = None`).
 #[must_use]
@@ -442,13 +440,8 @@ pub fn cache_efficacy(p: &Profile) -> Vec<CacheLevelReport> {
     let eval_work = p.stages.get("stage.simulate").map_or(0, |s| s.total_ns)
         + p.stages.get("stage.detect").map_or(0, |s| s.total_ns);
     let l1_cost = (evals > 0 && eval_work > 0).then(|| eval_work as f64 / evals as f64);
-    let acquired_parts: Vec<f64> = ["sim.analog", "sim.encode", "stage.reconstruct"]
-        .iter()
-        .filter_map(|s| mean(s))
-        .collect();
-    let acquired_cost = (!acquired_parts.is_empty()).then(|| acquired_parts.iter().sum());
 
-    let levels: [(&'static str, &str, Option<f64>); 10] = [
+    let levels: [(&'static str, &str, Option<f64>); 9] = [
         ("l1.point", "cache.l1", l1_cost),
         ("l2.dict", "memo.dict", mean("recon.gram")),
         ("l2.srbm", "memo.srbm", None),
@@ -462,7 +455,6 @@ pub fn cache_efficacy(p: &Profile) -> Vec<CacheLevelReport> {
             mean("sim.reference.build"),
         ),
         ("l3.sampled", "memo.sampled", mean("sim.sample.build")),
-        ("l3.acquired", "memo.acquired", acquired_cost),
     ];
     levels
         .into_iter()
