@@ -6,7 +6,7 @@
 //!   power ratio is the paper's 3.6× headline.
 //!
 //! Run: `cargo run --release -p efficsense-bench --bin fig7`
-//! (`EFFICSENSE_FULL=1` for paper-scale workloads.)
+//! (`EFFICSENSE_SCALE=full` for paper-scale workloads.)
 
 use efficsense_bench::{save_figure, sweep_cached, uw};
 use efficsense_core::prelude::*;
@@ -125,7 +125,7 @@ fn main() {
         }
         _ => {
             println!("  constraint infeasible on this workload scale;");
-            println!("  rerun with EFFICSENSE_FULL=1 or inspect the fronts above.");
+            println!("  rerun with EFFICSENSE_SCALE=full or inspect the fronts above.");
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Regenerates **Fig. 8**: per-block power breakdown at the baseline and CS
 //! optimal design points of Fig. 7b.
 //!
-//! Run fig7 first (this reuses its cached sweep), or this binary will run
-//! the sweep itself.
+//! Run fig7 first (this replays its sweep from the persisted L1 cache), or
+//! this binary will run the sweep itself.
 //!
 //! Run: `cargo run --release -p efficsense-bench --bin fig8`
 

@@ -14,7 +14,8 @@
 //!   (resampled records, LNA output, clean-clock samplings, references)
 //!   shared across sweep points — measured as a store-off pass vs the
 //!   headline uncached pass, plus an uncached thread-scaling section at
-//!   1/2/4 workers.
+//!   1/2/4 workers whose per-class L3 counts must equal pass A's (asserted
+//!   while no pass evicts).
 //! * **Level 1** (`efficsense_core::cache`): whole `evaluate_point` results
 //!   keyed by content ([`efficsense_core::cache::point_key`]) — measured
 //!   across the product passes. L1 is the only store of whole evaluations:
@@ -32,7 +33,7 @@
 use efficsense_bench::{dataset_config, design_space, figures_dir, obs_from_args, scale, Scale};
 use efficsense_core::cache::SweepCache;
 use efficsense_core::pareto::pareto_front;
-use efficsense_core::prefix::PrefixStore;
+use efficsense_core::prefix::{PrefixStats, PrefixStore};
 use efficsense_core::prelude::*;
 use efficsense_core::sweep::Metric;
 use efficsense_cs::memo;
@@ -212,11 +213,27 @@ fn main() {
     // work). The first CI evidence that the sweep worker pool scales.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut threads_scaling: Vec<(usize, f64)> = Vec::new();
+    // Per-class L3 `(hits, misses)`: ct, analog, reference, sampled.
+    let class_counts =
+        |s: PrefixStats| [s.ct, s.analog, s.reference, s.sampled].map(|c| (c.hits, c.misses));
     println!("  thread scaling (uncached, fresh store per pass):");
     for threads in [1usize, 2, 4] {
         let store = Arc::new(PrefixStore::new());
         let (pass_t, t) = run_product(&cells, &space, &dataset, None, Some(&store), threads);
         assert_identical(&pass_a, &pass_t, "thread-scaling pass");
+        // Each L3 artifact is built once, under its shard lock, so a fresh
+        // store counts the same at any worker count while nothing is
+        // evicted (eviction order follows the workers' interleaving).
+        let tstats = store.stats();
+        if pstats.evictions() == 0 && tstats.evictions() == 0 {
+            assert_eq!(
+                class_counts(tstats),
+                class_counts(pstats),
+                "L3 (hits, misses) per class at {threads} worker(s) must equal pass A's"
+            );
+        } else {
+            println!("    (L3 evicted: {threads}-worker count assert skipped)");
+        }
         println!(
             "    {} thread(s): {:.2}s ({:.1} points/s)",
             threads,

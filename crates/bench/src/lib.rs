@@ -4,16 +4,17 @@
 //! library provides the common workload scaling and output plumbing.
 //!
 //! Workload scale is controlled by `EFFICSENSE_SCALE`
-//! (`reduced` default / `medium` / `full`) or the shorthand
-//! `EFFICSENSE_FULL=1`:
+//! (`reduced` default / `medium` / `full`):
 //! * reduced — CI-friendly workload (minutes on one core);
 //! * medium — 102 × 23.6 s records, full Table III grid (tens of minutes);
 //! * full — paper-scale evaluation (hours; 501 × 23.6 s records).
 
+use efficsense_core::cache::SweepCache;
 use efficsense_core::prelude::*;
 use efficsense_obs::json::Json;
 use efficsense_signals::DatasetConfig;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Workload scale of the figure-regeneration binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,15 +38,9 @@ impl Scale {
     }
 }
 
-/// Reads the requested scale: `EFFICSENSE_FULL=1` → full,
-/// `EFFICSENSE_SCALE=medium|full|reduced` otherwise (default reduced).
+/// Reads the requested scale from `EFFICSENSE_SCALE=medium|full|reduced`
+/// (default reduced).
 pub fn scale() -> Scale {
-    if std::env::var("EFFICSENSE_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        return Scale::Full;
-    }
     match std::env::var("EFFICSENSE_SCALE").as_deref() {
         Ok("medium") => Scale::Medium,
         Ok("full") => Scale::Full,
@@ -237,31 +232,35 @@ pub fn write_bench_json(path: &str, summary: &Json) {
     println!("  wrote {path}");
 }
 
-/// Runs (or loads from the figure cache) the main design-space sweep used by
-/// Figs. 7–10. The cache lives in `target/figures` and is keyed by metric
-/// and workload scale, so `fig8`/`fig9`/`fig10` reuse `fig7`'s results.
+/// Runs the main design-space sweep used by Figs. 7–10 through an L1
+/// result cache ([`SweepCache`]) persisted in `target/figures` as
+/// `sweep_<metric>_<scale>.jsonl`. The cache stores every float exactly, so
+/// `fig8`/`fig9`/`fig10` (and a second `fig7`) replay `fig7`'s evaluations
+/// bit for bit instead of re-running them.
 ///
-/// The sweep runs under [`FailurePolicy::Skip`] and persists its quarantine
-/// (point label, typed error, message) to a `*_quarantine.csv` sibling
-/// of the results CSV, so an overnight figure run that loses points leaves
-/// an inspectable record instead of dying or silently thinning the figure.
+/// The sweep runs under [`FailurePolicy::Skip`]; its results go to
+/// `sweep_<metric>_<scale>.csv` and its quarantine (point label, typed
+/// error, message) to the `*_quarantine.csv` sibling, so an overnight
+/// figure run that loses points leaves an inspectable record instead of
+/// dying or silently thinning the figure.
+///
+/// # Panics
+///
+/// Panics on I/O errors, like every figure-cache write.
 pub fn sweep_cached(metric: efficsense_core::sweep::Metric) -> Vec<SweepResult> {
     use efficsense_core::sweep::Metric;
     let scale = scale().name();
-    let name = match metric {
-        Metric::Snr => format!("sweep_snr_{scale}.csv"),
-        Metric::DetectionAccuracy => format!("sweep_accuracy_{scale}.csv"),
+    let stem = match metric {
+        Metric::Snr => format!("sweep_snr_{scale}"),
+        Metric::DetectionAccuracy => format!("sweep_accuracy_{scale}"),
     };
-    let path = figures_dir().join(&name);
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Some(results) = parse_results(&text) {
-            println!(
-                "  loaded {} cached design points from {}",
-                results.len(),
-                path.display()
-            );
-            return results;
-        }
+    let cache_path = figures_dir().join(format!("{stem}.jsonl"));
+    let cache = Arc::new(SweepCache::new());
+    if let Ok((loaded, _)) = cache.load(&cache_path) {
+        println!(
+            "  loaded {loaded} cached evaluations from {}",
+            cache_path.display()
+        );
     }
     let dataset = EegDataset::generate(&dataset_config());
     let space = design_space();
@@ -276,17 +275,19 @@ pub fn sweep_cached(metric: efficsense_core::sweep::Metric) -> Vec<SweepResult> 
         failure_policy: FailurePolicy::Skip,
         ..Default::default()
     })
+    .with_cache(Arc::clone(&cache))
     .run_report(&space, &dataset);
     if !report.quarantine.is_empty() {
         println!("  {}", report.summary());
     }
+    let name = format!("{stem}.csv");
     persist_quarantine(&name, &report);
-    let results = report.results;
     let mut buf = Vec::new();
-    efficsense_core::report::write_csv(&mut buf, &results).expect("write to vec succeeds");
-    std::fs::write(&path, &buf).expect("can write sweep cache");
-    println!("  cached sweep to {}", path.display());
-    results
+    efficsense_core::report::write_csv(&mut buf, &report.results).expect("write to vec succeeds");
+    std::fs::write(figures_dir().join(&name), &buf).expect("can write sweep results");
+    cache.save(&cache_path).expect("can write sweep cache");
+    println!("  cached sweep to {}", cache_path.display());
+    report.results
 }
 
 /// Writes `report`'s quarantine next to the results CSV `name` (suffix
@@ -312,82 +313,13 @@ pub fn persist_quarantine(results_csv_name: &str, report: &SweepReport) {
             let ev = efficsense_obs::TraceEvent::new(obs.now_ns(), "quarantine", &qname)
                 .field("count", report.quarantine.len())
                 .field("total", report.points_total);
-            obs.emit(&ev);
+            obs.emit(ev);
         }
         println!(
             "  quarantined {} point(s) → {}",
             report.quarantine.len(),
             qpath.display()
         );
-    }
-}
-
-/// Parses a sweep CSV produced by [`efficsense_core::report::write_csv`]
-/// back into results. Returns `None` on any format mismatch.
-pub fn parse_results(text: &str) -> Option<Vec<SweepResult>> {
-    use efficsense_core::config::Architecture;
-    use efficsense_core::space::DesignPoint;
-    let mut lines = text.lines();
-    let header: Vec<&str> = lines.next()?.split(',').collect();
-    let idx = |name: &str| header.iter().position(|h| *h == name);
-    let (i_arch, i_noise, i_bits) = (
-        idx("architecture")?,
-        idx("lna_noise_uvrms")?,
-        idx("n_bits")?,
-    );
-    let (i_m, i_s, i_ch) = (idx("m")?, idx("s")?, idx("c_hold_pf")?);
-    let (i_metric, i_power, i_area) = (idx("metric")?, idx("power_uw")?, idx("area_units")?);
-    let block_cols: Vec<(usize, BlockKind)> = [
-        ("lna_uw", BlockKind::Lna),
-        ("sh_uw", BlockKind::SampleHold),
-        ("comparator_uw", BlockKind::Comparator),
-        ("sar_logic_uw", BlockKind::SarLogic),
-        ("dac_uw", BlockKind::Dac),
-        ("tx_uw", BlockKind::Transmitter),
-        ("cs_logic_uw", BlockKind::CsEncoderLogic),
-        ("leakage_uw", BlockKind::Leakage),
-    ]
-    .iter()
-    .filter_map(|(n, k)| idx(n).map(|i| (i, *k)))
-    .collect();
-    let mut out = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = line.split(',').collect();
-        if f.len() != header.len() {
-            return None;
-        }
-        let architecture = match f[i_arch] {
-            "baseline" => Architecture::Baseline,
-            "cs" => Architecture::CompressiveSensing,
-            _ => return None,
-        };
-        let mut breakdown = PowerBreakdown::new();
-        for &(i, k) in &block_cols {
-            let w: f64 = f[i].parse().ok()?;
-            breakdown.add(k, efficsense_power::Watts::micro(w));
-        }
-        out.push(SweepResult {
-            point: DesignPoint {
-                architecture,
-                lna_noise_vrms: f[i_noise].parse::<f64>().ok()? * 1e-6,
-                n_bits: f[i_bits].parse().ok()?,
-                m: f[i_m].parse().ok(),
-                s: f[i_s].parse().ok(),
-                c_hold_f: f[i_ch].parse::<f64>().ok().map(|v| v * 1e-12),
-            },
-            metric: f[i_metric].parse().ok()?,
-            power_w: f[i_power].parse::<f64>().ok()? * 1e-6,
-            breakdown,
-            area_units: f[i_area].parse().ok()?,
-        });
-    }
-    if out.is_empty() {
-        None
-    } else {
-        Some(out)
     }
 }
 
@@ -416,44 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip_preserves_results() {
-        use efficsense_core::config::Architecture;
-        use efficsense_core::space::DesignPoint;
-        let mut breakdown = PowerBreakdown::new();
-        breakdown.add(BlockKind::Lna, efficsense_power::Watts(1.5e-6));
-        breakdown.add(BlockKind::Transmitter, efficsense_power::Watts(4.3e-6));
-        let original = vec![SweepResult {
-            point: DesignPoint {
-                architecture: Architecture::CompressiveSensing,
-                lna_noise_vrms: 3.61e-6,
-                n_bits: 8,
-                m: Some(75),
-                s: Some(2),
-                c_hold_f: Some(0.5e-12),
-            },
-            metric: 0.9933,
-            power_w: 5.8e-6,
-            breakdown,
-            area_units: 76000.0,
-        }];
-        let mut buf = Vec::new();
-        efficsense_core::report::write_csv(&mut buf, &original).expect("writes to vec");
-        let text = String::from_utf8(buf).expect("utf8");
-        let parsed = parse_results(&text).expect("parses back");
-        assert_eq!(parsed.len(), 1);
-        let (a, b) = (&original[0], &parsed[0]);
-        assert_eq!(a.point.architecture, b.point.architecture);
-        assert_eq!(a.point.n_bits, b.point.n_bits);
-        assert_eq!(a.point.m, b.point.m);
-        assert!((a.point.lna_noise_vrms - b.point.lna_noise_vrms).abs() < 1e-10);
-        assert!((a.metric - b.metric).abs() < 1e-5);
-        assert!((a.power_w - b.power_w).abs() < 1e-11);
-        let lna_err = a.breakdown.get(BlockKind::Lna) - b.breakdown.get(BlockKind::Lna);
-        assert!(lna_err.value().abs() < 1e-11);
-        assert!((a.area_units - b.area_units).abs() < 1.0);
-    }
-
-    #[test]
     fn bench_json_files_parse() {
         // Every BENCH_*.json at the repository root, committed or freshly
         // written by a bench binary, must be a document `obs::json` reads.
@@ -473,11 +367,5 @@ mod tests {
             }
         }
         assert!(!checked.is_empty(), "no BENCH_*.json found in {root:?}");
-    }
-
-    #[test]
-    fn parse_rejects_malformed_csv() {
-        assert!(parse_results("not,a,sweep\n1,2,3\n").is_none());
-        assert!(parse_results("").is_none());
     }
 }

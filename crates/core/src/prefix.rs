@@ -38,10 +38,10 @@
 //! The lookups sit at the stage boundaries of the simulation stream
 //! ([`crate::stream`]) and serve whole-record runs only
 //! ([`Simulator::run`], which fingerprints its record before the stream
-//! opens). `analog` (with `ct` on a miss), `sampled` and `reference` are
-//! consulted by the stages they replace, and each built artifact is
-//! inserted as its stage completes. Chunked streams never consult the
-//! store.
+//! opens). `analog` (with `ct` inside its build), `sampled` and
+//! `reference` are consulted by the stages they replace; a missing
+//! artifact is built under its shard lock, exactly once per key. Chunked
+//! streams never consult the store.
 //!
 //! Unlike the unbounded L2 stores, every class here is **capped**: values
 //! are whole per-record signal buffers, so a long-running sweep server
@@ -230,6 +230,15 @@ impl Default for PrefixBudgets {
     }
 }
 
+/// The artifact classes of a [`PrefixStore`] (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Class {
+    Ct,
+    Analog,
+    Reference,
+    Sampled,
+}
+
 /// The Level-3 prefix store: four bounded, content-addressed artifact
 /// classes (see the module docs), each a [`Store`] counting under
 /// `memo.<class>.*`. Cheap to share: clone an `Arc<PrefixStore>` into every
@@ -270,50 +279,30 @@ impl PrefixStore {
         }
     }
 
-    /// Looks up a resampled CT record.
-    #[must_use]
-    pub fn get_ct(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.ct.get(&key)
-    }
-
-    /// Stores a freshly resampled CT record, returning the shared handle.
-    pub fn insert_ct(&self, key: PrefixKey, v: Vec<f64>) -> Arc<Vec<f64>> {
-        efficsense_dsp::approx::debug_assert_all_finite(&v, "prefix: ct artifact");
-        self.ct.insert(key, v)
-    }
-
-    /// Looks up an LNA-amplified buffer.
-    #[must_use]
-    pub fn get_analog(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.analog.get(&key)
-    }
-
-    /// Stores a freshly amplified buffer, returning the shared handle.
-    pub fn insert_analog(&self, key: PrefixKey, v: Vec<f64>) -> Arc<Vec<f64>> {
-        efficsense_dsp::approx::debug_assert_all_finite(&v, "prefix: analog artifact");
-        self.analog.insert(key, v)
-    }
-
-    /// Looks up a clean reference signal.
-    #[must_use]
-    pub fn get_reference(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.reference.get(&key)
-    }
-
-    /// Stores a freshly built reference signal, returning the shared handle.
-    pub fn insert_reference(&self, key: PrefixKey, v: Vec<f64>) -> Arc<Vec<f64>> {
-        self.reference.insert(key, v)
-    }
-
-    /// Looks up a clean-clock CS sampling.
-    #[must_use]
-    pub fn get_sampled(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.sampled.get(&key)
-    }
-
-    /// Stores a freshly built CS sampling, returning the shared handle.
-    pub fn insert_sampled(&self, key: PrefixKey, v: Vec<f64>) -> Arc<Vec<f64>> {
-        self.sampled.insert(key, v)
+    /// The `class` artifact under `key`, built by `build` on a miss. This
+    /// is every class's one build path: the build runs under the key's
+    /// shard lock ([`Store::get_or_insert_with`]), so workers racing on one
+    /// key build it exactly once and the class's counts do not depend on
+    /// the worker count. Lock order: only the `analog` build nests a
+    /// lookup, taking a `ct` shard lock while it holds an `analog` one; no
+    /// build touches its own class.
+    pub(crate) fn get_or_build(
+        &self,
+        class: Class,
+        key: PrefixKey,
+        build: impl FnOnce() -> Vec<f64>,
+    ) -> Arc<Vec<f64>> {
+        let (store, what) = match class {
+            Class::Ct => (&self.ct, "prefix: ct artifact"),
+            Class::Analog => (&self.analog, "prefix: analog artifact"),
+            Class::Reference => (&self.reference, "prefix: reference artifact"),
+            Class::Sampled => (&self.sampled, "prefix: sampled artifact"),
+        };
+        store.get_or_insert_with(key, || {
+            let artifact = build();
+            efficsense_dsp::approx::debug_assert_all_finite(&artifact, what);
+            artifact
+        })
     }
 
     /// Current counters of every class.
@@ -565,25 +554,22 @@ mod tests {
     fn store_hits_after_insert_and_counts() {
         let store = PrefixStore::new();
         let key = ct_key(1, 100.0, 800.0);
-        assert!(store.get_ct(key).is_none());
-        let v = store.insert_ct(key, vec![1.0, 2.0]);
-        let again = store.get_ct(key).expect("inserted entry must hit");
+        let mut builds = 0;
+        let mut get = || {
+            store.get_or_build(Class::Ct, key, || {
+                builds += 1;
+                vec![1.0, 2.0]
+            })
+        };
+        let v = get();
+        let again = get();
         assert!(Arc::ptr_eq(&v, &again), "same key must share one instance");
+        assert_eq!(builds, 1, "a hit must not rebuild");
         let s = store.stats().ct;
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert_eq!(s.elements, 2);
         store.reset_stats();
         assert_eq!(store.stats().ct.hits, 0);
-    }
-
-    #[test]
-    fn racing_insert_keeps_established_value() {
-        let store = PrefixStore::new();
-        let key = ct_key(2, 100.0, 800.0);
-        let first = store.insert_ct(key, vec![1.0]);
-        let second = store.insert_ct(key, vec![1.0]);
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(store.stats().ct.entries, 1);
     }
 
     #[test]
@@ -597,7 +583,7 @@ mod tests {
         });
         let keys: Vec<PrefixKey> = (0..64).map(|i| ct_key(i, 100.0, 800.0)).collect();
         for &k in &keys {
-            store.insert_ct(k, vec![0.5; 8]);
+            store.get_or_build(Class::Ct, k, || vec![0.5; 8]);
         }
         let s = store.stats().ct;
         assert!(s.evictions > 0, "over-budget inserts must evict");
@@ -606,15 +592,12 @@ mod tests {
             "held elements must stay near budget (got {})",
             s.elements
         );
-        // The newest keys survive; evicted keys miss and can be rebuilt.
-        let mut present = 0;
-        for &k in &keys {
-            if store.get_ct(k).is_some() {
-                present += 1;
-            }
-        }
-        assert!(present >= 1, "a capped store must still hold entries");
-        assert_eq!(store.stats().ct.entries, present);
+        // Every build was admitted once; the budget dropped the oldest.
+        assert_eq!(s.entries as u64 + s.evictions, 64);
+        assert!(s.entries >= 1, "a capped store must still hold entries");
+        // The newest key survives and hits without a rebuild.
+        let newest = store.get_or_build(Class::Ct, keys[63], Vec::new);
+        assert_eq!(newest.len(), 8);
     }
 
     #[test]
@@ -626,9 +609,10 @@ mod tests {
             sampled: 16,
         });
         let key = ct_key(77, 100.0, 800.0);
-        store.insert_ct(key, vec![0.0; 1000]);
-        assert!(
-            store.get_ct(key).is_some(),
+        store.get_or_build(Class::Ct, key, || vec![0.0; 1000]);
+        assert_eq!(
+            store.get_or_build(Class::Ct, key, Vec::new).len(),
+            1000,
             "a single artifact above budget must still be usable"
         );
     }

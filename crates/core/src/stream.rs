@@ -24,9 +24,9 @@
 //! Level-3 [`PrefixStore`] attached, the stage boundaries consult it: an
 //! `analog` hit replaces stage 1 and is read in place, a `ct` hit its
 //! resampling half, a `sampled` hit the CS clean-clock acquisition, a
-//! `reference` hit stage 3; whatever is built instead is inserted as its
-//! stage completes. Chunked streams stay store-free: their record
-//! fingerprint only exists once the stream ends.
+//! `reference` hit stage 3; a miss builds the artifact under its shard
+//! lock, exactly once per key. Chunked streams stay store-free: their
+//! record fingerprint only exists once the stream ends.
 //!
 //! Every decode flush runs under a `stage.reconstruct` span; chunked
 //! streams tick a `stream.heartbeat` counter (plus a `stream.progress`
@@ -38,7 +38,7 @@
 //! [`Simulator::run`]: crate::simulate::Simulator::run
 
 use crate::config::{CsConfig, SystemConfig};
-use crate::prefix::{self, AnalogParams, PrefixKey, PrefixStore};
+use crate::prefix::{self, AnalogParams, Class, PrefixKey, PrefixStore};
 use crate::simulate::{ArchState, CsState, SimOutput, SimScratch, Simulator};
 use efficsense_blocks::{ChargeSharingEncoder, Lna, Sampler, SarAdc};
 use efficsense_cs::decode::reconstruct_batch;
@@ -270,8 +270,8 @@ struct RecordPrefix {
 }
 
 /// The `reference` stage of a whole record: the clean `input` at `f_s`,
-/// exactly `len` samples, appended to `out` — served from (or recorded in)
-/// the store's `reference` class when the run has an L3 context.
+/// exactly `len` samples, appended to `out` — served from the store's
+/// `reference` class when the run has an L3 context.
 fn whole_reference(
     prefix: Option<&RecordPrefix>,
     input: &[f64],
@@ -280,20 +280,23 @@ fn whole_reference(
     len: usize,
     out: &mut Vec<f64>,
 ) {
-    let key = prefix.map(|p| (&p.store, prefix::reference_key(p.fp, fs_in, f_s, len)));
-    if let Some(hit) = key.and_then(|(store, key)| store.get_reference(key)) {
-        out.extend_from_slice(&hit);
-        return;
-    }
-    let start = out.len();
-    {
+    let build = |out: &mut Vec<f64>| {
         // Priced by the L3 cache-efficacy report (memo.reference).
         let _build_span = efficsense_obs::span!("sim.reference.build");
         let (_, values) = Track::whole(input).resample(fs_in, f_s, 0, len as u64, true);
         out.extend(values);
-    }
-    if let Some((store, key)) = key {
-        store.insert_reference(key, out[start..].to_vec());
+    };
+    match prefix {
+        Some(p) => {
+            let key = prefix::reference_key(p.fp, fs_in, f_s, len);
+            let reference = p.store.get_or_build(Class::Reference, key, || {
+                let mut reference = Vec::with_capacity(len);
+                build(&mut reference);
+                reference
+            });
+            out.extend_from_slice(&reference);
+        }
+        None => build(out),
     }
 }
 
@@ -496,6 +499,11 @@ impl Acquisition {
         n: u64,
         out: &mut Vec<f64>,
     ) {
+        if finished {
+            // The last call (a whole record's only one) knows how many
+            // samples remain: size `out` exactly.
+            out.reserve_exact(n.saturating_sub(self.next_i) as usize);
+        }
         if !self.clocked {
             let start = out.len();
             let (next, values) = amplified.resample(self.f_ct, self.f_s, self.next_i, n, finished);
@@ -665,27 +673,31 @@ impl BackEnd {
                 }
             }
             Path::Cs(cs) => {
+                let clean = !self.acq.clocked;
+                let acq = &mut self.acq;
+                let mut acquire = |samples: &mut Vec<f64>| {
+                    // Priced by the L3 cache-efficacy report (memo.sampled).
+                    let _build_span =
+                        (whole && clean).then(|| efficsense_obs::span!("sim.sample.build"));
+                    acq.run(amplified, compound, finished, n_samples, samples);
+                };
                 // The `sampled` boundary: a whole record's clean-clock
                 // acquisition is a pure function of its amplified buffer, so
                 // its key composes the `analog` key. (Clock-fault sampling is
                 // a per-plan stream; sharing it would buy nothing.)
-                let sampled = prefix.filter(|_| !self.acq.clocked).map(|p| {
+                let sampled = prefix.filter(|_| clean).map(|p| {
                     let key = prefix::sampled_key(p.analog, f_s, n_samples as usize);
-                    (p, key, p.store.get_sampled(key))
+                    p.store.get_or_build(Class::Sampled, key, || {
+                        let mut samples = Vec::new();
+                        acquire(&mut samples);
+                        samples
+                    })
                 });
-                let hit = sampled.as_ref().and_then(|(_, _, hit)| hit.clone());
-                if hit.is_none() {
-                    // Priced by the L3 cache-efficacy report (memo.sampled).
-                    let _build_span = (whole && !self.acq.clocked)
-                        .then(|| efficsense_obs::span!("sim.sample.build"));
-                    self.acq
-                        .run(amplified, compound, finished, n_samples, &mut self.samples);
+                if sampled.is_none() {
+                    acquire(&mut self.samples);
                 }
-                if let Some((p, key, None)) = &sampled {
-                    p.store.insert_sampled(*key, self.samples.clone());
-                }
-                let (src, base, available) = match &hit {
-                    Some(hit) => (hit.as_slice(), 0, hit.len() as u64),
+                let (src, base, available) = match &sampled {
+                    Some(sampled) => (sampled.as_slice(), 0, sampled.len() as u64),
                     None => (self.samples.as_slice(), self.samples_base, self.acq.next_i),
                 };
                 let n_phi = cs.cs.n_phi as u64;
@@ -885,12 +897,6 @@ impl StreamSimulator {
         let out_len = (len as f64 / fs_in * stream.f_s).ceil() as usize;
         stream.pending_out = scratch.take(out_len);
         stream.pending_ref = scratch.take(out_len);
-        // Size the record's own buffers up front too: power-of-two growth
-        // would leave per-record holes in the heap around the prefix
-        // store's artifacts.
-        let ct_len = (len as f64 / fs_in * stream.f_ct).ceil() as usize;
-        stream.amplified.buf.reserve_exact(ct_len);
-        stream.back.samples.reserve_exact(out_len);
         stream
     }
 
@@ -1232,25 +1238,13 @@ impl StreamSimulator {
     }
 
     /// Stage 1: resamples the raw input onto the continuous-time proxy grid
-    /// and amplifies it. On a whole-record run with a store, an `analog`
-    /// hit serves the whole stage and a `ct` hit its resampling; what is
-    /// built instead is inserted.
+    /// and amplifies it. On a whole-record run with a store, the stage is
+    /// the record's `analog` artifact, whose build resamples through the
+    /// `ct` class.
     fn amplify(&mut self, finished: bool) {
         let _analog_span = self.whole.then(|| efficsense_obs::span!("sim.analog"));
-        self.analog = self
-            .prefix
-            .as_ref()
-            .and_then(|p| p.store.get_analog(p.analog));
-        if self.analog.is_some() {
-            return;
-        }
-        let amplified = &mut self.amplified;
-        // Priced by the L3 cache-efficacy report: this span is exactly the
-        // work an `analog` hit avoids.
-        let _build_span = self
-            .whole
-            .then(|| efficsense_obs::span!("sim.analog.build"));
-        let (lna, lna_epoch, f_ct) = (&mut self.lna, &mut self.lna_epoch, self.f_ct);
+        let (lna, lna_epoch, fs_in, f_ct) =
+            (&mut self.lna, &mut self.lna_epoch, self.fs_in, self.f_ct);
         let compound = self.compound.as_ref().filter(|c| c.members.lna);
         let mut k = self.next_ct;
         let mut amplify = |v: f64| {
@@ -1260,35 +1254,46 @@ impl StreamSimulator {
             k += 1;
             lna.process(v)
         };
-        let start = amplified.buf.len();
-        let n_ct = (self.raw.len() as f64 / self.fs_in * f_ct).round() as u64;
+        let n_ct = (self.raw.len() as f64 / fs_in * f_ct).round() as u64;
         let raw = self.raw.view();
         match &self.prefix {
-            // The `ct` boundary: the resampled record is fault-free and
-            // config-independent, so every sweep point touching this record
-            // shares it.
             Some(p) => {
-                let key = prefix::ct_key(p.fp, self.fs_in, f_ct);
-                let ct = p.store.get_ct(key).unwrap_or_else(|| {
-                    let (_, values) = raw.resample(self.fs_in, f_ct, 0, n_ct, true);
-                    p.store.insert_ct(key, values.collect())
+                // The `ct` boundary: the resampled record is fault-free and
+                // config-independent, so every sweep point touching this
+                // record shares it. Its lookup runs inside the `analog`
+                // build, so it takes a `ct` shard lock under an `analog` one.
+                let key = prefix::ct_key(p.fp, fs_in, f_ct);
+                let analog = p.store.get_or_build(Class::Analog, p.analog, || {
+                    // Priced by the L3 cache-efficacy report: this span is
+                    // exactly the work an `analog` hit avoids.
+                    let _build_span = efficsense_obs::span!("sim.analog.build");
+                    let ct = p.store.get_or_build(Class::Ct, key, || {
+                        raw.resample(fs_in, f_ct, 0, n_ct, true).1.collect()
+                    });
+                    ct.iter().map(|&v| amplify(v)).collect()
                 });
-                amplified.buf.extend(ct.iter().map(|&v| amplify(v)));
+                self.analog = Some(analog);
                 self.next_ct = n_ct;
             }
             None => {
-                let (next, values) = raw.resample(self.fs_in, f_ct, self.next_ct, n_ct, finished);
-                append(&mut amplified.buf, values.map(amplify));
+                let _build_span = self
+                    .whole
+                    .then(|| efficsense_obs::span!("sim.analog.build"));
+                let amplified = &mut self.amplified.buf;
+                let start = amplified.len();
+                if self.whole {
+                    // A whole record arrives in one push: size its buffer
+                    // exactly rather than to the next power of two.
+                    amplified.reserve_exact(n_ct as usize);
+                }
+                let (next, values) = raw.resample(fs_in, f_ct, self.next_ct, n_ct, finished);
+                append(amplified, values.map(amplify));
                 self.next_ct = next;
+                efficsense_dsp::approx::debug_assert_all_finite(
+                    &amplified[start..],
+                    "stream: LNA output",
+                );
             }
-        }
-        efficsense_dsp::approx::debug_assert_all_finite(
-            &amplified.buf[start..],
-            "stream: LNA output",
-        );
-        if let Some(p) = &self.prefix {
-            let built = std::mem::take(&mut amplified.buf);
-            self.analog = Some(p.store.insert_analog(p.analog, built));
         }
     }
 
@@ -1304,7 +1309,7 @@ impl StreamSimulator {
             let ev = efficsense_obs::TraceEvent::new(now_ns, "heartbeat", "stream.progress")
                 .field("out_samples", self.out_produced)
                 .field("raw_samples", self.raw.len());
-            obs.emit(&ev);
+            obs.emit(ev);
         }
         const PROGRESS_NS: u64 = 10_000_000_000;
         if now_ns.saturating_sub(self.started_ns) > PROGRESS_NS

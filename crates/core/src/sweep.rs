@@ -412,7 +412,7 @@ fn progress_heartbeat(
                 .field("l3_hits", l3.hits())
                 .field("l3_misses", l3.misses());
         }
-        obs.emit(&ev);
+        obs.emit(ev);
     }
     // Quiet sweeps (tests, smoke runs) stay quiet; overnight runs report.
     if elapsed_ns > 10_000_000_000 {

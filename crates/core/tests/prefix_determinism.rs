@@ -243,3 +243,42 @@ fn intermediate_boundaries_serve_runs_without_an_acquired_artifact() {
         assert_eq!(class_counts(&store), expected, "{:?}", store.stats());
     }
 }
+
+#[test]
+fn class_counts_do_not_depend_on_the_worker_count() {
+    // 16 points at one LNA noise level: the workers race on the same
+    // `analog` keys, and each key must still be built exactly once, so a
+    // fresh store counts the same hits and misses at any worker count.
+    let space = DesignSpace {
+        lna_noise_vrms: vec![2e-6],
+        n_bits: vec![6, 7, 8, 9],
+        cs_m: vec![75, 96, 150],
+        cs_s: vec![2],
+        cs_c_hold_f: vec![1e-12],
+        ..DesignSpace::paper_defaults()
+    };
+    let dataset = tiny_dataset();
+    let counts = |threads| {
+        let store = Arc::new(PrefixStore::new());
+        Sweep::new(SweepConfig {
+            metric: Metric::Snr,
+            threads,
+            detector_seed: 0,
+            ..Default::default()
+        })
+        .with_prefix_store(Arc::clone(&store))
+        .run(&space, &dataset);
+        assert_eq!(store.stats().evictions(), 0, "the store must not churn");
+        class_counts(&store)
+    };
+    let one_worker = counts(1);
+    for threads in [1, 2, 4] {
+        for run in 0..3 {
+            assert_eq!(
+                counts(threads),
+                one_worker,
+                "run {run} at {threads} workers (ct, analog, reference, sampled)"
+            );
+        }
+    }
+}

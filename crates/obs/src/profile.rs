@@ -171,7 +171,7 @@ impl ProfileBuilder {
                     .fields
                     .iter()
                     .filter_map(|(k, v)| match v {
-                        Json::Int(n) if k != "run" => Some((k.clone(), *n)),
+                        Json::Int(n) => Some((k.clone(), *n)),
                         _ => None,
                     })
                     .collect();

@@ -81,20 +81,6 @@ pub struct ObsRegistry {
     sink: Mutex<Option<Box<dyn Write + Send>>>,
     sink_enabled: AtomicBool,
     trace_sample: AtomicU64,
-    run_id: Mutex<String>,
-}
-
-/// Default run id: `<binary-name>-<pid>`. Derived without ambient time or
-/// entropy (both are banned in library code by the determinism lints), yet
-/// unique across the binaries of one CI run, so their JSONL traces can be
-/// merged into a single timeline and split back apart.
-fn default_run_id() -> String {
-    let exe = std::env::args().next().unwrap_or_default();
-    let name = std::path::Path::new(&exe).file_stem().map_or_else(
-        || "unknown".to_string(),
-        |s| s.to_string_lossy().into_owned(),
-    );
-    format!("{name}-{}", std::process::id())
 }
 
 impl std::fmt::Debug for ObsRegistry {
@@ -125,19 +111,7 @@ impl ObsRegistry {
             sink: Mutex::new(None),
             sink_enabled: AtomicBool::new(false),
             trace_sample: AtomicU64::new(1),
-            run_id: Mutex::new(default_run_id()),
         }
-    }
-
-    /// The id stamped onto every emitted trace event as its `run` field.
-    #[must_use]
-    pub fn run_id(&self) -> String {
-        recover(self.run_id.lock()).clone()
-    }
-
-    /// Overrides the run id (e.g. a CI job id shared across binaries).
-    pub fn set_run_id(&self, id: &str) {
-        *recover(self.run_id.lock()) = id.to_string();
     }
 
     /// The named counter, created on first use. The returned handle is
@@ -217,18 +191,16 @@ impl ObsRegistry {
         self.sink_enabled.load(Ordering::Relaxed)
     }
 
-    /// Writes one event to the sink, if any, stamping it with the process
-    /// [`run id`](ObsRegistry::run_id) so traces from several binaries can
-    /// be merged into one timeline. A failing sink is dropped after a
-    /// single stderr warning — telemetry must never take down the sweep.
-    pub fn emit(&self, event: &TraceEvent) {
+    /// Writes one event to the sink, if any. A failing sink is dropped
+    /// after a single stderr warning — telemetry must never take down the
+    /// sweep.
+    pub fn emit(&self, event: TraceEvent) {
         if !self.sink_enabled() {
             return;
         }
-        let stamped = event.clone().field("run", self.run_id());
         let mut slot = recover(self.sink.lock());
         if let Some(sink) = slot.as_mut() {
-            let mut line = stamped.into_json_line();
+            let mut line = event.into_json_line();
             line.push('\n');
             if let Err(e) = sink.write_all(line.as_bytes()) {
                 eprintln!("warning: trace sink write failed ({e}); tracing disabled");
@@ -255,7 +227,7 @@ impl ObsRegistry {
             return;
         }
         let ev = self.counters_event();
-        self.emit(&ev);
+        self.emit(ev);
     }
 
     fn counters_event(&self) -> TraceEvent {
@@ -274,10 +246,7 @@ impl ObsRegistry {
         if !self.sink_enabled() {
             return;
         }
-        let mut line = self
-            .counters_event()
-            .field("run", self.run_id())
-            .into_json_line();
+        let mut line = self.counters_event().into_json_line();
         line.push('\n');
         let mut slot = recover(self.sink.lock());
         if let Some(sink) = slot.as_mut() {
@@ -330,7 +299,7 @@ impl ObsRegistry {
             if let Some(p) = parent_id {
                 ev = ev.field("parent", p);
             }
-            self.emit(&ev.field("thread", thread));
+            self.emit(ev.field("thread", thread));
         }
         SpanGuard {
             registry: self,
@@ -360,7 +329,7 @@ impl ObsRegistry {
             let ev = TraceEvent::new(self.now_ns(), "warn", name)
                 .field("count", count)
                 .field("text", text);
-            self.emit(&ev);
+            self.emit(ev);
         }
     }
 
@@ -456,7 +425,7 @@ impl Drop for SpanGuard<'_> {
                 .field("thread", self.thread)
                 .field("total_ns", total)
                 .field("self_ns", self_ns);
-            self.registry.emit(&ev);
+            self.registry.emit(ev);
         }
     }
 }
@@ -695,7 +664,7 @@ mod tests {
         assert!(reg.sink_enabled());
         drop(reg.span("s"));
         reg.warn("w", 2, "two things happened");
-        reg.emit(&TraceEvent::new(reg.now_ns(), "heartbeat", "progress"));
+        reg.emit(TraceEvent::new(reg.now_ns(), "heartbeat", "progress"));
         reg.flush();
         let lines: Vec<TraceEvent> = buf
             .contents()
@@ -871,45 +840,6 @@ mod tests {
         assert_eq!(ev.kind, "counters");
         assert_eq!(ev.name, "registry.counters");
         assert_eq!(ev.get("a.hit"), Some(&crate::json::Json::Int(5)));
-    }
-
-    #[test]
-    fn every_emitted_event_carries_the_run_id() {
-        let reg = ObsRegistry::new();
-        reg.set_clock(Arc::new(LogicalClock::new(10)));
-        let buf = SharedBuf::default();
-        reg.set_sink(Some(Box::new(buf.clone())));
-        drop(reg.span("s"));
-        reg.warn("w", 1, "note");
-        reg.flush();
-        let id = reg.run_id();
-        assert!(id.contains('-'), "default id is <binary>-<pid>: {id}");
-        for line in buf.contents().lines() {
-            let ev = TraceEvent::parse(line).expect("line parses");
-            assert_eq!(
-                ev.get("run"),
-                Some(&crate::json::Json::Str(id.clone())),
-                "missing run id on: {line}"
-            );
-        }
-    }
-
-    #[test]
-    fn run_id_override_applies_to_subsequent_events() {
-        let reg = ObsRegistry::new();
-        reg.set_clock(Arc::new(LogicalClock::new(10)));
-        let buf = SharedBuf::default();
-        reg.set_sink(Some(Box::new(buf.clone())));
-        reg.set_run_id("ci-1234");
-        assert_eq!(reg.run_id(), "ci-1234");
-        drop(reg.span("s"));
-        reg.flush();
-        let ev =
-            TraceEvent::parse(buf.contents().lines().next().expect("one line")).expect("parses");
-        assert_eq!(
-            ev.get("run"),
-            Some(&crate::json::Json::Str("ci-1234".to_string()))
-        );
     }
 
     #[test]

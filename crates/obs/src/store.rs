@@ -207,7 +207,9 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
     /// Inserts a value built outside the store, returning the shared
     /// handle. If a racing worker inserted the key first, its (identical,
     /// by construction) value is kept and returned, so sharing stays
-    /// maximal.
+    /// maximal. With [`Store::get`], this is the path for values whose
+    /// build can fail or runs too long to hold a shard lock (the L1 result
+    /// cache).
     pub fn insert(&self, key: K, value: V) -> Arc<V> {
         let shard = self.shard(&key);
         let held = shard.held(&key);
@@ -217,7 +219,8 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
     /// Returns the held value, or builds, inserts and returns it, counting
     /// the hit or miss. The build runs under the shard lock, which
     /// serialises builders racing on the shard but builds each key exactly
-    /// once: the right trade for artifacts every worker wants at once.
+    /// once, so the counts do not depend on the worker count: the path of
+    /// every memo and L3 class.
     pub fn get_or_insert_with(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
         let shard = self.shard(&key);
         let held = self.counted(shard.held(&key));
@@ -319,6 +322,16 @@ mod tests {
         assert_eq!(build_count.load(Ordering::Relaxed), 1);
         let st = s.stats();
         assert_eq!((st.hits, st.misses, st.entries), (399, 1, 1));
+    }
+
+    #[test]
+    fn racing_insert_keeps_established_value() {
+        let s: Store<Key, Vec<f64>> = Store::new("test.store", 64, Vec::len);
+        let first = s.insert(Key(2), vec![1.0]);
+        let second = s.insert(Key(2), vec![2.0]);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(*second, vec![1.0]);
+        assert_eq!(s.stats().entries, 1);
     }
 
     #[test]
