@@ -14,14 +14,12 @@ use efficsense_cs::memo::DictionaryArtifacts;
 use efficsense_cs::recon::{reconstruct_with_artifacts, OmpConfig};
 use efficsense_cs::SensingMatrix;
 use efficsense_obs::json::Json;
+use efficsense_rng::{mix64, GOLDEN_GAMMA};
 use std::time::Instant;
 
 /// SplitMix64 avalanche for deterministic frame synthesis.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn mix(z: u64) -> u64 {
+    mix64(z.wrapping_add(GOLDEN_GAMMA))
 }
 
 fn unit(seed: u64) -> f64 {
@@ -34,8 +32,9 @@ fn main() {
     let m = 150;
     let n = 384;
     let phi = SensingMatrix::srbm(m, n, 2, 0x0B_E7C4).to_dense();
-    let dict = phi.matmul(&Basis::Dct.matrix(n));
-    let art = DictionaryArtifacts::from_dictionary(dict, Basis::Dct, 1.0);
+    let psi = Basis::Dct.matrix(n);
+    let dict = phi.matmul(&psi);
+    let art = DictionaryArtifacts::from_dictionary(dict, &psi, 1.0);
     let cfg = OmpConfig {
         sparsity: 48,
         residual_tol: 1e-3,

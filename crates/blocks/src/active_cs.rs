@@ -11,7 +11,7 @@ use efficsense_cs::matrix::SensingMatrix;
 use efficsense_power::models::{CsEncoderLogicModel, PowerModel};
 use efficsense_power::ota::OtaIntegratorModel;
 use efficsense_power::{kt, DesignParams, PowerBreakdown, TechnologyParams};
-use efficsense_signals::noise::Gaussian;
+use efficsense_rng::Rng64;
 
 /// Behavioural active CS encoder (integrator bank).
 #[derive(Debug, Clone)]
@@ -23,7 +23,7 @@ pub struct ActiveCsEncoder {
     pub dc_gain: f64,
     /// Enable kT/C noise per charge transfer.
     pub ktc_noise: bool,
-    noise: Gaussian,
+    noise: Rng64,
     acc: Vec<f64>,
 }
 
@@ -46,7 +46,7 @@ impl ActiveCsEncoder {
             c_int_f,
             dc_gain,
             ktc_noise,
-            noise: Gaussian::new(seed ^ 0xAC71),
+            noise: Rng64::new(seed ^ 0xAC71),
             acc: vec![0.0; m],
         }
     }
@@ -80,7 +80,7 @@ impl ActiveCsEncoder {
         for (j, &x) in frame.iter().enumerate() {
             for &r in self.phi.column_rows(j) {
                 let sampled = if sigma > 0.0 {
-                    x + self.noise.sample_scaled(sigma)
+                    x + self.noise.normal() * sigma
                 } else {
                     x
                 };

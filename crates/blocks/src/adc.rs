@@ -10,7 +10,7 @@
 use efficsense_faults::AdcStuckBitFault;
 use efficsense_power::models::{ComparatorModel, DacModel, SarLogicModel};
 use efficsense_power::{DesignParams, PowerBreakdown, PowerModel, TechnologyParams};
-use efficsense_signals::noise::Gaussian;
+use efficsense_rng::Rng64;
 
 /// Behavioural SAR analog-to-digital converter.
 ///
@@ -31,7 +31,7 @@ pub struct SarAdc {
     bit_caps: Vec<f64>,
     /// Total array capacitance including the termination cap, in `C_u`.
     c_total: f64,
-    noise: Gaussian,
+    noise: Rng64,
     stuck: Option<AdcStuckBitFault>,
 }
 
@@ -66,14 +66,14 @@ impl SarAdc {
             comparator_noise_v >= 0.0,
             "comparator noise must be non-negative"
         );
-        let mut rng = Gaussian::new(seed ^ 0xADC0_ADC0);
+        let mut rng = Rng64::new(seed ^ 0xADC0_ADC0);
         let sigma_unit = tech.cap_mismatch_sigma(c_u_f);
         // Bit i holds 2^i unit caps; its relative mismatch shrinks as 1/√2^i.
         let bit_caps: Vec<f64> = (0..n_bits)
             .map(|i| {
                 let units = 2f64.powi(i as i32);
                 let sigma = sigma_unit / units.sqrt();
-                units * (1.0 + rng.sample_scaled(sigma))
+                units * (1.0 + rng.normal() * sigma)
             })
             .collect();
         let c_total = bit_caps.iter().sum::<f64>() + 1.0; // + termination cap
@@ -85,7 +85,7 @@ impl SarAdc {
             comparator_offset_v,
             bit_caps,
             c_total,
-            noise: Gaussian::new(seed ^ 0xC0DE),
+            noise: Rng64::new(seed ^ 0xC0DE),
             stuck: None,
         }
     }
@@ -129,7 +129,7 @@ impl SarAdc {
             let trial = code | (1 << i);
             let v_dac = self.dac_voltage(trial);
             let decision_noise = if self.comparator_noise_v > 0.0 {
-                self.noise.sample_scaled(self.comparator_noise_v)
+                self.noise.normal() * self.comparator_noise_v
             } else {
                 0.0
             };

@@ -21,7 +21,7 @@ use efficsense_cs::matrix::SensingMatrix;
 use efficsense_faults::CapLeakageFault;
 use efficsense_power::models::{CsEncoderLogicModel, LeakageModel};
 use efficsense_power::{kt, DesignParams, PowerBreakdown, PowerModel, TechnologyParams};
-use efficsense_signals::noise::Gaussian;
+use efficsense_rng::Rng64;
 
 /// Non-ideality switches for the encoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,7 +77,7 @@ pub struct ChargeSharingEncoder {
     sample_caps: Vec<f64>,
     /// Leakage time constant (s); infinity when leakage is disabled.
     tau_s: f64,
-    noise: Gaussian,
+    noise: Rng64,
     hold_v: Vec<f64>,
 }
 
@@ -109,11 +109,11 @@ impl ChargeSharingEncoder {
         );
         assert!(sample_period_s > 0.0, "sample period must be positive");
         let m = phi.m();
-        let mut rng = Gaussian::new(seed ^ 0xC5C5_C5C5);
-        let draw = |nominal: f64, rng: &mut Gaussian, enabled: bool| {
+        let mut rng = Rng64::new(seed ^ 0xC5C5_C5C5);
+        let draw = |nominal: f64, rng: &mut Rng64, enabled: bool| {
             if enabled {
                 let sigma = tech.cap_mismatch_sigma(nominal);
-                nominal * (1.0 + rng.sample_scaled(sigma))
+                nominal * (1.0 + rng.normal() * sigma)
             } else {
                 nominal
             }
@@ -138,7 +138,7 @@ impl ChargeSharingEncoder {
             hold_caps,
             sample_caps,
             tau_s,
-            noise: Gaussian::new(seed ^ 0x5EED),
+            noise: Rng64::new(seed ^ 0x5EED),
             hold_v: vec![0.0; m],
         }
     }
@@ -209,7 +209,7 @@ impl ChargeSharingEncoder {
             for (branch, &r) in self.phi.column_rows(j).iter().enumerate() {
                 let c_s = self.sample_caps[branch % self.sample_caps.len()];
                 let sampled = if self.imperfections.ktc_noise {
-                    x + self.noise.sample_scaled(ktc)
+                    x + self.noise.normal() * ktc
                 } else {
                     x
                 };

@@ -233,12 +233,12 @@ mod tests {
 
     #[test]
     fn hysteresis_suppresses_noise_chatter() {
-        use efficsense_signals::noise::Gaussian;
-        let mut rng = Gaussian::new(3);
+        use efficsense_rng::Rng64;
+        let mut rng = Rng64::new(3);
         let lsb = 2.0 / 256.0;
         // Noise straddling a level boundary.
         let x: Vec<f64> = (0..20_000)
-            .map(|_| lsb / 2.0 + rng.sample_scaled(lsb * 0.2))
+            .map(|_| lsb / 2.0 + rng.normal() * (lsb * 0.2))
             .collect();
         let mut crisp = LcAdc::new(8, 2.0, 0.0);
         let mut damped = LcAdc::new(8, 2.0, 1.0);

@@ -10,7 +10,6 @@ use efficsense_power::models::LnaModel;
 use efficsense_power::Watts;
 use efficsense_power::{DesignParams, TechnologyParams};
 use efficsense_rng::Rng64;
-use efficsense_signals::noise::Gaussian;
 
 /// Runtime state of an injected railing fault.
 #[derive(Debug, Clone)]
@@ -44,7 +43,7 @@ pub struct Lna {
     /// Output clipping level (±V, typically `V_dd/2`).
     pub v_clip: f64,
     filter: OnePole,
-    noise: Gaussian,
+    noise: Rng64,
     sigma_per_sample: f64,
     rail: Option<RailState>,
 }
@@ -86,7 +85,7 @@ impl Lna {
             k3,
             v_clip,
             filter: OnePole::lowpass(bandwidth_hz, f_ct),
-            noise: Gaussian::new(seed),
+            noise: Rng64::new(seed),
             sigma_per_sample,
             rail: None,
         }
@@ -154,7 +153,7 @@ impl Lna {
 
     /// Processes one continuous-time-proxy sample (volts in, volts out).
     pub fn process(&mut self, v_in: f64) -> f64 {
-        let noisy = v_in + self.noise.sample_scaled(self.sigma_per_sample);
+        let noisy = v_in + self.noise.normal() * self.sigma_per_sample;
         let amplified = self.filter.process(noisy) * self.gain;
         let shaped = if !efficsense_dsp::approx::is_zero(self.k3) {
             let u = amplified / self.v_clip;

@@ -7,14 +7,13 @@ use efficsense_power::models::SampleHoldModel;
 use efficsense_power::Watts;
 use efficsense_power::{kt, DesignParams, TechnologyParams};
 use efficsense_rng::Rng64;
-use efficsense_signals::noise::Gaussian;
 
 /// Injected sample-clock fault with its own random streams, so the clean
 /// noise realisation is untouched by injection.
 #[derive(Debug, Clone)]
 struct ClockState {
     fault: ClockFault,
-    jitter_rng: Gaussian,
+    jitter_rng: Rng64,
     drop_rng: Rng64,
 }
 
@@ -27,7 +26,7 @@ pub struct Sampler {
     pub c_sample_f: f64,
     /// RMS aperture jitter (s); 0 disables it.
     pub jitter_s: f64,
-    noise: Gaussian,
+    noise: Rng64,
     clock: Option<ClockState>,
 }
 
@@ -45,7 +44,7 @@ impl Sampler {
             fs,
             c_sample_f,
             jitter_s,
-            noise: Gaussian::new(seed),
+            noise: Rng64::new(seed),
             clock: None,
         }
     }
@@ -57,7 +56,7 @@ impl Sampler {
     pub fn inject_clock_fault(&mut self, fault: Option<ClockFault>, fault_seed: u64) {
         self.clock = fault.filter(|f| !f.is_noop()).map(|fault| ClockState {
             fault,
-            jitter_rng: Gaussian::new(fault_seed ^ 0x0C10_CC00),
+            jitter_rng: Rng64::new(fault_seed ^ 0x0C10_CC00),
             drop_rng: Rng64::new(fault_seed ^ 0x0D20_9ED5),
         });
     }
@@ -73,7 +72,7 @@ impl Sampler {
     pub fn install_clock_fault(&mut self, fault: ClockFault, fault_seed: u64) {
         self.clock = Some(ClockState {
             fault,
-            jitter_rng: Gaussian::new(fault_seed ^ 0x0C10_CC00),
+            jitter_rng: Rng64::new(fault_seed ^ 0x0C10_CC00),
             drop_rng: Rng64::new(fault_seed ^ 0x0D20_9ED5),
         });
     }
@@ -103,12 +102,12 @@ impl Sampler {
     pub fn acquisition_instant(&mut self, i: u64) -> Option<f64> {
         let mut t = i as f64 / self.fs;
         if self.jitter_s > 0.0 {
-            t += self.noise.sample_scaled(self.jitter_s);
+            t += self.noise.normal() * self.jitter_s;
         }
         if let Some(clock) = &mut self.clock {
             if clock.fault.jitter_periods > 0.0 {
                 let sigma_t = clock.fault.jitter_periods / self.fs;
-                t += clock.jitter_rng.sample_scaled(sigma_t);
+                t += clock.jitter_rng.normal() * sigma_t;
             }
             if clock.drop_rng.chance(clock.fault.drop_prob) {
                 return None;
@@ -124,7 +123,7 @@ impl Sampler {
     /// happens only once the value is computed, preserving batch draw
     /// order.
     pub fn acquire(&mut self, v: f64) -> f64 {
-        v + self.noise.sample_scaled(self.ktc_sigma())
+        v + self.noise.normal() * self.ktc_sigma()
     }
 
     /// Samples a continuous-time proxy record (`x` at rate `f_ct`) at this

@@ -455,8 +455,7 @@ fn entry_from_json(line: &str) -> Option<(PointKey, SweepResult)> {
 /// Memoized detector training: one shared [`SeizureDetector`] per
 /// `(dataset fingerprint, sample rate, epoch length, seed)`. Training is
 /// deterministic in that key, so the memoized detector is bit-identical to
-/// a freshly trained one. `epoch_s > 0` trains the epoched variant, `0`
-/// the whole-record variant, matching [`crate::sweep::SweepConfig`].
+/// a freshly trained one.
 ///
 /// Each product-sweep cell calls [`crate::sweep::Sweep::run_report`], which
 /// used to retrain the same detector per cell; memoizing it here is what
@@ -464,8 +463,8 @@ fn entry_from_json(line: &str) -> Option<(PointKey, SweepResult)> {
 ///
 /// # Panics
 ///
-/// Panics when the dataset is empty or `epoch_s` is negative/non-finite
-/// (the underlying trainers assert this).
+/// Panics when the dataset is empty or `epoch_s` is not positive (as
+/// [`SeizureDetector::train_epoched`] does).
 #[must_use]
 pub fn trained_detector(
     dataset: &EegDataset,
@@ -485,11 +484,7 @@ pub fn trained_detector(
     let store = STORE.get_or_init(|| Store::unbounded("memo.detector"));
     store.get_or_insert_with(key, || {
         let _train_span = efficsense_obs::span!("detect.train");
-        if epoch_s > 0.0 {
-            SeizureDetector::train_epoched(dataset, fs, epoch_s, seed)
-        } else {
-            SeizureDetector::train(dataset, fs, seed)
-        }
+        SeizureDetector::train_epoched(dataset, fs, epoch_s, seed)
     })
 }
 

@@ -11,6 +11,7 @@ use efficsense_ml::features::FeatureExtractor;
 use efficsense_ml::metrics::Confusion;
 use efficsense_ml::mlp::MlpClassifier;
 use efficsense_ml::{Scaler, TrainConfig};
+use efficsense_rng::Rng64;
 use efficsense_signals::{EegDataset, Record};
 
 /// A trained seizure detector (features → scaler → MLP).
@@ -21,20 +22,11 @@ pub struct SeizureDetector {
     classifier: MlpClassifier,
     /// Sample rate the detector was trained at (Hz).
     pub train_fs: f64,
-    /// Decision window in seconds; 0 = classify whole records.
+    /// Decision window in seconds (positive).
     pub epoch_s: f64,
 }
 
 impl SeizureDetector {
-    /// Trains a whole-record detector (one decision per record).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset is empty.
-    pub fn train(dataset: &EegDataset, target_fs: f64, seed: u64) -> Self {
-        Self::train_impl(dataset, target_fs, 0.0, seed)
-    }
-
     /// Trains an *epoched* detector: signals are split into `epoch_s`-second
     /// windows and each window is classified independently (the windowed-
     /// segment scheme of the deep-learning EEG literature, including the
@@ -43,31 +35,28 @@ impl SeizureDetector {
     /// record averages noise out of the features; a 2 s window does not —
     /// and give the accuracy metric a fine-grained scale.
     ///
+    /// Training uses *pipeline-aware* augmentation: besides the clean
+    /// record, each training example contributes a band-limited variant, a
+    /// small-additive-noise variant, and ideally CS-reconstructed variants
+    /// (noiseless charge-sharing encode + OMP decode at two compression
+    /// ratios). This is the standard robustness recipe for a detector that
+    /// will run on acquired (rather than pristine) signals — without it any
+    /// front-end imperfection is out-of-distribution and accuracy collapses
+    /// instead of degrading smoothly with signal quality.
+    ///
     /// # Panics
     ///
     /// Panics if the dataset is empty or `epoch_s <= 0`.
     pub fn train_epoched(dataset: &EegDataset, target_fs: f64, epoch_s: f64, seed: u64) -> Self {
         assert!(epoch_s > 0.0, "epoch length must be positive");
-        Self::train_impl(dataset, target_fs, epoch_s, seed)
-    }
-
-    /// Shared training path. Uses *pipeline-aware* augmentation: besides the
-    /// clean record, each training example contributes a band-limited
-    /// variant, a small-additive-noise variant, and ideally CS-reconstructed
-    /// variants (noiseless charge-sharing encode + OMP decode at two
-    /// compression ratios). This is the standard robustness recipe for a
-    /// detector that will run on acquired (rather than pristine) signals —
-    /// without it any front-end imperfection is out-of-distribution and
-    /// accuracy collapses instead of degrading smoothly with signal quality.
-    fn train_impl(dataset: &EegDataset, target_fs: f64, epoch_s: f64, seed: u64) -> Self {
         assert!(
             !dataset.is_empty(),
             "cannot train a detector on an empty dataset"
         );
-        let extractor = FeatureExtractor::default();
+        let extractor = FeatureExtractor;
         let mut x = Vec::with_capacity(dataset.len() * 8);
         let mut y = Vec::with_capacity(dataset.len() * 8);
-        let mut rng = efficsense_signals::noise::Gaussian::new(seed ^ 0xA06);
+        let mut rng = Rng64::new(seed ^ 0xA06);
         let lp = efficsense_dsp::filter::IirFilter::butterworth_lowpass(4, 45.0, target_fs);
         // Ideal CS encode/decode pipelines (the compression artifact
         // teachers): strong and weak compression, nominal capacitors, no
@@ -82,11 +71,11 @@ impl SeizureDetector {
                 efficsense_cs::matrix::SensingMatrix::srbm(cfg.m, cfg.n_phi, cfg.s, 0x7EAC_4E11);
             let eff =
                 efficsense_cs::charge_sharing::effective_matrix(&phi, cfg.c_sample_f, cfg.c_hold_f);
-            let dict = eff.matmul(&cfg.basis.matrix(cfg.n_phi));
+            let psi = cfg.basis.matrix(cfg.n_phi);
+            let dict = eff.matmul(&psi);
             // Gram/ridge artifacts route the training decodes through the
             // fast batched OMP kernel (mean_row_w2 is unused here).
-            let art =
-                efficsense_cs::memo::DictionaryArtifacts::from_dictionary(dict, cfg.basis, 0.0);
+            let art = efficsense_cs::memo::DictionaryArtifacts::from_dictionary(dict, &psi, 0.0);
             let omp = efficsense_cs::recon::OmpConfig {
                 sparsity: 2 * cfg.m / 5,
                 residual_tol: 1e-4,
@@ -123,25 +112,21 @@ impl SeizureDetector {
             // Small-noise variant (1 µV input-referred) — enough to teach
             // tolerance of a *quiet* front-end without washing out the
             // noise sensitivity that drives the Fig. 7 trade-off.
-            variants.push(clean.iter().map(|v| v + rng.sample_scaled(1e-6)).collect());
+            variants.push(clean.iter().map(|v| v + rng.normal() * 1e-6).collect());
             // CS-pipeline variants: reconstruction artifacts at strong and
             // weak compression, clean and with a little noise.
             for p in &pipelines {
                 let recon = cs_recon(clean, p);
                 if !recon.is_empty() {
                     let recon_noisy: Vec<f64> =
-                        recon.iter().map(|v| v + rng.sample_scaled(2e-6)).collect();
+                        recon.iter().map(|v| v + rng.normal() * 2e-6).collect();
                     variants.push(recon);
                     variants.push(recon_noisy);
                 }
             }
-            let epoch_len = if epoch_s > 0.0 {
-                ((epoch_s * target_fs) as usize).max(8)
-            } else {
-                usize::MAX
-            };
+            let epoch_len = ((epoch_s * target_fs) as usize).max(8);
             for v in variants {
-                if epoch_len == usize::MAX || v.len() <= epoch_len {
+                if v.len() <= epoch_len {
                     x.push(extractor.extract(&v, target_fs));
                     y.push(r.label());
                 } else {
@@ -155,13 +140,11 @@ impl SeizureDetector {
         let scaler = Scaler::fit(&x);
         let xs = scaler.transform_batch(&x);
         let mut classifier = MlpClassifier::new(xs[0].len(), &[16], 2, seed);
-        // Epoched training sets are much larger; fewer epochs suffice.
-        let epochs = if epoch_s > 0.0 { 60 } else { 150 };
         classifier.fit(
             &xs,
             &y,
             &TrainConfig {
-                epochs,
+                epochs: 60,
                 learning_rate: 5e-3,
                 batch_size: 32,
                 weight_decay: 1e-4,
@@ -177,11 +160,8 @@ impl SeizureDetector {
     }
 
     /// Splits a signal into this detector's decision windows (the whole
-    /// signal when not epoched or too short for one window).
+    /// signal when it is too short for one window).
     fn windows<'a>(&self, signal: &'a [f64], fs: f64) -> Vec<&'a [f64]> {
-        if self.epoch_s <= 0.0 {
-            return vec![signal];
-        }
         let n = ((self.epoch_s * fs) as usize).max(8);
         if signal.len() <= n {
             vec![signal]
@@ -190,8 +170,8 @@ impl SeizureDetector {
         }
     }
 
-    /// Classifies one signal (`1` = seizure). For an epoched detector the
-    /// signal's windows vote by majority (ties → seizure).
+    /// Classifies one signal (`1` = seizure). The signal's windows vote by
+    /// majority (ties → seizure).
     pub fn predict(&self, signal: &[f64], fs: f64) -> usize {
         let wins = self.windows(signal, fs);
         let votes: usize = wins.iter().map(|w| self.predict_window(w, fs)).sum();
@@ -219,9 +199,8 @@ impl SeizureDetector {
 
     /// Accuracy over `(signal, label)` pairs at rate `fs`.
     ///
-    /// For an epoched detector every window of every signal is one decision
-    /// (the paper-style per-segment accuracy); otherwise one decision per
-    /// signal.
+    /// Every window of every signal is one decision (the paper-style
+    /// per-segment accuracy).
     ///
     /// # Panics
     ///
@@ -231,7 +210,7 @@ impl SeizureDetector {
     }
 
     /// Full confusion matrix over `(signal, label)` pairs, at window
-    /// granularity for an epoched detector.
+    /// granularity.
     ///
     /// # Panics
     ///
@@ -276,7 +255,7 @@ mod tests {
     #[test]
     fn detector_nails_clean_data() {
         let ds = small_dataset();
-        let det = SeizureDetector::train(&ds, 537.6, 1);
+        let det = SeizureDetector::train_epoched(&ds, 537.6, 2.0, 1);
         let acc = det.clean_accuracy(&ds);
         assert!(acc >= 0.95, "clean accuracy {acc}");
     }
@@ -295,7 +274,7 @@ mod tests {
             seed: 2,
             ..Default::default()
         });
-        let det = SeizureDetector::train(&train, 537.6, 1);
+        let det = SeizureDetector::train_epoched(&train, 537.6, 2.0, 1);
         let acc = det.clean_accuracy(&test);
         assert!(acc >= 0.9, "held-out accuracy {acc}");
     }
@@ -303,8 +282,8 @@ mod tests {
     #[test]
     fn heavy_noise_costs_accuracy() {
         let ds = small_dataset();
-        let det = SeizureDetector::train(&ds, 537.6, 1);
-        let mut rng = efficsense_signals::noise::Gaussian::new(9);
+        let det = SeizureDetector::train_epoched(&ds, 537.6, 2.0, 1);
+        let mut rng = Rng64::new(9);
         // Massive white noise (200 µV) swamps every feature.
         let outputs: Vec<(Vec<f64>, usize)> = ds
             .records
@@ -314,7 +293,7 @@ mod tests {
                 let noisy: Vec<f64> = s
                     .samples
                     .iter()
-                    .map(|v| v + rng.sample_scaled(200e-6))
+                    .map(|v| v + rng.normal() * 200e-6)
                     .collect();
                 (noisy, r.label())
             })
@@ -330,7 +309,7 @@ mod tests {
     #[test]
     fn probability_in_unit_interval() {
         let ds = small_dataset();
-        let det = SeizureDetector::train(&ds, 537.6, 3);
+        let det = SeizureDetector::train_epoched(&ds, 537.6, 2.0, 3);
         let r = ds.records[0].resampled(537.6);
         let p = det.probability(&r.samples, 537.6);
         assert!((0.0..=1.0).contains(&p));
@@ -339,7 +318,7 @@ mod tests {
     #[test]
     fn confusion_consistent_with_accuracy() {
         let ds = small_dataset();
-        let det = SeizureDetector::train(&ds, 537.6, 5);
+        let det = SeizureDetector::train_epoched(&ds, 537.6, 2.0, 5);
         let outputs: Vec<(Vec<f64>, usize)> = ds
             .records
             .iter()
@@ -353,8 +332,8 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let ds = small_dataset();
-        let a = SeizureDetector::train(&ds, 537.6, 7);
-        let b = SeizureDetector::train(&ds, 537.6, 7);
+        let a = SeizureDetector::train_epoched(&ds, 537.6, 2.0, 7);
+        let b = SeizureDetector::train_epoched(&ds, 537.6, 2.0, 7);
         let r = ds.records[3].resampled(537.6);
         assert_eq!(
             a.probability(&r.samples, 537.6),
@@ -385,34 +364,6 @@ mod tests {
             conf.accuracy() > 0.9,
             "clean epoched accuracy {}",
             conf.accuracy()
-        );
-    }
-
-    #[test]
-    fn epoched_accuracy_more_noise_sensitive_than_record_level() {
-        let ds = small_dataset();
-        let rec_det = SeizureDetector::train(&ds, 537.6, 1);
-        let ep_det = SeizureDetector::train_epoched(&ds, 537.6, 2.0, 1);
-        let mut rng = efficsense_signals::noise::Gaussian::new(5);
-        let noisy: Vec<(Vec<f64>, usize)> = ds
-            .records
-            .iter()
-            .map(|r| {
-                let s = r.resampled(537.6);
-                let v: Vec<f64> = s
-                    .samples
-                    .iter()
-                    .map(|u| u + rng.sample_scaled(12e-6))
-                    .collect();
-                (v, r.label())
-            })
-            .collect();
-        let rec_acc = rec_det.accuracy(&noisy, 537.6);
-        let ep_acc = ep_det.accuracy(&noisy, 537.6);
-        // Record-level features average the noise away; windows feel it.
-        assert!(
-            ep_acc <= rec_acc + 0.02,
-            "epoched {ep_acc} should not beat record-level {rec_acc} under noise"
         );
     }
 

@@ -48,7 +48,7 @@ use efficsense_faults::{
     ClockFault, CompoundPlan, FaultKind, FaultPlan, LinkFault, LinkStats, LnaRailFault,
 };
 use efficsense_power::{DesignParams, PowerBreakdown, TechnologyParams};
-use efficsense_rng::Rng64;
+use efficsense_rng::{Rng64, GOLDEN_GAMMA};
 use std::sync::Arc;
 
 /// Frames digitised before each batched decode flush of a chunked stream.
@@ -930,7 +930,7 @@ impl StreamSimulator {
         };
         let stream_of = |salt: u64| p0.stream(salt.wrapping_add(noise_seed.wrapping_mul(256)));
         // LNA: fresh instance; noise varies with the record.
-        let lna_seed = cfg.seed ^ noise_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let lna_seed = cfg.seed ^ noise_seed.wrapping_mul(GOLDEN_GAMMA);
         let mut lna = Lna::from_design(
             &cfg.design,
             cfg.lna.gain,

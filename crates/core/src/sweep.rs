@@ -12,8 +12,10 @@ use crate::simulate::{SimOutput, SimScratch, Simulator};
 use crate::space::{DesignPoint, DesignSpace};
 use efficsense_faults::FaultPlan;
 use efficsense_power::PowerBreakdown;
+use efficsense_rng::{mix64, GOLDEN_GAMMA};
 use efficsense_signals::EegDataset;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 /// Which quality metrics to compute per design point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,9 +125,9 @@ pub struct SweepConfig {
     pub threads: usize,
     /// Detector training seed (DetectionAccuracy only).
     pub detector_seed: u64,
-    /// Detection decision window in seconds (DetectionAccuracy only);
-    /// 0 classifies whole records. Default 2 s — the windowed-segment scheme
-    /// of the EEG deep-learning literature.
+    /// Detection decision window in seconds (DetectionAccuracy only); must
+    /// be positive. Default 2 s — the windowed-segment scheme of the EEG
+    /// deep-learning literature.
     pub epoch_s: f64,
     /// What to do when a point fails to evaluate.
     pub failure_policy: FailurePolicy,
@@ -248,15 +250,20 @@ impl Sweep {
         assert!(!dataset.is_empty(), "dataset is empty");
         let _sweep_span = efficsense_obs::span!("sweep.run");
         let cfg = &self.config;
-        // Detector training is memoized process-wide, so repeated sweeps
-        // over the same dataset (the product-sweep workload) train once.
-        let goal: Box<dyn GoalFunction + Sync> = match cfg.metric {
-            Metric::Snr => Box::new(SnrGoal),
-            Metric::DetectionAccuracy => {
-                let fs = space.template.design.f_sample_hz();
-                let detector =
-                    crate::cache::trained_detector(dataset, fs, cfg.epoch_s, cfg.detector_seed);
-                Box::new(DetectionGoal::new((*detector).clone()))
+        // The goal is built by the first point that misses L1, so a sweep
+        // served wholly from the cache trains nothing. Detector training is
+        // memoized process-wide, so repeated sweeps over the same dataset
+        // (the product-sweep workload) train once.
+        let goal: OnceLock<Box<dyn GoalFunction + Send + Sync>> = OnceLock::new();
+        let build_goal = || -> Box<dyn GoalFunction + Send + Sync> {
+            match cfg.metric {
+                Metric::Snr => Box::new(SnrGoal),
+                Metric::DetectionAccuracy => {
+                    let fs = space.template.design.f_sample_hz();
+                    let detector =
+                        crate::cache::trained_detector(dataset, fs, cfg.epoch_s, cfg.detector_seed);
+                    Box::new(DetectionGoal::new((*detector).clone()))
+                }
             }
         };
         // The cache context is sweep-invariant; fingerprint the dataset once.
@@ -304,6 +311,9 @@ impl Sweep {
                     if faulted {
                         efficsense_obs::counter!("sweep.faulted_points").incr();
                     }
+                    // Outside the panic boundary: a goal that cannot be
+                    // built fails the whole sweep, not one point.
+                    let goal = goal.get_or_init(build_goal);
                     // The panic boundary: a model blowing up on one point
                     // must not take down the sweep.
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -473,10 +483,7 @@ pub fn salted_seed(base: u64, salt: u64) -> u64 {
     if salt == 0 {
         return base;
     }
-    let mut z = base ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(base ^ salt.wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// [`evaluate_point`] with the sweep's cost levers: `decode_threads` sets

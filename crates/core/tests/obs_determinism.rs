@@ -111,8 +111,9 @@ fn decode_pool_snapshot_is_identical_across_thread_counts() {
     let m = 32;
     let n = 96;
     let phi = SensingMatrix::srbm(m, n, 2, 0xDEC0DE).to_dense();
-    let dict = phi.matmul(&Basis::Dct.matrix(n));
-    let art = DictionaryArtifacts::from_dictionary(dict, Basis::Dct, 1.0);
+    let psi = Basis::Dct.matrix(n);
+    let dict = phi.matmul(&psi);
+    let art = DictionaryArtifacts::from_dictionary(dict, &psi, 1.0);
     let frames: Vec<Vec<f64>> = (0..10u64)
         .map(|f| {
             let mut s = vec![0.0; n];
@@ -498,4 +499,38 @@ fn faulted_points_counts_only_active_fault_plans() {
     // A severity-0 plan is clean, and the simulator drops it.
     assert_eq!(faulted(0.0), 0);
     assert_eq!(faulted(1.0), space.len() as u64);
+}
+
+#[test]
+fn warm_cache_replay_looks_up_no_detector() {
+    use efficsense_core::cache::SweepCache;
+
+    let _guard = obs_lock();
+    let obs = efficsense_obs::global();
+    let ds = tiny_dataset();
+    let space = tiny_space();
+    let cache = Arc::new(SweepCache::new());
+    let sweep = || {
+        Sweep::new(SweepConfig {
+            metric: Metric::DetectionAccuracy,
+            threads: 2,
+            detector_seed: 0,
+            ..Default::default()
+        })
+        .with_cache(Arc::clone(&cache))
+        .run(&space, &ds)
+    };
+    let cold = sweep();
+
+    obs.reset();
+    cache.reset_stats();
+    let warm = sweep();
+    assert_eq!(cold, warm);
+    assert_eq!(cache.stats().misses, 0, "every point replays from L1");
+    // Only a point that misses L1 needs the goal, so a replay neither
+    // trains a detector nor fetches one from the memo.
+    let snap = obs.snapshot();
+    for name in ["memo.detector.hit", "memo.detector.miss"] {
+        assert_eq!(snap.counter(name).unwrap_or(0), 0, "{name}");
+    }
 }

@@ -397,7 +397,8 @@ mod tests {
     #[should_panic(expected = "one decoder config per frame")]
     fn batch_rejects_mismatched_config_count() {
         let (a, y) = dense_problem(32, 16, 3, 4);
-        let art = DictionaryArtifacts::from_dictionary(a, Basis::Dct, 1.0);
+        let psi = Basis::Dct.matrix(a.cols());
+        let art = DictionaryArtifacts::from_dictionary(a, &psi, 1.0);
         let _ = reconstruct_batch(&art, &[y], &[], 1);
     }
 

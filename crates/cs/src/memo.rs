@@ -2,12 +2,13 @@
 //!
 //! A design-space product sweep instantiates thousands of simulators, but
 //! only a handful of *distinct* sensing configurations: every point sharing
-//! `(M, N_Φ, s, seed)` uses the same Φ, the same sparsifying basis Ψ, the
-//! same effective dictionary `A = Φ_eff·Ψ` and the same OMP column norms.
-//! Rebuilding them per point dominated cold-sweep time (the amortization
-//! lever of the fast BSBL / CS-telemonitoring literature), so this module
-//! caches them once per key in unbounded global [`Store`]s (counting under
-//! `memo.{srbm,basis,dict}.*`) and hands out `Arc`s.
+//! `(M, N_Φ, s, seed)` uses the same Φ, the same effective dictionary
+//! `A = Φ_eff·Ψ` and the same OMP column norms. Rebuilding them per point
+//! dominated cold-sweep time (the amortization lever of the fast BSBL /
+//! CS-telemonitoring literature), so this module caches them once per key in
+//! unbounded global [`Store`]s (counting under `memo.{srbm,dict}.*`) and
+//! hands out `Arc`s. The sparsifying basis Ψ is not cached: it is built once
+//! per dictionary build, which the dictionary store already amortizes.
 //!
 //! Everything here is *derived deterministically from its key*, so memoized
 //! artifacts are bit-identical to freshly built ones — callers may switch
@@ -30,25 +31,17 @@ pub use efficsense_obs::StoreStats;
 pub struct MemoStats {
     /// Sensing-matrix store.
     pub srbm: StoreStats,
-    /// Sparsifying-basis store.
-    pub basis: StoreStats,
     /// Decoder-dictionary store.
     pub dictionary: StoreStats,
 }
 
 type SrbmKey = (usize, usize, usize, u64);
-type BasisKey = (Basis, usize);
 /// `(m, n_phi, s, seed, c_sample bits, c_hold bits, decay bits, basis)`.
 type DictKey = (usize, usize, usize, u64, u64, u64, u64, Basis);
 
 fn srbm_store() -> &'static Store<SrbmKey, SensingMatrix> {
     static STORE: OnceLock<Store<SrbmKey, SensingMatrix>> = OnceLock::new();
     STORE.get_or_init(|| Store::unbounded("memo.srbm"))
-}
-
-fn basis_store() -> &'static Store<BasisKey, Matrix> {
-    static STORE: OnceLock<Store<BasisKey, Matrix>> = OnceLock::new();
-    STORE.get_or_init(|| Store::unbounded("memo.basis"))
 }
 
 fn dict_store() -> &'static Store<DictKey, DictionaryArtifacts> {
@@ -65,12 +58,6 @@ fn dict_store() -> &'static Store<DictKey, DictionaryArtifacts> {
 /// [`SensingMatrix::srbm`].
 pub fn srbm(m: usize, n: usize, s: usize, seed: u64) -> Arc<SensingMatrix> {
     srbm_store().get_or_insert_with((m, n, s, seed), || SensingMatrix::srbm(m, n, s, seed))
-}
-
-/// Memoized [`Basis::matrix`]: one shared `n × n` synthesis matrix per
-/// `(basis, n)`.
-pub fn basis_matrix(basis: Basis, n: usize) -> Arc<Matrix> {
-    basis_store().get_or_insert_with((basis, n), || basis.matrix(n))
 }
 
 /// Everything the charge-sharing decoder precomputes per design point:
@@ -163,18 +150,19 @@ impl DictionaryArtifacts {
             .map(|r| eff.row(r).iter().map(|w| w * w).sum::<f64>())
             .sum::<f64>()
             / eff.rows() as f64;
-        let psi = basis_matrix(p.basis, p.n_phi);
+        let psi = p.basis.matrix(p.n_phi);
         let dictionary = eff.matmul(&psi);
-        Self::from_dictionary(dictionary, p.basis, mean_row_w2)
+        Self::from_dictionary(dictionary, &psi, mean_row_w2)
     }
 
     /// Derives the decoder-side precomputations (column norms, Gram matrix,
-    /// ridge, transposed operators) for an already-built dictionary. This is
-    /// the constructor every fast-decode call site shares — the detector
-    /// trainer builds dictionaries outside the memo store and still needs the
-    /// same artifacts.
+    /// ridge, transposed operators) for an already-built dictionary
+    /// `A = Φ_eff·Ψ`, given the synthesis matrix `psi` (Ψ) it was built
+    /// from. This is the constructor every fast-decode call site shares —
+    /// the detector trainer builds dictionaries outside the memo store and
+    /// still needs the same artifacts.
     #[must_use]
-    pub fn from_dictionary(dictionary: Matrix, basis: Basis, mean_row_w2: f64) -> Self {
+    pub fn from_dictionary(dictionary: Matrix, psi: &Matrix, mean_row_w2: f64) -> Self {
         let col_norms: Vec<f64> = dictionary
             .col_norms()
             .into_iter()
@@ -184,7 +172,7 @@ impl DictionaryArtifacts {
         let gram = dictionary.gram();
         let ridge = 1e-12 * (gram.frobenius_norm() / gram.rows() as f64).max(1e-300);
         let dict_t = dictionary.transpose();
-        let synth_t = basis_matrix(basis, dictionary.cols()).transpose();
+        let synth_t = psi.transpose();
         Self {
             dictionary,
             col_norms,
@@ -212,7 +200,6 @@ pub fn dictionary(p: &DictionaryParams) -> Arc<DictionaryArtifacts> {
 pub fn stats() -> MemoStats {
     MemoStats {
         srbm: srbm_store().stats(),
-        basis: basis_store().stats(),
         dictionary: dict_store().stats(),
     }
 }
@@ -220,7 +207,6 @@ pub fn stats() -> MemoStats {
 /// Zeroes the hit/miss counters (entries stay cached).
 pub fn reset_stats() {
     srbm_store().reset_stats();
-    basis_store().reset_stats();
     dict_store().reset_stats();
 }
 
@@ -228,7 +214,6 @@ pub fn reset_stats() {
 /// this to measure genuinely cold builds; correctness never depends on it.
 pub fn clear() {
     srbm_store().clear();
-    basis_store().clear();
     dict_store().clear();
 }
 
@@ -258,14 +243,6 @@ mod tests {
         assert_eq!(*a, SensingMatrix::srbm(8, 24, 2, seed));
         let c = srbm(8, 24, 2, seed ^ 1);
         assert_ne!(*a, *c, "different seeds must not collide");
-    }
-
-    #[test]
-    fn basis_memo_matches_fresh() {
-        let m = basis_matrix(Basis::Haar, 16);
-        assert_eq!(*m, Basis::Haar.matrix(16));
-        assert!(Arc::ptr_eq(&m, &basis_matrix(Basis::Haar, 16)));
-        assert_ne!(*m, *basis_matrix(Basis::Dct, 16));
     }
 
     #[test]

@@ -11,14 +11,12 @@ use efficsense_cs::matrix::SensingMatrix;
 use efficsense_cs::memo::DictionaryArtifacts;
 use efficsense_cs::recon::{omp_with_col_norms, OmpConfig};
 use efficsense_dsp::approx::is_zero;
+use efficsense_rng::{mix64, GOLDEN_GAMMA};
 
-/// SplitMix64 avalanche: deterministic per-seed pseudo-randomness without
-/// pulling an RNG dependency into the harness.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// SplitMix64 avalanche: one stateless draw per seed, so each problem entry
+/// is a pure function of its seed and index.
+fn mix(z: u64) -> u64 {
+    mix64(z.wrapping_add(GOLDEN_GAMMA))
 }
 
 /// Uniform in [0, 1).
@@ -155,8 +153,9 @@ fn batch_decode_is_bit_identical_across_thread_counts() {
     let m = 32;
     let n = 96;
     let phi = SensingMatrix::srbm(m, n, 2, 0xBA7C4).to_dense();
-    let dict = phi.matmul(&Basis::Dct.matrix(n));
-    let art = DictionaryArtifacts::from_dictionary(dict, Basis::Dct, 1.0);
+    let psi = Basis::Dct.matrix(n);
+    let dict = phi.matmul(&psi);
+    let art = DictionaryArtifacts::from_dictionary(dict, &psi, 1.0);
     let frames: Vec<Vec<f64>> = (0..12u64)
         .map(|f| {
             let mut s = vec![0.0; n];

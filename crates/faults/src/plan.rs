@@ -1,6 +1,7 @@
 //! The fault taxonomy and the severity → physical-parameter mapping.
 
 use crate::link::LinkFault;
+use efficsense_rng::{mix64, GOLDEN_GAMMA};
 
 /// The fault kinds the chain can be subjected to, one per block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -226,13 +227,8 @@ impl FaultPlan {
     /// blocks; mix in a record seed for per-record decorrelation.
     #[must_use]
     pub fn stream(&self, salt: u64) -> u64 {
-        // SplitMix64-style finalising mix so neighbouring salts decorrelate.
-        let mut z = self
-            .seed
-            .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        // SplitMix64 finalising mix so neighbouring salts decorrelate.
+        mix64(self.seed.wrapping_add(salt.wrapping_mul(GOLDEN_GAMMA)))
     }
 
     /// Canonical content-addressing form for evaluation caches.

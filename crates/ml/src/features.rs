@@ -13,23 +13,11 @@ pub const BANDS: [(f64, f64); 5] = [
     (30.0, 70.0), // gamma
 ];
 
-/// Feature extraction configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeatureConfig {
-    /// Welch segment length in samples.
-    pub welch_segment: usize,
-    /// Small floor added inside logs to keep features finite.
-    pub log_floor: f64,
-}
+/// Welch segment length in samples (shorter records use their length).
+const WELCH_SEGMENT: usize = 256;
 
-impl Default for FeatureConfig {
-    fn default() -> Self {
-        Self {
-            welch_segment: 256,
-            log_floor: 1e-18,
-        }
-    }
-}
+/// Small floor added inside logs to keep features finite.
+const LOG_FLOOR: f64 = 1e-18;
 
 /// Extracts a fixed-length feature vector from an EEG record.
 ///
@@ -43,20 +31,13 @@ impl Default for FeatureConfig {
 /// 11. Hjorth complexity
 /// 12. zero-crossing rate
 /// 13. excess kurtosis
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FeatureExtractor {
-    config: FeatureConfig,
-}
+#[derive(Debug, Clone, PartialEq)]
+pub struct FeatureExtractor;
 
 /// Number of features produced by [`FeatureExtractor::extract`].
 pub const FEATURE_COUNT: usize = 13;
 
 impl FeatureExtractor {
-    /// Creates an extractor with the given configuration.
-    pub fn new(config: FeatureConfig) -> Self {
-        Self { config }
-    }
-
     /// Human-readable feature names, aligned with the extraction order.
     pub fn feature_names() -> [&'static str; FEATURE_COUNT] {
         [
@@ -101,21 +82,20 @@ impl FeatureExtractor {
             "cannot extract features from an empty record"
         );
         assert!(fs > 0.0, "sample rate must be positive");
-        let floor = self.config.log_floor;
-        let psd = welch(x, fs, self.config.welch_segment.min(x.len()), Window::Hann);
+        let psd = welch(x, fs, WELCH_SEGMENT.min(x.len()), Window::Hann);
         let bp = self.band_powers(&psd, fs);
-        let total: f64 = bp.iter().sum::<f64>().max(floor);
+        let total: f64 = bp.iter().sum::<f64>().max(LOG_FLOOR);
         let low_frac = (bp[0] + bp[1]) / total;
         let rms = stats::rms(x);
         let ll = stats::line_length(x) / x.len() as f64;
         let mut f = Vec::with_capacity(FEATURE_COUNT);
         for p in bp {
-            f.push((p + floor).ln());
+            f.push((p + LOG_FLOOR).ln());
         }
         f.push(total.ln());
         f.push(low_frac);
-        f.push((rms + floor.sqrt()).ln());
-        f.push((ll + floor.sqrt()).ln());
+        f.push((rms + LOG_FLOOR.sqrt()).ln());
+        f.push((ll + LOG_FLOOR.sqrt()).ln());
         f.push(stats::hjorth_mobility(x));
         f.push(stats::hjorth_complexity(x));
         f.push(stats::zero_crossings(x) as f64 / x.len() as f64);
@@ -131,7 +111,7 @@ mod tests {
 
     #[test]
     fn feature_vector_has_fixed_length() {
-        let ex = FeatureExtractor::default();
+        let ex = FeatureExtractor;
         let x: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.1).sin()).collect();
         let f = ex.extract(&x, 173.61);
         assert_eq!(f.len(), FEATURE_COUNT);
@@ -141,14 +121,14 @@ mod tests {
 
     #[test]
     fn features_finite_for_silence() {
-        let ex = FeatureExtractor::default();
+        let ex = FeatureExtractor;
         let f = ex.extract(&vec![0.0; 500], 173.61);
         assert!(f.iter().all(|v| v.is_finite()), "{f:?}");
     }
 
     #[test]
     fn seizure_and_normal_separate_in_feature_space() {
-        let ex = FeatureExtractor::default();
+        let ex = FeatureExtractor;
         let mut gen = EegGenerator::new(EegParams::default(), 42);
         let fs = 173.61;
         let mut dist = 0.0;
@@ -163,7 +143,7 @@ mod tests {
 
     #[test]
     fn amplitude_scaling_shifts_log_power_only() {
-        let ex = FeatureExtractor::default();
+        let ex = FeatureExtractor;
         let x: Vec<f64> = (0..2000).map(|i| (i as f64 * 0.37).sin() * 1e-5).collect();
         let x10: Vec<f64> = x.iter().map(|v| v * 10.0).collect();
         let f1 = ex.extract(&x, 173.61);
@@ -176,12 +156,12 @@ mod tests {
 
     #[test]
     fn white_noise_raises_gamma_band() {
-        let ex = FeatureExtractor::default();
-        let mut gen = efficsense_signals::noise::Gaussian::new(3);
+        let ex = FeatureExtractor;
+        let mut gen = efficsense_rng::Rng64::new(3);
         let clean: Vec<f64> = (0..4000)
             .map(|i| 1e-5 * (2.0 * std::f64::consts::PI * 5.0 * i as f64 / 173.61).sin())
             .collect();
-        let noisy: Vec<f64> = clean.iter().map(|v| v + gen.sample_scaled(1e-5)).collect();
+        let noisy: Vec<f64> = clean.iter().map(|v| v + gen.normal() * 1e-5).collect();
         let fc = ex.extract(&clean, 173.61);
         let fn_ = ex.extract(&noisy, 173.61);
         assert!(
@@ -193,6 +173,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn rejects_empty() {
-        let _ = FeatureExtractor::default().extract(&[], 100.0);
+        let _ = FeatureExtractor.extract(&[], 100.0);
     }
 }

@@ -32,7 +32,7 @@ pub mod metrics;
 pub mod mlp;
 pub mod scaler;
 
-pub use features::{FeatureConfig, FeatureExtractor};
+pub use features::FeatureExtractor;
 pub use scaler::Scaler;
 
 /// Training hyperparameters of [`mlp::MlpClassifier`].

@@ -424,8 +424,8 @@ pub struct CacheLevelReport {
 /// * **L3 analog / reference / sampled** (`memo.<class>.*`) — a hit
 ///   skips the class rebuild, priced by the mean `sim.analog.build`,
 ///   `sim.reference.build` or `sim.sample.build` span.
-/// * Levels without a dedicated rebuild span (l2.srbm, l2.basis,
-///   l2.detector, l3.ct) report counters only (`est_* = None`).
+/// * Levels without a dedicated rebuild span (l2.srbm, l2.detector,
+///   l3.ct) report counters only (`est_* = None`).
 #[must_use]
 pub fn cache_efficacy(p: &Profile) -> Vec<CacheLevelReport> {
     let c = |name: &str| p.counters.get(name).copied().unwrap_or(0);
@@ -441,11 +441,10 @@ pub fn cache_efficacy(p: &Profile) -> Vec<CacheLevelReport> {
         + p.stages.get("stage.detect").map_or(0, |s| s.total_ns);
     let l1_cost = (evals > 0 && eval_work > 0).then(|| eval_work as f64 / evals as f64);
 
-    let levels: [(&'static str, &str, Option<f64>); 9] = [
+    let levels: [(&'static str, &str, Option<f64>); 8] = [
         ("l1.point", "cache.l1", l1_cost),
         ("l2.dict", "memo.dict", mean("recon.gram")),
         ("l2.srbm", "memo.srbm", None),
-        ("l2.basis", "memo.basis", None),
         ("l2.detector", "memo.detector", None),
         ("l3.ct", "memo.ct", None),
         ("l3.analog", "memo.analog", mean("sim.analog.build")),

@@ -28,6 +28,21 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+/// The SplitMix64 increment, `2^64 / φ` rounded to odd. Stepping a counter
+/// by it and finalising each step with [`mix64`] is SplitMix64; multiplying
+/// a small index by it spreads neighbouring indices across the word.
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finaliser (Stafford's variant 13): a bijective avalanche
+/// of one word, so neighbouring inputs give unrelated outputs. Derived
+/// seeds are built from it so that nearby salts decorrelate.
+#[must_use]
+pub fn mix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A seeded xoshiro256++ pseudo-random number generator.
 ///
 /// xoshiro256++ (Blackman & Vigna, 2019) passes BigCrush, has a 2^256 − 1
@@ -46,11 +61,8 @@ impl Rng64 {
         // SplitMix64 stream to fill the 256-bit state.
         let mut x = seed;
         let mut next = move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            x = x.wrapping_add(GOLDEN_GAMMA);
+            mix64(x)
         };
         Self {
             s: [next(), next(), next(), next()],

@@ -4,7 +4,7 @@
 //! artefacts"; these injectors let experiments stress the front-end with the
 //! dominant scalp-EEG contaminants.
 
-use crate::noise::Gaussian;
+use efficsense_rng::Rng64;
 
 /// Adds mains hum at `f_line` Hz (plus a weaker 3rd harmonic) to `x` in place.
 ///
@@ -25,7 +25,7 @@ pub fn add_emg_burst(
     start_s: f64,
     duration_s: f64,
     amplitude: f64,
-    rng: &mut Gaussian,
+    rng: &mut Rng64,
 ) {
     let i0 = (start_s * fs).max(0.0) as usize;
     let n = (duration_s * fs) as usize;
@@ -40,7 +40,7 @@ pub fn add_emg_burst(
         // Hann envelope localises the burst.
         let env = 0.5 - 0.5 * (2.0 * std::f64::consts::PI * k as f64 / n as f64).cos();
         // High-pass-ish noise: difference of consecutive white samples.
-        let hf = rng.sample() - rng.sample();
+        let hf = rng.normal() - rng.normal();
         x[i] += amplitude * env * hf * std::f64::consts::FRAC_1_SQRT_2;
     }
 }
@@ -98,7 +98,7 @@ mod tests {
     fn emg_burst_is_localised() {
         let fs = 1000.0;
         let mut x = vec![0.0; 10_000];
-        let mut rng = Gaussian::new(1);
+        let mut rng = Rng64::new(1);
         add_emg_burst(&mut x, fs, 4.0, 1.0, 1.0, &mut rng);
         assert_eq!(rms(&x[..3900]), 0.0);
         assert_eq!(rms(&x[5100..]), 0.0);
@@ -109,7 +109,7 @@ mod tests {
     fn emg_burst_clipped_at_record_end() {
         let fs = 1000.0;
         let mut x = vec![0.0; 1000];
-        let mut rng = Gaussian::new(2);
+        let mut rng = Rng64::new(2);
         add_emg_burst(&mut x, fs, 0.9, 1.0, 1.0, &mut rng); // extends past end
         assert!(x.iter().all(|v| v.is_finite()));
     }
@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn zero_duration_burst_is_noop() {
         let mut x = vec![0.0; 100];
-        let mut rng = Gaussian::new(3);
+        let mut rng = Rng64::new(3);
         add_emg_burst(&mut x, 100.0, 0.1, 0.0, 1.0, &mut rng);
         assert!(x.iter().all(|&v| efficsense_dsp::approx::is_zero(v)));
     }

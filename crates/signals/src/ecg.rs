@@ -7,7 +7,8 @@
 //! a morphology-based synthetic ECG built from Gaussian P/Q/R/S/T waves —
 //! the standard simplified form of the McSharry dynamical model.
 
-use crate::noise::{Gaussian, PinkNoise};
+use crate::noise::PinkNoise;
+use efficsense_rng::Rng64;
 
 /// One Gaussian wave of the PQRST complex: (centre offset s, width s,
 /// amplitude V).
@@ -52,7 +53,7 @@ impl Default for EcgParams {
 #[derive(Debug, Clone)]
 pub struct EcgGenerator {
     params: EcgParams,
-    rng: Gaussian,
+    rng: Rng64,
     pink_seed: u64,
 }
 
@@ -61,7 +62,7 @@ impl EcgGenerator {
     pub fn new(params: EcgParams, seed: u64) -> Self {
         Self {
             params,
-            rng: Gaussian::new(seed ^ 0xEC6),
+            rng: Rng64::new(seed ^ 0xEC6),
             pink_seed: seed,
         }
     }
@@ -104,7 +105,7 @@ impl EcgGenerator {
                     *v += amp * (-(t * t) / (2.0 * width * width)).exp();
                 }
             }
-            let jitter = 1.0 + self.rng.sample_scaled(self.params.hrv_sigma);
+            let jitter = 1.0 + self.rng.normal() * self.params.hrv_sigma;
             t_beat += mean_rr * jitter.clamp(0.5, 1.5);
         }
         // Baseline wander (respiration, ~0.3 Hz) + pink sensor noise.

@@ -5,7 +5,8 @@
 //! and ictal (seizure) activity.
 
 use crate::artifact;
-use crate::noise::{Gaussian, PinkNoise};
+use crate::noise::PinkNoise;
+use efficsense_rng::{Rng64, GOLDEN_GAMMA};
 
 /// Diagnostic class of a synthetic EEG record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,7 +108,7 @@ impl Default for EegParams {
 #[derive(Debug, Clone)]
 pub struct EegGenerator {
     params: EegParams,
-    rng: Gaussian,
+    rng: Rng64,
     pink_seed: u64,
     next_pink: u64,
 }
@@ -117,7 +118,7 @@ impl EegGenerator {
     pub fn new(params: EegParams, seed: u64) -> Self {
         Self {
             params,
-            rng: Gaussian::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            rng: Rng64::new(seed.wrapping_mul(GOLDEN_GAMMA)),
             pink_seed: seed,
             next_pink: 0,
         }
@@ -249,7 +250,7 @@ impl EegGenerator {
             let start = self.rng.uniform(0.0, duration_s - 1.5);
             let dur = self.rng.uniform(0.3, 1.2);
             let amp = self.rng.uniform(5e-6, 15e-6);
-            let mut rng = Gaussian::new(self.pink_seed ^ 0xE7);
+            let mut rng = Rng64::new(self.pink_seed ^ 0xE7);
             artifact::add_emg_burst(x, fs, start, dur, amp, &mut rng);
         }
         if self.rng.chance(self.params.blink_probability) && duration_s > 1.0 {

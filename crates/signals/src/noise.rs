@@ -1,55 +1,6 @@
-//! Seeded noise generators: white Gaussian, pink (1/f), and a helper RNG.
+//! Seeded pink (1/f) noise. White draws come straight from [`Rng64`].
 
 use efficsense_rng::Rng64;
-
-/// A seeded Gaussian sample source ([`Rng64::normal`] ziggurat draws).
-#[derive(Debug, Clone)]
-pub struct Gaussian {
-    rng: Rng64,
-}
-
-impl Gaussian {
-    /// Creates a generator from a seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: Rng64::new(seed),
-        }
-    }
-
-    /// Draws one standard-normal sample.
-    pub fn sample(&mut self) -> f64 {
-        self.rng.normal()
-    }
-
-    /// Draws one `N(0, sigma²)` sample.
-    pub fn sample_scaled(&mut self, sigma: f64) -> f64 {
-        self.sample() * sigma
-    }
-
-    /// Fills a vector with `n` samples of `N(0, sigma²)`.
-    pub fn vector(&mut self, n: usize, sigma: f64) -> Vec<f64> {
-        (0..n).map(|_| self.sample_scaled(sigma)).collect()
-    }
-
-    /// Draws a uniform value in `[lo, hi)`.
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        self.rng.uniform(lo, hi)
-    }
-
-    /// Draws a uniform integer in `[0, n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn index(&mut self, n: usize) -> usize {
-        self.rng.index(n)
-    }
-
-    /// Bernoulli draw with probability `p` of `true`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.rng.chance(p)
-    }
-}
 
 /// Pink (1/f) noise generator using the Paul Kellet economy filter, which
 /// shapes white Gaussian noise with three cascaded leaky integrators.
@@ -57,7 +8,7 @@ impl Gaussian {
 /// The output is approximately unit-variance; scale as needed.
 #[derive(Debug, Clone)]
 pub struct PinkNoise {
-    white: Gaussian,
+    white: Rng64,
     b: [f64; 3],
 }
 
@@ -65,14 +16,14 @@ impl PinkNoise {
     /// Creates a pink-noise source from a seed.
     pub fn new(seed: u64) -> Self {
         Self {
-            white: Gaussian::new(seed),
+            white: Rng64::new(seed),
             b: [0.0; 3],
         }
     }
 
     /// Draws the next pink-noise sample (≈ unit variance).
     pub fn sample(&mut self) -> f64 {
-        let w = self.white.sample();
+        let w = self.white.normal();
         self.b[0] = 0.99765 * self.b[0] + w * 0.0990460;
         self.b[1] = 0.96300 * self.b[1] + w * 0.2965164;
         self.b[2] = 0.57000 * self.b[2] + w * 1.0526913;
@@ -90,48 +41,8 @@ impl PinkNoise {
 mod tests {
     use super::*;
     use efficsense_dsp::spectrum::{welch, Psd};
-    use efficsense_dsp::stats::{mean, std_dev};
+    use efficsense_dsp::stats::std_dev;
     use efficsense_dsp::window::Window;
-
-    #[test]
-    fn gaussian_moments() {
-        let mut g = Gaussian::new(1);
-        let x = g.vector(200_000, 1.0);
-        assert!(mean(&x).abs() < 0.01);
-        assert!((std_dev(&x) - 1.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn gaussian_deterministic_for_seed() {
-        let a = Gaussian::new(42).vector(100, 1.0);
-        let b = Gaussian::new(42).vector(100, 1.0);
-        assert_eq!(a, b);
-        let c = Gaussian::new(43).vector(100, 1.0);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn gaussian_scaling() {
-        let mut g = Gaussian::new(7);
-        let x = g.vector(100_000, 3.0);
-        assert!((std_dev(&x) - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn uniform_in_range() {
-        let mut g = Gaussian::new(5);
-        for _ in 0..1000 {
-            let v = g.uniform(-2.0, 3.0);
-            assert!((-2.0..3.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn chance_frequency() {
-        let mut g = Gaussian::new(9);
-        let hits = (0..100_000).filter(|_| g.chance(0.25)).count();
-        assert!((hits as f64 / 100_000.0 - 0.25).abs() < 0.01);
-    }
 
     fn slope_db_per_decade(psd: &Psd, f_lo: f64, f_hi: f64) -> f64 {
         // Power *density* in equal-relative-width bands (divide by bandwidth).

@@ -104,12 +104,12 @@ fn discrepancy_stopping_helps_at_high_noise() {
     // Simulate a noisy front-end: measurements carry white noise. A decoder
     // that fits to machine precision chases the noise; one that stops at the
     // noise floor (the simulator's policy) reconstructs better.
-    use efficsense::signals::noise::Gaussian;
+    use efficsense_rng::Rng64;
     let phi = SensingMatrix::srbm(M, N_PHI, 2, 0xD15C);
     let eff = effective_matrix(&phi, C_S, C_H);
     let dict = eff.matmul(&Basis::Dct.matrix(N_PHI));
     let frames = eeg_frames(4000.0, 10);
-    let mut rng = Gaussian::new(9);
+    let mut rng = Rng64::new(9);
     let sigma = 8e-6 * 4000.0; // 8 µV input-referred at gain 4000
     let mean_w2 = (0..eff.rows())
         .map(|r| eff.row(r).iter().map(|w| w * w).sum::<f64>())
@@ -120,7 +120,7 @@ fn discrepancy_stopping_helps_at_high_noise() {
     let mut snr_matched = 0.0;
     for frame in &frames {
         // Noise enters through the weights, like the sampled LNA noise does.
-        let noisy: Vec<f64> = frame.iter().map(|v| v + rng.sample_scaled(sigma)).collect();
+        let noisy: Vec<f64> = frame.iter().map(|v| v + rng.normal() * sigma).collect();
         let y = eff.matvec(&noisy);
         let y_norm = efficsense::cs::linalg::norm2(&y).max(1e-300);
         let greedy = OmpConfig {
