@@ -98,7 +98,9 @@ fn main() {
     let dataset = EegDataset::generate(&efficsense_bench::dataset_config());
     let space = efficsense_bench::design_space();
     let fs = space.template.design.f_sample_hz();
-    let detector = SeizureDetector::train_epoched(
+    // The accuracy sweep above trained this detector (same dataset, rate,
+    // epoch and seed); on a cold run the memo hands it back.
+    let detector = efficsense_core::cache::trained_detector(
         &dataset,
         fs,
         SweepConfig::default().epoch_s,

@@ -378,7 +378,7 @@ fn main() {
         "stage.reconstruct",
         "recon.batch",
         "recon.bmat",
-        "recon.cholup",
+        "recon.frame",
         "recon.gram",
         "stage.power",
         "stage.detect",
@@ -410,7 +410,7 @@ fn main() {
         + self_s("stage.reconstruct")
         + self_s("recon.batch")
         + self_s("recon.bmat")
-        + self_s("recon.cholup")
+        + self_s("recon.frame")
         + self_s("recon.gram")
         + self_s("stage.power");
     let stage_ratio = stage_sum_s / (point.total_ns as f64 / 1e9).max(1e-12);

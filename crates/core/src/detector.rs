@@ -205,7 +205,7 @@ impl SeizureDetector {
     /// # Panics
     ///
     /// Panics if `outputs` is empty.
-    pub fn accuracy(&self, outputs: &[(Vec<f64>, usize)], fs: f64) -> f64 {
+    pub fn accuracy(&self, outputs: &[(impl AsRef<[f64]>, usize)], fs: f64) -> f64 {
         self.confusion(outputs, fs).accuracy()
     }
 
@@ -215,12 +215,12 @@ impl SeizureDetector {
     /// # Panics
     ///
     /// Panics if `outputs` is empty.
-    pub fn confusion(&self, outputs: &[(Vec<f64>, usize)], fs: f64) -> Confusion {
+    pub fn confusion(&self, outputs: &[(impl AsRef<[f64]>, usize)], fs: f64) -> Confusion {
         assert!(!outputs.is_empty(), "cannot score an empty evaluation set");
         let mut truth = Vec::new();
         let mut preds = Vec::new();
         for (s, label) in outputs {
-            for w in self.windows(s, fs) {
+            for w in self.windows(s.as_ref(), fs) {
                 truth.push(*label);
                 preds.push(self.predict_window(w, fs));
             }

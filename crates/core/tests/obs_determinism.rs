@@ -154,7 +154,7 @@ fn decode_pool_snapshot_is_identical_across_thread_counts() {
 
     let batch = snap_two.span("recon.batch").expect("batch span recorded");
     assert_eq!(batch.count, 1);
-    let cholup = snap_two.span("recon.cholup").expect("cholup span recorded");
+    let cholup = snap_two.span("recon.frame").expect("cholup span recorded");
     assert_eq!(cholup.count as usize, frames.len());
     assert!(cholup.total_ns > 0, "logical clock must advance in workers");
 }

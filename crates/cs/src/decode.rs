@@ -1,29 +1,32 @@
-//! Fast OMP decode path: Gram-cached correlations, an incrementally grown
-//! Cholesky factor, and batched per-point decoding.
+//! The decode path: Gram-cached correlations, an incrementally grown
+//! Cholesky factor, and batched per-point decoding. [`reconstruct_batch`]
+//! over [`DictionaryArtifacts`] is the one entry point every CS
+//! reconstruction runs through — the sweep, the stream, detector training,
+//! the ablations and the examples.
 //!
 //! The reference decoder in [`crate::recon`] rebuilds `A_S`, re-forms
 //! `A_SᵀA_S` and re-runs a full Cholesky factorisation every iteration —
-//! O(m·n + m·k² + k³) per selected atom. The kernels here reuse the
-//! per-design-point [`DictionaryArtifacts`]: with `G = AᵀA` and `b = Aᵀy`
+//! O(m·n + m·k² + k³) per selected atom. The kernel here reuses the
+//! per-dictionary [`DictionaryArtifacts`]: with `G = AᵀA` and `b = Aᵀy`
 //! precomputed, correlations update as `Aᵀr = b − G[:,S]·x_S` (O(n·k)) and
 //! the support normal equations grow by one rank-one Cholesky append per
 //! iteration (O(k²)), for O(n·k + m·k + k²) per iteration overall.
 //!
-//! The reference path is retained as the oracle; the differential harness in
-//! `tests/omp_diff.rs` pins the two together (identical support selection,
-//! coefficients within 1e-9), and [`reconstruct_batch`] is bit-identical
-//! across decode thread counts.
+//! The reference path is retained only as the oracle; the differential
+//! harness in `tests/omp_diff.rs` pins the two together (identical support
+//! selection, coefficients within 1e-9, reconstructions within 1e-9 of the
+//! frame norm for every [`crate::Basis`]), and [`reconstruct_batch`] is
+//! bit-identical across decode thread counts.
 
 use crate::linalg::{dot, norm2, GrowingCholesky, Matrix};
 use crate::memo::DictionaryArtifacts;
 use crate::recon::OmpConfig;
 use efficsense_dsp::approx::is_zero;
 
-/// Reusable per-decoder workspace: every buffer the fast OMP kernel needs,
-/// allocated once and recycled across frames (and across points — buffers
-/// resize on dimension changes).
+/// Per-worker workspace: every buffer the OMP kernel needs, allocated once
+/// per batch (or per pool worker) and recycled across its frames.
 #[derive(Debug)]
-pub struct OmpScratch {
+struct OmpScratch {
     /// Correlations `Aᵀr` for the current residual.
     corr: Vec<f64>,
     /// `b = Aᵀy` for the frame being decoded.
@@ -46,8 +49,7 @@ pub struct OmpScratch {
 
 impl OmpScratch {
     /// Fresh workspace; buffers are sized lazily on first use.
-    #[must_use]
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             corr: Vec::new(),
             b: Vec::new(),
@@ -79,64 +81,11 @@ impl OmpScratch {
     }
 }
 
-impl Default for OmpScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Fast OMP against an explicit dictionary: same greedy selection and
-/// stopping rules as [`crate::recon::omp_with_col_norms`], but with the
-/// caller-precomputed Gram matrix and a per-call scratch workspace.
-///
-/// `gram` must be `AᵀA` (see [`Matrix::gram`]); `ridge` is the fixed
-/// diagonal regulariser (see [`DictionaryArtifacts::ridge`]).
-///
-/// # Panics
-///
-/// Panics if `y.len() != a.rows()`, `col_norms.len() != a.cols()`, `gram`
-/// is not `cols × cols`, or the config sparsity is 0.
-pub fn omp_fast(
-    a: &Matrix,
-    gram: &Matrix,
-    col_norms: &[f64],
-    ridge: f64,
-    y: &[f64],
-    cfg: &OmpConfig,
-    ws: &mut OmpScratch,
-) -> Vec<f64> {
-    // This compatibility entry transposes `A` per call; the hot paths
-    // ([`reconstruct_fast`], [`reconstruct_batch`]) reuse the transposed
-    // dictionary precomputed in [`DictionaryArtifacts`].
-    let at = a.transpose();
-    omp_fast_t(&at, gram, col_norms, ridge, y, cfg, ws)
-}
-
-/// [`omp_fast`] against the *transposed* dictionary `Aᵀ` (row `j` = atom
-/// `j`): fills `ws.b = Aᵀy` as contiguous row dots, then runs the shared
-/// kernel.
-fn omp_fast_t(
-    at: &Matrix,
-    gram: &Matrix,
-    col_norms: &[f64],
-    ridge: f64,
-    y: &[f64],
-    cfg: &OmpConfig,
-    ws: &mut OmpScratch,
-) -> Vec<f64> {
-    assert_eq!(
-        y.len(),
-        at.cols(),
-        "measurement length must equal row count"
-    );
-    ws.b.clear();
-    ws.b.extend((0..at.rows()).map(|c| dot(at.row(c), y)));
-    omp_fast_core(at, gram, col_norms, ridge, y, cfg, ws)
-}
-
-/// Kernel shared by [`omp_fast`] and [`reconstruct_batch`]; takes the
-/// transposed dictionary `Aᵀ` and expects `ws.b` to already hold `Aᵀy` for
-/// this frame.
+/// Per-frame kernel of [`reconstruct_batch`]: same greedy selection and
+/// stopping rules as [`crate::recon::omp_with_col_norms`], against the
+/// transposed dictionary `Aᵀ`, the Gram matrix `G = AᵀA` and the fixed ridge
+/// of [`DictionaryArtifacts`]. Expects `ws.b` to already hold `Aᵀy` for this
+/// frame.
 fn omp_fast_core(
     at: &Matrix,
     gram: &Matrix,
@@ -230,7 +179,7 @@ fn omp_fast_core(
     for (&j, &v) in ws.support.iter().zip(&ws.x) {
         s[j] = v;
     }
-    efficsense_dsp::approx::debug_assert_all_finite(&s, "omp_fast coefficients");
+    efficsense_dsp::approx::debug_assert_all_finite(&s, "omp_fast_core coefficients");
     s
 }
 
@@ -251,32 +200,10 @@ fn synthesize_sparse(synth_t: &Matrix, s: &[f64]) -> Vec<f64> {
     x
 }
 
-/// Single-frame fast reconstruction against precomputed
-/// [`DictionaryArtifacts`]: `x̂ = Ψ·OMP_fast(A, y)`. The sparsifying basis
-/// is the one baked into the artifacts (`synth_t`).
-///
-/// # Panics
-///
-/// Panics on the same dimension mismatches as [`omp_fast`].
-pub fn reconstruct_fast(
-    art: &DictionaryArtifacts,
-    y: &[f64],
-    cfg: &OmpConfig,
-    ws: &mut OmpScratch,
-) -> Vec<f64> {
-    let s = omp_fast_t(
-        &art.dict_t,
-        &art.gram,
-        &art.col_norms,
-        art.ridge,
-        y,
-        cfg,
-        ws,
-    );
-    synthesize_sparse(&art.synth_t, &s)
-}
-
-/// Decodes every frame of a point in one call.
+/// Decodes every frame measured through one dictionary in one call:
+/// `x̂ = Ψ·OMP(A, y)` per frame, with `A` and Ψ those baked into `art`
+/// (build it once per dictionary with [`DictionaryArtifacts::from_dictionary`]
+/// or the memoized [`crate::memo::dictionary`]).
 ///
 /// `Aᵀy` for all frames is computed as a single cache-blocked pass over the
 /// dictionary, then frames fan out over the shared worker pool
@@ -307,8 +234,8 @@ pub fn reconstruct_batch(
     }
     // One blocked AᵀY pass: row r of `bmat` is Aᵀ·frames[r]. The outer loop
     // streams each atom (row of `Aᵀ`) once for *all* frames; each entry is
-    // the same contiguous `dot` the single-frame path computes, so the two
-    // entry points agree bit for bit.
+    // one contiguous `dot`, so a frame's `Aᵀy` does not depend on the batch
+    // it is decoded in.
     let mut bmat = Matrix::zeros(frames.len(), n);
     {
         let _bmat_span = efficsense_obs::span!("recon.bmat");
@@ -320,7 +247,7 @@ pub fn reconstruct_batch(
         }
     }
     let decode = |ws: &mut OmpScratch, r: usize| -> Vec<f64> {
-        let _chol_span = efficsense_obs::span!("recon.cholup");
+        let _frame_span = efficsense_obs::span!("recon.frame");
         ws.b.clear();
         ws.b.extend_from_slice(bmat.row(r));
         let s = omp_fast_core(
@@ -346,7 +273,6 @@ mod tests {
     use super::*;
     use crate::basis::Basis;
     use crate::matrix::SensingMatrix;
-    use crate::recon::omp_with_col_norms;
 
     fn dense_problem(n: usize, m: usize, k: usize, seed: u64) -> (Matrix, Vec<f64>) {
         let a = SensingMatrix::gaussian(m, n, seed).to_dense();
@@ -360,37 +286,13 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_reference_on_one_problem() {
-        let (a, y) = dense_problem(64, 32, 4, 9);
-        let col_norms: Vec<f64> = a.col_norms().into_iter().map(|v| v.max(1e-300)).collect();
-        let gram = a.gram();
-        let ridge = 1e-12 * (gram.frobenius_norm() / gram.rows() as f64).max(1e-300);
-        let cfg = OmpConfig::with_sparsity(6);
-        let reference = omp_with_col_norms(&a, &col_norms, &y, &cfg);
-        let mut ws = OmpScratch::new();
-        let fast = omp_fast(&a, &gram, &col_norms, ridge, &y, &cfg, &mut ws);
-        for (r, f) in reference.iter().zip(&fast) {
-            assert!((r - f).abs() < 1e-9, "coeff mismatch: {r} vs {f}");
-        }
-    }
-
-    #[test]
     fn zero_measurement_decodes_to_zero() {
         let (a, _) = dense_problem(32, 16, 3, 4);
-        let col_norms: Vec<f64> = a.col_norms().into_iter().map(|v| v.max(1e-300)).collect();
-        let gram = a.gram();
-        let mut ws = OmpScratch::new();
-        let y = vec![0.0; a.rows()];
-        let s = omp_fast(
-            &a,
-            &gram,
-            &col_norms,
-            1e-12,
-            &y,
-            &OmpConfig::with_sparsity(4),
-            &mut ws,
-        );
-        assert!(s.iter().all(|v| is_zero(*v)));
+        let n = a.cols();
+        let art = DictionaryArtifacts::from_dictionary(a, &Matrix::identity(n), 0.0);
+        let y = vec![0.0; art.dictionary.rows()];
+        let x = reconstruct_batch(&art, &[y], &[OmpConfig::with_sparsity(4)], 1);
+        assert!(x[0].iter().all(|v| is_zero(*v)));
     }
 
     #[test]
@@ -400,26 +302,5 @@ mod tests {
         let psi = Basis::Dct.matrix(a.cols());
         let art = DictionaryArtifacts::from_dictionary(a, &psi, 1.0);
         let _ = reconstruct_batch(&art, &[y], &[], 1);
-    }
-
-    #[test]
-    fn scratch_is_reusable_across_dimension_changes() {
-        let mut ws = OmpScratch::new();
-        for &(n, m, k, seed) in &[
-            (48usize, 24usize, 5usize, 2u64),
-            (96, 40, 9, 3),
-            (32, 16, 4, 5),
-        ] {
-            let (a, y) = dense_problem(n, m, 3, seed);
-            let col_norms: Vec<f64> = a.col_norms().into_iter().map(|v| v.max(1e-300)).collect();
-            let gram = a.gram();
-            let ridge = 1e-12 * (gram.frobenius_norm() / gram.rows() as f64).max(1e-300);
-            let cfg = OmpConfig::with_sparsity(k);
-            let reference = omp_with_col_norms(&a, &col_norms, &y, &cfg);
-            let fast = omp_fast(&a, &gram, &col_norms, ridge, &y, &cfg, &mut ws);
-            for (r, f) in reference.iter().zip(&fast) {
-                assert!((r - f).abs() < 1e-9);
-            }
-        }
     }
 }

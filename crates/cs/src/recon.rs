@@ -1,6 +1,11 @@
-//! Sparse reconstruction: orthogonal matching pursuit and ISTA.
+//! Reference sparse solvers: orthogonal matching pursuit and FISTA.
+//!
+//! Every CS reconstruction runs [`crate::decode::reconstruct_batch`]; the
+//! dense [`omp`] here is kept as its oracle (the differential harness in
+//! `tests/omp_diff.rs` and the `omp` bench's naive baseline), and [`ista`]
+//! as the ablation's alternative decoder. [`OmpConfig`] configures both OMP
+//! implementations.
 
-use crate::basis::Basis;
 use crate::linalg::{least_squares, norm2, Matrix};
 use efficsense_dsp::approx::is_zero;
 
@@ -56,10 +61,10 @@ pub fn omp(a: &Matrix, y: &[f64], cfg: &OmpConfig) -> Vec<f64> {
     omp_with_col_norms(a, &col_norms, y, cfg)
 }
 
-/// [`omp`] with the column norms of `a` supplied by the caller — sweeps hold
-/// one dictionary per design point, so computing `‖A·,j‖₂` once per point
-/// (instead of once per frame) removes an `O(m·n)` pass from every decode.
-/// The norms must be exactly `‖A·,j‖₂.max(1e-300)` (see
+/// [`omp`] with the column norms of `a` supplied by the caller, so a caller
+/// decoding many frames against one dictionary (the `omp` bench's naive
+/// baseline) computes `‖A·,j‖₂` once instead of paying an `O(m·n)` pass per
+/// frame. The norms must be exactly `‖A·,j‖₂.max(1e-300)` (see
 /// [`crate::memo::DictionaryArtifacts`]); supplying them does not change the
 /// result by a single bit.
 ///
@@ -177,63 +182,22 @@ pub fn ista(a: &Matrix, y: &[f64], lambda: f64, iterations: usize) -> Vec<f64> {
     s
 }
 
-/// End-to-end reconstruction: given the (effective) sensing matrix `Φ`,
-/// measurements `y` and a sparsifying basis, recovers the time-domain frame
-/// `x̂ = Ψ·ŝ` with `ŝ = OMP(Φ·Ψ, y)`.
-pub fn reconstruct(phi: &Matrix, y: &[f64], basis: Basis, cfg: &OmpConfig) -> Vec<f64> {
-    let psi = basis.matrix(phi.cols());
-    let a = phi.matmul(&psi);
-    let s = omp(&a, y, cfg);
-    basis.synthesize(&s)
-}
-
-/// Like [`reconstruct`] but reuses a precomputed dictionary `A = Φ·Ψ`
-/// (the per-design-point matrices are constant across frames, so sweeps
-/// build `A` once).
-pub fn reconstruct_with_dictionary(
-    a: &Matrix,
-    y: &[f64],
-    basis: Basis,
-    cfg: &OmpConfig,
-) -> Vec<f64> {
-    let s = omp(a, y, cfg);
-    basis.synthesize(&s)
-}
-
-/// Like [`reconstruct_with_dictionary`] but also reuses precomputed OMP
-/// column norms (see [`omp_with_col_norms`]) — the per-frame hot path of the
-/// sweep engine. Bit-identical to the other reconstruction entry points.
-pub fn reconstruct_with_artifacts(
-    a: &Matrix,
-    col_norms: &[f64],
-    y: &[f64],
-    basis: Basis,
-    cfg: &OmpConfig,
-) -> Vec<f64> {
-    let s = omp_with_col_norms(a, col_norms, y, cfg);
-    basis.synthesize(&s)
-}
-
-/// Relative residual `‖y − A·s‖ / ‖y‖` — a decoder self-diagnostic.
-pub fn relative_residual(a: &Matrix, y: &[f64], s: &[f64]) -> f64 {
-    let approx = a.matvec(s);
-    let r: Vec<f64> = y.iter().zip(&approx).map(|(yi, ai)| yi - ai).collect();
-    let ny = norm2(y);
-    if is_zero(ny) {
-        return 0.0;
-    }
-    norm2(&r) / ny
-}
-
-/// Sparsity (number of non-zeros) of a coefficient vector.
-pub fn support_size(s: &[f64]) -> usize {
-    s.iter().filter(|v| !is_zero(**v)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::Basis;
     use crate::matrix::SensingMatrix;
+
+    /// Number of nonzero coefficients.
+    fn nonzeros(s: &[f64]) -> usize {
+        s.iter().filter(|v| !is_zero(**v)).count()
+    }
+
+    /// `x̂ = Ψ·OMP(Φ·Ψ, y)` with the DCT basis.
+    fn reconstruct_dct(phi: &Matrix, y: &[f64], cfg: &OmpConfig) -> Vec<f64> {
+        let a = phi.matmul(&Basis::Dct.matrix(phi.cols()));
+        Basis::Dct.synthesize(&omp(&a, y, cfg))
+    }
 
     /// Builds a k-sparse DCT-domain signal and its measurements.
     fn sparse_problem(n: usize, m: usize, k: usize, seed: u64) -> (Vec<f64>, Matrix, Vec<f64>) {
@@ -250,7 +214,7 @@ mod tests {
     #[test]
     fn omp_recovers_exactly_sparse_signal() {
         let (x, phi, y) = sparse_problem(64, 32, 4, 1);
-        let xh = reconstruct(&phi, &y, Basis::Dct, &OmpConfig::with_sparsity(4));
+        let xh = reconstruct_dct(&phi, &y, &OmpConfig::with_sparsity(4));
         let err = x
             .iter()
             .zip(&xh)
@@ -270,7 +234,7 @@ mod tests {
         s[77] = 0.5;
         let x = Basis::Dct.synthesize(&s);
         let y = phi.matvec(&x);
-        let xh = reconstruct(&phi, &y, Basis::Dct, &OmpConfig::with_sparsity(6));
+        let xh = reconstruct_dct(&phi, &y, &OmpConfig::with_sparsity(6));
         let nmse: f64 = x
             .iter()
             .zip(&xh)
@@ -294,7 +258,7 @@ mod tests {
             },
         );
         // Should stop near the true sparsity of 2, not use all 30 atoms.
-        assert!(support_size(&s) <= 4, "support {}", support_size(&s));
+        assert!(nonzeros(&s) <= 4, "support {}", nonzeros(&s));
     }
 
     #[test]
@@ -310,7 +274,7 @@ mod tests {
         for (i, v) in y.iter_mut().enumerate() {
             *v += 0.01 * ((i * 31) as f64).sin();
         }
-        let xh = reconstruct(&phi, &y, Basis::Dct, &OmpConfig::with_sparsity(3));
+        let xh = reconstruct_dct(&phi, &y, &OmpConfig::with_sparsity(3));
         let nmse: f64 = x
             .iter()
             .zip(&xh)
@@ -343,41 +307,7 @@ mod tests {
         let a = phi.matmul(&psi);
         let s_small = ista(&a, &y, 1e-5, 200);
         let s_large = ista(&a, &y, 1e-1, 200);
-        assert!(support_size(&s_large) < support_size(&s_small));
-    }
-
-    #[test]
-    fn relative_residual_diagnostics() {
-        let a = Matrix::identity(4);
-        let y = [1.0, 0.0, 0.0, 0.0];
-        assert_eq!(relative_residual(&a, &y, &[1.0, 0.0, 0.0, 0.0]), 0.0);
-        assert!((relative_residual(&a, &y, &[0.0; 4]) - 1.0).abs() < 1e-12);
-        assert_eq!(relative_residual(&a, &[0.0; 4], &[0.0; 4]), 0.0);
-    }
-
-    #[test]
-    fn reconstruct_with_dictionary_matches_reconstruct() {
-        let (_, phi, y) = sparse_problem(48, 24, 3, 13);
-        let cfg = OmpConfig::with_sparsity(3);
-        let direct = reconstruct(&phi, &y, Basis::Dct, &cfg);
-        let psi = Basis::Dct.matrix(48);
-        let a = phi.matmul(&psi);
-        let cached = reconstruct_with_dictionary(&a, &y, Basis::Dct, &cfg);
-        assert_eq!(direct, cached);
-    }
-
-    #[test]
-    fn reconstruct_with_artifacts_matches_dictionary_path() {
-        let (_, phi, y) = sparse_problem(48, 24, 3, 17);
-        let cfg = OmpConfig::with_sparsity(3);
-        let psi = Basis::Dct.matrix(48);
-        let a = phi.matmul(&psi);
-        let col_norms: Vec<f64> = (0..a.cols())
-            .map(|c| norm2(&a.col(c)).max(1e-300))
-            .collect();
-        let plain = reconstruct_with_dictionary(&a, &y, Basis::Dct, &cfg);
-        let precomputed = reconstruct_with_artifacts(&a, &col_norms, &y, Basis::Dct, &cfg);
-        assert_eq!(plain, precomputed);
+        assert!(nonzeros(&s_large) < nonzeros(&s_small));
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Differential harness pinning the fast Gram/incremental-Cholesky OMP path
-//! to the retained reference implementation: identical support selection and
-//! coefficients within 1e-9 over a population of seeded Gaussian and SRBM
-//! problems, identical degenerate-pivot rejection, and bit-identical batched
-//! decoding across thread counts.
+//! Differential harness pinning the decode path (`reconstruct_batch`, the
+//! Gram/incremental-Cholesky OMP kernel) to the retained reference
+//! implementation: identical support selection and coefficients within 1e-9
+//! over a population of seeded Gaussian and SRBM problems, reconstructions
+//! within 1e-9 of the frame norm for every basis, identical degenerate-pivot
+//! rejection, and bit-identical batched decoding across thread counts.
+//!
+//! Artifacts built with an identity synthesis operator make the decoded frame
+//! the coefficient vector itself, so the coefficient-level tests compare the
+//! kernel's output directly.
 
 use efficsense_cs::basis::Basis;
-use efficsense_cs::decode::{omp_fast, reconstruct_batch, reconstruct_fast, OmpScratch};
+use efficsense_cs::decode::reconstruct_batch;
 use efficsense_cs::linalg::{cholesky_solve, GrowingCholesky, Matrix};
 use efficsense_cs::matrix::SensingMatrix;
 use efficsense_cs::memo::DictionaryArtifacts;
@@ -54,7 +59,6 @@ fn support_of(coeffs: &[f64]) -> Vec<usize> {
 #[test]
 fn fast_path_matches_reference_over_seeded_problem_population() {
     let dims = [(24usize, 64usize), (32, 96), (40, 96)];
-    let mut ws = OmpScratch::new();
     let mut checked = 0usize;
     for seed in 0..60u64 {
         let (m, n) = dims[(seed % 3) as usize];
@@ -66,15 +70,13 @@ fn fast_path_matches_reference_over_seeded_problem_population() {
                 SensingMatrix::srbm(m, n, 2, seed + 1).to_dense()
             };
             let y = problem(&a, k, seed ^ if gaussian { 0 } else { 0xFACE });
-            let col_norms: Vec<f64> = a.col_norms().into_iter().map(|v| v.max(1e-300)).collect();
-            let gram = a.gram();
-            let ridge = 1e-12 * (gram.frobenius_norm() / gram.rows() as f64).max(1e-300);
+            let art = DictionaryArtifacts::from_dictionary(a, &Matrix::identity(n), 0.0);
             let cfg = OmpConfig {
                 sparsity: k + 2,
                 residual_tol: if seed % 2 == 0 { 1e-6 } else { 1e-4 },
             };
-            let reference = omp_with_col_norms(&a, &col_norms, &y, &cfg);
-            let fast = omp_fast(&a, &gram, &col_norms, ridge, &y, &cfg, &mut ws);
+            let reference = omp_with_col_norms(&art.dictionary, &art.col_norms, &y, &cfg);
+            let fast = reconstruct_batch(&art, &[y], &[cfg], 1).remove(0);
             assert_eq!(
                 support_of(&reference),
                 support_of(&fast),
@@ -90,6 +92,64 @@ fn fast_path_matches_reference_over_seeded_problem_population() {
         }
     }
     assert!(checked >= 100, "population too small: {checked}");
+}
+
+#[test]
+fn batch_decode_matches_reference_synthesis_for_every_basis() {
+    let dims = [(24usize, 64usize), (32, 96), (40, 96)];
+    let mut checked = 0usize;
+    for basis in [Basis::Identity, Basis::Dct, Basis::Haar, Basis::Db4] {
+        for d in 0..4u64 {
+            let (m, n) = dims[(d % 3) as usize];
+            let seed = 0xBA5E ^ (d << 8) ^ basis as u64;
+            let phi = if d % 2 == 0 {
+                SensingMatrix::gaussian(m, n, seed).to_dense()
+            } else {
+                SensingMatrix::srbm(m, n, 2, seed).to_dense()
+            };
+            let psi = basis.matrix(n);
+            let art = DictionaryArtifacts::from_dictionary(phi.matmul(&psi), &psi, 1.0);
+            let k = 3 + (d % 4) as usize;
+            let mut frames = Vec::new();
+            let mut cfgs = Vec::new();
+            let mut signals = Vec::new();
+            for f in 0..10u64 {
+                let fseed = seed ^ (f << 20);
+                let mut s = vec![0.0; n];
+                for i in 0..k as u64 {
+                    s[(mix(fseed ^ (i + 1)) as usize) % n] = 2.0 * unit(fseed ^ i) - 1.0 + 0.1;
+                }
+                let mut y = art.dictionary.matvec(&s);
+                for (i, v) in y.iter_mut().enumerate() {
+                    *v += 1e-6 * (2.0 * unit(fseed ^ 0xA015E ^ ((i as u64) << 32)) - 1.0);
+                }
+                signals.push(basis.synthesize(&s));
+                frames.push(y);
+                cfgs.push(OmpConfig {
+                    sparsity: k + 2,
+                    residual_tol: if f % 2 == 0 { 1e-6 } else { 1e-4 },
+                });
+            }
+            let decoded = reconstruct_batch(&art, &frames, &cfgs, 1);
+            for (r, fast) in decoded.iter().enumerate() {
+                let s = omp_with_col_norms(&art.dictionary, &art.col_norms, &frames[r], &cfgs[r]);
+                let reference = basis.synthesize(&s);
+                let err = reference
+                    .iter()
+                    .zip(fast)
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum::<f64>()
+                    .sqrt();
+                let norm = signals[r].iter().map(|v| v * v).sum::<f64>().sqrt();
+                assert!(
+                    err <= 1e-9 * norm,
+                    "{basis} dictionary {d} frame {r}: error {err:e} vs frame norm {norm:e}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, 160, "population size");
 }
 
 #[test]
@@ -137,13 +197,10 @@ fn degenerate_dictionary_decodes_to_zero_on_both_paths() {
         }
     }
     let y = problem(&a, 3, 99);
-    let col_norms: Vec<f64> = a.col_norms().into_iter().map(|v| v.max(1e-300)).collect();
-    let gram = a.gram();
-    let ridge = 1e-12 * (gram.frobenius_norm() / gram.rows() as f64).max(1e-300);
+    let art = DictionaryArtifacts::from_dictionary(a, &Matrix::identity(n), 0.0);
     let cfg = OmpConfig::with_sparsity(4);
-    let reference = omp_with_col_norms(&a, &col_norms, &y, &cfg);
-    let mut ws = OmpScratch::new();
-    let fast = omp_fast(&a, &gram, &col_norms, ridge, &y, &cfg, &mut ws);
+    let reference = omp_with_col_norms(&art.dictionary, &art.col_norms, &y, &cfg);
+    let fast = reconstruct_batch(&art, &[y], &[cfg], 1).remove(0);
     assert!(reference.iter().all(|v| is_zero(*v)), "reference must bail");
     assert_eq!(reference, fast);
 }
@@ -177,11 +234,4 @@ fn batch_decode_is_bit_identical_across_thread_counts() {
     let four = reconstruct_batch(&art, &frames, &cfgs, 4);
     assert_eq!(one, two, "1 vs 2 decode threads must agree bit for bit");
     assert_eq!(two, four, "2 vs 4 decode threads must agree bit for bit");
-    // The pooled batch must also agree with the single-frame fast entry
-    // point (same `Aᵀy` accumulation order by construction).
-    let mut ws = OmpScratch::new();
-    for (r, frame) in frames.iter().enumerate() {
-        let single = reconstruct_fast(&art, frame, &cfgs[r], &mut ws);
-        assert_eq!(one[r], single, "batch vs single mismatch on frame {r}");
-    }
 }

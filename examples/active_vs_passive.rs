@@ -7,8 +7,11 @@
 use efficsense::blocks::cs_frontend::{ChargeSharingEncoder, EncoderImperfections};
 use efficsense::blocks::ActiveCsEncoder;
 use efficsense::cs::basis::Basis;
+use efficsense::cs::decode::reconstruct_batch;
 use efficsense::cs::matrix::SensingMatrix;
-use efficsense::cs::recon::{reconstruct_with_dictionary, OmpConfig};
+use efficsense::cs::memo::DictionaryArtifacts;
+use efficsense::cs::recon::OmpConfig;
+use efficsense::cs::Matrix;
 use efficsense::dsp::metrics::snr_fit_db;
 use efficsense::power::{DesignParams, TechnologyParams};
 use efficsense::signals::{DatasetConfig, EegClass, EegDataset};
@@ -57,27 +60,33 @@ fn main() {
     let decay = (-(1.0 / design.f_sample_hz()) / (0.5e-12 * design.v_ref / tech.i_leak_a)).exp();
     let passive_decode =
         efficsense::cs::charge_sharing::effective_matrix_decayed(&phi, 0.1e-12, 0.5e-12, decay);
-    let passive_dict = passive_decode.matmul(&Basis::Dct.matrix(N_PHI));
 
     // Active: OTA integrator bank with finite gain and kT/C noise.
     let mut active = ActiveCsEncoder::new(phi.clone(), 1e-12, 1e4, true, 7);
     let active_decode = active.effective_matrix();
-    let active_dict = active_decode.matmul(&Basis::Dct.matrix(N_PHI));
 
-    let omp = OmpConfig {
-        sparsity: 2 * M / 5,
-        residual_tol: 1e-3,
+    // Each encoder's frames decode in one batch against its own dictionary.
+    let psi = Basis::Dct.matrix(N_PHI);
+    let omp = vec![
+        OmpConfig {
+            sparsity: 2 * M / 5,
+            residual_tol: 1e-3,
+        };
+        frames.len()
+    ];
+    let snr_sum = |decode: &Matrix, ys: &[Vec<f64>]| -> f64 {
+        let art = DictionaryArtifacts::from_dictionary(decode.matmul(&psi), &psi, 0.0);
+        let xs = reconstruct_batch(&art, ys, &omp, 1);
+        let mut acc = 0.0;
+        for (frame, x) in frames.iter().zip(&xs) {
+            acc += snr_fit_db(frame, x).min(60.0);
+        }
+        acc
     };
-    let mut snr_passive = 0.0;
-    let mut snr_active = 0.0;
-    for frame in &frames {
-        let yp = passive.encode_frame(frame);
-        let xp = reconstruct_with_dictionary(&passive_dict, &yp, Basis::Dct, &omp);
-        snr_passive += snr_fit_db(frame, &xp).min(60.0);
-        let ya = active.encode_frame(frame);
-        let xa = reconstruct_with_dictionary(&active_dict, &ya, Basis::Dct, &omp);
-        snr_active += snr_fit_db(frame, &xa).min(60.0);
-    }
+    let yp: Vec<Vec<f64>> = frames.iter().map(|f| passive.encode_frame(f)).collect();
+    let ya: Vec<Vec<f64>> = frames.iter().map(|f| active.encode_frame(f)).collect();
+    let snr_passive = snr_sum(&passive_decode, &yp);
+    let snr_active = snr_sum(&active_decode, &ya);
     let n = frames.len() as f64;
     let p_passive = passive.power_breakdown(&tech, &design).total().value();
     let p_active = active.power_breakdown(&tech, &design).total().value();

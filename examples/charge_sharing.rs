@@ -6,8 +6,11 @@
 
 use efficsense::cs::basis::Basis;
 use efficsense::cs::charge_sharing::{effective_matrix, eq1_weights, Accumulator};
+use efficsense::cs::decode::reconstruct_batch;
 use efficsense::cs::matrix::SensingMatrix;
-use efficsense::cs::recon::{reconstruct_with_dictionary, OmpConfig};
+use efficsense::cs::memo::DictionaryArtifacts;
+use efficsense::cs::recon::OmpConfig;
+use efficsense::cs::Matrix;
 use efficsense::dsp::metrics::prd_percent;
 
 fn main() {
@@ -50,16 +53,23 @@ fn main() {
     println!("  frame of {n} samples → {m} passive measurements");
 
     // The decoder folds the known weights into an effective matrix.
-    let eff = effective_matrix(&phi, c_sample, c_hold);
-    let dict = eff.matmul(&Basis::Dct.matrix(n));
-    let xh = reconstruct_with_dictionary(&dict, &y, Basis::Dct, &OmpConfig::with_sparsity(8));
+    let psi = Basis::Dct.matrix(n);
+    let decode = |sensing: &Matrix| -> Vec<f64> {
+        let art = DictionaryArtifacts::from_dictionary(sensing.matmul(&psi), &psi, 0.0);
+        reconstruct_batch(
+            &art,
+            std::slice::from_ref(&y),
+            &[OmpConfig::with_sparsity(8)],
+            1,
+        )
+        .remove(0)
+    };
+    let xh = decode(&effective_matrix(&phi, c_sample, c_hold));
     println!("  reconstruction PRD: {:.2} %", prd_percent(&x, &xh));
     println!("  (OMP on A = Φ_eff·Ψ recovers the frame from passive sums alone)");
 
     println!("\n=== why the effective matrix matters ===");
-    let naive_dict = phi.to_dense().matmul(&Basis::Dct.matrix(n));
-    let xh_naive =
-        reconstruct_with_dictionary(&naive_dict, &y, Basis::Dct, &OmpConfig::with_sparsity(8));
+    let xh_naive = decode(&phi.to_dense());
     println!(
         "  decoding with the *binary* Φ (ignoring charge-sharing decay): PRD {:.2} %",
         prd_percent(&x, &xh_naive)

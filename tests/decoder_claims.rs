@@ -1,11 +1,14 @@
 //! Tests pinning the two decoder design claims of DESIGN.md §8:
-//! leakage-aware decoding and noise-matched (discrepancy) stopping.
+//! leakage-aware decoding and noise-matched (discrepancy) stopping, both on
+//! the production decode path (`reconstruct_batch`).
 
 use efficsense::blocks::cs_frontend::{ChargeSharingEncoder, EncoderImperfections};
 use efficsense::cs::basis::Basis;
 use efficsense::cs::charge_sharing::{effective_matrix, effective_matrix_decayed};
+use efficsense::cs::decode::reconstruct_batch;
 use efficsense::cs::matrix::SensingMatrix;
-use efficsense::cs::recon::{reconstruct_with_dictionary, OmpConfig};
+use efficsense::cs::memo::DictionaryArtifacts;
+use efficsense::cs::recon::OmpConfig;
 use efficsense::dsp::metrics::snr_fit_db;
 use efficsense::power::{DesignParams, TechnologyParams};
 use efficsense::signals::{DatasetConfig, EegClass, EegDataset};
@@ -43,16 +46,17 @@ fn decode_snr(
     enc: &mut ChargeSharingEncoder,
     decode: &efficsense::cs::Matrix,
 ) -> f64 {
-    let dict = decode.matmul(&Basis::Dct.matrix(N_PHI));
+    let psi = Basis::Dct.matrix(N_PHI);
+    let art = DictionaryArtifacts::from_dictionary(decode.matmul(&psi), &psi, 0.0);
     let omp = OmpConfig {
         sparsity: 2 * M / 5,
         residual_tol: 1e-3,
     };
+    let ys: Vec<Vec<f64>> = frames.iter().map(|f| enc.encode_frame(f)).collect();
+    let xhs = reconstruct_batch(&art, &ys, &vec![omp; ys.len()], 1);
     let mut acc = 0.0;
-    for frame in frames {
-        let y = enc.encode_frame(frame);
-        let xh = reconstruct_with_dictionary(&dict, &y, Basis::Dct, &omp);
-        acc += snr_fit_db(frame, &xh).min(60.0);
+    for (frame, xh) in frames.iter().zip(&xhs) {
+        acc += snr_fit_db(frame, xh).min(60.0);
     }
     acc / frames.len() as f64
 }
@@ -107,7 +111,6 @@ fn discrepancy_stopping_helps_at_high_noise() {
     use efficsense_rng::Rng64;
     let phi = SensingMatrix::srbm(M, N_PHI, 2, 0xD15C);
     let eff = effective_matrix(&phi, C_S, C_H);
-    let dict = eff.matmul(&Basis::Dct.matrix(N_PHI));
     let frames = eeg_frames(4000.0, 10);
     let mut rng = Rng64::new(9);
     let sigma = 8e-6 * 4000.0; // 8 µV input-referred at gain 4000
@@ -115,6 +118,8 @@ fn discrepancy_stopping_helps_at_high_noise() {
         .map(|r| eff.row(r).iter().map(|w| w * w).sum::<f64>())
         .sum::<f64>()
         / eff.rows() as f64;
+    let psi = Basis::Dct.matrix(N_PHI);
+    let art = DictionaryArtifacts::from_dictionary(eff.matmul(&psi), &psi, mean_w2);
     let noise_norm = (sigma * sigma * mean_w2 * M as f64).sqrt();
     let mut snr_greedy = 0.0;
     let mut snr_matched = 0.0;
@@ -131,10 +136,11 @@ fn discrepancy_stopping_helps_at_high_noise() {
             sparsity: 2 * M / 5,
             residual_tol: (noise_norm / y_norm).clamp(1e-4, 0.9),
         };
-        let xg = reconstruct_with_dictionary(&dict, &y, Basis::Dct, &greedy);
-        let xm = reconstruct_with_dictionary(&dict, &y, Basis::Dct, &matched);
-        snr_greedy += snr_fit_db(frame, &xg).min(60.0);
-        snr_matched += snr_fit_db(frame, &xm).min(60.0);
+        // One measurement decoded under both stopping rules: a two-frame
+        // batch.
+        let x = reconstruct_batch(&art, &[y.clone(), y], &[greedy, matched], 1);
+        snr_greedy += snr_fit_db(frame, &x[0]).min(60.0);
+        snr_matched += snr_fit_db(frame, &x[1]).min(60.0);
     }
     let n = frames.len() as f64;
     assert!(
