@@ -259,8 +259,7 @@ fn main() {
     // 7: passive vs active encoder power.
     println!("\n=== passive vs active CS encoder power ===");
     let passive = passive_encoder(&ctx, EncoderImperfections::realistic());
-    let p_passive = passive
-        .power_breakdown(&ctx.tech, &ctx.design)
+    let p_passive = ChargeSharingEncoder::power_breakdown(passive.phi(), &ctx.tech, &ctx.design)
         .total()
         .value();
     let active = ActiveCsEncoder::new(ctx.phi.clone(), 1e-12, 1e4, true, 1);

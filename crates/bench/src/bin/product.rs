@@ -375,6 +375,8 @@ fn main() {
         "sim.sample.build",
         "sim.reference.build",
         "sim.encode",
+        "sim.nyquist",
+        "sim.link",
         "stage.reconstruct",
         "recon.batch",
         "recon.bmat",
@@ -405,6 +407,8 @@ fn main() {
         + self_s("sim.sample.build")
         + self_s("sim.reference.build")
         + self_s("sim.encode")
+        + self_s("sim.nyquist")
+        + self_s("sim.link")
         + self_s("stage.detect")
         + self_s("detect.infer")
         + self_s("stage.reconstruct")

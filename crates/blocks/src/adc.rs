@@ -12,6 +12,8 @@ use efficsense_power::models::{ComparatorModel, DacModel, SarLogicModel};
 use efficsense_power::{DesignParams, PowerBreakdown, PowerModel, TechnologyParams};
 use efficsense_rng::Rng64;
 
+use crate::NOISE_BLOCK;
+
 /// Behavioural SAR analog-to-digital converter.
 ///
 /// Input range is bipolar `[-V_FS/2, +V_FS/2]`.
@@ -27,10 +29,10 @@ pub struct SarAdc {
     pub comparator_noise_v: f64,
     /// Comparator offset (V).
     pub comparator_offset_v: f64,
-    /// Actual (mismatched) per-bit capacitances, LSB first, in units of `C_u`.
-    bit_caps: Vec<f64>,
-    /// Total array capacitance including the termination cap, in `C_u`.
-    c_total: f64,
+    /// DAC output voltage (unipolar, V) of every code under the actual
+    /// (mismatched) weights: `levels[code] = V_FS · C_on / C_total`, one
+    /// lookup per bit decision.
+    levels: Vec<f64>,
     noise: Rng64,
     stuck: Option<AdcStuckBitFault>,
 }
@@ -76,15 +78,13 @@ impl SarAdc {
                 units * (1.0 + rng.normal() * sigma)
             })
             .collect();
-        let c_total = bit_caps.iter().sum::<f64>() + 1.0; // + termination cap
         Self {
             n_bits,
             v_fs,
             c_u_f,
             comparator_noise_v,
             comparator_offset_v,
-            bit_caps,
-            c_total,
+            levels: dac_levels(&bit_caps, v_fs),
             noise: Rng64::new(seed ^ 0xC0DE),
             stuck: None,
         }
@@ -100,42 +100,36 @@ impl SarAdc {
     pub fn ideal(n_bits: u32, v_fs: f64) -> Self {
         let tech = TechnologyParams::gpdk045();
         let mut adc = Self::new(n_bits, v_fs, tech.c_u_min_f, 0.0, 0.0, &tech, 0);
-        for (i, c) in adc.bit_caps.iter_mut().enumerate() {
-            *c = 2f64.powi(i as i32);
-        }
-        adc.c_total = adc.bit_caps.iter().sum::<f64>() + 1.0;
+        let caps: Vec<f64> = (0..n_bits).map(|i| 2f64.powi(i as i32)).collect();
+        adc.levels = dac_levels(&caps, v_fs);
         adc
-    }
-
-    /// DAC output voltage (unipolar, V) for a digital `code` using the
-    /// actual mismatched weights.
-    fn dac_voltage(&self, code: u32) -> f64 {
-        let mut c_on = 0.0;
-        for (i, &c) in self.bit_caps.iter().enumerate() {
-            if code & (1 << i) != 0 {
-                c_on += c;
-            }
-        }
-        self.v_fs * c_on / self.c_total
     }
 
     /// Converts an input voltage to a digital code via successive
     /// approximation (input clipped to the full-scale range).
     pub fn quantize(&mut self, v_in: f64) -> u32 {
+        let mut draws = [0.0; 16];
+        let draws = &mut draws[..self.n_bits as usize];
+        if self.comparator_noise_v > 0.0 {
+            self.noise.fill_normal(draws);
+        }
+        self.search(v_in, draws)
+    }
+
+    /// The successive-approximation search for `v_in`, MSB first, with the
+    /// comparator's standard-normal draws `draws` (one per bit decision;
+    /// zeros for a noiseless comparator), then the stuck-bit fault.
+    fn search(&self, v_in: f64, draws: &[f64]) -> u32 {
         // Shift to unipolar [0, FS].
         let u = (v_in + self.v_fs / 2.0).clamp(0.0, self.v_fs);
         let mut code = 0u32;
-        for i in (0..self.n_bits).rev() {
+        for (i, &w) in (0..self.n_bits).rev().zip(draws) {
             let trial = code | (1 << i);
-            let v_dac = self.dac_voltage(trial);
-            let decision_noise = if self.comparator_noise_v > 0.0 {
-                self.noise.normal() * self.comparator_noise_v
-            } else {
-                0.0
-            };
             // Keep the bit if the input (plus comparator error) is above the
             // trial level's midpoint reference.
-            if u + decision_noise + self.comparator_offset_v >= v_dac {
+            if u + w * self.comparator_noise_v + self.comparator_offset_v
+                >= self.levels[trial as usize]
+            {
                 code = trial;
             }
         }
@@ -163,9 +157,29 @@ impl SarAdc {
         self.reconstruct(code)
     }
 
+    /// Converts samples in place (analog in, ideal-weight interpretation
+    /// out), drawing the comparator noise — `n_bits` draws per conversion
+    /// — a block at a time.
+    pub fn process_in_place(&mut self, buf: &mut [f64]) {
+        let bits = self.n_bits as usize;
+        let noisy = self.comparator_noise_v > 0.0;
+        let mut draws = [0.0; NOISE_BLOCK];
+        for chunk in buf.chunks_mut(NOISE_BLOCK / bits) {
+            let draws = &mut draws[..chunk.len() * bits];
+            if noisy {
+                self.noise.fill_normal(draws);
+            }
+            for (v, w) in chunk.iter_mut().zip(draws.chunks_exact(bits)) {
+                *v = self.reconstruct(self.search(*v, w));
+            }
+        }
+    }
+
     /// Converts a whole buffer.
     pub fn process_buffer(&mut self, x: &[f64]) -> Vec<f64> {
-        x.iter().map(|&v| self.process(v)).collect()
+        let mut y = x.to_vec();
+        self.process_in_place(&mut y);
+        y
     }
 
     /// Quantisation step (ideal LSB, V).
@@ -180,7 +194,7 @@ impl SarAdc {
         let lsb = self.lsb();
         (0..steps as u32)
             .map(|code| {
-                let actual = self.dac_voltage(code);
+                let actual = self.levels[code as usize];
                 let ideal = code as f64 * lsb;
                 (actual - ideal) / lsb
             })
@@ -220,9 +234,11 @@ impl SarAdc {
     }
 
     /// Combined power breakdown of the converter's three Table II models
-    /// (comparator, SAR logic, DAC) for a scenario with RMS input `v_in_rms`.
+    /// (comparator, SAR logic, DAC) for DAC unit cap `c_u_f` and a scenario
+    /// with RMS input `v_in_rms`. The models read design variables only,
+    /// so no converter (mismatch draws, level table) is built.
     pub fn power_breakdown(
-        &self,
+        c_u_f: f64,
         v_in_rms: f64,
         tech: &TechnologyParams,
         design: &DesignParams,
@@ -230,15 +246,34 @@ impl SarAdc {
         let mut b = PowerBreakdown::new();
         let comp = ComparatorModel;
         let logic = SarLogicModel::default();
-        let dac = DacModel {
-            c_u_f: self.c_u_f,
-            v_in_rms,
-        };
+        let dac = DacModel { c_u_f, v_in_rms };
         b.add(comp.kind(), comp.power(tech, design));
         b.add(logic.kind(), logic.power(tech, design));
         b.add(dac.kind(), dac.power(tech, design));
         b
     }
+}
+
+/// The DAC output voltage of every code for per-bit capacitances
+/// `bit_caps` (LSB first, units of `C_u`) plus a unit termination cap.
+///
+/// `C_on` sums a code's set bits from the LSB up, so the sum over a
+/// code's lower bits is the entry of the code without its top bit: each
+/// entry is that entry plus one cap, the same additions in the same order
+/// as summing the bits one by one.
+fn dac_levels(bit_caps: &[f64], v_fs: f64) -> Vec<f64> {
+    let c_total = bit_caps.iter().sum::<f64>() + 1.0; // + termination cap
+    let mut c_on = vec![0.0; 1 << bit_caps.len()];
+    for (i, &c) in bit_caps.iter().enumerate() {
+        let (low, high) = c_on.split_at_mut(1 << i);
+        for (h, &l) in high.iter_mut().zip(low.iter()) {
+            *h = l + c;
+        }
+    }
+    for c in &mut c_on {
+        *c = v_fs * *c / c_total;
+    }
+    c_on
 }
 
 #[cfg(test)]
@@ -393,8 +428,7 @@ mod tests {
     fn power_breakdown_has_three_blocks() {
         let tech = TechnologyParams::gpdk045();
         let design = DesignParams::paper_defaults(8);
-        let adc = SarAdc::ideal(8, 2.0);
-        let b = adc.power_breakdown(0.5, &tech, &design);
+        let b = SarAdc::power_breakdown(tech.c_u_min_f, 0.5, &tech, &design);
         assert!(b.get(efficsense_power::BlockKind::Comparator).value() > 0.0);
         assert!(b.get(efficsense_power::BlockKind::SarLogic).value() > 0.0);
         assert!(b.get(efficsense_power::BlockKind::Dac).value() > 0.0);

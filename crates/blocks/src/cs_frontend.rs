@@ -23,6 +23,8 @@ use efficsense_power::models::{CsEncoderLogicModel, LeakageModel};
 use efficsense_power::{kt, DesignParams, PowerBreakdown, PowerModel, TechnologyParams};
 use efficsense_rng::Rng64;
 
+use crate::NOISE_BLOCK;
+
 /// Non-ideality switches for the encoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncoderImperfections {
@@ -78,7 +80,6 @@ pub struct ChargeSharingEncoder {
     /// Leakage time constant (s); infinity when leakage is disabled.
     tau_s: f64,
     noise: Rng64,
-    hold_v: Vec<f64>,
 }
 
 impl ChargeSharingEncoder {
@@ -87,8 +88,8 @@ impl ChargeSharingEncoder {
     ///
     /// # Panics
     ///
-    /// Panics if `phi` is not an s-SRBM, capacitances are not positive, or
-    /// `sample_period_s` is not positive.
+    /// Panics if `phi` is not an s-SRBM with at most 512 ones per column,
+    /// capacitances are not positive, or `sample_period_s` is not positive.
     #[allow(clippy::too_many_arguments)] // one argument per physical design variable
     pub fn new(
         phi: SensingMatrix,
@@ -103,6 +104,10 @@ impl ChargeSharingEncoder {
         let s = phi
             .sparsity()
             .expect("charge-sharing encoder requires an s-SRBM schedule");
+        assert!(
+            s <= NOISE_BLOCK,
+            "at most {NOISE_BLOCK} branches per sample"
+        );
         assert!(
             c_sample_f > 0.0 && c_hold_f > 0.0,
             "capacitances must be positive"
@@ -139,7 +144,6 @@ impl ChargeSharingEncoder {
             sample_caps,
             tau_s,
             noise: Rng64::new(seed ^ 0x5EED),
-            hold_v: vec![0.0; m],
         }
     }
 
@@ -181,42 +185,48 @@ impl ChargeSharingEncoder {
         (kt() / self.c_sample_f).sqrt()
     }
 
-    /// Encodes one frame of exactly `N_Φ` samples into `M` measurements.
+    /// Encodes one frame of exactly `N_Φ` samples into `M` measurements,
+    /// drawing the kT/C noise of the frame's `N_Φ·s` sampling events a
+    /// block at a time.
     ///
     /// # Panics
     ///
     /// Panics if `frame.len() != n_phi()`.
     pub fn encode_frame(&mut self, frame: &[f64]) -> Vec<f64> {
         assert_eq!(frame.len(), self.n_phi(), "frame length must equal N_Φ");
-        for v in &mut self.hold_v {
-            *v = 0.0;
-        }
-        let droop = if self.tau_s.is_finite() {
-            (-self.sample_period_s / self.tau_s).exp()
-        } else {
-            1.0
-        };
-        let ktc = self.ktc_sigma();
-        for (j, &x) in frame.iter().enumerate() {
-            // Leakage droop of all held charge over one sample period.
-            if !efficsense_dsp::approx::total_eq(droop, 1.0) {
-                for v in &mut self.hold_v {
-                    *v *= droop;
+        let mut hold = vec![0.0; self.m()];
+        let droop = self.decay_per_step();
+        let leaky = !efficsense_dsp::approx::total_eq(droop, 1.0);
+        let ktc = self.imperfections.ktc_noise.then(|| self.ktc_sigma());
+        // Column j's s branches take draws j·s .. (j+1)·s of the frame.
+        let s = self.sample_caps.len();
+        let per_block = NOISE_BLOCK / s;
+        let mut draws = [0.0; NOISE_BLOCK];
+        for (b, block) in frame.chunks(per_block).enumerate() {
+            let draws = &mut draws[..block.len() * s];
+            if ktc.is_some() {
+                self.noise.fill_normal(draws);
+            }
+            for (k, (&x, w)) in block.iter().zip(draws.chunks_exact(s)).enumerate() {
+                // Leakage droop of all held charge over one sample period.
+                if leaky {
+                    for v in hold.iter_mut() {
+                        *v *= droop;
+                    }
+                }
+                // Each of the s parallel sample caps grabs the input and
+                // shares with its scheduled destination row.
+                let rows = self.phi.column_rows(b * per_block + k);
+                for ((&r, &c_s), &w) in rows.iter().zip(&self.sample_caps).zip(w) {
+                    let sampled = match ktc {
+                        Some(sigma) => x + w * sigma,
+                        None => x,
+                    };
+                    hold[r] = share(sampled, c_s, hold[r], self.hold_caps[r]);
                 }
             }
-            // Each of the s parallel sample caps grabs the input and shares
-            // with its scheduled destination row.
-            for (branch, &r) in self.phi.column_rows(j).iter().enumerate() {
-                let c_s = self.sample_caps[branch % self.sample_caps.len()];
-                let sampled = if self.imperfections.ktc_noise {
-                    x + self.noise.normal() * ktc
-                } else {
-                    x
-                };
-                self.hold_v[r] = share(sampled, c_s, self.hold_v[r], self.hold_caps[r]);
-            }
         }
-        self.hold_v.clone()
+        hold
     }
 
     /// Encodes a long record frame-by-frame; trailing samples that do not fill a
@@ -260,24 +270,27 @@ impl ChargeSharingEncoder {
         )
     }
 
-    /// Number of switches in the charge-sharing network: `s` series switches
-    /// per destination row plus a sampling switch per branch.
-    pub fn switch_count(&self) -> usize {
-        self.phi.nnz() / self.n_phi() * (self.m() + 1)
+    /// Number of switches in the charge-sharing network for schedule `phi`:
+    /// `s` series switches per destination row plus a sampling switch per
+    /// branch.
+    pub fn switch_count(phi: &SensingMatrix) -> usize {
+        phi.nnz() / phi.n() * (phi.m() + 1)
     }
 
-    /// Power breakdown of the encoder: CS shift-register/switch logic plus
-    /// static leakage of the switch network (Table II row 7 + leakage row).
+    /// Power breakdown of an encoder running schedule `phi`: CS
+    /// shift-register/switch logic plus static leakage of the switch
+    /// network (Table II row 7 + leakage row). The models read the
+    /// schedule's shape only, so no encoder is built.
     pub fn power_breakdown(
-        &self,
+        phi: &SensingMatrix,
         tech: &TechnologyParams,
         design: &DesignParams,
     ) -> PowerBreakdown {
         let mut b = PowerBreakdown::new();
-        let logic = CsEncoderLogicModel::new(self.n_phi());
+        let logic = CsEncoderLogicModel::new(phi.n());
         b.add(logic.kind(), logic.power(tech, design));
         let leak = LeakageModel {
-            n_switches: self.switch_count(),
+            n_switches: Self::switch_count(phi),
         };
         b.add(leak.kind(), leak.power(tech, design));
         b
@@ -452,7 +465,7 @@ mod tests {
         let enc = setup(EncoderImperfections::realistic(), 1);
         let tech = TechnologyParams::gpdk045();
         let design = DesignParams::paper_defaults(8);
-        let b = enc.power_breakdown(&tech, &design);
+        let b = ChargeSharingEncoder::power_breakdown(enc.phi(), &tech, &design);
         assert!(b.get(efficsense_power::BlockKind::CsEncoderLogic).value() > 0.0);
         assert!(b.get(efficsense_power::BlockKind::Leakage).value() > 0.0);
         // Logic dominates leakage by orders of magnitude.

@@ -20,8 +20,17 @@
 //!   CS encoder of paper Fig. 5, with capacitor mismatch, kT/C noise and
 //!   leakage droop;
 //! * [`transmitter::Transmitter`] — bit accounting and transmission energy.
+//!
+//! The per-sample blocks run as slice kernels. Each block owns a private
+//! noise stream and draws from it a block at a time into a stack array of
+//! 512 values (4 KiB), all of which the kernel consumes before it returns:
+//! a kernel call reads the stream in exactly the order the per-sample
+//! model would, so its output is the same bit for bit.
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+
+/// Noise draws per block of a kernel's stack array (4 KiB of `f64`).
+const NOISE_BLOCK: usize = 512;
 
 pub mod active_cs;
 pub mod adc;
@@ -35,5 +44,6 @@ pub use active_cs::ActiveCsEncoder;
 pub use adc::SarAdc;
 pub use cs_frontend::ChargeSharingEncoder;
 pub use lna::Lna;
+pub use sampler::HoldState;
 pub use sampler::Sampler;
 pub use transmitter::Transmitter;

@@ -11,6 +11,8 @@ use efficsense_power::Watts;
 use efficsense_power::{DesignParams, TechnologyParams};
 use efficsense_rng::Rng64;
 
+use crate::NOISE_BLOCK;
+
 /// Runtime state of an injected railing fault.
 #[derive(Debug, Clone)]
 struct RailState {
@@ -20,6 +22,21 @@ struct RailState {
     rng: Rng64,
     /// Samples left in the current rail episode.
     remaining: usize,
+}
+
+impl RailState {
+    /// Advances the fault by one sample: `true` while the output is
+    /// latched to the rail. Outside an episode it draws once to start one.
+    fn latched(&mut self) -> bool {
+        if self.remaining == 0 && self.rng.chance(self.fault.rail_prob) {
+            self.remaining = self.fault.episode_len;
+        }
+        if self.remaining > 0 {
+            self.remaining -= 1;
+            return true;
+        }
+        false
+    }
 }
 
 /// Behavioural low-noise amplifier.
@@ -151,35 +168,52 @@ impl Lna {
         )
     }
 
-    /// Processes one continuous-time-proxy sample (volts in, volts out).
-    pub fn process(&mut self, v_in: f64) -> f64 {
-        let noisy = v_in + self.noise.normal() * self.sigma_per_sample;
-        let amplified = self.filter.process(noisy) * self.gain;
-        let shaped = if !efficsense_dsp::approx::is_zero(self.k3) {
-            let u = amplified / self.v_clip;
-            amplified * (1.0 - self.k3 * u * u)
-        } else {
-            amplified
-        };
-        let mut v_clip = self.v_clip;
-        if let Some(rail) = &mut self.rail {
-            // The fault derates the rails permanently and occasionally
-            // latches the output to the (sagging) positive rail.
-            v_clip *= rail.fault.v_clip_factor;
-            if rail.remaining == 0 && rail.rng.chance(rail.fault.rail_prob) {
-                rail.remaining = rail.fault.episode_len;
-            }
-            if rail.remaining > 0 {
-                rail.remaining -= 1;
-                return v_clip;
+    /// Amplifies continuous-time-proxy samples in place (volts in, volts
+    /// out), one input-noise draw per sample, drawn a block at a time.
+    pub fn process_in_place(&mut self, buf: &mut [f64]) {
+        let Self {
+            gain,
+            k3,
+            v_clip,
+            filter,
+            noise,
+            sigma_per_sample,
+            rail,
+            ..
+        } = self;
+        let (gain, k3, v_clip, sigma) = (*gain, *k3, *v_clip, *sigma_per_sample);
+        let cubic = !efficsense_dsp::approx::is_zero(k3);
+        // The fault derates the rails permanently and occasionally latches
+        // the output to the (sagging) positive rail.
+        let rail_v = rail
+            .as_ref()
+            .map_or(v_clip, |r| v_clip * r.fault.v_clip_factor);
+        let mut draws = [0.0; NOISE_BLOCK];
+        for chunk in buf.chunks_mut(NOISE_BLOCK) {
+            let draws = &mut draws[..chunk.len()];
+            noise.fill_normal(draws);
+            for (v, &w) in chunk.iter_mut().zip(draws.iter()) {
+                let amplified = filter.process(*v + w * sigma) * gain;
+                let shaped = if cubic {
+                    let u = amplified / v_clip;
+                    amplified * (1.0 - k3 * u * u)
+                } else {
+                    amplified
+                };
+                *v = if rail.as_mut().is_some_and(RailState::latched) {
+                    rail_v
+                } else {
+                    shaped.clamp(-rail_v, rail_v)
+                };
             }
         }
-        shaped.clamp(-v_clip, v_clip)
     }
 
     /// Processes a whole buffer.
     pub fn process_buffer(&mut self, x: &[f64]) -> Vec<f64> {
-        x.iter().map(|&v| self.process(v)).collect()
+        let mut y = x.to_vec();
+        self.process_in_place(&mut y);
+        y
     }
 
     /// Resets filter state (noise stream continues).

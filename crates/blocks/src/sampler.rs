@@ -8,6 +8,8 @@ use efficsense_power::Watts;
 use efficsense_power::{kt, DesignParams, TechnologyParams};
 use efficsense_rng::Rng64;
 
+use crate::NOISE_BLOCK;
+
 /// Injected sample-clock fault with its own random streams, so the clean
 /// noise realisation is untouched by injection.
 #[derive(Debug, Clone)]
@@ -15,6 +17,18 @@ struct ClockState {
     fault: ClockFault,
     jitter_rng: Rng64,
     drop_rng: Rng64,
+}
+
+/// Where a clocked acquisition stands between calls of
+/// [`Sampler::acquire_run`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct HoldState {
+    /// The value on the hold capacitor: the last acquisition (0 before
+    /// any), repeated while conversions drop.
+    pub held: f64,
+    /// An instant already decided (its clock draws consumed) whose input
+    /// had not arrived yet; the next call acquires it first.
+    pub pending: Option<f64>,
 }
 
 /// Behavioural sample-and-hold.
@@ -92,14 +106,12 @@ impl Sampler {
         (kt() / self.c_sample_f).sqrt()
     }
 
-    /// Decides the acquisition instant for output sample `i`, consuming
-    /// exactly the random draws the batch [`Sampler::sample`] path makes
-    /// for that sample: the intrinsic aperture-jitter draw, the fault
-    /// jitter draw, and the drop decision, in that order. Returns `None`
-    /// when the conversion is dropped — the caller conceals the dropout by
-    /// holding the last acquired value. The returned instant is *not*
-    /// clamped to the record start; callers interpolate at `t.max(0.0)`.
-    pub fn acquisition_instant(&mut self, i: u64) -> Option<f64> {
+    /// Decides the acquisition instant for output sample `i`: the
+    /// intrinsic aperture-jitter draw, the fault jitter draw and the drop
+    /// decision, in that order. Returns `None` when the conversion is
+    /// dropped — the S&H then keeps holding its last value. The returned
+    /// instant is *not* clamped to the record start.
+    fn acquisition_instant(&mut self, i: u64) -> Option<f64> {
         let mut t = i as f64 / self.fs;
         if self.jitter_s > 0.0 {
             t += self.noise.normal() * self.jitter_s;
@@ -116,14 +128,93 @@ impl Sampler {
         Some(t)
     }
 
-    /// Completes one acquisition: adds the kT/C thermal-noise draw to an
-    /// interpolated proxy value `v`. Split from [`Sampler::acquisition_instant`]
-    /// so a streaming caller can decide the instant first, wait until the
-    /// proxy data covering it arrives, then acquire — the noise draw
-    /// happens only once the value is computed, preserving batch draw
-    /// order.
-    pub fn acquire(&mut self, v: f64) -> f64 {
-        v + self.noise.normal() * self.ktc_sigma()
+    /// Adds one kT/C thermal-noise draw to each acquired value in place,
+    /// drawn a block at a time.
+    ///
+    /// The draws come from the stream that aperture jitter also reads, so
+    /// a caller with `jitter_s > 0` must interleave: one value per call,
+    /// after that sample's instant (as [`Sampler::acquire_run`] does).
+    pub fn acquire_in_place(&mut self, values: &mut [f64]) {
+        let sigma = self.ktc_sigma();
+        let mut draws = [0.0; NOISE_BLOCK];
+        for chunk in values.chunks_mut(NOISE_BLOCK) {
+            let draws = &mut draws[..chunk.len()];
+            self.noise.fill_normal(draws);
+            for (v, &w) in chunk.iter_mut().zip(draws.iter()) {
+                *v += w * sigma;
+            }
+        }
+    }
+
+    /// Acquires output samples `i..end` and appends them to `out`; returns
+    /// the index after the last one acquired. Each sample's instant comes
+    /// from the clock (jitter, drop-outs), `interp` reads the input at
+    /// that instant (clamped to `t >= 0`), and `ktc` adds the S&H's kT/C
+    /// noise. When `interp` returns `None` (input not there yet) the run
+    /// stops early and `hold.pending` keeps the decided instant.
+    ///
+    /// Instants are decided a block at a time, then the block's kT/C
+    /// noise is drawn in one go: the clock and kT/C streams are separate,
+    /// so each is still read in sample order. With aperture jitter the
+    /// kT/C stream is shared, and blocks shrink to one sample.
+    pub fn acquire_run(
+        &mut self,
+        mut i: u64,
+        end: u64,
+        hold: &mut HoldState,
+        ktc: bool,
+        mut interp: impl FnMut(f64) -> Option<f64>,
+        out: &mut Vec<f64>,
+    ) -> u64 {
+        const BLOCK: usize = 256;
+        let block = if self.jitter_s > 0.0 { 1 } else { BLOCK };
+        // The block's acquired values, and per sample whether it acquired
+        // (`true`) or dropped.
+        let mut values = [0.0; BLOCK];
+        let mut acquired = [false; BLOCK];
+        while i < end {
+            let n = (end - i).min(block as u64) as usize;
+            let (mut decided, mut m) = (0, 0);
+            let mut stalled = false;
+            while decided < n {
+                let t = match hold.pending.take() {
+                    Some(t) => t,
+                    None => match self.acquisition_instant(i + decided as u64) {
+                        Some(t) => t,
+                        None => {
+                            acquired[decided] = false;
+                            decided += 1;
+                            continue;
+                        }
+                    },
+                };
+                let Some(v) = interp(t.max(0.0)) else {
+                    hold.pending = Some(t);
+                    stalled = true;
+                    break;
+                };
+                values[m] = v;
+                m += 1;
+                acquired[decided] = true;
+                decided += 1;
+            }
+            if ktc {
+                self.acquire_in_place(&mut values[..m]);
+            }
+            let mut k = 0;
+            for &got in &acquired[..decided] {
+                if got {
+                    hold.held = values[k];
+                    k += 1;
+                }
+                out.push(hold.held);
+            }
+            i += decided as u64;
+            if stalled {
+                break;
+            }
+        }
+        i
     }
 
     /// Samples a continuous-time proxy record (`x` at rate `f_ct`) at this
@@ -133,13 +224,15 @@ impl Sampler {
         let duration = x.len() as f64 / f_ct;
         let n_out = (duration * self.fs).floor() as usize;
         let mut out = Vec::with_capacity(n_out);
-        let mut held = 0.0;
-        for i in 0..n_out {
-            if let Some(t) = self.acquisition_instant(i as u64) {
-                held = self.acquire(sample_at(x, f_ct, t.max(0.0)));
-            }
-            out.push(held);
-        }
+        let interp = |t: f64| Some(sample_at(x, f_ct, t));
+        self.acquire_run(
+            0,
+            n_out as u64,
+            &mut HoldState::default(),
+            true,
+            interp,
+            &mut out,
+        );
         out
     }
 
@@ -373,36 +466,35 @@ mod tests {
     }
 
     #[test]
-    fn split_acquisition_matches_batch_sample() {
-        use efficsense_dsp::resample::sample_at;
+    fn stalled_runs_resume_where_they_stopped() {
+        // A stream's input arrives in pieces: a run stops at the first
+        // instant whose input is missing and resumes there. With and
+        // without aperture jitter (one-sample blocks), the pieces match
+        // one whole-record call.
         let x = sine(16384, 8192.0, 20.0, 1.0, 0.0);
-        let mut batch = Sampler::new(537.6, 1e-12, 1e-6, 11);
-        batch.inject_clock_fault(
-            Some(ClockFault {
-                jitter_periods: 0.1,
-                drop_prob: 0.2,
-            }),
-            42,
-        );
-        let y_batch = batch.sample(&x, 8192.0);
+        let fault = Some(ClockFault {
+            jitter_periods: 0.1,
+            drop_prob: 0.2,
+        });
+        for jitter_s in [0.0, 1e-6] {
+            let mut whole = Sampler::new(537.6, 1e-12, jitter_s, 11);
+            whole.inject_clock_fault(fault, 42);
+            let y_whole = whole.sample(&x, 8192.0);
 
-        let mut split = Sampler::new(537.6, 1e-12, 1e-6, 11);
-        split.inject_clock_fault(
-            Some(ClockFault {
-                jitter_periods: 0.1,
-                drop_prob: 0.2,
-            }),
-            42,
-        );
-        let mut y_split = Vec::new();
-        let mut held = 0.0;
-        for i in 0..y_batch.len() {
-            if let Some(t) = split.acquisition_instant(i as u64) {
-                held = split.acquire(sample_at(&x, 8192.0, t.max(0.0)));
+            let mut pieces = Sampler::new(537.6, 1e-12, jitter_s, 11);
+            pieces.inject_clock_fault(fault, 42);
+            let mut hold = HoldState::default();
+            let (mut i, mut y) = (0, Vec::new());
+            for avail in (1000..x.len()).step_by(1000).chain([x.len()]) {
+                let seen = &x[..avail];
+                let interp = |t: f64| {
+                    (avail == x.len() || t * 8192.0 < (avail - 1) as f64)
+                        .then(|| sample_at(seen, 8192.0, t))
+                };
+                i = pieces.acquire_run(i, y_whole.len() as u64, &mut hold, true, interp, &mut y);
             }
-            y_split.push(held);
+            assert_eq!(y, y_whole, "jitter {jitter_s}");
         }
-        assert_eq!(y_batch, y_split);
     }
 
     #[test]

@@ -79,8 +79,7 @@ fn lna_output_never_exceeds_clip() {
         let len = g.range(10, 100);
         let inputs: Vec<f64> = (0..len).map(|_| g.uniform(-0.01, 0.01)).collect();
         let mut lna = Lna::new(gain, 1e-6, 768.0, 0.1, v_clip, 8192.0, 1);
-        for &v in &inputs {
-            let y = lna.process(v);
+        for y in lna.process_buffer(&inputs) {
             assert!(y.abs() <= v_clip + 1e-12, "case {case}");
             assert!(y.is_finite(), "case {case}");
         }

@@ -11,14 +11,14 @@
 
 use crate::config::{ConfigError, CsConfig, SystemConfig};
 use crate::prefix::{self, PrefixStore};
-use crate::stream::{self, StreamSimulator};
-use efficsense_blocks::{ChargeSharingEncoder, Lna, Transmitter};
+use crate::stream::StreamSimulator;
+use efficsense_blocks::{ChargeSharingEncoder, SarAdc, Transmitter};
 use efficsense_cs::matrix::SensingMatrix;
 use efficsense_cs::memo::{self, DictionaryArtifacts, DictionaryParams};
 use efficsense_faults::{FaultPlan, LinkStats};
 use efficsense_power::area::AreaModel;
-use efficsense_power::models::SampleHoldModel;
-use efficsense_power::{PowerBreakdown, PowerModel};
+use efficsense_power::models::{LnaModel, SampleHoldModel};
+use efficsense_power::{BlockKind, PowerBreakdown, PowerModel};
 use std::sync::Arc;
 
 /// The result of simulating one record through a candidate system.
@@ -328,23 +328,23 @@ impl Simulator {
     /// frame), feeding the signal-dependent DAC switching model.
     pub fn power_breakdown(&self, adc_in_rms: f64) -> PowerBreakdown {
         let cfg = &self.cfg;
+        let (tech, design) = (&cfg.tech, &cfg.design);
         let mut b = PowerBreakdown::new();
-        // LNA.
-        let lna = Lna::from_design(
-            &cfg.design,
-            cfg.lna.gain,
-            cfg.lna.noise_floor_vrms,
-            cfg.lna.k3,
-            cfg.f_ct_hz(),
-            0,
-        );
-        b.add(
-            efficsense_power::BlockKind::Lna,
-            lna.power(self.lna_load_f(), &cfg.tech, &cfg.design),
-        );
+        // Every Table II model reads design variables only: no block (and
+        // none of its mismatch draws or tables) is built here.
+        let lna = LnaModel {
+            noise_floor_vrms: cfg.lna.noise_floor_vrms,
+            c_load_f: self.lna_load_f(),
+            gain: cfg.lna.gain,
+        };
+        b.add(BlockKind::Lna, lna.power(tech, design));
         // ADC (comparator + SAR logic + DAC).
-        let adc = stream::sar_adc(cfg);
-        b = b.merged(&adc.power_breakdown(adc_in_rms, &cfg.tech, &cfg.design));
+        b = b.merged(&SarAdc::power_breakdown(
+            cfg.adc.c_u_f,
+            adc_in_rms,
+            tech,
+            design,
+        ));
         // A lossy link retransmits: the radio clocks out expected-attempts×
         // the data words, inflating the average TX power by the same factor.
         let retry_factor = self
@@ -355,33 +355,22 @@ impl Simulator {
         match &self.arch {
             ArchState::Baseline => {
                 // S&H plus Nyquist-rate transmission.
+                b.add(BlockKind::SampleHold, SampleHoldModel.power(tech, design));
+                let tx = Transmitter::baseline(design);
                 b.add(
-                    efficsense_power::BlockKind::SampleHold,
-                    SampleHoldModel.power(&cfg.tech, &cfg.design),
-                );
-                let tx = Transmitter::baseline(&cfg.design);
-                b.add(
-                    efficsense_power::BlockKind::Transmitter,
-                    tx.power(&cfg.tech, &cfg.design) * retry_factor,
+                    BlockKind::Transmitter,
+                    tx.power(tech, design) * retry_factor,
                 );
             }
             ArchState::Cs(state) => {
                 let cs = &state.cs;
-                let enc = ChargeSharingEncoder::new(
-                    state.phi.as_ref().clone(),
-                    cs.c_sample_f,
-                    cs.c_hold_f,
-                    1.0 / cfg.design.f_sample_hz(),
-                    cs.imperfections,
-                    &cfg.tech,
-                    &cfg.design,
-                    cfg.seed,
-                );
-                b = b.merged(&enc.power_breakdown(&cfg.tech, &cfg.design));
-                let tx = Transmitter::compressive(&cfg.design, cs.m, cs.n_phi);
+                b = b.merged(&ChargeSharingEncoder::power_breakdown(
+                    &state.phi, tech, design,
+                ));
+                let tx = Transmitter::compressive(design, cs.m, cs.n_phi);
                 b.add(
-                    efficsense_power::BlockKind::Transmitter,
-                    tx.power(&cfg.tech, &cfg.design) * retry_factor,
+                    BlockKind::Transmitter,
+                    tx.power(tech, design) * retry_factor,
                 );
             }
         }

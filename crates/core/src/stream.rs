@@ -37,10 +37,10 @@
 //!
 //! [`Simulator::run`]: crate::simulate::Simulator::run
 
-use crate::config::{CsConfig, SystemConfig};
+use crate::config::CsConfig;
 use crate::prefix::{self, AnalogParams, Class, PrefixKey, PrefixStore};
 use crate::simulate::{ArchState, CsState, SimOutput, SimScratch, Simulator};
-use efficsense_blocks::{ChargeSharingEncoder, Lna, Sampler, SarAdc};
+use efficsense_blocks::{ChargeSharingEncoder, HoldState, Lna, Sampler, SarAdc};
 use efficsense_cs::decode::reconstruct_batch;
 use efficsense_cs::memo::DictionaryArtifacts;
 use efficsense_cs::recon::OmpConfig;
@@ -244,20 +244,6 @@ impl Ring {
     }
 }
 
-/// The design point's SAR converter (mismatch drawn from the config seed,
-/// so every record and the power model see the same chip).
-pub(crate) fn sar_adc(cfg: &SystemConfig) -> SarAdc {
-    SarAdc::new(
-        cfg.design.n_bits,
-        cfg.design.v_fs,
-        cfg.adc.c_u_f,
-        cfg.adc.comparator_noise_v,
-        cfg.adc.comparator_offset_v,
-        &cfg.tech,
-        cfg.seed,
-    )
-}
-
 /// The Level-3 context of a whole-record run with a store attached: the
 /// record fingerprint every prefix key hangs off, known before the stream
 /// opens.
@@ -351,15 +337,80 @@ struct Compound {
     members: Members,
 }
 
-impl Compound {
-    /// The parameters in force at stream time `t_s` when it falls in a
-    /// later epoch than `last` (the hook's last update, advanced here).
-    fn update(&self, t_s: f64, last: &mut u64) -> Option<FaultPlan> {
-        let epoch = self.plan.epoch_index(t_s);
-        (epoch != *last).then(|| {
-            *last = epoch;
-            self.plan.materialize_at_epoch(epoch)
-        })
+/// A fault hook's place on a compound plan's epoch grid, in its block's
+/// own sample index.
+#[derive(Debug, Clone, Copy, Default)]
+struct EpochRun {
+    /// Epoch of the hook's last parameter update (epoch 0's parameters
+    /// are installed when the stream opens).
+    epoch: u64,
+    /// First sample index past the current run (0: not entered yet).
+    end: u64,
+}
+
+impl EpochRun {
+    /// The end of the epoch run holding sample `k` of a hook sampled at
+    /// `rate` Hz. When `k` has left the current run, enters the new one:
+    /// hands `apply` the epoch's parameters if the epoch is later than the
+    /// hook's last update, and finds the next epoch's first sample once,
+    /// estimated from the epoch start, then settled on the exact
+    /// `epoch_index` predicate — so every sample lands in the epoch a
+    /// per-sample lookup gives it. Without a plan the run never ends.
+    fn run_end(
+        &mut self,
+        compound: Option<&Compound>,
+        k: u64,
+        rate: f64,
+        apply: impl FnOnce(FaultPlan),
+    ) -> u64 {
+        let Some(plan) = compound.map(|c| &c.plan) else {
+            return u64::MAX;
+        };
+        if k < self.end {
+            return self.end;
+        }
+        let epoch_of = |i: u64| plan.epoch_index(i as f64 / rate);
+        let epoch = epoch_of(k);
+        if epoch != self.epoch {
+            self.epoch = epoch;
+            apply(plan.materialize_at_epoch(epoch));
+        }
+        let estimate = match epoch.checked_add(1) {
+            Some(next) => (plan.epoch_start_s(next) * rate).ceil() as u64,
+            None => u64::MAX,
+        };
+        let mut end = estimate.max(k + 1);
+        while end > k + 1 && epoch_of(end - 1) != epoch {
+            end -= 1;
+        }
+        while end < u64::MAX && epoch_of(end) == epoch {
+            end += 1;
+        }
+        self.end = end;
+        end
+    }
+}
+
+/// Runs a block kernel over `buf`, samples `first..` of a hook sampled at
+/// `rate` Hz, one compound-plan epoch run at a time: `kernel` gets each
+/// run with the parameters to apply first, if the run enters a later
+/// epoch. Without a plan, `buf` is one run.
+fn epoch_runs(
+    compound: Option<&Compound>,
+    at: &mut EpochRun,
+    first: u64,
+    rate: f64,
+    buf: &mut [f64],
+    mut kernel: impl FnMut(Option<FaultPlan>, &mut [f64]),
+) {
+    let (mut k, mut rest) = (first, buf);
+    while !rest.is_empty() {
+        let mut update = None;
+        let end = at.run_end(compound, k, rate, |p| update = Some(p));
+        let len = (end - k).min(rest.len() as u64) as usize;
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        kernel(update, run);
+        (k, rest) = (k + len as u64, tail);
     }
 }
 
@@ -424,16 +475,18 @@ struct StreamLink {
     stats: LinkStats,
     /// Absolute index of the first word in `buf`.
     word_index: u64,
+    /// The link hook's epoch run (compound mode), in words.
+    epoch: EpochRun,
 }
 
 impl StreamLink {
     fn push_word(&mut self, w: f64, compound: Option<&Compound>, f_s: f64, out: &mut Vec<f64>) {
         if self.buf.is_empty() {
-            if let Some(c) = compound {
-                // Packet parameters re-materialise at packet starts only.
-                let plan = c.plan.materialize(self.word_index as f64 / f_s);
-                self.cur = plan.link.unwrap_or(NOOP_LINK);
-            }
+            // Packet parameters change at packet starts only.
+            let cur = &mut self.cur;
+            self.epoch.run_end(compound, self.word_index, f_s, |p| {
+                *cur = p.link.unwrap_or(NOOP_LINK);
+            });
         }
         self.buf.push(w);
         if self.buf.len() >= self.cur.packet_words.max(1) {
@@ -478,12 +531,11 @@ struct Acquisition {
     clocked: bool,
     /// Next sample index to acquire.
     next_i: u64,
-    /// Acquisition instant decided (draws consumed) but awaiting amplified
-    /// data that covers it.
-    pending_t: Option<f64>,
-    held: f64,
-    /// Epoch of the last clock parameter update (compound mode).
-    epoch: u64,
+    /// The held value, and an instant decided (draws consumed) but
+    /// awaiting amplified data that covers it.
+    hold: HoldState,
+    /// The clock hook's epoch run (compound mode).
+    epoch: EpochRun,
     f_s: f64,
     f_ct: f64,
 }
@@ -510,46 +562,33 @@ impl Acquisition {
             append(out, values);
             self.next_i = next;
             if self.ktc {
-                for v in &mut out[start..] {
-                    *v = self.sampler.acquire(*v);
-                }
+                self.sampler.acquire_in_place(&mut out[start..]);
             }
             return;
         }
+        let compound = compound.filter(|c| c.members.clock);
         while self.next_i < n {
-            let t = match self.pending_t {
-                Some(t) => t,
-                None => {
-                    if let Some(c) = compound.filter(|c| c.members.clock) {
-                        if let Some(p) = c.update(self.next_i as f64 / self.f_s, &mut self.epoch) {
-                            self.sampler
-                                .set_clock_fault_params(p.clock.unwrap_or(NOOP_CLOCK));
-                        }
-                    }
-                    match self.sampler.acquisition_instant(self.next_i) {
-                        Some(t) => t,
-                        None => {
-                            out.push(self.held);
-                            self.next_i += 1;
-                            continue;
-                        }
-                    }
-                }
-            };
-            let Some(v) = amplified.interp_at(self.f_ct, t.max(0.0), finished) else {
-                self.pending_t = Some(t);
+            let sampler = &mut self.sampler;
+            let end = self
+                .epoch
+                .run_end(compound, self.next_i, self.f_s, |p| {
+                    sampler.set_clock_fault_params(p.clock.unwrap_or(NOOP_CLOCK));
+                })
+                .min(n);
+            let f_ct = self.f_ct;
+            let interp = |t: f64| amplified.interp_at(f_ct, t, finished);
+            let next = sampler.acquire_run(self.next_i, end, &mut self.hold, self.ktc, interp, out);
+            let stalled = next < end;
+            self.next_i = next;
+            if stalled {
                 return;
-            };
-            self.pending_t = None;
-            self.held = if self.ktc { self.sampler.acquire(v) } else { v };
-            out.push(self.held);
-            self.next_i += 1;
+            }
         }
     }
 
     /// Oldest amplified sample a future acquisition can still touch.
     fn min_ct_needed(&self) -> u64 {
-        let t = self.pending_t.unwrap_or(self.next_i as f64 / self.f_s);
+        let t = self.hold.pending.unwrap_or(self.next_i as f64 / self.f_s);
         ((t.max(0.0) * self.f_ct).floor() as u64).saturating_sub(CT_GUARD)
     }
 }
@@ -560,8 +599,8 @@ enum Path {
     /// Baseline: every sample is digitised and sent over the link.
     Nyquist {
         link: Option<StreamLink>,
-        /// Epoch of the last ADC parameter update (compound mode).
-        epoch: u64,
+        /// The ADC hook's epoch run (compound mode).
+        epoch: EpochRun,
     },
     /// Compressive sensing: frames → encoder → ADC → link erasures →
     /// batched decode.
@@ -575,16 +614,18 @@ struct CsPath {
     encoder: ChargeSharingEncoder,
     link: Option<(LinkFault, Rng64)>,
     link_stats: Option<LinkStats>,
+    /// Digitised frames awaiting decode.
     frames: Vec<Vec<f64>>,
-    omp_cfgs: Vec<OmpConfig>,
     frames_encoded: u64,
     /// Frames digitised before each decode flush.
     decode_batch: usize,
     /// Discrepancy-principle residual target of one frame.
     noise_norm: f64,
     threads: usize,
-    /// Epoch of the last encoder/ADC/link parameter update (compound mode).
-    epoch: u64,
+    /// The encoder and ADC hooks' epoch run (compound mode), in samples.
+    epoch: EpochRun,
+    /// The link hook's epoch run (compound mode), in samples.
+    link_epoch: EpochRun,
     tech: TechnologyParams,
     design: DesignParams,
 }
@@ -651,26 +692,40 @@ impl BackEnd {
         let n_samples = (amplified.len() as f64 / self.acq.f_ct * f_s).floor() as u64;
         match &mut self.path {
             Path::Nyquist { link, epoch } => {
-                self.acq
-                    .run(amplified, compound, finished, n_samples, &mut self.samples);
-                for &v in &self.samples {
-                    if let Some(c) = compound.filter(|c| c.members.adc) {
-                        if let Some(p) = c.update(self.samples_base as f64 / f_s, epoch) {
-                            self.adc.inject_stuck_bit(p.adc);
+                {
+                    let _nyquist_span = whole.then(|| efficsense_obs::span!("sim.nyquist"));
+                    self.acq
+                        .run(amplified, compound, finished, n_samples, &mut self.samples);
+                    for &v in &self.samples {
+                        self.tally.add(v);
+                    }
+                    let adc = &mut self.adc;
+                    let hook = compound.filter(|c| c.members.adc);
+                    let base = self.samples_base;
+                    epoch_runs(hook, epoch, base, f_s, &mut self.samples, |update, run| {
+                        if let Some(p) = update {
+                            adc.inject_stuck_bit(p.adc);
+                        }
+                        adc.process_in_place(run);
+                    });
+                    self.samples_base += self.samples.len() as u64;
+                    for v in &mut self.samples {
+                        *v /= self.gain;
+                    }
+                }
+                match link {
+                    Some(link) => {
+                        let _link_span = whole.then(|| efficsense_obs::span!("sim.link"));
+                        for &w in &self.samples {
+                            link.push_word(w, compound, f_s, out);
+                        }
+                        if finished {
+                            link.decide_packet(out);
                         }
                     }
-                    self.samples_base += 1;
-                    self.tally.add(v);
-                    let code = self.adc.process(v) / self.gain;
-                    match link {
-                        Some(link) => link.push_word(code, compound, f_s, out),
-                        None => out.push(code),
-                    }
+                    None => out.extend_from_slice(&self.samples),
                 }
                 self.samples.clear();
-                if let Some(link) = link.as_mut().filter(|_| finished) {
-                    link.decide_packet(out);
-                }
             }
             Path::Cs(cs) => {
                 let clean = !self.acq.clocked;
@@ -701,6 +756,7 @@ impl BackEnd {
                     None => (self.samples.as_slice(), self.samples_base, self.acq.next_i),
                 };
                 let n_phi = cs.cs.n_phi as u64;
+                let queued = cs.frames.len();
                 {
                     let _encode_span = whole.then(|| efficsense_obs::span!("sim.encode"));
                     while (cs.frames_encoded + 1) * n_phi <= available {
@@ -708,6 +764,10 @@ impl BackEnd {
                         let frame = &src[start..start + cs.cs.n_phi];
                         cs.encode(frame, &mut self.adc, &mut self.tally, compound, f_s);
                     }
+                }
+                if cs.link.is_some() {
+                    let _link_span = whole.then(|| efficsense_obs::span!("sim.link"));
+                    cs.transmit(queued, compound, f_s);
                 }
                 // Drop the encoded prefix; at the end of the record the
                 // trailing partial frame never reaches the encoder either.
@@ -728,10 +788,8 @@ impl BackEnd {
 }
 
 impl CsPath {
-    /// Encodes, digitises and transmits one frame (after applying the
-    /// frame-epoch parameters of a compound plan), queueing its words for
-    /// decoding. The decoder knows which packets never arrived, so it treats
-    /// their words as zero-valued measurements (erasures).
+    /// Encodes and digitises one frame (after applying the frame-epoch
+    /// parameters of a compound plan), queueing its words.
     fn encode(
         &mut self,
         frame: &[f64],
@@ -740,31 +798,42 @@ impl CsPath {
         compound: Option<&Compound>,
         f_s: f64,
     ) {
-        if let Some(c) = compound {
-            let m = c.members;
-            let t = (self.frames_encoded * self.cs.n_phi as u64) as f64 / f_s;
-            if m.leakage || m.adc || m.link {
-                if let Some(p) = c.update(t, &mut self.epoch) {
-                    if m.leakage {
-                        self.encoder
-                            .inject_leakage_fault(p.leakage, &self.tech, &self.design);
-                    }
-                    if m.adc {
-                        adc.inject_stuck_bit(p.adc);
-                    }
-                    if let Some((params, _)) = self.link.as_mut().filter(|_| m.link) {
-                        *params = p.link.unwrap_or(NOOP_LINK);
-                    }
-                }
+        let start = self.frames_encoded * self.cs.n_phi as u64;
+        let m = compound.map_or_else(Members::default, |c| c.members);
+        let hook = compound.filter(|_| m.leakage || m.adc);
+        let (encoder, tech, design) = (&mut self.encoder, &self.tech, &self.design);
+        self.epoch.run_end(hook, start, f_s, |p| {
+            if m.leakage {
+                encoder.inject_leakage_fault(p.leakage, tech, design);
             }
-        }
+            if m.adc {
+                adc.inject_stuck_bit(p.adc);
+            }
+        });
         self.frames_encoded += 1;
-        let measurements = self.encoder.encode_frame(frame);
-        let mut words: Vec<f64> = measurements.iter().map(|&v| adc.process(v)).collect();
+        let mut words = self.encoder.encode_frame(frame);
+        adc.process_in_place(&mut words);
         for &v in &words {
             tally.add(v);
         }
-        if let Some((params, rng)) = &mut self.link {
+        self.frames.push(words);
+    }
+
+    /// Sends the queued frames from `first` on over the lossy link (each
+    /// after applying its frame-epoch link parameters). The decoder knows
+    /// which packets never arrived, so it treats their words as
+    /// zero-valued measurements (erasures).
+    fn transmit(&mut self, first: usize, compound: Option<&Compound>, f_s: f64) {
+        let Some((params, rng)) = &mut self.link else {
+            return;
+        };
+        let hook = compound.filter(|c| c.members.link);
+        let n_phi = self.cs.n_phi as u64;
+        let first_frame = self.frames_encoded - (self.frames.len() - first) as u64;
+        for (f, words) in (first_frame..).zip(&mut self.frames[first..]) {
+            self.link_epoch.run_end(hook, f * n_phi, f_s, |p| {
+                *params = p.link.unwrap_or(NOOP_LINK);
+            });
             let (delivered, stats) = params.apply(words.len(), rng);
             for (v, ok) in words.iter_mut().zip(&delivered) {
                 if !*ok {
@@ -775,12 +844,6 @@ impl CsPath {
                 .get_or_insert_with(LinkStats::default)
                 .accumulate(&stats);
         }
-        let y_norm = efficsense_cs::linalg::norm2(&words).max(1e-300);
-        self.omp_cfgs.push(OmpConfig {
-            sparsity: self.cs.omp_sparsity,
-            residual_tol: (self.noise_norm / y_norm).clamp(1e-4, 0.9),
-        });
-        self.frames.push(words);
     }
 
     /// Decodes the first `n` queued frames in one batched call with the
@@ -789,17 +852,21 @@ impl CsPath {
     /// never changes a bit.
     fn decode(&mut self, n: usize, gain: f64, out: &mut Vec<f64>) {
         let _recon_span = efficsense_obs::span!("stage.reconstruct");
-        let decoded = reconstruct_batch(
-            &self.art,
-            &self.frames[..n],
-            &self.omp_cfgs[..n],
-            self.threads,
-        );
+        // Discrepancy-principle stopping: fit each frame down to the
+        // expected measurement noise, relative to its own norm.
+        let cfgs: Vec<OmpConfig> = self.frames[..n]
+            .iter()
+            .map(|y| OmpConfig {
+                sparsity: self.cs.omp_sparsity,
+                residual_tol: (self.noise_norm / efficsense_cs::linalg::norm2(y).max(1e-300))
+                    .clamp(1e-4, 0.9),
+            })
+            .collect();
+        let decoded = reconstruct_batch(&self.art, &self.frames[..n], &cfgs, self.threads);
         for xh in decoded {
             out.extend(xh.iter().map(|v| v / gain));
         }
         self.frames.drain(..n);
-        self.omp_cfgs.drain(..n);
     }
 }
 
@@ -818,8 +885,8 @@ pub struct StreamSimulator {
     /// Continuous-time proxy samples amplified so far.
     next_ct: u64,
     lna: Lna,
-    /// Epoch of the last LNA parameter update (compound mode).
-    lna_epoch: u64,
+    /// The LNA hook's epoch run (compound mode).
+    lna_epoch: EpochRun,
     amplified: Ring,
     /// A whole record's `analog` artifact, read in place of `amplified`.
     analog: Option<Arc<Vec<f64>>>,
@@ -978,7 +1045,17 @@ impl StreamSimulator {
         if arm.clock {
             sampler.install_clock_fault(p0.clock.unwrap_or(NOOP_CLOCK), stream_of(SALT_CLOCK));
         }
-        let mut adc = sar_adc(cfg);
+        // The design point's converter: mismatch drawn from the config
+        // seed, so every record sees the same chip.
+        let mut adc = SarAdc::new(
+            cfg.design.n_bits,
+            cfg.design.v_fs,
+            cfg.adc.c_u_f,
+            cfg.adc.comparator_noise_v,
+            cfg.adc.comparator_offset_v,
+            &cfg.tech,
+            cfg.seed,
+        );
         if arm.adc {
             adc.inject_stuck_bit(p0.adc);
         }
@@ -997,8 +1074,9 @@ impl StreamSimulator {
                     held: 0.0,
                     stats: LinkStats::default(),
                     word_index: 0,
+                    epoch: EpochRun::default(),
                 }),
-                epoch: 0,
+                epoch: EpochRun::default(),
             },
             ArchState::Cs(state) => Path::Cs(Box::new(Self::cs_path(
                 sim, state, noise_seed, &p0, arm, link,
@@ -1013,7 +1091,7 @@ impl StreamSimulator {
             raw: Ring::default(),
             next_ct: 0,
             lna,
-            lna_epoch: 0,
+            lna_epoch: EpochRun::default(),
             amplified: Ring::default(),
             analog: None,
             back: BackEnd {
@@ -1022,9 +1100,8 @@ impl StreamSimulator {
                     ktc,
                     clocked: arm.clock,
                     next_i: 0,
-                    pending_t: None,
-                    held: 0.0,
-                    epoch: 0,
+                    hold: HoldState::default(),
+                    epoch: EpochRun::default(),
                     f_s,
                     f_ct,
                 },
@@ -1096,12 +1173,12 @@ impl StreamSimulator {
             link,
             link_stats: None,
             frames: Vec::new(),
-            omp_cfgs: Vec::new(),
             frames_encoded: 0,
             decode_batch: DECODE_BATCH,
             noise_norm: (meas_noise_var * cs.m as f64).sqrt(),
             threads: sim.decode_threads,
-            epoch: 0,
+            epoch: EpochRun::default(),
+            link_epoch: EpochRun::default(),
             tech: cfg.tech.clone(),
             design: cfg.design.clone(),
         }
@@ -1245,14 +1322,15 @@ impl StreamSimulator {
         let _analog_span = self.whole.then(|| efficsense_obs::span!("sim.analog"));
         let (lna, lna_epoch, fs_in, f_ct) =
             (&mut self.lna, &mut self.lna_epoch, self.fs_in, self.f_ct);
-        let compound = self.compound.as_ref().filter(|c| c.members.lna);
-        let mut k = self.next_ct;
-        let mut amplify = |v: f64| {
-            if let Some(p) = compound.and_then(|c| c.update(k as f64 / f_ct, lna_epoch)) {
-                lna.set_rail_fault_params(p.lna.unwrap_or(NOOP_RAIL));
-            }
-            k += 1;
-            lna.process(v)
+        let hook = self.compound.as_ref().filter(|c| c.members.lna);
+        let first = self.next_ct;
+        let mut amplify = |buf: &mut [f64]| {
+            epoch_runs(hook, lna_epoch, first, f_ct, buf, |update, run| {
+                if let Some(p) = update {
+                    lna.set_rail_fault_params(p.lna.unwrap_or(NOOP_RAIL));
+                }
+                lna.process_in_place(run);
+            });
         };
         let n_ct = (self.raw.len() as f64 / fs_in * f_ct).round() as u64;
         let raw = self.raw.view();
@@ -1270,7 +1348,9 @@ impl StreamSimulator {
                     let ct = p.store.get_or_build(Class::Ct, key, || {
                         raw.resample(fs_in, f_ct, 0, n_ct, true).1.collect()
                     });
-                    ct.iter().map(|&v| amplify(v)).collect()
+                    let mut amplified = ct.as_ref().clone();
+                    amplify(&mut amplified);
+                    amplified
                 });
                 self.analog = Some(analog);
                 self.next_ct = n_ct;
@@ -1287,7 +1367,8 @@ impl StreamSimulator {
                     amplified.reserve_exact(n_ct as usize);
                 }
                 let (next, values) = raw.resample(fs_in, f_ct, self.next_ct, n_ct, finished);
-                append(amplified, values.map(amplify));
+                append(amplified, values);
+                amplify(&mut amplified[start..]);
                 self.next_ct = next;
                 efficsense_dsp::approx::debug_assert_all_finite(
                     &amplified[start..],

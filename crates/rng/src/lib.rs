@@ -71,18 +71,7 @@ impl Rng64 {
 
     /// The next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        let [s0, s1, s2, s3] = self.s;
-        let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
-        let t = s1 << 17;
-        let mut s = [s0, s1, s2, s3];
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        self.s = s;
-        result
+        step(&mut self.s)
     }
 
     /// A uniform draw in `[0, 1)` with 53 bits of precision.
@@ -155,30 +144,64 @@ impl Rng64 {
     pub fn normal(&mut self) -> f64 {
         let t = zig_tables();
         loop {
-            let z = self.next_u64();
-            let i = (z & 0x7F) as usize;
-            // Uniform in [-1, 1) from the top 53 bits; the low 7 bits pick
-            // the layer, so the two are independent.
-            let u = 2.0 * ((z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) - 1.0;
-            let x = u * t.x[i];
+            let (i, u, x) = zig_candidate(step(&mut self.s), t);
             if x.abs() < t.x[i + 1] {
                 return x; // strictly inside the layer: accept immediately
             }
-            if i == 0 {
-                // Base layer overflow: sample the analytic tail beyond r.
-                loop {
-                    let xt = -self.open01().ln() * (1.0 / ZIG_R);
-                    let yt = -self.open01().ln();
-                    if yt + yt >= xt * xt {
-                        return if u < 0.0 { -(ZIG_R + xt) } else { ZIG_R + xt };
-                    }
-                }
-            }
-            // Wedge between the layer boundary and the density curve.
-            if t.y[i + 1] + (t.y[i] - t.y[i + 1]) * self.f64() < (-0.5 * x * x).exp() {
+            if let Some(x) = self.zig_edge(i, u, x) {
                 return x;
             }
         }
+    }
+
+    /// Fills `out` with standard-normal draws: exactly the values, in
+    /// order, that `out.len()` calls of [`Rng64::normal`] return, leaving
+    /// the generator in the same state.
+    ///
+    /// Per-sample block models draw their noise through this in blocks: the
+    /// generator state and the ziggurat tables stay in registers across
+    /// the loop instead of crossing a call per draw, and only the rare edge
+    /// layers and the tail leave it.
+    pub fn fill_normal(&mut self, out: &mut [f64]) {
+        let t = zig_tables();
+        let mut s = self.s;
+        for o in out {
+            *o = loop {
+                let (i, u, x) = zig_candidate(step(&mut s), t);
+                if x.abs() < t.x[i + 1] {
+                    break x;
+                }
+                self.s = s;
+                let edge = self.zig_edge(i, u, x);
+                s = self.s;
+                if let Some(x) = edge {
+                    break x;
+                }
+            };
+        }
+        self.s = s;
+    }
+
+    /// The rare paths of the ziggurat, after candidate `x` (layer `i`,
+    /// uniform `u`) fell outside its layer's rectangle: the analytic tail
+    /// beyond `r` for the base layer, the exact wedge test for the others.
+    /// `None` rejects the candidate; the caller draws a fresh one.
+    #[cold]
+    #[inline(never)]
+    fn zig_edge(&mut self, i: usize, u: f64, x: f64) -> Option<f64> {
+        if i == 0 {
+            // Base layer overflow: sample the analytic tail beyond r.
+            loop {
+                let xt = -self.open01().ln() * (1.0 / ZIG_R);
+                let yt = -self.open01().ln();
+                if yt + yt >= xt * xt {
+                    return Some(if u < 0.0 { -(ZIG_R + xt) } else { ZIG_R + xt });
+                }
+            }
+        }
+        // Wedge between the layer boundary and the density curve.
+        let t = zig_tables();
+        (t.y[i + 1] + (t.y[i] - t.y[i + 1]) * self.f64() < (-0.5 * x * x).exp()).then_some(x)
     }
 
     /// Fisher–Yates shuffle of `xs` in place.
@@ -188,6 +211,31 @@ impl Rng64 {
             xs.swap(i, j);
         }
     }
+}
+
+/// One xoshiro256++ step of state `s`: the output word, then the state
+/// advance.
+#[inline(always)]
+fn step(s: &mut [u64; 4]) -> u64 {
+    let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+    result
+}
+
+/// The ziggurat candidate of raw draw `z`: layer `i` from the low 7 bits,
+/// a uniform `u` in `[-1, 1)` from the top 53 (so the two are independent),
+/// and `x = u · x[i]`.
+#[inline(always)]
+fn zig_candidate(z: u64, t: &ZigTables) -> (usize, f64, f64) {
+    let i = (z & 0x7F) as usize;
+    let u = 2.0 * ((z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) - 1.0;
+    (i, u, u * t.x[i])
 }
 
 /// Number of ziggurat layers; the layer index consumes the low 7 bits of a
@@ -346,6 +394,42 @@ mod tests {
         let beyond = (0..n).filter(|_| g.normal().abs() > 2.0).count();
         let frac = beyond as f64 / n as f64;
         assert!((frac - 0.0455).abs() < 0.004, "P(|X|>2) ≈ {frac}");
+    }
+
+    #[test]
+    fn fill_normal_equals_repeated_normal() {
+        // 4000 draws at this seed take both rare paths: the tail (|x| > r)
+        // and the wedge test (a draw inside the layers that consumed more
+        // than one raw word).
+        let n = 4000;
+        let mut one = Rng64::new(3);
+        let mut block = one.clone();
+        let mut filled = vec![0.0; n];
+        let mut at = 0;
+        for len in [0, 1, 7, 256, 0, 1000, 3] {
+            block.fill_normal(&mut filled[at..at + len]);
+            at += len;
+        }
+        block.fill_normal(&mut filled[at..]);
+        let (mut tails, mut wedges) = (0, 0);
+        for (k, &f) in filled.iter().enumerate() {
+            let before = one.clone();
+            let x = one.normal();
+            assert_eq!(x.to_bits(), f.to_bits(), "draw {k}");
+            let mut probe = before;
+            let mut words = 0;
+            while probe != one {
+                probe.next_u64();
+                words += 1;
+            }
+            if x.abs() > ZIG_R {
+                tails += 1;
+            } else if words > 1 {
+                wedges += 1;
+            }
+        }
+        assert_eq!(one, block, "both generators end in the same state");
+        assert!(tails > 0 && wedges > 0, "tails {tails}, wedges {wedges}");
     }
 
     #[test]

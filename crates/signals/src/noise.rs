@@ -24,16 +24,29 @@ impl PinkNoise {
     /// Draws the next pink-noise sample (≈ unit variance).
     pub fn sample(&mut self) -> f64 {
         let w = self.white.normal();
+        self.shape(w)
+    }
+
+    /// Fills a vector with `n` samples scaled by `sigma`, drawing the white
+    /// noise into it a block at a time before shaping each block in place.
+    pub fn vector(&mut self, n: usize, sigma: f64) -> Vec<f64> {
+        let mut out = vec![0.0; n];
+        for block in out.chunks_mut(512) {
+            self.white.fill_normal(block);
+            for v in block {
+                *v = self.shape(*v) * sigma;
+            }
+        }
+        out
+    }
+
+    /// Passes white draw `w` through the filter: the next pink sample.
+    fn shape(&mut self, w: f64) -> f64 {
         self.b[0] = 0.99765 * self.b[0] + w * 0.0990460;
         self.b[1] = 0.96300 * self.b[1] + w * 0.2965164;
         self.b[2] = 0.57000 * self.b[2] + w * 1.0526913;
         let out = self.b[0] + self.b[1] + self.b[2] + w * 0.1848;
         out * 0.25 // normalise to roughly unit variance
-    }
-
-    /// Fills a vector with `n` samples scaled by `sigma`.
-    pub fn vector(&mut self, n: usize, sigma: f64) -> Vec<f64> {
-        (0..n).map(|_| self.sample() * sigma).collect()
     }
 }
 

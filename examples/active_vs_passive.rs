@@ -88,7 +88,9 @@ fn main() {
     let snr_passive = snr_sum(&passive_decode, &yp);
     let snr_active = snr_sum(&active_decode, &ya);
     let n = frames.len() as f64;
-    let p_passive = passive.power_breakdown(&tech, &design).total().value();
+    let p_passive = ChargeSharingEncoder::power_breakdown(passive.phi(), &tech, &design)
+        .total()
+        .value();
     let p_active = active.power_breakdown(&tech, &design).total().value();
 
     println!("{:<28} {:>12} {:>14}", "encoder", "SNR (dB)", "power (µW)");
