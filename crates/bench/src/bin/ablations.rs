@@ -44,14 +44,6 @@ struct Context {
     frames: Vec<Vec<f64>>,
 }
 
-/// Decoder artifacts for `decode·Ψ` in `basis`.
-fn artifacts(decode: &Matrix, basis: Basis) -> DictionaryArtifacts {
-    let psi = basis.matrix(N_PHI);
-    // The discrepancy-rule noise gain is unused: every decode here stops at
-    // the fixed `OMP` tolerance.
-    DictionaryArtifacts::from_dictionary(decode.matmul(&psi), &psi, 0.0)
-}
-
 /// Decodes every encoded frame in one batch; mean SNR against the frames.
 fn batch_snr(ctx: &Context, art: &DictionaryArtifacts, ys: &[Vec<f64>]) -> f64 {
     let xhs = reconstruct_batch(art, ys, &vec![OMP; ys.len()], 1);
@@ -69,7 +61,7 @@ fn mean_snr(
     encode: &mut dyn FnMut(&[f64]) -> Vec<f64>,
 ) -> f64 {
     let ys: Vec<Vec<f64>> = ctx.frames.iter().map(|f| encode(f)).collect();
-    batch_snr(ctx, &artifacts(decode, basis), &ys)
+    batch_snr(ctx, &DictionaryArtifacts::new(decode, basis), &ys)
 }
 
 fn passive_encoder(ctx: &Context, imp: EncoderImperfections) -> ChargeSharingEncoder {
@@ -121,10 +113,7 @@ fn main() {
     // 1 + 2: encoding/decoding model fidelity.
     println!("=== encoder/decoder model ablation (reconstruction SNR, dB) ===");
     let ideal_eff = effective_matrix(&ctx.phi, C_S, C_H);
-    let decay = {
-        let tau = C_H * ctx.design.v_ref / ctx.tech.i_leak_a;
-        (-(1.0 / ctx.design.f_sample_hz()) / tau).exp()
-    };
+    let decay = ChargeSharingEncoder::nominal_decay_per_step(C_H, &ctx.tech, &ctx.design);
     let leak_eff = effective_matrix_decayed(&ctx.phi, C_S, C_H, decay);
     let binary = ctx.phi.to_dense();
     let cases: Vec<(&str, Matrix, EncoderImperfections)> = vec![
@@ -177,7 +166,7 @@ fn main() {
     // 4: OMP vs FISTA.
     println!("\n=== decoder algorithm ablation ===");
     {
-        let art = artifacts(&leak_eff, Basis::Dct);
+        let art = DictionaryArtifacts::new(&leak_eff, Basis::Dct);
         let mut enc = passive_encoder(&ctx, EncoderImperfections::realistic());
         let ys: Vec<Vec<f64>> = ctx.frames.iter().map(|f| enc.encode_frame(f)).collect();
         let snr_omp = batch_snr(&ctx, &art, &ys);

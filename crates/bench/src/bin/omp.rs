@@ -33,9 +33,7 @@ fn main() {
     let m = 150;
     let n = 384;
     let phi = SensingMatrix::srbm(m, n, 2, 0x0B_E7C4).to_dense();
-    let psi = Basis::Dct.matrix(n);
-    let dict = phi.matmul(&psi);
-    let art = DictionaryArtifacts::from_dictionary(dict, &psi, 1.0);
+    let art = DictionaryArtifacts::new(&phi, Basis::Dct);
     let cfg = OmpConfig {
         sparsity: 48,
         residual_tol: 1e-3,

@@ -10,13 +10,14 @@
 //!   with `τ = C_hold · V_ref / I_leak` (off-switch leakage modelled as a
 //!   conductance at the nominal reference).
 //!
-//! The decoder does not know the mismatch/leakage; it inverts the *nominal*
-//! effective matrix ([`ChargeSharingEncoder::nominal_effective_matrix`]), so
-//! these imperfections show up as reconstruction error — the behaviour the
-//! paper's framework is built to quantify.
+//! The decoder does not know the mismatch or noise realisations; it inverts
+//! the *nominal* effective matrix
+//! ([`efficsense_cs::charge_sharing::effective_matrix_decayed`], with the
+//! droop of [`ChargeSharingEncoder::nominal_decay_per_step`] when it is
+//! leak-aware), so these imperfections show up as reconstruction error —
+//! the behaviour the paper's framework is built to quantify.
 
-use efficsense_cs::charge_sharing::{effective_matrix, share};
-use efficsense_cs::linalg::Matrix;
+use efficsense_cs::charge_sharing::share;
 use efficsense_cs::matrix::SensingMatrix;
 use efficsense_faults::CapLeakageFault;
 use efficsense_power::models::{CsEncoderLogicModel, LeakageModel};
@@ -229,23 +230,6 @@ impl ChargeSharingEncoder {
         hold
     }
 
-    /// Encodes a long record frame-by-frame; trailing samples that do not fill a
-    /// frame are dropped. Returns the concatenated measurements.
-    pub fn encode_record(&mut self, x: &[f64]) -> Vec<f64> {
-        let n = self.n_phi();
-        let mut y = Vec::with_capacity(x.len() / n * self.m());
-        for frame in x.chunks_exact(n) {
-            y.extend(self.encode_frame(frame));
-        }
-        y
-    }
-
-    /// The nominal effective matrix (Eq. (1) weights folded into Φ) that the
-    /// decoder inverts — it does not know the mismatch/noise realisations.
-    pub fn nominal_effective_matrix(&self) -> Matrix {
-        effective_matrix(&self.phi, self.c_sample_f, self.c_hold_f)
-    }
-
     /// The deterministic held-charge decay per sample period,
     /// `exp(−T_s/τ)` with `τ = C_hold·V_ref/I_leak`; 1.0 when leakage is
     /// disabled.
@@ -257,17 +241,16 @@ impl ChargeSharingEncoder {
         }
     }
 
-    /// The leakage-aware effective matrix: Eq. (1) weights *and* the
-    /// deterministic droop folded into Φ. This is what a competent decoder
-    /// inverts — leakage is set by design constants, so only the random
-    /// imperfections (mismatch, kT/C) remain unmodelled.
-    pub fn leak_aware_effective_matrix(&self) -> Matrix {
-        efficsense_cs::charge_sharing::effective_matrix_decayed(
-            &self.phi,
-            self.c_sample_f,
-            self.c_hold_f,
-            self.decay_per_step(),
-        )
+    /// The nominal held-charge decay per sample period,
+    /// `exp(−T_s/τ)` with `τ = C_hold·V_ref/I_leak`: the droop set by
+    /// design constants alone, which a leak-aware decoder folds into its
+    /// effective matrix.
+    pub fn nominal_decay_per_step(
+        c_hold_f: f64,
+        tech: &TechnologyParams,
+        design: &DesignParams,
+    ) -> f64 {
+        (-(1.0 / design.f_sample_hz()) / (c_hold_f * design.v_ref / tech.i_leak_a)).exp()
     }
 
     /// Number of switches in the charge-sharing network for schedule `phi`:
@@ -300,6 +283,7 @@ impl ChargeSharingEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use efficsense_cs::charge_sharing::effective_matrix;
     use efficsense_cs::linalg::norm2;
 
     fn setup(imp: EncoderImperfections, seed: u64) -> ChargeSharingEncoder {
@@ -329,7 +313,7 @@ mod tests {
         let mut enc = setup(EncoderImperfections::ideal(), 1);
         let x = test_frame(64);
         let y = enc.encode_frame(&x);
-        let eff = enc.nominal_effective_matrix();
+        let eff = effective_matrix(enc.phi(), enc.c_sample_f, enc.c_hold_f);
         let expect = eff.matvec(&x);
         for (a, b) in y.iter().zip(&expect) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
@@ -442,14 +426,6 @@ mod tests {
         let total_ideal: f64 = y_ideal.iter().sum();
         let total_leak: f64 = y_leak.iter().sum();
         assert!(total_leak < total_ideal * 0.999, "droop not visible");
-    }
-
-    #[test]
-    fn encode_record_chunks_frames() {
-        let mut enc = setup(EncoderImperfections::ideal(), 9);
-        let x = test_frame(64 * 3 + 10); // 3 full frames + remainder
-        let y = enc.encode_record(&x);
-        assert_eq!(y.len(), 3 * 16);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! Behavioural mixed-signal block library for EffiCSense.
 //!
-//! Each block pairs a *functional* model (the signal transformation including
+//! Each block is a *functional* model (the signal transformation including
 //! its analog non-idealities — noise, bandwidth, nonlinearity, clipping,
-//! mismatch, leakage) with the corresponding Table II *power* model from
-//! [`efficsense_power`]. This is the paper's central idea: the same design
-//! parameters drive both signal quality and power, so an architecture sweep
-//! evaluates the two simultaneously.
+//! mismatch, leakage) whose design variables also set the corresponding
+//! Table II *power* model from [`efficsense_power`]. This is the paper's
+//! central idea: the same design parameters drive both signal quality and
+//! power, so an architecture sweep evaluates the two simultaneously.
 //!
 //! Blocks:
 //! * [`lna::Lna`] — gain, input-referred noise, single-pole bandwidth,
@@ -19,7 +19,7 @@
 //! * [`cs_frontend::ChargeSharingEncoder`] — the passive switched-capacitor
 //!   CS encoder of paper Fig. 5, with capacitor mismatch, kT/C noise and
 //!   leakage droop;
-//! * [`transmitter::Transmitter`] — bit accounting and transmission energy.
+//! * [`transmitter::Transmitter`] — word rate and transmission power.
 //!
 //! The per-sample blocks run as slice kernels. Each block owns a private
 //! noise stream and draws from it a block at a time into a stack array of

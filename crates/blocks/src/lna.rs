@@ -6,9 +6,7 @@
 
 use efficsense_dsp::filter::OnePole;
 use efficsense_faults::LnaRailFault;
-use efficsense_power::models::LnaModel;
-use efficsense_power::Watts;
-use efficsense_power::{DesignParams, TechnologyParams};
+use efficsense_power::DesignParams;
 use efficsense_rng::Rng64;
 
 use crate::NOISE_BLOCK;
@@ -215,29 +213,6 @@ impl Lna {
         self.process_in_place(&mut y);
         y
     }
-
-    /// Resets filter state (noise stream continues).
-    pub fn reset(&mut self) {
-        self.filter.reset();
-    }
-
-    /// The Table II power model bound to this block's design variables.
-    ///
-    /// `c_load_f` is the capacitance the LNA drives: the S&H capacitor in the
-    /// baseline chain, `C_hold` in the CS chain (paper Section III).
-    pub fn power_model(&self, c_load_f: f64) -> LnaModel {
-        LnaModel {
-            noise_floor_vrms: self.noise_floor_vrms,
-            c_load_f,
-            gain: self.gain,
-        }
-    }
-
-    /// Convenience: the amplifier power draw for a given load.
-    pub fn power(&self, c_load_f: f64, tech: &TechnologyParams, design: &DesignParams) -> Watts {
-        use efficsense_power::PowerModel as _;
-        self.power_model(c_load_f).power(tech, design)
-    }
 }
 
 #[cfg(test)]
@@ -342,17 +317,6 @@ mod tests {
         let mut b = Lna::new(100.0, 2e-6, 768.0, 0.0, 1.0, F_CT, 9);
         let x = sine(512, F_CT, 50.0, 1e-3, 0.0);
         assert_eq!(a.process_buffer(&x), b.process_buffer(&x));
-    }
-
-    #[test]
-    fn power_model_binding_uses_block_parameters() {
-        let lna = Lna::new(1000.0, 2e-6, 768.0, 0.0, 1.0, F_CT, 0);
-        let m = lna.power_model(1e-12);
-        assert_eq!(m.noise_floor_vrms, 2e-6);
-        assert_eq!(m.gain, 1000.0);
-        let tech = TechnologyParams::gpdk045();
-        let design = DesignParams::paper_defaults(8);
-        assert!(lna.power(1e-12, &tech, &design).value() > 0.0);
     }
 
     #[test]

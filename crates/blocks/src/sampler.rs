@@ -3,9 +3,7 @@
 
 use efficsense_dsp::resample::sample_at;
 use efficsense_faults::ClockFault;
-use efficsense_power::models::SampleHoldModel;
-use efficsense_power::Watts;
-use efficsense_power::{kt, DesignParams, TechnologyParams};
+use efficsense_power::kt;
 use efficsense_rng::Rng64;
 
 use crate::NOISE_BLOCK;
@@ -235,17 +233,6 @@ impl Sampler {
         );
         out
     }
-
-    /// The Table II power model for the S&H.
-    pub fn power_model(&self) -> SampleHoldModel {
-        SampleHoldModel
-    }
-
-    /// Convenience: the S&H power draw.
-    pub fn power(&self, tech: &TechnologyParams, design: &DesignParams) -> Watts {
-        use efficsense_power::PowerModel as _;
-        self.power_model().power(tech, design)
-    }
 }
 
 #[cfg(test)]
@@ -325,18 +312,6 @@ mod tests {
         let mut a = Sampler::new(537.6, 1e-12, 1e-6, 11);
         let mut b = Sampler::new(537.6, 1e-12, 1e-6, 11);
         assert_eq!(a.sample(&x, 8192.0), b.sample(&x, 8192.0));
-    }
-
-    #[test]
-    fn power_positive() {
-        let s = Sampler::new(537.6, 1e-12, 0.0, 0);
-        let p = s
-            .power(
-                &TechnologyParams::gpdk045(),
-                &DesignParams::paper_defaults(8),
-            )
-            .value();
-        assert!(p > 0.0);
     }
 
     #[test]

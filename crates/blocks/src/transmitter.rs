@@ -1,4 +1,4 @@
-//! Transmitter/storage model: bit accounting and transmission energy.
+//! Transmitter/storage model: word rate and transmission power.
 //!
 //! The radio itself is abstracted to an energy-per-bit figure (Table III:
 //! 1 nJ/bit); what matters architecturally is *how many bits* the front-end
@@ -8,7 +8,7 @@ use efficsense_power::models::TransmitterModel;
 use efficsense_power::Watts;
 use efficsense_power::{DesignParams, PowerModel, TechnologyParams};
 
-/// Bit-accounting transmitter.
+/// Transmitter of a front-end's data words.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transmitter {
     /// Bits per transmitted word (the ADC resolution).
@@ -16,7 +16,6 @@ pub struct Transmitter {
     /// Words produced per second of signal (ADC sample rate for the
     /// baseline; measurement rate `f_sample·M/N_Φ` for CS).
     pub words_per_second: f64,
-    words_sent: u64,
 }
 
 impl Transmitter {
@@ -32,7 +31,6 @@ impl Transmitter {
         Self {
             bits_per_word,
             words_per_second,
-            words_sent: 0,
         }
     }
 
@@ -48,31 +46,6 @@ impl Transmitter {
             design.n_bits,
             design.f_sample_hz() * m as f64 / n_phi as f64,
         )
-    }
-
-    /// Records the transmission of `words` data words.
-    pub fn send(&mut self, words: u64) {
-        self.words_sent += words;
-    }
-
-    /// Total words recorded so far.
-    pub fn words_sent(&self) -> u64 {
-        self.words_sent
-    }
-
-    /// Total bits recorded so far.
-    pub fn bits_sent(&self) -> u64 {
-        self.words_sent * self.bits_per_word as u64
-    }
-
-    /// Total transmission energy so far (J).
-    pub fn energy_j(&self, tech: &TechnologyParams) -> f64 {
-        self.bits_sent() as f64 * tech.e_bit_j
-    }
-
-    /// Average bit rate (bits/s).
-    pub fn bit_rate(&self) -> f64 {
-        self.words_per_second * self.bits_per_word as f64
     }
 
     /// Compression ratio relative to a Nyquist-rate baseline with the same
@@ -108,7 +81,6 @@ mod tests {
         let tx = Transmitter::baseline(&d);
         assert_eq!(tx.bits_per_word, 8);
         assert!((tx.words_per_second - 537.6).abs() < 1e-9);
-        assert!((tx.bit_rate() - 537.6 * 8.0).abs() < 1e-9);
         assert!((tx.compression_ratio(&d) - 1.0).abs() < 1e-12);
     }
 
@@ -117,17 +89,6 @@ mod tests {
         let (_, d) = setup();
         let tx = Transmitter::compressive(&d, 75, 384);
         assert!((tx.compression_ratio(&d) - 75.0 / 384.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accounting_accumulates() {
-        let (t, _) = setup();
-        let mut tx = Transmitter::new(8, 100.0);
-        tx.send(10);
-        tx.send(5);
-        assert_eq!(tx.words_sent(), 15);
-        assert_eq!(tx.bits_sent(), 120);
-        assert!((tx.energy_j(&t) - 120e-9).abs() < 1e-18);
     }
 
     #[test]

@@ -71,11 +71,7 @@ impl SeizureDetector {
                 efficsense_cs::matrix::SensingMatrix::srbm(cfg.m, cfg.n_phi, cfg.s, 0x7EAC_4E11);
             let eff =
                 efficsense_cs::charge_sharing::effective_matrix(&phi, cfg.c_sample_f, cfg.c_hold_f);
-            let psi = cfg.basis.matrix(cfg.n_phi);
-            let dict = eff.matmul(&psi);
-            // Gram/ridge artifacts route the training decodes through the
-            // fast batched OMP kernel (mean_row_w2 is unused here).
-            let art = efficsense_cs::memo::DictionaryArtifacts::from_dictionary(dict, &psi, 0.0);
+            let art = efficsense_cs::memo::DictionaryArtifacts::new(&eff, cfg.basis);
             let omp = efficsense_cs::recon::OmpConfig {
                 sparsity: 2 * cfg.m / 5,
                 residual_tol: 1e-4,

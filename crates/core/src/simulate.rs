@@ -161,8 +161,7 @@ impl Simulator {
             // effective matrix alongside the Eq. (1) weights. Only the
             // random imperfections (mismatch, kT/C) stay unmodelled.
             let decay = if cs.imperfections.leakage {
-                let tau = cs.c_hold_f * cfg.design.v_ref / cfg.tech.i_leak_a;
-                (-(1.0 / cfg.design.f_sample_hz()) / tau).exp()
+                ChargeSharingEncoder::nominal_decay_per_step(cs.c_hold_f, &cfg.tech, &cfg.design)
             } else {
                 1.0
             };
@@ -377,57 +376,6 @@ impl Simulator {
         b
     }
 
-    /// A human-readable specification sheet of this design point: the
-    /// architecture, its Table III parameters, the estimated per-block power
-    /// at a nominal mid-scale input, area, and data rate.
-    pub fn spec_sheet(&self) -> String {
-        use std::fmt::Write as _;
-        let cfg = &self.cfg;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "EffiCSense design point — {} architecture",
-            cfg.architecture()
-        );
-        let _ = writeln!(s, "--------------------------------------------------");
-        let _ = writeln!(
-            s,
-            "ADC: {} bit SAR @ {:.1} Hz (f_clk {:.1} Hz), V_FS {} V",
-            cfg.design.n_bits,
-            cfg.design.f_sample_hz(),
-            cfg.design.f_clk_hz(),
-            cfg.design.v_fs
-        );
-        let _ = writeln!(
-            s,
-            "LNA: gain {:.0}, noise floor {:.2} µVrms, BW {:.0} Hz",
-            cfg.lna.gain,
-            cfg.lna.noise_floor_vrms * 1e6,
-            cfg.design.bw_lna_hz()
-        );
-        if let Some(cs) = &cfg.cs {
-            let _ = writeln!(
-                s,
-                "CS encoder: M {} / N_Φ {} (s = {}), C_sample {:.2} pF, C_hold {:.2} pF, basis {}",
-                cs.m,
-                cs.n_phi,
-                cs.s,
-                cs.c_sample_f * 1e12,
-                cs.c_hold_f * 1e12,
-                cs.basis
-            );
-            let _ = writeln!(
-                s,
-                "decoder: OMP k = {}, leakage-aware effective matrix",
-                cs.omp_sparsity
-            );
-        }
-        let _ = writeln!(s, "area: {:.0} C_u,min", self.area_units());
-        let _ = writeln!(s, "power @ mid-scale input:");
-        let _ = write!(s, "{}", self.power_breakdown(cfg.design.v_fs / 2.0));
-        s
-    }
-
     /// Total capacitor count in `C_u,min` multiples (Fig. 9 x-axis).
     pub fn area_units(&self) -> f64 {
         let cfg = &self.cfg;
@@ -579,21 +527,6 @@ mod tests {
         // 0.5 s at 537.6 Hz is only 268 samples < N_Φ = 384.
         let x = eeg_like_tone(173.61, 0.5);
         let _ = sim.run(&x, 173.61, 1);
-    }
-
-    #[test]
-    fn spec_sheet_mentions_key_parameters() {
-        let sim = Simulator::new(SystemConfig::compressive(8, CsConfig::default())).expect("valid");
-        let sheet = sim.spec_sheet();
-        assert!(sheet.contains("cs architecture"));
-        assert!(sheet.contains("8 bit SAR"));
-        assert!(sheet.contains("M 150 / N_Φ 384"));
-        assert!(sheet.contains("TOTAL"));
-        let base = Simulator::new(SystemConfig::baseline(6)).expect("valid");
-        let sheet = base.spec_sheet();
-        assert!(sheet.contains("baseline architecture"));
-        assert!(sheet.contains("6 bit SAR"));
-        assert!(!sheet.contains("CS encoder"));
     }
 
     #[test]

@@ -856,11 +856,7 @@ impl CsPath {
         // expected measurement noise, relative to its own norm.
         let cfgs: Vec<OmpConfig> = self.frames[..n]
             .iter()
-            .map(|y| OmpConfig {
-                sparsity: self.cs.omp_sparsity,
-                residual_tol: (self.noise_norm / efficsense_cs::linalg::norm2(y).max(1e-300))
-                    .clamp(1e-4, 0.9),
-            })
+            .map(|y| OmpConfig::discrepancy(self.cs.omp_sparsity, self.noise_norm, y))
             .collect();
         let decoded = reconstruct_batch(&self.art, &self.frames[..n], &cfgs, self.threads);
         for xh in decoded {
@@ -1263,12 +1259,6 @@ impl StreamSimulator {
             words: summary.words,
             link: summary.link,
         }
-    }
-
-    /// Total output samples produced so far (drained and pending).
-    #[must_use]
-    pub fn out_samples(&self) -> u64 {
-        self.out_produced
     }
 
     /// Advances every stage as far as the buffered input allows.

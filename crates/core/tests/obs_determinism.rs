@@ -111,9 +111,7 @@ fn decode_pool_snapshot_is_identical_across_thread_counts() {
     let m = 32;
     let n = 96;
     let phi = SensingMatrix::srbm(m, n, 2, 0xDEC0DE).to_dense();
-    let psi = Basis::Dct.matrix(n);
-    let dict = phi.matmul(&psi);
-    let art = DictionaryArtifacts::from_dictionary(dict, &psi, 1.0);
+    let art = DictionaryArtifacts::new(&phi, Basis::Dct);
     let frames: Vec<Vec<f64>> = (0..10u64)
         .map(|f| {
             let mut s = vec![0.0; n];

@@ -2,7 +2,9 @@
 //! Cholesky factor, and batched per-point decoding. [`reconstruct_batch`]
 //! over [`DictionaryArtifacts`] is the one entry point every CS
 //! reconstruction runs through — the sweep, the stream, detector training,
-//! the ablations and the examples.
+//! the ablations and the examples — and [`DictionaryArtifacts::new`],
+//! given the sensing matrix and the basis, is the one way those artifacts
+//! are built.
 //!
 //! The reference decoder in [`crate::recon`] rebuilds `A_S`, re-forms
 //! `A_SᵀA_S` and re-runs a full Cholesky factorisation every iteration —
@@ -202,8 +204,8 @@ fn synthesize_sparse(synth_t: &Matrix, s: &[f64]) -> Vec<f64> {
 
 /// Decodes every frame measured through one dictionary in one call:
 /// `x̂ = Ψ·OMP(A, y)` per frame, with `A` and Ψ those baked into `art`
-/// (build it once per dictionary with [`DictionaryArtifacts::from_dictionary`]
-/// or the memoized [`crate::memo::dictionary`]).
+/// (build it once per dictionary with [`DictionaryArtifacts::new`] or the
+/// memoized [`crate::memo::dictionary`]).
 ///
 /// `Aᵀy` for all frames is computed as a single cache-blocked pass over the
 /// dictionary, then frames fan out over the shared worker pool
@@ -288,8 +290,7 @@ mod tests {
     #[test]
     fn zero_measurement_decodes_to_zero() {
         let (a, _) = dense_problem(32, 16, 3, 4);
-        let n = a.cols();
-        let art = DictionaryArtifacts::from_dictionary(a, &Matrix::identity(n), 0.0);
+        let art = DictionaryArtifacts::new(&a, Basis::Identity);
         let y = vec![0.0; art.dictionary.rows()];
         let x = reconstruct_batch(&art, &[y], &[OmpConfig::with_sparsity(4)], 1);
         assert!(x[0].iter().all(|v| is_zero(*v)));
@@ -299,8 +300,7 @@ mod tests {
     #[should_panic(expected = "one decoder config per frame")]
     fn batch_rejects_mismatched_config_count() {
         let (a, y) = dense_problem(32, 16, 3, 4);
-        let psi = Basis::Dct.matrix(a.cols());
-        let art = DictionaryArtifacts::from_dictionary(a, &psi, 1.0);
+        let art = DictionaryArtifacts::new(&a, Basis::Dct);
         let _ = reconstruct_batch(&art, &[y], &[], 1);
     }
 }

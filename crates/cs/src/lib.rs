@@ -5,8 +5,10 @@
 //! multiply-accumulate mathematics of Eq. (1), sparsifying bases (DCT,
 //! Haar/Daubechies wavelets), and sparse reconstruction on a small
 //! from-scratch dense linear algebra kernel: one OMP decode path
-//! ([`decode::reconstruct_batch`]) plus the dense reference solvers it is
-//! checked against ([`recon`]).
+//! ([`decode::reconstruct_batch`]) over decoder artifacts that one
+//! constructor builds from a sensing matrix and a basis
+//! ([`memo::DictionaryArtifacts::new`]), plus the dense reference solvers
+//! it is checked against ([`recon`]).
 //!
 //! ```
 //! use efficsense_cs::{basis::Basis, decode::reconstruct_batch, matrix::SensingMatrix};
@@ -17,9 +19,8 @@
 //! // A signal that is sparse in the DCT domain.
 //! let x: Vec<f64> = (0..n).map(|i| (2.0 * std::f64::consts::PI * 4.0 * i as f64 / n as f64).cos()).collect();
 //! let y = phi.apply(&x);
-//! // The decoder's precomputations, built once per dictionary `A = Φ·Ψ`.
-//! let psi = Basis::Dct.matrix(n);
-//! let art = DictionaryArtifacts::from_dictionary(phi.to_dense().matmul(&psi), &psi, 0.0);
+//! // The decoder's precomputations for the dictionary `A = Φ·Ψ`.
+//! let art = DictionaryArtifacts::new(&phi.to_dense(), Basis::Dct);
 //! let xh = &reconstruct_batch(&art, &[y], &[OmpConfig::with_sparsity(8)], 1)[0];
 //! let err: f64 = x.iter().zip(xh).map(|(a, b)| (a - b).powi(2)).sum::<f64>()
 //!     / x.iter().map(|a| a * a).sum::<f64>();

@@ -62,7 +62,8 @@ pub fn srbm(m: usize, n: usize, s: usize, seed: u64) -> Arc<SensingMatrix> {
 
 /// Everything the charge-sharing decoder precomputes per design point:
 /// the effective dictionary, its OMP column norms, and the mean row energy
-/// of the effective matrix (the discrepancy-rule noise gain).
+/// of the effective matrix (the discrepancy-rule noise gain). Built by
+/// [`DictionaryArtifacts::new`] from the sensing matrix and the basis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DictionaryArtifacts {
     /// Decoder dictionary `A = Φ_eff·Ψ`.
@@ -88,7 +89,8 @@ pub struct DictionaryArtifacts {
     /// coefficients (O(k·n)) instead of running the dense O(n²) transform
     /// (which for the DCT also pays a `cos()` per matrix element, per frame).
     pub synth_t: Matrix,
-    /// Mean over rows of `Σ_j w_rj²` of the effective matrix.
+    /// Mean over rows of `Σ_j w_rj²` of the sensing matrix the dictionary
+    /// was built from.
     pub mean_row_w2: f64,
 }
 
@@ -129,40 +131,22 @@ impl DictionaryParams {
 }
 
 impl DictionaryArtifacts {
-    /// Builds the artifacts from scratch (no memoization) — the reference
-    /// computation that [`dictionary`] caches. Exposed so benchmarks can
-    /// measure the per-build cost the memo store amortizes away.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid sensing-schedule or capacitor parameters, exactly
-    /// as the underlying constructors do.
+    /// Builds every decoder precomputation for the sensing matrix `sensing`
+    /// (the effective `Φ_eff` the decoder inverts, `m × n`) in `basis`:
+    /// the dictionary `A = Φ_eff·Ψ` with `Ψ = basis.matrix(n)`, the mean
+    /// row energy of `sensing`, the column norms, the Gram matrix and its
+    /// ridge, and the transposed operators `Aᵀ` and `Ψᵀ`. Every decoder
+    /// dictionary is multiplied out here, so `A` always comes from the Ψ
+    /// the decoder synthesizes with, and the noise gain is always that of
+    /// `sensing`.
     #[must_use]
-    pub fn build(p: &DictionaryParams) -> Self {
-        let phi = srbm(p.m, p.n_phi, p.s, p.seed);
-        let eff = crate::charge_sharing::effective_matrix_decayed(
-            &phi,
-            p.c_sample_f,
-            p.c_hold_f,
-            p.decay,
-        );
-        let mean_row_w2 = (0..eff.rows())
-            .map(|r| eff.row(r).iter().map(|w| w * w).sum::<f64>())
+    pub fn new(sensing: &Matrix, basis: Basis) -> Self {
+        let psi = basis.matrix(sensing.cols());
+        let dictionary = sensing.matmul(&psi);
+        let mean_row_w2 = (0..sensing.rows())
+            .map(|r| sensing.row(r).iter().map(|w| w * w).sum::<f64>())
             .sum::<f64>()
-            / eff.rows() as f64;
-        let psi = p.basis.matrix(p.n_phi);
-        let dictionary = eff.matmul(&psi);
-        Self::from_dictionary(dictionary, &psi, mean_row_w2)
-    }
-
-    /// Derives the decoder-side precomputations (column norms, Gram matrix,
-    /// ridge, transposed operators) for an already-built dictionary
-    /// `A = Φ_eff·Ψ`, given the synthesis matrix `psi` (Ψ) it was built
-    /// from. This is the constructor every fast-decode call site shares —
-    /// the detector trainer builds dictionaries outside the memo store and
-    /// still needs the same artifacts.
-    #[must_use]
-    pub fn from_dictionary(dictionary: Matrix, psi: &Matrix, mean_row_w2: f64) -> Self {
+            / sensing.rows() as f64;
         let col_norms: Vec<f64> = dictionary
             .col_norms()
             .into_iter()
@@ -182,6 +166,28 @@ impl DictionaryArtifacts {
             synth_t,
             mean_row_w2,
         }
+    }
+
+    /// Builds the artifacts of one keyed configuration from scratch (no
+    /// memoization) — the reference computation that [`dictionary`]
+    /// caches. Exposed so benchmarks can measure the per-build cost the
+    /// memo store amortizes away.
+    ///
+    /// # Panics
+    ///
+    /// Panics on invalid sensing-schedule or capacitor parameters, exactly
+    /// as the underlying constructors do.
+    #[must_use]
+    pub fn build(p: &DictionaryParams) -> Self {
+        Self::new(
+            &crate::charge_sharing::effective_matrix_decayed(
+                &srbm(p.m, p.n_phi, p.s, p.seed),
+                p.c_sample_f,
+                p.c_hold_f,
+                p.decay,
+            ),
+            p.basis,
+        )
     }
 }
 

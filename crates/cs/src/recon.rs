@@ -27,6 +27,17 @@ impl OmpConfig {
             residual_tol: 1e-6,
         }
     }
+
+    /// The discrepancy-principle (Morozov) configuration for measurement
+    /// `y`: select at most `sparsity` atoms, and stop once the residual
+    /// reaches the expected measurement-noise norm `noise_norm`, relative
+    /// to `‖y‖` and clamped to `[1e-4, 0.9]`.
+    pub fn discrepancy(sparsity: usize, noise_norm: f64, y: &[f64]) -> Self {
+        Self {
+            sparsity,
+            residual_tol: (noise_norm / norm2(y).max(1e-300)).clamp(1e-4, 0.9),
+        }
+    }
 }
 
 impl Default for OmpConfig {

@@ -70,7 +70,7 @@ fn fast_path_matches_reference_over_seeded_problem_population() {
                 SensingMatrix::srbm(m, n, 2, seed + 1).to_dense()
             };
             let y = problem(&a, k, seed ^ if gaussian { 0 } else { 0xFACE });
-            let art = DictionaryArtifacts::from_dictionary(a, &Matrix::identity(n), 0.0);
+            let art = DictionaryArtifacts::new(&a, Basis::Identity);
             let cfg = OmpConfig {
                 sparsity: k + 2,
                 residual_tol: if seed % 2 == 0 { 1e-6 } else { 1e-4 },
@@ -107,8 +107,7 @@ fn batch_decode_matches_reference_synthesis_for_every_basis() {
             } else {
                 SensingMatrix::srbm(m, n, 2, seed).to_dense()
             };
-            let psi = basis.matrix(n);
-            let art = DictionaryArtifacts::from_dictionary(phi.matmul(&psi), &psi, 1.0);
+            let art = DictionaryArtifacts::new(&phi, basis);
             let k = 3 + (d % 4) as usize;
             let mut frames = Vec::new();
             let mut cfgs = Vec::new();
@@ -197,7 +196,7 @@ fn degenerate_dictionary_decodes_to_zero_on_both_paths() {
         }
     }
     let y = problem(&a, 3, 99);
-    let art = DictionaryArtifacts::from_dictionary(a, &Matrix::identity(n), 0.0);
+    let art = DictionaryArtifacts::new(&a, Basis::Identity);
     let cfg = OmpConfig::with_sparsity(4);
     let reference = omp_with_col_norms(&art.dictionary, &art.col_norms, &y, &cfg);
     let fast = reconstruct_batch(&art, &[y], &[cfg], 1).remove(0);
@@ -210,9 +209,7 @@ fn batch_decode_is_bit_identical_across_thread_counts() {
     let m = 32;
     let n = 96;
     let phi = SensingMatrix::srbm(m, n, 2, 0xBA7C4).to_dense();
-    let psi = Basis::Dct.matrix(n);
-    let dict = phi.matmul(&psi);
-    let art = DictionaryArtifacts::from_dictionary(dict, &psi, 1.0);
+    let art = DictionaryArtifacts::new(&phi, Basis::Dct);
     let frames: Vec<Vec<f64>> = (0..12u64)
         .map(|f| {
             let mut s = vec![0.0; n];

@@ -57,7 +57,7 @@ fn main() {
         &design,
         7,
     );
-    let decay = (-(1.0 / design.f_sample_hz()) / (0.5e-12 * design.v_ref / tech.i_leak_a)).exp();
+    let decay = ChargeSharingEncoder::nominal_decay_per_step(0.5e-12, &tech, &design);
     let passive_decode =
         efficsense::cs::charge_sharing::effective_matrix_decayed(&phi, 0.1e-12, 0.5e-12, decay);
 
@@ -66,7 +66,6 @@ fn main() {
     let active_decode = active.effective_matrix();
 
     // Each encoder's frames decode in one batch against its own dictionary.
-    let psi = Basis::Dct.matrix(N_PHI);
     let omp = vec![
         OmpConfig {
             sparsity: 2 * M / 5,
@@ -75,7 +74,7 @@ fn main() {
         frames.len()
     ];
     let snr_sum = |decode: &Matrix, ys: &[Vec<f64>]| -> f64 {
-        let art = DictionaryArtifacts::from_dictionary(decode.matmul(&psi), &psi, 0.0);
+        let art = DictionaryArtifacts::new(decode, Basis::Dct);
         let xs = reconstruct_batch(&art, ys, &omp, 1);
         let mut acc = 0.0;
         for (frame, x) in frames.iter().zip(&xs) {

@@ -53,9 +53,8 @@ fn main() {
     println!("  frame of {n} samples → {m} passive measurements");
 
     // The decoder folds the known weights into an effective matrix.
-    let psi = Basis::Dct.matrix(n);
     let decode = |sensing: &Matrix| -> Vec<f64> {
-        let art = DictionaryArtifacts::from_dictionary(sensing.matmul(&psi), &psi, 0.0);
+        let art = DictionaryArtifacts::new(sensing, Basis::Dct);
         reconstruct_batch(
             &art,
             std::slice::from_ref(&y),

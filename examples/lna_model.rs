@@ -8,7 +8,8 @@ use efficsense::blocks::Lna;
 use efficsense::dsp::metrics::{sndr_db, thd_db};
 use efficsense::dsp::spectrum::{coherent_frequency, sine};
 use efficsense::dsp::stats::{peak, rms};
-use efficsense::power::{DesignParams, TechnologyParams};
+use efficsense::power::models::LnaModel;
+use efficsense::power::{DesignParams, PowerModel, TechnologyParams};
 
 fn main() {
     let tech = TechnologyParams::gpdk045();
@@ -40,7 +41,12 @@ fn main() {
     println!("\n=== the same variables drive the Table II power bound ===");
     for noise_uv in [1.0, 2.0, 5.0, 10.0, 20.0] {
         let lna = Lna::from_design(&design, 2000.0, noise_uv * 1e-6, 0.01, f_ct, 0);
-        let p = lna.power(1e-12, &tech, &design).value();
+        let model = LnaModel {
+            noise_floor_vrms: lna.noise_floor_vrms,
+            c_load_f: 1e-12,
+            gain: lna.gain,
+        };
+        let p = model.power(&tech, &design).value();
         println!(
             "  noise floor {noise_uv:>5.1} µV → LNA power {:>10.3} µW",
             p * 1e6

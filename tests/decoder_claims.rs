@@ -46,8 +46,7 @@ fn decode_snr(
     enc: &mut ChargeSharingEncoder,
     decode: &efficsense::cs::Matrix,
 ) -> f64 {
-    let psi = Basis::Dct.matrix(N_PHI);
-    let art = DictionaryArtifacts::from_dictionary(decode.matmul(&psi), &psi, 0.0);
+    let art = DictionaryArtifacts::new(decode, Basis::Dct);
     let omp = OmpConfig {
         sparsity: 2 * M / 5,
         residual_tol: 1e-3,
@@ -67,13 +66,12 @@ fn leak_aware_decoding_beats_leak_blind_decoding() {
     let design = DesignParams::paper_defaults(8);
     let phi = SensingMatrix::srbm(M, N_PHI, 2, 0xDEC0);
     let frames = eeg_frames(4000.0, 10);
-    let period = 1.0 / design.f_sample_hz();
     let mk_enc = || {
         ChargeSharingEncoder::new(
             phi.clone(),
             C_S,
             C_H,
-            period,
+            1.0 / design.f_sample_hz(),
             EncoderImperfections {
                 mismatch: false,
                 ktc_noise: false,
@@ -85,7 +83,7 @@ fn leak_aware_decoding_beats_leak_blind_decoding() {
         )
     };
     let blind = effective_matrix(&phi, C_S, C_H);
-    let decay = (-(period) / (C_H * design.v_ref / tech.i_leak_a)).exp();
+    let decay = ChargeSharingEncoder::nominal_decay_per_step(C_H, &tech, &design);
     let aware = effective_matrix_decayed(&phi, C_S, C_H, decay);
     let snr_blind = decode_snr(&frames, &mut mk_enc(), &blind);
     let snr_aware = decode_snr(&frames, &mut mk_enc(), &aware);
@@ -114,28 +112,20 @@ fn discrepancy_stopping_helps_at_high_noise() {
     let frames = eeg_frames(4000.0, 10);
     let mut rng = Rng64::new(9);
     let sigma = 8e-6 * 4000.0; // 8 µV input-referred at gain 4000
-    let mean_w2 = (0..eff.rows())
-        .map(|r| eff.row(r).iter().map(|w| w * w).sum::<f64>())
-        .sum::<f64>()
-        / eff.rows() as f64;
-    let psi = Basis::Dct.matrix(N_PHI);
-    let art = DictionaryArtifacts::from_dictionary(eff.matmul(&psi), &psi, mean_w2);
-    let noise_norm = (sigma * sigma * mean_w2 * M as f64).sqrt();
+    let art = DictionaryArtifacts::new(&eff, Basis::Dct);
+    let noise_norm = (sigma * sigma * art.mean_row_w2 * M as f64).sqrt();
     let mut snr_greedy = 0.0;
     let mut snr_matched = 0.0;
     for frame in &frames {
         // Noise enters through the weights, like the sampled LNA noise does.
         let noisy: Vec<f64> = frame.iter().map(|v| v + rng.normal() * sigma).collect();
         let y = eff.matvec(&noisy);
-        let y_norm = efficsense::cs::linalg::norm2(&y).max(1e-300);
         let greedy = OmpConfig {
             sparsity: 2 * M / 5,
             residual_tol: 1e-6,
         };
-        let matched = OmpConfig {
-            sparsity: 2 * M / 5,
-            residual_tol: (noise_norm / y_norm).clamp(1e-4, 0.9),
-        };
+        // The simulator's own stopping rule.
+        let matched = OmpConfig::discrepancy(2 * M / 5, noise_norm, &y);
         // One measurement decoded under both stopping rules: a two-frame
         // batch.
         let x = reconstruct_batch(&art, &[y.clone(), y], &[greedy, matched], 1);
