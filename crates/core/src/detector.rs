@@ -53,7 +53,7 @@ impl SeizureDetector {
             !dataset.is_empty(),
             "cannot train a detector on an empty dataset"
         );
-        let extractor = FeatureExtractor;
+        let extractor = FeatureExtractor::default();
         let mut x = Vec::with_capacity(dataset.len() * 8);
         let mut y = Vec::with_capacity(dataset.len() * 8);
         let mut rng = Rng64::new(seed ^ 0xA06);

@@ -10,9 +10,24 @@
 //! `A_SᵀA_S` and re-runs a full Cholesky factorisation every iteration —
 //! O(m·n + m·k² + k³) per selected atom. The kernel here reuses the
 //! per-dictionary [`DictionaryArtifacts`]: with `G = AᵀA` and `b = Aᵀy`
-//! precomputed, correlations update as `Aᵀr = b − G[:,S]·x_S` (O(n·k)) and
-//! the support normal equations grow by one rank-one Cholesky append per
-//! iteration (O(k²)), for O(n·k + m·k + k²) per iteration overall.
+//! precomputed, correlations update as `Aᵀr = b − G[:,S]·x_S` (O(n·k), four
+//! Gram rows per pass), the support normal equations grow by one rank-one
+//! Cholesky append per iteration (O(k²)), the forward solution grows by one
+//! entry (O(k)) ahead of a back substitution over contiguous rows of `Lᵀ`
+//! (O(k²)), and the atom is selected by a branch-free maximum over the
+//! normalised scores (O(n)). The stop test needs `‖y − A_S·x_S‖`; an O(k)
+//! estimate from the normal equations decides it whenever its rounding
+//! bound leaves no doubt that the decode continues, and the O(m·k) explicit
+//! recompute runs only near the threshold. That makes an iteration
+//! O(n·k + k²), with the O(m·k) residual only near the stop.
+//!
+//! None of those shortcuts moves an output bit: every element sums the
+//! same products in the same order as a one-atom-per-pass refresh, a full
+//! forward substitution and a column-strided back substitution would, and
+//! the residual estimate only skips recomputes whose stop test is certain
+//! to fail (`residual_clears_threshold` carries the argument; debug builds
+//! recompute and check every skip). `tests/back_end_pins.rs` pins the
+//! decoded bits, near-threshold frames included.
 //!
 //! The reference path is retained only as the oracle; the differential
 //! harness in `tests/omp_diff.rs` pins the two together (identical support
@@ -23,7 +38,7 @@
 use crate::linalg::{dot, norm2, GrowingCholesky, Matrix};
 use crate::memo::DictionaryArtifacts;
 use crate::recon::OmpConfig;
-use efficsense_dsp::approx::is_zero;
+use efficsense_dsp::approx::{is_zero, total_eq};
 
 /// Per-worker workspace: every buffer the OMP kernel needs, allocated once
 /// per batch (or per pool worker) and recycled across its frames.
@@ -31,18 +46,26 @@ use efficsense_dsp::approx::is_zero;
 struct OmpScratch {
     /// Correlations `Aᵀr` for the current residual.
     corr: Vec<f64>,
+    /// Selection scores `|corr_j|/‖a_j‖`, support entries overwritten by −1.
+    score: Vec<f64>,
     /// `b = Aᵀy` for the frame being decoded.
     b: Vec<f64>,
     /// Explicit residual `y − A_S·x_S`.
     residual: Vec<f64>,
-    /// Membership mask over dictionary columns.
-    in_support: Vec<bool>,
     /// Selected atoms in selection order.
     support: Vec<usize>,
     /// Coefficients on the support (selection order).
     x: Vec<f64>,
     /// `b` gathered on the support (selection order).
     bs: Vec<f64>,
+    /// Forward solution `z` of `L·z = b_S`, one entry longer per append.
+    z: Vec<f64>,
+    /// `max(‖a_s‖, √(G_ss + λ))` per support atom (selection order): the
+    /// per-atom weight of the residual estimate's error bound.
+    weight: Vec<f64>,
+    /// Support atoms with a nonzero coefficient, with that coefficient, in
+    /// selection order.
+    active: Vec<(usize, f64)>,
     /// Gram cross terms `G[S, j]` for the atom being appended.
     cross: Vec<f64>,
     /// Growing Cholesky factor of `G_S + ridge·I`.
@@ -54,12 +77,15 @@ impl OmpScratch {
     fn new() -> Self {
         Self {
             corr: Vec::new(),
+            score: Vec::new(),
             b: Vec::new(),
             residual: Vec::new(),
-            in_support: Vec::new(),
             support: Vec::new(),
             x: Vec::new(),
             bs: Vec::new(),
+            z: Vec::new(),
+            weight: Vec::new(),
+            active: Vec::new(),
             cross: Vec::new(),
             chol: GrowingCholesky::new(1, 0.0),
         }
@@ -69,11 +95,12 @@ impl OmpScratch {
     /// `k_max` atoms and resets per-frame state.
     fn prepare(&mut self, n: usize, k_max: usize, ridge: f64) {
         self.corr.resize(n, 0.0);
-        self.in_support.clear();
-        self.in_support.resize(n, false);
+        self.score.resize(n, 0.0);
         self.support.clear();
         self.x.clear();
         self.bs.clear();
+        self.z.clear();
+        self.weight.clear();
         self.cross.clear();
         if self.chol.capacity() < k_max {
             self.chol = GrowingCholesky::new(k_max.max(1), ridge);
@@ -81,6 +108,181 @@ impl OmpScratch {
             self.chol.reset(ridge);
         }
     }
+}
+
+/// `corr = b − Σ_{s∈S, x_s≠0} x_s·G[s, :]`, four Gram rows per pass over
+/// `corr`. Every element still subtracts its terms one at a time in
+/// selection order (`v -= x0·g0; v -= x1·g1; …`), so the result is the
+/// same, bit for bit, as one pass per support atom.
+fn refresh_correlations(corr: &mut [f64], b: &[f64], gram: &Matrix, active: &[(usize, f64)]) {
+    corr.copy_from_slice(b);
+    let mut quads = active.chunks_exact(4);
+    for q in &mut quads {
+        let (g0, g1, g2, g3) = (
+            gram.row(q[0].0),
+            gram.row(q[1].0),
+            gram.row(q[2].0),
+            gram.row(q[3].0),
+        );
+        let (x0, x1, x2, x3) = (q[0].1, q[1].1, q[2].1, q[3].1);
+        for ((((v, &a0), &a1), &a2), &a3) in corr.iter_mut().zip(g0).zip(g1).zip(g2).zip(g3) {
+            *v -= x0 * a0;
+            *v -= x1 * a1;
+            *v -= x2 * a2;
+            *v -= x3 * a3;
+        }
+    }
+    for &(s, xs) in quads.remainder() {
+        for (v, &g) in corr.iter_mut().zip(gram.row(s)) {
+            *v -= xs * g;
+        }
+    }
+}
+
+/// Largest value of `v` that is not NaN (−∞ for an empty slice), and
+/// whether any entry is NaN. Eight independent lanes: a maximum is exact
+/// in any order, so the lanes only change speed.
+fn lane_max(v: &[f64]) -> (f64, bool) {
+    let mut lanes = [f64::NEG_INFINITY; 8];
+    let mut nan = false;
+    let chunks = v.chunks_exact(8);
+    let rest = chunks.remainder();
+    for c in chunks {
+        for (lane, &x) in lanes.iter_mut().zip(c) {
+            nan |= x.is_nan();
+            *lane = if x > *lane { x } else { *lane };
+        }
+    }
+    for &x in rest {
+        nan |= x.is_nan();
+        lanes[0] = if x > lanes[0] { x } else { lanes[0] };
+    }
+    let max = lanes
+        .iter()
+        .fold(f64::NEG_INFINITY, |m, &l| if l > m { l } else { m });
+    (max, nan)
+}
+
+/// Argmax of `|corr_j|/norm_j` over the columns outside the support, ties
+/// resolved to the *last* maximal index (`Iterator::max_by` under
+/// `total_cmp`, as the reference selection loop does). Returns the index
+/// and its score, or `None` when every column is in the support.
+///
+/// The fast form takes the maximum score first, then the last index whose
+/// score equals it. It picks the reference's atom because `total_cmp` and
+/// numeric order agree on every score it can meet: `abs` clears the sign
+/// and [`DictionaryArtifacts::new`] floors every norm at 1e-300, so each
+/// score is +0.0, positive or +∞ — never −0.0 — and the support's −1
+/// sentinels sort below all of them. A NaN score is the one value on which
+/// the two orders part (`total_cmp` ranks it above +∞), so any NaN sends the
+/// selection through the reference loop instead.
+fn select_atom(ws: &mut OmpScratch, col_norms: &[f64]) -> Option<(usize, f64)> {
+    for ((sc, &cv), &cn) in ws.score.iter_mut().zip(&ws.corr).zip(col_norms) {
+        *sc = cv.abs() / cn;
+    }
+    for &s in &ws.support {
+        ws.score[s] = -1.0;
+    }
+    let (best, nan) = lane_max(&ws.score);
+    if nan {
+        let mut pick: Option<(usize, f64)> = None;
+        for (j, &v) in ws.score.iter().enumerate() {
+            if ws.support.contains(&j) {
+                continue;
+            }
+            pick = match pick {
+                None => Some((j, v)),
+                Some((_, bv)) if v.total_cmp(&bv) != std::cmp::Ordering::Less => Some((j, v)),
+                keep => keep,
+            };
+        }
+        return pick;
+    }
+    if best < 0.0 {
+        return None;
+    }
+    ws.score
+        .iter()
+        .rposition(|&v| total_eq(v, best))
+        .map(|j| (j, best))
+}
+
+/// Whether the explicit residual can be skipped this iteration because the
+/// stop test `‖r‖ ≤ thr` is certain to fail. `ridge` is `λ`, `yy` is
+/// `‖y‖²` as computed for `‖y‖`, `m` the measurement count, and the
+/// support state is that of `ws` after the current append and solve.
+///
+/// For the exact solution `x` of the ridge system `(G_S + λI)·x = b_S`, the
+/// residual energy is `‖y − A_S·x‖² = ‖y‖² − xᵀb_S − λ‖x‖²`; the estimate
+/// `E` evaluates that with the computed `x`. Its gap to the square of the
+/// norm the explicit recompute would return is covered by four terms, each
+/// at most `γ_{m+k+O(1)}·S²` with `S = ‖y‖ + Σ|x_i|·max(‖a_i‖, √(G_ii+λ))`
+/// and `γ_n = n·ε/(1 − n·ε)`:
+///
+/// - the Cholesky solve's backward error (Higham, *Accuracy and Stability
+///   of Numerical Algorithms*, Thm 10.4: the computed `x` solves a system
+///   perturbed by `|ΔG| ≤ γ_{3k+1}·|L|·|Lᵀ|`, and row `i` of `L` has norm
+///   `√(G_ii+λ)`), which shifts `xᵀG_S·x` by at most `γ_{3k+1}·S²`;
+/// - the rounding of the stored Gram (`m`-term sums): `γ_m·S²`;
+/// - the rounding of the stored `b = Aᵀy` (`m`-term dots), entering
+///   twice: `2γ_m·S²`;
+/// - the rounding of the explicit residual (`k+1` terms per row) and of
+///   its norm (`m` squares and a root), plus the few roundings of `E`
+///   itself: `(γ_{2k+2} + γ_{2m+4})·S²`.
+///
+/// Their sum is below `B = 16·(m+k+2)·ε·S²` with room for the rounding of
+/// `B` and `S`. So when `E − B > thr²·(1+16ε)`, the recomputed norm exceeds
+/// `thr` and the stop test would fail; the recompute only feeds that test,
+/// so skipping it cannot change the decode.
+///
+/// That rounding model assumes no underflow. A frame so small that `B`
+/// underflows (`‖y‖` near 1e-150 or below) breaks it: `B` rounds to 0 and
+/// `E` keeps only a few significant bits. The skip therefore also requires
+/// `B` to be a normal number. Then each product that underflows adds an
+/// absolute error of at most `2⁻¹⁰⁷⁵ = u·2⁻¹⁰²²`, below `u·B`; weighted by
+/// coefficients of at most `S` over a column weight and summed over every
+/// product of the frame, these stay far inside the slack of `B` as long as
+/// the dictionary's columns are not themselves near the underflow range.
+/// Near the threshold, if `E` is not finite or if `B` is not a normal
+/// number, the caller recomputes the residual exactly as before.
+fn residual_clears_threshold(
+    ws: &OmpScratch,
+    ridge: f64,
+    yy: f64,
+    y_norm: f64,
+    m: usize,
+    thr: f64,
+) -> bool {
+    let k = ws.support.len();
+    let e = yy - dot(&ws.x, &ws.bs) - ridge * dot(&ws.x, &ws.x);
+    let s = y_norm
+        + ws.x
+            .iter()
+            .zip(&ws.weight)
+            .map(|(xi, wi)| xi.abs() * wi)
+            .sum::<f64>();
+    let bound = 16.0 * (m + k + 2) as f64 * f64::EPSILON * s * s;
+    e.is_finite() && bound.is_normal() && e - bound > thr * thr * (1.0 + 16.0 * f64::EPSILON)
+}
+
+/// `‖y − A_S·x_S‖`, with the residual accumulated into `ws.residual` atom
+/// by atom over contiguous rows of `Aᵀ`. Near the discrepancy threshold
+/// the stop test needs this explicit form: the algebraic
+/// `‖y‖² − xᵀb_S − λ‖x‖²` cancels catastrophically there and could flip the
+/// test, so `residual_clears_threshold` lets that estimate decide only
+/// where its rounding bound leaves no doubt.
+fn explicit_residual(ws: &mut OmpScratch, at: &Matrix, y: &[f64]) -> f64 {
+    ws.residual.clear();
+    ws.residual.resize(y.len(), 0.0);
+    for (&sj, &xs) in ws.support.iter().zip(&ws.x) {
+        for (rv, &av) in ws.residual.iter_mut().zip(at.row(sj)) {
+            *rv += av * xs;
+        }
+    }
+    for (rv, &yi) in ws.residual.iter_mut().zip(y) {
+        *rv = yi - *rv;
+    }
+    norm2(&ws.residual)
 }
 
 /// Per-frame kernel of [`reconstruct_batch`]: same greedy selection and
@@ -110,40 +312,27 @@ fn omp_fast_core(
     let k_max = cfg.sparsity.min(m).min(n);
     efficsense_dsp::approx::debug_assert_all_finite(y, "omp measurements");
     let mut s = vec![0.0; n];
-    let y_norm = norm2(y);
+    let yy = dot(y, y);
+    let y_norm = yy.sqrt();
     if is_zero(y_norm) {
         return s;
     }
+    let thr = cfg.residual_tol * y_norm;
     ws.prepare(n, k_max, ridge);
-    ws.residual.clear();
-    ws.residual.extend_from_slice(y);
     for _ in 0..k_max {
         // Correlations via the cached Gram: Aᵀr = b − Σ_{s∈S} x_s·G[s, :].
-        ws.corr.copy_from_slice(&ws.b);
-        for (&sj, &xs) in ws.support.iter().zip(&ws.x) {
-            if is_zero(xs) {
-                continue;
-            }
-            for (cv, &gv) in ws.corr.iter_mut().zip(gram.row(sj)) {
-                *cv -= xs * gv;
-            }
-        }
-        // Argmax of |corr|/norm over non-support columns. Ties resolve to
-        // the *last* maximal index, matching `Iterator::max_by` in the
-        // reference selection loop.
-        let mut best: Option<(usize, f64)> = None;
-        for (j, (&cv, &cn)) in ws.corr.iter().zip(col_norms).enumerate() {
-            if ws.in_support[j] {
-                continue;
-            }
-            let v = cv.abs() / cn;
-            best = match best {
-                None => Some((j, v)),
-                Some((_, bv)) if v.total_cmp(&bv) != std::cmp::Ordering::Less => Some((j, v)),
-                keep => keep,
-            };
-        }
-        let Some((j_star, best_v)) = best else { break };
+        ws.active.clear();
+        ws.active.extend(
+            ws.support
+                .iter()
+                .zip(&ws.x)
+                .filter(|(_, xs)| !is_zero(**xs))
+                .map(|(&sj, &xs)| (sj, xs)),
+        );
+        refresh_correlations(&mut ws.corr, &ws.b, gram, &ws.active);
+        let Some((j_star, best_v)) = select_atom(ws, col_norms) else {
+            break;
+        };
         if best_v < 1e-300 {
             break;
         }
@@ -157,24 +346,25 @@ fn omp_fast_core(
             break;
         }
         ws.support.push(j_star);
-        ws.in_support[j_star] = true;
         ws.bs.push(ws.b[j_star]);
-        ws.chol.solve_into(&ws.bs, &mut ws.x);
-        // Explicit residual r = y − A_S·x_S, accumulated atom-by-atom over
-        // contiguous rows of `Aᵀ`. Recomputing from `y` (rather than
-        // maintaining ‖r‖² algebraically) avoids the catastrophic
-        // cancellation that would otherwise flip the stopping test near the
-        // discrepancy threshold.
-        ws.residual.iter_mut().for_each(|v| *v = 0.0);
-        for (&sj, &xs) in ws.support.iter().zip(&ws.x) {
-            for (rv, &av) in ws.residual.iter_mut().zip(at.row(sj)) {
-                *rv += av * xs;
-            }
+        ws.weight
+            .push(col_norms[j_star].max((gj[j_star] + ridge).sqrt()));
+        // The factor's leading block and b_S's prefix are unchanged, so the
+        // forward solution gains one entry; back substitution then runs in
+        // full.
+        ws.chol.extend_forward(&ws.bs, &mut ws.z);
+        ws.x.clear();
+        ws.x.extend_from_slice(&ws.z);
+        ws.chol.back_substitute(&mut ws.x);
+        efficsense_dsp::approx::debug_assert_all_finite(&ws.x, "omp support coefficients");
+        if residual_clears_threshold(ws, ridge, yy, y_norm, m, thr) {
+            debug_assert!(
+                explicit_residual(ws, at, y) > thr,
+                "residual estimate skipped a recompute that would stop the decode"
+            );
+            continue;
         }
-        for (rv, &yi) in ws.residual.iter_mut().zip(y) {
-            *rv = yi - *rv;
-        }
-        if norm2(&ws.residual) <= cfg.residual_tol * y_norm {
+        if explicit_residual(ws, at, y) <= thr {
             break;
         }
     }
@@ -294,6 +484,103 @@ mod tests {
         let y = vec![0.0; art.dictionary.rows()];
         let x = reconstruct_batch(&art, &[y], &[OmpConfig::with_sparsity(4)], 1);
         assert!(x[0].iter().all(|v| is_zero(*v)));
+    }
+
+    #[test]
+    fn tiny_frames_decode_like_their_unit_scale_copy() {
+        // At 1e-145 the residual bound is still a normal number, so the
+        // estimate skips recomputes (and debug builds check each skip). From
+        // 1e-160 it underflows to 0, the estimate keeps a bit or two (at
+        // 11/7·1e-160 it reads +1e-323 on the exact fit) and every
+        // iteration must take the explicit residual. All stop after the
+        // same five atoms as the unit frame.
+        let (a, y) = dense_problem(64, 32, 5, 9);
+        let art = DictionaryArtifacts::new(&a, Basis::Dct);
+        let cfgs = [OmpConfig {
+            sparsity: 12,
+            residual_tol: 1e-3,
+        }];
+        let decode = |y: Vec<f64>| reconstruct_batch(&art, &[y], &cfgs, 1).remove(0);
+        let unit = decode(y.clone());
+        let near_underflow = (0..8).map(|j| 1e-160 * (1.0 + j as f64 / 7.0));
+        for scale in std::iter::once(1e-145).chain(near_underflow) {
+            let got = decode(y.iter().map(|v| v * scale).collect());
+            for (g, u) in got.iter().zip(&unit) {
+                assert!(
+                    (g / scale - u).abs() <= 1e-9 * u.abs().max(1.0),
+                    "scale {scale:e}: {g:e} vs {u:e}"
+                );
+            }
+        }
+    }
+
+    /// The selection loop `select_atom` must reproduce: the last maximum of
+    /// `|corr_j|/norm_j` under `total_cmp` over the non-support columns.
+    fn reference_select(corr: &[f64], norms: &[f64], support: &[usize]) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (j, (&cv, &cn)) in corr.iter().zip(norms).enumerate() {
+            if support.contains(&j) {
+                continue;
+            }
+            let v = cv.abs() / cn;
+            best = match best {
+                None => Some((j, v)),
+                Some((_, bv)) if v.total_cmp(&bv) != std::cmp::Ordering::Less => Some((j, v)),
+                keep => keep,
+            };
+        }
+        best
+    }
+
+    #[test]
+    fn selection_matches_the_reference_loop() {
+        // 37 columns: four full 8-lane chunks and a remainder. Every fifth
+        // norm is the 1e-300 floor, so large correlations overflow to +∞.
+        let n = 37;
+        let norms: Vec<f64> = (0..n)
+            .map(|j| {
+                if j % 5 == 0 {
+                    1e-300
+                } else {
+                    0.5 + j as f64 / 8.0
+                }
+            })
+            .collect();
+        let mut rng = efficsense_rng::Rng64::new(7);
+        let mut cases: Vec<Vec<f64>> = vec![
+            // Ties: several columns share the largest score.
+            (0..n)
+                .map(|j| if j % 7 == 3 { 2.0 * norms[j] } else { 0.1 })
+                .collect(),
+            // Only zeros of both signs.
+            (0..n)
+                .map(|j| if j % 2 == 0 { 0.0 } else { -0.0 })
+                .collect(),
+            // Two scores overflow to +∞.
+            (0..n)
+                .map(|j| if j == 10 || j == 20 { -1e10 } else { 3.0 })
+                .collect(),
+            // A NaN correlation takes the reference loop.
+            (0..n)
+                .map(|j| if j == 4 { f64::NAN } else { j as f64 })
+                .collect(),
+        ];
+        // Coarsely quantised draws, so ties are common.
+        for _ in 0..20 {
+            cases.push((0..n).map(|_| (rng.normal() * 4.0).round()).collect());
+        }
+        let supports: [Vec<usize>; 4] = [vec![], vec![3, 10, 4], vec![36], (0..n).collect()];
+        for corr in &cases {
+            for support in &supports {
+                let mut ws = OmpScratch::new();
+                ws.prepare(n, n, 0.0);
+                ws.corr.copy_from_slice(corr);
+                ws.support.extend(support);
+                let got = select_atom(&mut ws, &norms).map(|(j, v)| (j, v.to_bits()));
+                let want = reference_select(corr, &norms, support).map(|(j, v)| (j, v.to_bits()));
+                assert_eq!(got, want, "corr {corr:?}, support {support:?}");
+            }
+        }
     }
 
     #[test]

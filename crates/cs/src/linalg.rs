@@ -402,6 +402,9 @@ pub fn least_squares(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
 /// costs O(k²). The pivot acceptance test is the same `> 1e-300` threshold
 /// as [`cholesky_solve`], so a degenerate (linearly dependent) atom is
 /// rejected at exactly the same point in exact arithmetic.
+///
+/// The factor is kept twice, as row-major `L` for forward substitution and
+/// row-major `Lᵀ` for back substitution, so both read contiguous rows.
 #[derive(Debug, Clone)]
 pub struct GrowingCholesky {
     cap: usize,
@@ -409,6 +412,9 @@ pub struct GrowingCholesky {
     ridge: f64,
     /// Row-major `cap × cap` storage; row `i` holds `L[i, 0..=i]`.
     l: Vec<f64>,
+    /// Row-major `cap × cap` storage of `Lᵀ`; row `i` holds column `i` of
+    /// `L`, with `L[t, i]` at column `t ≥ i`.
+    lt: Vec<f64>,
     /// Scratch for the forward solve of an appended column.
     w: Vec<f64>,
 }
@@ -427,6 +433,7 @@ impl GrowingCholesky {
             dim: 0,
             ridge,
             l: vec![0.0; cap * cap],
+            lt: vec![0.0; cap * cap],
             w: vec![0.0; cap],
         }
     }
@@ -489,36 +496,75 @@ impl GrowingCholesky {
         }
         let row = &mut self.l[k * self.cap..k * self.cap + k];
         row.copy_from_slice(&self.w[..k]);
-        self.l[k * self.cap + k] = pivot.sqrt();
+        for (t, &wt) in self.w[..k].iter().enumerate() {
+            self.lt[t * self.cap + k] = wt;
+        }
+        let d = pivot.sqrt();
+        self.l[k * self.cap + k] = d;
+        self.lt[k * self.cap + k] = d;
         self.dim = k + 1;
         Ok(())
     }
 
+    /// Extends `z`, the solution of the forward system `L·z = b`, to the
+    /// current dimension. Entries already in `z` are kept: the leading
+    /// block of `L` never changes, so while `b`'s prefix does not either,
+    /// they are what a full forward substitution would recompute, and a
+    /// caller that appends one atom at a time pays O(k) per entry instead
+    /// of O(k²) per solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` differs from [`len`](Self::len) or `z` is longer.
+    pub(crate) fn extend_forward(&self, b: &[f64], z: &mut Vec<f64>) {
+        assert_eq!(
+            b.len(),
+            self.dim,
+            "rhs length must match factored dimension"
+        );
+        assert!(
+            z.len() <= self.dim,
+            "forward solution longer than the factor"
+        );
+        for i in z.len()..self.dim {
+            let lrow = &self.l[i * self.cap..i * self.cap + i];
+            let s = b[i] - dot(lrow, &z[..i]);
+            z.push(s / self.l[i * self.cap + i]);
+        }
+    }
+
+    /// Back substitution `Lᵀ·x = z` in place: `x` holds the forward
+    /// solution `z` on entry and the solution on return. Row `i` of `Lᵀ` is
+    /// read contiguously, terms subtracted in ascending column order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from [`len`](Self::len).
+    pub(crate) fn back_substitute(&self, x: &mut [f64]) {
+        let k = self.dim;
+        assert_eq!(x.len(), k, "rhs length must match factored dimension");
+        for i in (0..k).rev() {
+            let ltrow = &self.lt[i * self.cap + i + 1..i * self.cap + k];
+            let mut s = x[i];
+            for (&lv, &xt) in ltrow.iter().zip(&x[i + 1..]) {
+                s -= lv * xt;
+            }
+            x[i] = s / self.l[i * self.cap + i];
+        }
+    }
+
     /// Solves `(L·Lᵀ)·x = b` for the current support, writing the solution
-    /// into `x` (resized to [`len`](Self::len)).
+    /// into `x` (resized to [`len`](Self::len)): the forward substitution
+    /// from scratch, then the back substitution, through the same code the
+    /// decode kernel runs one append at a time.
     ///
     /// # Panics
     ///
     /// Panics if `b.len()` differs from [`len`](Self::len).
     pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) {
-        let k = self.dim;
-        assert_eq!(b.len(), k, "rhs length must match factored dimension");
         x.clear();
-        x.resize(k, 0.0);
-        // Forward substitution L·y = b (y stored in x).
-        for i in 0..k {
-            let lrow = &self.l[i * self.cap..i * self.cap + i];
-            let s = b[i] - dot(lrow, &x[..i]);
-            x[i] = s / self.l[i * self.cap + i];
-        }
-        // Backward substitution Lᵀ·x = y.
-        for i in (0..k).rev() {
-            let mut s = x[i];
-            for (t, &xt) in x.iter().enumerate().skip(i + 1) {
-                s -= self.l[t * self.cap + i] * xt;
-            }
-            x[i] = s / self.l[i * self.cap + i];
-        }
+        self.extend_forward(b, x);
+        self.back_substitute(x);
         efficsense_dsp::approx::debug_assert_all_finite(x, "growing-cholesky solution");
     }
 }

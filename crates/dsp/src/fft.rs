@@ -2,9 +2,7 @@
 //!
 //! The [`Fft`] planner precomputes twiddle factors and the bit-reversal
 //! permutation for a fixed power-of-two size, then performs forward and
-//! inverse transforms in place. A convenience real-input path
-//! ([`Fft::forward_real`]) zero-pads/windows at the caller's discretion and
-//! returns the complex spectrum.
+//! inverse transforms in place.
 
 use crate::complex::Complex;
 
@@ -21,7 +19,7 @@ use crate::complex::Complex;
 ///     assert!((a.re - b.re).abs() < 1e-10);
 /// }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fft {
     n: usize,
     // Twiddles for the forward transform: w[k] = exp(-2πik/n) for k < n/2.
@@ -145,19 +143,6 @@ impl Fft {
             "fft::inverse: non-finite output sample"
         );
     }
-
-    /// Forward transform of a real signal.
-    ///
-    /// The input is zero-padded (or truncated) to the planned length and the
-    /// full complex spectrum of length `N` is returned.
-    pub fn forward_real(&self, x: &[f64]) -> Vec<Complex> {
-        let mut buf = vec![Complex::ZERO; self.n];
-        for (b, &v) in buf.iter_mut().zip(x.iter()) {
-            *b = Complex::from_real(v);
-        }
-        self.forward(&mut buf);
-        buf
-    }
 }
 
 /// Returns the smallest power of two that is `>= n`.
@@ -246,7 +231,8 @@ mod tests {
         let x: Vec<f64> = (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * k0 as f64 * i as f64 / n as f64).sin())
             .collect();
-        let spec = fft.forward_real(&x);
+        let mut spec: Vec<Complex> = x.iter().map(|&v| Complex::from_real(v)).collect();
+        fft.forward(&mut spec);
         // Energy concentrated in bins k0 and n-k0, each with magnitude n/2.
         assert!((spec[k0].abs() - n as f64 / 2.0).abs() < 1e-9);
         assert!((spec[n - k0].abs() - n as f64 / 2.0).abs() < 1e-9);
@@ -263,7 +249,8 @@ mod tests {
         let fft = Fft::new(n);
         let x: Vec<f64> = (0..n).map(|i| ((i * i) as f64 * 0.013).sin()).collect();
         let time_energy: f64 = x.iter().map(|v| v * v).sum();
-        let spec = fft.forward_real(&x);
+        let mut spec: Vec<Complex> = x.iter().map(|&v| Complex::from_real(v)).collect();
+        fft.forward(&mut spec);
         let freq_energy: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         assert!((time_energy - freq_energy).abs() < 1e-8 * time_energy.max(1.0));
     }

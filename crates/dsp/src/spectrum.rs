@@ -1,5 +1,7 @@
-//! Spectral estimation: periodogram, Welch PSD, band power, test tones.
+//! Spectral estimation: a planned Welch PSD estimator and its periodogram
+//! wrapper, band power, test tones.
 
+use crate::complex::Complex;
 use crate::fft::{next_pow2, Fft};
 use crate::window::Window;
 
@@ -54,7 +56,93 @@ impl Psd {
     }
 }
 
-/// Windowed periodogram PSD of `x` sampled at `fs` Hz.
+/// A Welch PSD estimator planned once for one segment length and window:
+/// it holds the window coefficients, their power gain and the FFT plan, so
+/// repeated estimates (the detector runs one per decision window) pay for
+/// none of them again.
+///
+/// Segments are `segment_len` samples with 50 % overlap, each windowed,
+/// zero-padded to the next power of two and transformed; their one-sided
+/// periodograms are averaged. The estimate is scaled so that integrating
+/// it over frequency recovers the windowed signal power.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WelchPlan {
+    window: Window,
+    /// Window coefficients, one per segment sample.
+    coeffs: Vec<f64>,
+    power_gain: f64,
+    fft: Fft,
+}
+
+impl WelchPlan {
+    /// Plans estimates over `segment_len`-sample segments under `window`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segment_len == 0`.
+    pub fn new(segment_len: usize, window: Window) -> Self {
+        assert!(segment_len > 0, "segment length must be positive");
+        Self {
+            window,
+            coeffs: window.coefficients(segment_len),
+            power_gain: window.power_gain(segment_len),
+            fft: Fft::new(next_pow2(segment_len)),
+        }
+    }
+
+    /// Welch-averaged PSD of `x` sampled at `fs` Hz, over every whole
+    /// segment that starts on a multiple of the hop `segment_len / 2`.
+    ///
+    /// A signal shorter than one segment is estimated as one segment
+    /// spanning the whole signal (its periodogram), planned for that call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is empty or `fs` is not positive.
+    pub fn estimate(&self, x: &[f64], fs: f64) -> Psd {
+        assert!(!x.is_empty(), "cannot estimate the PSD of an empty signal");
+        let n = self.coeffs.len();
+        if x.len() < n {
+            return WelchPlan::new(x.len(), self.window).estimate(x, fs);
+        }
+        assert!(fs > 0.0, "sample rate must be positive");
+        let nfft = self.fft.len();
+        let half = nfft / 2;
+        let hop = (n / 2).max(1);
+        // U compensates window power loss; n (not nfft) is the data length.
+        let scale = 1.0 / (fs * n as f64 * self.power_gain);
+        let mut values = vec![0.0; half + 1];
+        let mut buf = vec![Complex::ZERO; nfft];
+        let mut count = 0usize;
+        let mut start = 0;
+        while start + n <= x.len() {
+            for ((z, &v), &w) in buf.iter_mut().zip(&x[start..start + n]).zip(&self.coeffs) {
+                *z = Complex::from_real(v * w);
+            }
+            buf[n..].fill(Complex::ZERO);
+            self.fft.forward(&mut buf);
+            for (k, (acc, z)) in values.iter_mut().zip(&buf).enumerate() {
+                let mut p = z.norm_sqr() * scale;
+                if k != 0 && k != half {
+                    p *= 2.0; // fold negative frequencies
+                }
+                *acc += p;
+            }
+            count += 1;
+            start += hop;
+        }
+        for v in &mut values {
+            *v /= count as f64;
+        }
+        Psd {
+            values,
+            freq_resolution: fs / nfft as f64,
+        }
+    }
+}
+
+/// Windowed periodogram PSD of `x` sampled at `fs` Hz: one Welch segment
+/// spanning the whole signal.
 ///
 /// The signal is zero-padded to the next power of two. The estimate is scaled
 /// so that integrating it over frequency recovers the windowed signal power
@@ -65,63 +153,7 @@ impl Psd {
 /// Panics if `x` is empty or `fs` is not positive.
 pub fn periodogram(x: &[f64], fs: f64, window: Window) -> Psd {
     assert!(!x.is_empty(), "cannot estimate the PSD of an empty signal");
-    assert!(fs > 0.0, "sample rate must be positive");
-    let n = x.len();
-    let nfft = next_pow2(n);
-    let mut xw = x.to_vec();
-    window.apply(&mut xw);
-    let fft = Fft::new(nfft);
-    let spec = fft.forward_real(&xw);
-    let pg = window.power_gain(n);
-    // U compensates window power loss; n (not nfft) is the data length.
-    let scale = 1.0 / (fs * n as f64 * pg);
-    let half = nfft / 2;
-    let mut values = Vec::with_capacity(half + 1);
-    for (k, z) in spec.iter().take(half + 1).enumerate() {
-        let mut p = z.norm_sqr() * scale;
-        if k != 0 && k != half {
-            p *= 2.0; // fold negative frequencies
-        }
-        values.push(p);
-    }
-    Psd {
-        values,
-        freq_resolution: fs / nfft as f64,
-    }
-}
-
-/// Welch-averaged PSD with `segment_len` samples per segment and 50 % overlap.
-///
-/// Falls back to a single periodogram when the signal is shorter than one
-/// segment.
-///
-/// # Panics
-///
-/// Panics if `x` is empty, `fs <= 0`, or `segment_len == 0`.
-pub fn welch(x: &[f64], fs: f64, segment_len: usize, window: Window) -> Psd {
-    assert!(!x.is_empty(), "cannot estimate the PSD of an empty signal");
-    assert!(fs > 0.0, "sample rate must be positive");
-    assert!(segment_len > 0, "segment length must be positive");
-    if x.len() < segment_len {
-        return periodogram(x, fs, window);
-    }
-    let hop = (segment_len / 2).max(1);
-    // The length check above guarantees the first segment fits.
-    let mut psd = periodogram(&x[..segment_len], fs, window);
-    let mut count = 1usize;
-    let mut start = hop;
-    while start + segment_len <= x.len() {
-        let p = periodogram(&x[start..start + segment_len], fs, window);
-        for (av, pv) in psd.values.iter_mut().zip(&p.values) {
-            *av += pv;
-        }
-        count += 1;
-        start += hop;
-    }
-    for v in &mut psd.values {
-        *v /= count as f64;
-    }
-    psd
+    WelchPlan::new(x.len(), window).estimate(x, fs)
 }
 
 /// Generates `n` samples of `amplitude * sin(2π f t + phase)` at rate `fs`.
@@ -184,7 +216,7 @@ mod tests {
     #[test]
     fn welch_reduces_to_periodogram_for_short_input() {
         let x = sine(100, 1000.0, 50.0, 1.0, 0.0);
-        let a = welch(&x, 1000.0, 256, Window::Hann);
+        let a = WelchPlan::new(256, Window::Hann).estimate(&x, 1000.0);
         let b = periodogram(&x, 1000.0, Window::Hann);
         assert_eq!(a, b);
     }
@@ -193,7 +225,7 @@ mod tests {
     fn welch_total_power_consistent() {
         let fs = 512.0;
         let x = sine(4096, fs, 32.0, 1.0, 0.0);
-        let psd = welch(&x, fs, 512, Window::Hann);
+        let psd = WelchPlan::new(512, Window::Hann).estimate(&x, fs);
         assert!((psd.total_power() - 0.5).abs() < 0.05);
     }
 

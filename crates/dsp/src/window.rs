@@ -49,17 +49,6 @@ impl Window {
         (0..n).map(|i| self.value(i, n)).collect()
     }
 
-    /// Applies the window to `x` in place.
-    pub fn apply(self, x: &mut [f64]) {
-        let n = x.len();
-        if n == 0 {
-            return;
-        }
-        for (i, v) in x.iter_mut().enumerate() {
-            *v *= self.value(i, n);
-        }
-    }
-
     /// Coherent gain: mean of the window coefficients.
     ///
     /// Amplitude estimates from windowed spectra must be divided by this.
@@ -130,22 +119,5 @@ mod tests {
     fn coherent_gain_hann_is_half() {
         let cg = Window::Hann.coherent_gain(4096);
         assert!((cg - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn apply_matches_coefficients() {
-        let mut x = vec![2.0; 32];
-        Window::Hamming.apply(&mut x);
-        let w = Window::Hamming.coefficients(32);
-        for (a, b) in x.iter().zip(&w) {
-            assert!((a - 2.0 * b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn apply_empty_is_noop() {
-        let mut x: Vec<f64> = vec![];
-        Window::Hann.apply(&mut x);
-        assert!(x.is_empty());
     }
 }

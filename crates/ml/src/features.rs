@@ -1,6 +1,6 @@
 //! EEG feature extraction for the detection goal function.
 
-use efficsense_dsp::spectrum::{welch, Psd};
+use efficsense_dsp::spectrum::{Psd, WelchPlan};
 use efficsense_dsp::stats;
 use efficsense_dsp::window::Window;
 
@@ -31,32 +31,27 @@ const LOG_FLOOR: f64 = 1e-18;
 /// 11. Hjorth complexity
 /// 12. zero-crossing rate
 /// 13. excess kurtosis
+///
+/// The extractor owns its Welch plan (256-sample Hann segments), built once
+/// by [`Default`]; the plan estimates a window shorter than one segment as
+/// one periodogram over the whole window.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FeatureExtractor;
+pub struct FeatureExtractor {
+    welch: WelchPlan,
+}
 
 /// Number of features produced by [`FeatureExtractor::extract`].
 pub const FEATURE_COUNT: usize = 13;
 
-impl FeatureExtractor {
-    /// Human-readable feature names, aligned with the extraction order.
-    pub fn feature_names() -> [&'static str; FEATURE_COUNT] {
-        [
-            "log_delta_power",
-            "log_theta_power",
-            "log_alpha_power",
-            "log_beta_power",
-            "log_gamma_power",
-            "log_total_power",
-            "rel_low_power",
-            "log_rms",
-            "log_line_length",
-            "hjorth_mobility",
-            "hjorth_complexity",
-            "zero_cross_rate",
-            "kurtosis",
-        ]
+impl Default for FeatureExtractor {
+    fn default() -> Self {
+        Self {
+            welch: WelchPlan::new(WELCH_SEGMENT, Window::Hann),
+        }
     }
+}
 
+impl FeatureExtractor {
     fn band_powers(&self, psd: &Psd, fs: f64) -> [f64; 5] {
         let nyq = fs / 2.0;
         let mut out = [0.0; 5];
@@ -82,7 +77,7 @@ impl FeatureExtractor {
             "cannot extract features from an empty record"
         );
         assert!(fs > 0.0, "sample rate must be positive");
-        let psd = welch(x, fs, WELCH_SEGMENT.min(x.len()), Window::Hann);
+        let psd = self.welch.estimate(x, fs);
         let bp = self.band_powers(&psd, fs);
         let total: f64 = bp.iter().sum::<f64>().max(LOG_FLOOR);
         let low_frac = (bp[0] + bp[1]) / total;
@@ -111,24 +106,23 @@ mod tests {
 
     #[test]
     fn feature_vector_has_fixed_length() {
-        let ex = FeatureExtractor;
+        let ex = FeatureExtractor::default();
         let x: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.1).sin()).collect();
         let f = ex.extract(&x, 173.61);
         assert_eq!(f.len(), FEATURE_COUNT);
-        assert_eq!(FeatureExtractor::feature_names().len(), FEATURE_COUNT);
         assert!(f.iter().all(|v| v.is_finite()));
     }
 
     #[test]
     fn features_finite_for_silence() {
-        let ex = FeatureExtractor;
+        let ex = FeatureExtractor::default();
         let f = ex.extract(&vec![0.0; 500], 173.61);
         assert!(f.iter().all(|v| v.is_finite()), "{f:?}");
     }
 
     #[test]
     fn seizure_and_normal_separate_in_feature_space() {
-        let ex = FeatureExtractor;
+        let ex = FeatureExtractor::default();
         let mut gen = EegGenerator::new(EegParams::default(), 42);
         let fs = 173.61;
         let mut dist = 0.0;
@@ -143,7 +137,7 @@ mod tests {
 
     #[test]
     fn amplitude_scaling_shifts_log_power_only() {
-        let ex = FeatureExtractor;
+        let ex = FeatureExtractor::default();
         let x: Vec<f64> = (0..2000).map(|i| (i as f64 * 0.37).sin() * 1e-5).collect();
         let x10: Vec<f64> = x.iter().map(|v| v * 10.0).collect();
         let f1 = ex.extract(&x, 173.61);
@@ -156,7 +150,7 @@ mod tests {
 
     #[test]
     fn white_noise_raises_gamma_band() {
-        let ex = FeatureExtractor;
+        let ex = FeatureExtractor::default();
         let mut gen = efficsense_rng::Rng64::new(3);
         let clean: Vec<f64> = (0..4000)
             .map(|i| 1e-5 * (2.0 * std::f64::consts::PI * 5.0 * i as f64 / 173.61).sin())
@@ -173,6 +167,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn rejects_empty() {
-        let _ = FeatureExtractor.extract(&[], 100.0);
+        let _ = FeatureExtractor::default().extract(&[], 100.0);
     }
 }

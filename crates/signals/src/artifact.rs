@@ -66,7 +66,7 @@ pub fn add_eye_blink(x: &mut [f64], fs: f64, start_s: f64, duration_s: f64, ampl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use efficsense_dsp::spectrum::{periodogram, welch};
+    use efficsense_dsp::spectrum::{periodogram, WelchPlan};
     use efficsense_dsp::stats::{peak, rms};
     use efficsense_dsp::window::Window;
 
@@ -84,7 +84,7 @@ mod tests {
         let fs = 1024.0;
         let mut x = vec![0.0; 8192];
         add_powerline(&mut x, fs, 50.0, 1.0, 0.0);
-        let psd = welch(&x, fs, 4096, Window::Hann);
+        let psd = WelchPlan::new(4096, Window::Hann).estimate(&x, fs);
         let p150 = psd.band_power(145.0, 155.0);
         let p50 = psd.band_power(45.0, 55.0);
         assert!(

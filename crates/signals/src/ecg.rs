@@ -125,7 +125,7 @@ impl EcgGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use efficsense_dsp::spectrum::welch;
+    use efficsense_dsp::spectrum::WelchPlan;
     use efficsense_dsp::stats::{peak, rms, zero_crossings};
     use efficsense_dsp::window::Window;
 
@@ -175,7 +175,7 @@ mod tests {
         let mut g = EcgGenerator::new(EcgParams::default(), 3);
         let fs = 360.0;
         let x = g.record(fs, 30.0);
-        let psd = welch(&x, fs, 2048, Window::Hann);
+        let psd = WelchPlan::new(2048, Window::Hann).estimate(&x, fs);
         // QRS energy lives in ~5–25 Hz; far more than in 60–120 Hz.
         let qrs = psd.band_power(5.0, 25.0);
         let high = psd.band_power(60.0, 120.0);

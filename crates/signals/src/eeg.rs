@@ -264,7 +264,7 @@ impl EegGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use efficsense_dsp::spectrum::welch;
+    use efficsense_dsp::spectrum::WelchPlan;
     use efficsense_dsp::stats::{peak, rms};
     use efficsense_dsp::window::Window;
 
@@ -323,7 +323,7 @@ mod tests {
         let mut g = gen();
         let fs = 173.61;
         let x = g.record(EegClass::Seizure, fs, 20.0);
-        let psd = welch(&x, fs, 1024, Window::Hann);
+        let psd = WelchPlan::new(1024, Window::Hann).estimate(&x, fs);
         let low = psd.band_power(1.0, 12.0);
         let high = psd.band_power(20.0, 60.0);
         assert!(low > 10.0 * high, "low {low} vs high {high}");
@@ -344,9 +344,10 @@ mod tests {
         let fs = 173.61;
         let mut alpha = 0.0;
         let mut beta = 0.0;
+        let welch = WelchPlan::new(1024, Window::Hann);
         for _ in 0..12 {
             let x = g.record(EegClass::Normal, fs, 20.0);
-            let psd = welch(&x, fs, 1024, Window::Hann);
+            let psd = welch.estimate(&x, fs);
             alpha += psd.band_power(8.0, 12.0);
             beta += psd.band_power(18.0, 30.0);
         }

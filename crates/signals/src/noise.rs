@@ -53,7 +53,7 @@ impl PinkNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use efficsense_dsp::spectrum::{welch, Psd};
+    use efficsense_dsp::spectrum::{Psd, WelchPlan};
     use efficsense_dsp::stats::std_dev;
     use efficsense_dsp::window::Window;
 
@@ -69,7 +69,7 @@ mod tests {
     fn pink_noise_spectrum_falls_off() {
         let mut p = PinkNoise::new(3);
         let x = p.vector(1 << 16, 1.0);
-        let psd = welch(&x, 1000.0, 4096, Window::Hann);
+        let psd = WelchPlan::new(4096, Window::Hann).estimate(&x, 1000.0);
         let slope = slope_db_per_decade(&psd, 2.0, 200.0);
         // 1/f noise: -10 dB/decade of *power density*; allow generous slack.
         assert!((-14.0..=-6.0).contains(&slope), "slope {slope} dB/dec");
