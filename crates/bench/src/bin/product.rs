@@ -9,7 +9,8 @@
 //! Three cache levels are measured:
 //! * **Level 2** (`efficsense_cs::memo`): sensing matrices and dictionary
 //!   precomputations shared per `(m, n, seed, kind)` — measured by running
-//!   one sweep with a cleared memo store and again with a warm one.
+//!   one sweep with a cleared memo store and again with a warm one, each
+//!   the fastest of five runs.
 //! * **Level 3** (`efficsense_core::prefix`): stage-prefix artifacts
 //!   (resampled records, LNA output, clean-clock samplings, references)
 //!   shared across sweep points — measured as a store-off pass vs the
@@ -21,7 +22,8 @@
 //!   across the product passes. L1 is the only store of whole evaluations:
 //!   severity-0 cells canonicalise to the clean key, so the cold pass
 //!   evaluates each distinct plan once per point (asserted), while the
-//!   uncached passes re-evaluate every severity-0 cell.
+//!   uncached passes re-evaluate every severity-0 cell. The warm pass takes
+//!   milliseconds, so it too reports the fastest of five runs.
 //!
 //! Run: `cargo run --release -p efficsense-bench --bin product`
 //! (`EFFICSENSE_SCALE=medium|full` widens the cell grid and workload;
@@ -45,6 +47,10 @@ use std::time::{Duration, Instant};
 /// Master seed of every injected fault stream (kept fixed so reruns are
 /// bit-identical).
 const FAULT_SEED: u64 = 0xFA_017;
+
+/// Repetitions of each short pass (the warm pass and both artifact-memo
+/// sweeps), whose fastest run is reported.
+const REPEATS: usize = 5;
 
 /// One `(fault kind, severity)` cell of the product.
 #[derive(Debug, Clone)]
@@ -134,6 +140,22 @@ fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
+/// Runs `pass` (which times itself) [`REPEATS`] times and returns its first
+/// result with its fastest time, asserting that every run returns the same
+/// bits. One run of a pass this short moves with the host's speed phase;
+/// the fastest of several moves with the code.
+fn fastest<T: PartialEq + std::fmt::Debug>(
+    mut pass: impl FnMut() -> (T, Duration),
+) -> (T, Duration) {
+    let (first, mut best) = pass();
+    for _ in 1..REPEATS {
+        let (again, t) = pass();
+        assert_eq!(first, again, "repeated passes must be bit-identical");
+        best = best.min(t);
+    }
+    (first, best)
+}
+
 fn main() {
     let obs_session = obs_from_args();
     let sc = scale();
@@ -150,23 +172,27 @@ fn main() {
     );
 
     // ---- Level 2: artifact memoization, isolated with the SNR goal (no
-    // detector training muddying the comparison). Same sweep twice: first
-    // with a cleared memo store (every dictionary built), then warm.
-    memo::clear();
-    memo::reset_stats();
+    // detector training muddying the comparison). The same sweep with a
+    // cleared memo store (every dictionary built), then warm, each the
+    // fastest of `REPEATS` runs.
     let snr_cfg = SweepConfig {
         metric: Metric::Snr,
         failure_policy: FailurePolicy::Skip,
         ..Default::default()
     };
-    let t0 = Instant::now();
-    let memo_cold_results = Sweep::new(snr_cfg.clone()).run_report(&space, &dataset);
-    let t_memo_cold = t0.elapsed();
+    let snr_sweep = || {
+        let t0 = Instant::now();
+        let report = Sweep::new(snr_cfg.clone()).run_report(&space, &dataset);
+        (report, t0.elapsed())
+    };
+    let (memo_cold_results, t_memo_cold) = fastest(|| {
+        memo::clear();
+        memo::reset_stats();
+        snr_sweep()
+    });
     let dict_builds = memo::stats().dictionary.misses;
     let dict_hits_within_sweep = memo::stats().dictionary.hits;
-    let t0 = Instant::now();
-    let memo_warm_results = Sweep::new(snr_cfg).run_report(&space, &dataset);
-    let t_memo_warm = t0.elapsed();
+    let (memo_warm_results, t_memo_warm) = fastest(snr_sweep);
     assert_eq!(
         memo_cold_results.results, memo_warm_results.results,
         "memoized artifacts must be bit-identical"
@@ -289,16 +315,16 @@ fn main() {
     } else {
         println!("    (pass A quarantined points: cold-pass miss-count assert skipped)");
     }
-    println!("  pass C: warm cache…");
-    cache.reset_stats();
-    let (pass_c, t_warm) =
-        run_product(&cells, &space, &dataset, Some(&cache), Some(&prefix_svc), 0);
+    println!("  pass C: warm cache (fastest of {REPEATS})…");
+    let (pass_c, t_warm) = fastest(|| {
+        cache.reset_stats();
+        let pass = run_product(&cells, &space, &dataset, Some(&cache), Some(&prefix_svc), 0);
+        let misses = cache.stats().misses;
+        assert_eq!(misses, 0, "a warm product sweep must evaluate nothing");
+        pass
+    });
     assert_identical(&pass_a, &pass_c, "warm-cache pass");
     let warm_stats = cache.stats();
-    assert_eq!(
-        warm_stats.misses, 0,
-        "a warm product sweep must evaluate nothing"
-    );
     let warm_speedup = secs(t_uncached) / secs(t_warm).max(1e-9);
     let cold_speedup = secs(t_uncached) / secs(t_cold).max(1e-9);
     println!(

@@ -6,6 +6,13 @@
 //! from the technology's matching coefficient. The digital output is
 //! interpreted with *ideal* weights, so mismatch appears as INL/DNL, exactly
 //! as in silicon.
+//!
+//! One search body serves [`SarAdc::quantize`] and
+//! [`SarAdc::process_in_place`] (and through it the CS encoder's per-frame
+//! digitisation). It reads each trial code's DAC voltage from a 2^B level
+//! table and decides every bit without a branch, so a conversion costs its
+//! `n_bits` comparator draws rather than the mispredicted decisions of
+//! noisy low-order bits.
 
 use efficsense_faults::AdcStuckBitFault;
 use efficsense_power::models::{ComparatorModel, DacModel, SarLogicModel};
@@ -118,20 +125,23 @@ impl SarAdc {
 
     /// The successive-approximation search for `v_in`, MSB first, with the
     /// comparator's standard-normal draws `draws` (one per bit decision;
-    /// zeros for a noiseless comparator), then the stuck-bit fault.
+    /// zeros for a noiseless comparator), then the stuck-bit fault. Each
+    /// decision sets its bit without a branch (see the module docs).
     fn search(&self, v_in: f64, draws: &[f64]) -> u32 {
         // Shift to unipolar [0, FS].
         let u = (v_in + self.v_fs / 2.0).clamp(0.0, self.v_fs);
+        // `levels` has 2^n_bits entries and every trial code is below that,
+        // so the mask changes no index; it lets the compiler drop the
+        // bounds check.
+        let top = self.levels.len() - 1;
         let mut code = 0u32;
         for (i, &w) in (0..self.n_bits).rev().zip(draws) {
             let trial = code | (1 << i);
             // Keep the bit if the input (plus comparator error) is above the
             // trial level's midpoint reference.
-            if u + w * self.comparator_noise_v + self.comparator_offset_v
-                >= self.levels[trial as usize]
-            {
-                code = trial;
-            }
+            let keep = u + w * self.comparator_noise_v + self.comparator_offset_v
+                >= self.levels[trial as usize & top];
+            code |= u32::from(keep) << i;
         }
         if let Some(f) = &self.stuck {
             let mask = 1u32 << f.bit.min(self.n_bits - 1);

@@ -37,13 +37,14 @@
 //!
 //! [`Simulator::run`]: crate::simulate::Simulator::run
 
-use crate::config::CsConfig;
+use crate::config::{CsConfig, SystemConfig};
 use crate::prefix::{self, AnalogParams, Class, PrefixKey, PrefixStore};
 use crate::simulate::{ArchState, CsState, SimOutput, SimScratch, Simulator};
 use efficsense_blocks::{ChargeSharingEncoder, HoldState, Lna, Sampler, SarAdc};
 use efficsense_cs::decode::reconstruct_batch;
 use efficsense_cs::memo::DictionaryArtifacts;
 use efficsense_cs::recon::OmpConfig;
+use efficsense_dsp::resample::Track;
 use efficsense_faults::{
     ClockFault, CompoundPlan, FaultKind, FaultPlan, LinkFault, LinkStats, LnaRailFault,
 };
@@ -97,100 +98,6 @@ const NOOP_LINK: LinkFault = LinkFault {
     max_retries: 2,
     packet_words: 16,
 };
-
-/// A read view of a signal addressed by *absolute* sample index: `buf[0]`
-/// is sample `base`, and `first` is sample 0, kept so the `t <= 0` edge
-/// clamp of [`sample_at`](efficsense_dsp::resample::sample_at) survives
-/// pruning. Interpolation mirrors `sample_at` bit for bit on the growing
-/// signal; the end clamp resolves only once the signal is `finished`.
-#[derive(Clone, Copy)]
-struct Track<'a> {
-    base: u64,
-    buf: &'a [f64],
-    first: f64,
-}
-
-impl<'a> Track<'a> {
-    /// A whole signal held in memory.
-    fn whole(buf: &'a [f64]) -> Self {
-        Self {
-            base: 0,
-            buf,
-            first: buf.first().copied().unwrap_or(0.0),
-        }
-    }
-
-    fn len(&self) -> u64 {
-        self.base + self.buf.len() as u64
-    }
-
-    /// Interpolation at `pos` samples for `0 < pos < len − 1`. The pruning
-    /// guards keep `pos >= base`; the saturating clamp only keeps the
-    /// accessor total.
-    fn interior(&self, pos: f64) -> f64 {
-        // `pos > 0`, so truncation is `sample_at`'s floor — without a libm
-        // call on baseline x86-64.
-        let i = pos as u64;
-        let frac = pos - i as f64;
-        let j = i.saturating_sub(self.base) as usize;
-        self.buf[j] * (1.0 - frac) + self.buf[j + 1] * frac
-    }
-
-    /// The signal (rate `fs`) at `t` seconds, or `None` while the
-    /// interpolation neighbourhood could still change.
-    fn interp_at(&self, fs: f64, t: f64, finished: bool) -> Option<f64> {
-        let total = self.len();
-        let pos = t * fs;
-        if total == 0 {
-            None
-        } else if pos <= 0.0 {
-            Some(self.first)
-        } else if pos < (total - 1) as f64 {
-            Some(self.interior(pos))
-        } else {
-            finished.then(|| self.buf[self.buf.len() - 1])
-        }
-    }
-
-    /// Resamples the signal (rate `fs`) onto an `f_out` grid, output `k` at
-    /// `k / f_out` seconds: the final values of outputs `next..end` — the
-    /// interior ones, then, once `finished`, the end-clamped tail — and the
-    /// index after the last. The fixed-grid form of [`Track::interp_at`],
-    /// as one exact-length iterator.
-    fn resample(
-        self,
-        fs: f64,
-        f_out: f64,
-        next: u64,
-        end: u64,
-        finished: bool,
-    ) -> (u64, impl Iterator<Item = f64> + 'a) {
-        let total = self.len();
-        let pos = move |k: u64| k as f64 / f_out * fs;
-        let interior = |k: u64| total > 0 && (k == 0 || pos(k) < (total - 1) as f64);
-        let estimate = (total.saturating_sub(1) as f64 / fs * f_out).ceil() as u64;
-        let mut stop = estimate.clamp(next, end.max(next));
-        while stop > next && !interior(stop - 1) {
-            stop -= 1;
-        }
-        while stop < end && interior(stop) {
-            stop += 1;
-        }
-        let tail_end = if finished && total > 0 { end } else { stop };
-        let last = self.buf.last().copied().unwrap_or(self.first);
-        let values = (next..stop)
-            .map(move |k| {
-                let p = pos(k);
-                if p <= 0.0 {
-                    self.first
-                } else {
-                    self.interior(p)
-                }
-            })
-            .chain((stop..tail_end).map(move |_| last));
-        (tail_end.max(next), values)
-    }
-}
 
 /// Appends `values` to `buf`, growing it to a power of two as repeated
 /// pushes would: a stream of equal pushes then settles on one allocation
@@ -628,6 +535,33 @@ struct CsPath {
     link_epoch: EpochRun,
     tech: TechnologyParams,
     design: DesignParams,
+}
+
+/// The expected norm of one CS frame's measurement noise, the residual
+/// target of the decoder's discrepancy-principle stopping rule (Morozov):
+/// the designer knows the front-end noise level, so the decoder stops
+/// fitting once the residual reaches it instead of fitting noise into
+/// spurious atoms. Each of the `M` measurements carries variance
+///
+/// ```text
+///   (vn·gain)²·Σw²   sampled LNA noise through the weights
+/// + σ_kTC²·Σw²       per-share sampling noise (when simulated)
+/// + LSB²/12          measurement quantisation
+/// ```
+///
+/// with `Σw²` the mean row energy `mean_row_w2` of the effective sensing
+/// matrix ([`DictionaryArtifacts::mean_row_w2`]).
+#[must_use]
+pub fn frame_noise_norm(cfg: &SystemConfig, cs: &CsConfig, mean_row_w2: f64) -> f64 {
+    let sampled_noise = cfg.lna.noise_floor_vrms * cfg.lna.gain;
+    let ktc_var = if cs.imperfections.ktc_noise {
+        efficsense_power::kt() / cs.c_sample_f
+    } else {
+        0.0
+    };
+    let lsb = cfg.design.lsb();
+    let meas_noise_var = (sampled_noise * sampled_noise + ktc_var) * mean_row_w2 + lsb * lsb / 12.0;
+    (meas_noise_var * cs.m as f64).sqrt()
 }
 
 /// Data words handed to the transmitter and the running square sum of
@@ -1146,22 +1080,6 @@ impl StreamSimulator {
         if arm.leakage {
             encoder.inject_leakage_fault(p0.leakage, &cfg.tech, &cfg.design);
         }
-        // Discrepancy-principle stopping (Morozov): the designer knows the
-        // front-end noise level, so the decoder stops fitting once the
-        // residual reaches the expected measurement noise instead of fitting
-        // noise into spurious atoms. Per-measurement noise variance:
-        //   (vn·gain)²·Σw²  (sampled LNA noise through the weights)
-        // + σ_kTC²·Σw²      (per-share sampling noise)
-        // + LSB²/12         (measurement quantisation).
-        let sampled_noise = cfg.lna.noise_floor_vrms * cfg.lna.gain;
-        let ktc_var = if cs.imperfections.ktc_noise {
-            efficsense_power::kt() / cs.c_sample_f
-        } else {
-            0.0
-        };
-        let lsb = cfg.design.lsb();
-        let meas_noise_var =
-            (sampled_noise * sampled_noise + ktc_var) * state.art.mean_row_w2 + lsb * lsb / 12.0;
         CsPath {
             cs: cs.clone(),
             art: state.art.clone(),
@@ -1171,7 +1089,7 @@ impl StreamSimulator {
             frames: Vec::new(),
             frames_encoded: 0,
             decode_batch: DECODE_BATCH,
-            noise_norm: (meas_noise_var * cs.m as f64).sqrt(),
+            noise_norm: frame_noise_norm(cfg, cs, state.art.mean_row_w2),
             threads: sim.decode_threads,
             epoch: EpochRun::default(),
             link_epoch: EpochRun::default(),
@@ -1424,5 +1342,26 @@ impl StreamSimulator {
         self.raw
             .prune_below(ct_pos.min(ref_pos).saturating_sub(RAW_GUARD));
         self.amplified.prune_below(self.back.acq.min_ct_needed());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frame_noise_norm_of_the_default_cs_config() {
+        let cfg = SystemConfig::compressive(8, CsConfig::default());
+        let sim = Simulator::new(cfg).expect("valid config");
+        let ArchState::Cs(state) = &sim.arch else {
+            panic!("a CS config builds the CS path");
+        };
+        let norm = frame_noise_norm(&sim.cfg, &state.cs, state.art.mean_row_w2);
+        assert_eq!(
+            state.art.mean_row_w2.to_bits(),
+            0x3fa7_47df_d64d_ede7,
+            "mean row energy"
+        );
+        assert_eq!(norm.to_bits(), 0x3fa5_63e4_1b10_d213, "noise norm {norm}");
     }
 }
