@@ -25,6 +25,7 @@ use efficsense_core::stream::StreamSimulator;
 use efficsense_dsp::metrics::snr_fit_db;
 use efficsense_obs::json::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 /// Master seed of every compound fault stream (fixed: reruns bit-identical).
 const FAULT_SEED: u64 = 0x10_96E1;
@@ -125,6 +126,8 @@ fn build_replay(dataset: &EegDataset, seconds: f64) -> Replay {
 struct Drift {
     label: String,
     architecture: Architecture,
+    /// Host seconds the stream itself took (pushes and finish).
+    stream_s: f64,
     snr_db: Vec<f64>,
     accuracy: Vec<f64>,
     power_uw: Vec<f64>,
@@ -170,7 +173,9 @@ fn run_plan(
     let f_s = cfg.design.f_sample_hz();
     let v_fs = cfg.design.v_fs;
     let sim = Simulator::new(cfg.clone()).expect("valid config");
+    let t0 = Instant::now();
     let (out, reference) = stream_all(&sim, input, fs_in, plan);
+    let stream_s = t0.elapsed().as_secs_f64();
     let n = out.len();
     assert!(n > WINDOWS, "stream produced too few samples");
 
@@ -221,6 +226,7 @@ fn run_plan(
     Drift {
         label,
         architecture,
+        stream_s,
         snr_db,
         accuracy,
         power_uw,
@@ -412,6 +418,23 @@ fn main() {
     );
 
     let monotone = drifts.iter().filter(|d| d.monotone_snr).count();
+    let stream_total_s: f64 = drifts.iter().map(|d| d.stream_s).sum();
+    println!(
+        "  replay streams: {stream_total_s:.2}s ({})",
+        drifts
+            .iter()
+            .map(|d| format!("{} {:.2}s", d.label, d.stream_s))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    // The replay's wall time, read beside the core count: a stream overlaps
+    // its two front-end stages when a second core is free.
+    let stream_wall_s = Json::obj(
+        drifts
+            .iter()
+            .map(|d| (d.label.as_str(), d.stream_s.into()))
+            .chain([("total", stream_total_s.into())]),
+    );
     let kinds = Json::obj(drifts.iter().map(|d| {
         let drift = Json::obj([
             ("architecture", d.architecture.to_string().into()),
@@ -426,6 +449,7 @@ fn main() {
     let summary = Json::obj([
         ("scale", scale().name().into()),
         ("host", efficsense_bench::host_json()),
+        ("stream_wall_s", stream_wall_s),
         ("replay_seconds", seconds.into()),
         ("windows", WINDOWS.into()),
         ("kinds", kinds),

@@ -143,16 +143,20 @@ fn secs(d: Duration) -> f64 {
 /// Runs `pass` (which times itself) [`REPEATS`] times and returns its first
 /// result with its fastest time, asserting that every run returns the same
 /// bits. One run of a pass this short moves with the host's speed phase;
-/// the fastest of several moves with the code.
+/// the fastest of several moves with the code. Only the first run is
+/// traced, so a `--trace` profile holds each pass once.
 fn fastest<T: PartialEq + std::fmt::Debug>(
     mut pass: impl FnMut() -> (T, Duration),
 ) -> (T, Duration) {
     let (first, mut best) = pass();
+    let obs = efficsense_obs::global();
+    let sink = obs.take_sink();
     for _ in 1..REPEATS {
         let (again, t) = pass();
         assert_eq!(first, again, "repeated passes must be bit-identical");
         best = best.min(t);
     }
+    obs.set_sink(sink);
     (first, best)
 }
 

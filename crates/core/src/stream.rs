@@ -28,6 +28,18 @@
 //! lock, exactly once per key. Chunked streams stay store-free: their
 //! record fingerprint only exists once the stream ends.
 //!
+//! **Two stages on two cores.** On a process that may use two cores, a
+//! chunked push whose new continuous-time range spans at least two
+//! sub-blocks of `SUB_BLOCK` samples overlaps stages 1 and 2: a scoped
+//! helper thread resamples and amplifies sub-block j + 1 while the
+//! calling thread appends sub-block j to the amplified ring and drains
+//! the back end over it. The push still ends by draining everything
+//! available, so it returns exactly the pairs the inline path would.
+//! Stage 1 owns no telemetry, so every span, the heartbeat and the decode
+//! flushes stay on the calling thread. Whole records, `finish`, smaller
+//! pushes and one-core processes run both stages inline, through the
+//! same stage-1 kernel (`Amplifier::run`).
+//!
 //! Every decode flush runs under a `stage.reconstruct` span; chunked
 //! streams tick a `stream.heartbeat` counter (plus a `stream.progress`
 //! trace event when a sink is installed) at fixed output-sample intervals.
@@ -50,7 +62,7 @@ use efficsense_faults::{
 };
 use efficsense_power::{DesignParams, PowerBreakdown, TechnologyParams};
 use efficsense_rng::{Rng64, GOLDEN_GAMMA};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Frames digitised before each batched decode flush of a chunked stream.
 /// Flush boundaries are counted in *frames*, so they are invariant to how
@@ -68,6 +80,14 @@ const CT_GUARD: u64 = 4096;
 
 /// Raw-ring guard (input samples) behind the resampler/reference cursors.
 const RAW_GUARD: u64 = 8;
+
+/// Continuous-time samples per stage-1 sub-block of an overlapped push
+/// (64 KiB per buffer). A chunked push overlaps its two stages only when
+/// its new continuous-time range spans at least two sub-blocks, so a
+/// spawned helper always has a sub-block to run while the caller drains.
+/// Larger sub-blocks lengthen the stretch at each end of a push where
+/// only one stage runs.
+const SUB_BLOCK: usize = 8 * 1024;
 
 /// Per-block fault-stream salts (see [`FaultPlan::stream`]); spaced so the
 /// per-record mix `salt + 256·noise_seed` stays injective.
@@ -99,15 +119,71 @@ const NOOP_LINK: LinkFault = LinkFault {
     packet_words: 16,
 };
 
-/// Appends `values` to `buf`, growing it to a power of two as repeated
-/// pushes would: a stream of equal pushes then settles on one allocation
-/// instead of doubling an exact fit every other push.
-fn append(buf: &mut Vec<f64>, values: impl Iterator<Item = f64>) {
-    let need = buf.len() + values.size_hint().0;
+/// Makes room for `extra` more values in `buf`, growing it to a power of
+/// two as repeated pushes would: a stream of equal pushes then settles on
+/// one allocation instead of doubling an exact fit every other push.
+fn grow(buf: &mut Vec<f64>, extra: usize) {
+    let need = buf.len() + extra;
     if need > buf.capacity() {
         buf.reserve_exact(need.next_power_of_two() - buf.len());
     }
+}
+
+/// Appends `values` to `buf`, growing it as [`grow`] does.
+fn append(buf: &mut Vec<f64>, values: impl Iterator<Item = f64>) {
+    grow(buf, values.size_hint().0);
     buf.extend(values);
+}
+
+/// Runs `produce` over `blocks` sub-blocks on a scoped helper thread while
+/// this thread runs `consume` over each finished one in order, so the
+/// helper's sub-block j + 1 overlaps the caller's sub-block j. The two
+/// `spare` buffers ping-pong through bounded channels; this thread sizes
+/// them to [`SUB_BLOCK`] and takes both back, so the helper allocates no
+/// buffers. The channel ends live inside the scope: a panic on either
+/// side drops that side's ends, which wakes the other, and the panic
+/// reaches this function's caller with its payload once the helper has
+/// stopped.
+fn two_stage(
+    spare: &mut [Vec<f64>; 2],
+    blocks: usize,
+    mut produce: impl FnMut(&mut Vec<f64>) + Send,
+    mut consume: impl FnMut(&[f64]),
+) {
+    std::thread::scope(|scope| {
+        let (full_tx, full_rx) = mpsc::sync_channel::<Vec<f64>>(1);
+        // Room for both buffers, so this thread never blocks on a send.
+        let (free_tx, free_rx) = mpsc::sync_channel::<Vec<f64>>(spare.len());
+        for buf in spare.iter_mut() {
+            buf.clear();
+            buf.reserve_exact(SUB_BLOCK);
+            let _ = free_tx.send(std::mem::take(buf));
+        }
+        let helper = scope.spawn(move || {
+            for _ in 0..blocks {
+                let Ok(mut buf) = free_rx.recv() else { break };
+                buf.clear();
+                produce(&mut buf);
+                if full_tx.send(buf).is_err() {
+                    break;
+                }
+            }
+            // Handed back so the spare buffers are freed, or reused, here.
+            free_rx
+        });
+        for _ in 0..blocks {
+            // A closed channel means the helper panicked; its join re-raises.
+            let Ok(buf) = full_rx.recv() else { break };
+            consume(&buf);
+            let _ = free_tx.send(buf);
+        }
+        let free_rx = helper
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        for (slot, buf) in spare.iter_mut().zip(free_rx.try_iter()) {
+            *slot = buf;
+        }
+    });
 }
 
 /// An append-only sample buffer addressed by absolute index, with
@@ -321,6 +397,31 @@ fn epoch_runs(
     }
 }
 
+/// Stage 1's state: the LNA and its hook's epoch run (compound mode).
+#[derive(Debug, Clone)]
+struct Amplifier {
+    lna: Lna,
+    epoch: EpochRun,
+}
+
+impl Amplifier {
+    /// Amplifies `buf` in place: continuous-time samples `first..` of the
+    /// record, already on the proxy grid. The one stage-1 kernel of every
+    /// path — a whole record, an inline push or `finish`, or one sub-block
+    /// on the helper of an overlapped push.
+    fn run(&mut self, compound: Option<&Compound>, f_ct: f64, first: u64, buf: &mut [f64]) {
+        let hook = compound.filter(|c| c.members.lna);
+        let lna = &mut self.lna;
+        epoch_runs(hook, &mut self.epoch, first, f_ct, buf, |update, run| {
+            if let Some(p) = update {
+                lna.set_rail_fault_params(p.lna.unwrap_or(NOOP_RAIL));
+            }
+            lna.process_in_place(run);
+        });
+        efficsense_dsp::approx::debug_assert_all_finite(buf, "stream: LNA output");
+    }
+}
+
 /// The pair sequence produced by one [`StreamSimulator::push`] (or the
 /// final flush): acquired samples referred to the sensor input, and the
 /// clean reference resampled to the output rate. Both vectors are always
@@ -370,9 +471,8 @@ pub struct StreamSummary {
 }
 
 /// Streaming link state for the baseline chain: words buffer until a
-/// packet fills, then one bounded-retry decision is drawn — the same
-/// packet boundaries and RNG order as [`LinkFault::apply`] over the whole
-/// record.
+/// packet fills, then [`LinkFault::send`] draws its bounded-retry outcome,
+/// so packet boundaries and RNG order do not depend on the chunking.
 #[derive(Debug, Clone)]
 struct StreamLink {
     rng: Rng64,
@@ -409,15 +509,16 @@ impl StreamLink {
         if self.buf.is_empty() {
             return;
         }
-        let (delivered, stats) = self.cur.apply(self.buf.len(), &mut self.rng);
-        self.stats.accumulate(&stats);
-        for (&v, ok) in self.buf.iter().zip(delivered) {
+        let ok = self
+            .cur
+            .send(self.buf.len(), &mut self.rng, &mut self.stats);
+        for &v in &self.buf {
             if ok {
                 self.held = v;
             }
             out.push(self.held);
         }
-        self.word_index += stats.data_words;
+        self.word_index += self.buf.len() as u64;
         self.buf.clear();
     }
 }
@@ -768,15 +869,12 @@ impl CsPath {
             self.link_epoch.run_end(hook, f * n_phi, f_s, |p| {
                 *params = p.link.unwrap_or(NOOP_LINK);
             });
-            let (delivered, stats) = params.apply(words.len(), rng);
-            for (v, ok) in words.iter_mut().zip(&delivered) {
-                if !*ok {
-                    *v = 0.0;
+            let stats = self.link_stats.get_or_insert_with(LinkStats::default);
+            for packet in words.chunks_mut(params.packet_words.max(1)) {
+                if !params.send(packet.len(), rng, stats) {
+                    packet.fill(0.0);
                 }
             }
-            self.link_stats
-                .get_or_insert_with(LinkStats::default)
-                .accumulate(&stats);
         }
     }
 
@@ -814,10 +912,15 @@ pub struct StreamSimulator {
     raw: Ring,
     /// Continuous-time proxy samples amplified so far.
     next_ct: u64,
-    lna: Lna,
-    /// The LNA hook's epoch run (compound mode).
-    lna_epoch: EpochRun,
+    amp: Amplifier,
     amplified: Ring,
+    /// The two sub-block buffers of an overlapped push, kept between
+    /// pushes (empty until the first one).
+    spare: [Vec<f64>; 2],
+    /// A chunked stream on a process that may use more than one core,
+    /// read when the stream opens: only then does a large push overlap
+    /// its stages (on one core the helper could only take turns).
+    two_cores: bool,
     /// A whole record's `analog` artifact, read in place of `amplified`.
     analog: Option<Arc<Vec<f64>>>,
     back: BackEnd,
@@ -897,10 +1000,12 @@ impl StreamSimulator {
         stream
     }
 
-    /// Starts a chunked stream's progress clock.
+    /// Starts a chunked stream's progress clock and reads whether it may
+    /// overlap its stages.
     fn started(mut self) -> Self {
         self.started_ns = efficsense_obs::global().now_ns();
         self.last_progress_ns = self.started_ns;
+        self.two_cores = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
         self
     }
 
@@ -1020,9 +1125,13 @@ impl StreamSimulator {
             f_s,
             raw: Ring::default(),
             next_ct: 0,
-            lna,
-            lna_epoch: EpochRun::default(),
+            amp: Amplifier {
+                lna,
+                epoch: EpochRun::default(),
+            },
             amplified: Ring::default(),
+            spare: Default::default(),
+            two_cores: false,
             analog: None,
             back: BackEnd {
                 acq: Acquisition {
@@ -1181,21 +1290,23 @@ impl StreamSimulator {
 
     /// Advances every stage as far as the buffered input allows.
     fn advance(&mut self, finished: bool) {
-        self.amplify(finished);
         let before = self.out_produced;
         let pending_before = self.pending_out.len();
-        let amplified = match &self.analog {
-            Some(buf) => Track::whole(buf),
-            None => self.amplified.view(),
-        };
-        self.back.drain(
-            amplified,
-            self.compound.as_ref(),
-            finished,
-            self.whole,
-            self.prefix.as_ref(),
-            &mut self.pending_out,
-        );
+        if finished || !self.overlap() {
+            self.amplify(finished);
+            let amplified = match &self.analog {
+                Some(buf) => Track::whole(buf),
+                None => self.amplified.view(),
+            };
+            self.back.drain(
+                amplified,
+                self.compound.as_ref(),
+                finished,
+                self.whole,
+                self.prefix.as_ref(),
+                &mut self.pending_out,
+            );
+        }
         self.out_produced += (self.pending_out.len() - pending_before) as u64;
         // Stage 3: the clean reference, one value per produced output.
         if self.whole {
@@ -1222,25 +1333,63 @@ impl StreamSimulator {
         }
     }
 
+    /// Continuous-time proxy samples the buffered raw input spans.
+    fn n_ct(&self) -> u64 {
+        (self.raw.len() as f64 / self.fs_in * self.f_ct).round() as u64
+    }
+
+    /// Stages 1 and 2 of a chunked push whose new continuous-time range
+    /// spans at least two sub-blocks, overlapped on two threads by
+    /// [`two_stage`]: the helper resamples and amplifies sub-block j + 1
+    /// while this thread appends sub-block j to the amplified ring and
+    /// drains the back end over it. The back end is invariant to how its
+    /// input arrives, so the push emits exactly the inline path's pairs.
+    /// Returns `false`, having done nothing, for a smaller push or on one
+    /// core. (Whole records and `finish` advance with `finished` set and
+    /// never get here.)
+    fn overlap(&mut self) -> bool {
+        if !self.two_cores {
+            return false;
+        }
+        let first = self.next_ct;
+        let (next, mut values) =
+            self.raw
+                .view()
+                .resample(self.fs_in, self.f_ct, first, self.n_ct(), false);
+        let n = (next - first) as usize;
+        if n < 2 * SUB_BLOCK {
+            return false;
+        }
+        self.next_ct = next;
+        grow(&mut self.amplified.buf, n);
+        let (amp, compound, f_ct) = (&mut self.amp, self.compound.as_ref(), self.f_ct);
+        let mut at = first;
+        let produce = move |buf: &mut Vec<f64>| {
+            buf.extend(values.by_ref().take(SUB_BLOCK));
+            amp.run(compound, f_ct, at, buf);
+            at += buf.len() as u64;
+        };
+        let (amplified, back, pending) =
+            (&mut self.amplified, &mut self.back, &mut self.pending_out);
+        let consume = |buf: &[f64]| {
+            amplified.buf.extend_from_slice(buf);
+            back.drain(amplified.view(), compound, false, false, None, pending);
+        };
+        two_stage(&mut self.spare, n.div_ceil(SUB_BLOCK), produce, consume);
+        true
+    }
+
     /// Stage 1: resamples the raw input onto the continuous-time proxy grid
     /// and amplifies it. On a whole-record run with a store, the stage is
     /// the record's `analog` artifact, whose build resamples through the
     /// `ct` class.
     fn amplify(&mut self, finished: bool) {
         let _analog_span = self.whole.then(|| efficsense_obs::span!("sim.analog"));
-        let (lna, lna_epoch, fs_in, f_ct) =
-            (&mut self.lna, &mut self.lna_epoch, self.fs_in, self.f_ct);
-        let hook = self.compound.as_ref().filter(|c| c.members.lna);
+        let n_ct = self.n_ct();
+        let (amp, compound, fs_in, f_ct) =
+            (&mut self.amp, self.compound.as_ref(), self.fs_in, self.f_ct);
         let first = self.next_ct;
-        let mut amplify = |buf: &mut [f64]| {
-            epoch_runs(hook, lna_epoch, first, f_ct, buf, |update, run| {
-                if let Some(p) = update {
-                    lna.set_rail_fault_params(p.lna.unwrap_or(NOOP_RAIL));
-                }
-                lna.process_in_place(run);
-            });
-        };
-        let n_ct = (self.raw.len() as f64 / fs_in * f_ct).round() as u64;
+        let mut amplify = |buf: &mut [f64]| amp.run(compound, f_ct, first, buf);
         let raw = self.raw.view();
         match &self.prefix {
             Some(p) => {
@@ -1278,10 +1427,6 @@ impl StreamSimulator {
                 append(amplified, values);
                 amplify(&mut amplified[start..]);
                 self.next_ct = next;
-                efficsense_dsp::approx::debug_assert_all_finite(
-                    &amplified[start..],
-                    "stream: LNA output",
-                );
             }
         }
     }
@@ -1348,6 +1493,115 @@ impl StreamSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Sets its flag when dropped: a closure that owns one has been dropped
+    /// once the flag is set.
+    struct DropFlag(Arc<AtomicBool>);
+
+    impl Drop for DropFlag {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// The payload of a caught panic, as text.
+    fn message(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn two_stage_hands_over_every_sub_block_in_order_and_recycles_its_buffers() {
+        let mut spare: [Vec<f64>; 2] = Default::default();
+        let mut seen = Vec::new();
+        for blocks in [5, 2, 9] {
+            let mut produced = 0;
+            let mut consumed = Vec::new();
+            let mut buffers = Vec::new();
+            two_stage(
+                &mut spare,
+                blocks,
+                |buf| {
+                    buffers.push(buf.as_ptr() as usize);
+                    buf.extend([produced as f64; 3]);
+                    produced += 1;
+                },
+                |buf| consumed.push(buf[0]),
+            );
+            let order: Vec<f64> = (0..blocks).map(|j| j as f64).collect();
+            assert_eq!(consumed, order, "{blocks} sub-blocks");
+            seen.extend(buffers);
+        }
+        // The helper only ever filled the two buffers this thread sized,
+        // and both came back for the next advance.
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 2);
+        assert!(spare.iter().all(|b| b.capacity() >= SUB_BLOCK));
+    }
+
+    #[test]
+    fn a_stage_one_panic_on_the_helper_reaches_the_caller() {
+        let stopped = Arc::new(AtomicBool::new(false));
+        let flag = DropFlag(stopped.clone());
+        let mut consumed = Vec::new();
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            let mut produced = 0;
+            two_stage(
+                &mut Default::default(),
+                6,
+                move |buf| {
+                    let _owned = &flag;
+                    assert!(produced < 2, "stage 1 broke");
+                    buf.push(produced as f64);
+                    produced += 1;
+                },
+                |buf| consumed.push(buf[0]),
+            );
+        }));
+        let payload = got.expect_err("the helper's panic reaches the caller");
+        assert_eq!(message(payload.as_ref()), "stage 1 broke");
+        // Sub-blocks queued before the panic were still drained, and the
+        // helper had stopped before `two_stage` unwound.
+        assert_eq!(consumed, [0.0, 1.0]);
+        assert!(stopped.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn a_stage_two_panic_with_a_queued_sub_block_reaches_the_caller() {
+        let stopped = Arc::new(AtomicBool::new(false));
+        let flag = DropFlag(stopped.clone());
+        let (tx, rx) = mpsc::channel();
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            let mut produced = 0;
+            two_stage(
+                &mut Default::default(),
+                6,
+                move |buf| {
+                    let _owned = &flag;
+                    buf.push(produced as f64);
+                    produced += 1;
+                    let _ = tx.send(produced);
+                },
+                |_| {
+                    // Sub-block 1 is filled, and goes into the full channel,
+                    // while the caller still holds sub-block 0: panic then,
+                    // with the helper about to wait on one channel or the
+                    // other.
+                    rx.iter().find(|&n| n == 2);
+                    panic!("stage 2 broke");
+                },
+            );
+        }));
+        let payload = got.expect_err("the caller's panic propagates");
+        assert_eq!(message(payload.as_ref()), "stage 2 broke");
+        assert!(stopped.load(Ordering::SeqCst));
+    }
 
     #[test]
     fn frame_noise_norm_of_the_default_cs_config() {

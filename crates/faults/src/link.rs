@@ -41,42 +41,29 @@ impl LinkFault {
         (1.0 - p.powi(tries)) / (1.0 - p)
     }
 
-    /// Simulates the link over `n_words` data words. Returns one delivered
-    /// flag per word (packet-granular) and the attempt accounting.
+    /// Sends one packet of `len` data words (at most
+    /// [`packet_words`](Self::packet_words); the caller cuts its words into
+    /// packets): one attempt, then up to `max_retries` more while attempts
+    /// are lost. Folds the packet's accounting into `stats` and returns
+    /// whether it was delivered.
     ///
     /// Deterministic in `rng`: exactly one draw per transmission attempt.
-    #[must_use]
-    pub fn apply(&self, n_words: usize, rng: &mut Rng64) -> (Vec<bool>, LinkStats) {
+    pub fn send(&self, len: usize, rng: &mut Rng64, stats: &mut LinkStats) -> bool {
         let p = self.loss_prob.clamp(0.0, 1.0);
-        let pkt = self.packet_words.max(1);
-        let mut delivered = vec![true; n_words];
-        let mut stats = LinkStats {
-            data_words: n_words as u64,
-            ..LinkStats::default()
-        };
-        let mut start = 0usize;
-        while start < n_words {
-            let len = pkt.min(n_words - start);
-            stats.packets += 1;
-            let mut attempts = 0u64;
-            let mut ok = false;
-            while attempts <= self.max_retries as u64 {
-                attempts += 1;
-                if !rng.chance(p) {
-                    ok = true;
-                    break;
-                }
+        let mut attempts = 0u64;
+        let mut ok = false;
+        while attempts <= self.max_retries as u64 {
+            attempts += 1;
+            if !rng.chance(p) {
+                ok = true;
+                break;
             }
-            stats.tx_words += attempts * len as u64;
-            if !ok {
-                stats.lost_packets += 1;
-                for d in &mut delivered[start..start + len] {
-                    *d = false;
-                }
-            }
-            start += len;
         }
-        (delivered, stats)
+        stats.data_words += len as u64;
+        stats.packets += 1;
+        stats.tx_words += attempts * len as u64;
+        stats.lost_packets += u64::from(!ok);
+        ok
     }
 }
 
@@ -94,24 +81,6 @@ pub struct LinkStats {
 }
 
 impl LinkStats {
-    /// Folds another session's accounting into this one.
-    pub fn accumulate(&mut self, other: &LinkStats) {
-        self.data_words += other.data_words;
-        self.packets += other.packets;
-        self.lost_packets += other.lost_packets;
-        self.tx_words += other.tx_words;
-    }
-
-    /// Fraction of packets delivered (1.0 for an empty session).
-    #[must_use]
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.packets == 0 {
-            1.0
-        } else {
-            1.0 - self.lost_packets as f64 / self.packets as f64
-        }
-    }
-
     /// Measured attempts-per-data-word inflation (1.0 for an empty session).
     #[must_use]
     pub fn retry_factor(&self) -> f64 {
@@ -135,23 +104,34 @@ mod tests {
         }
     }
 
+    /// Sends `n_words` words packet by packet, as the stream does: one
+    /// delivered flag per word, and the session's accounting.
+    fn send_all(f: &LinkFault, n_words: usize, rng: &mut Rng64) -> (Vec<bool>, LinkStats) {
+        let mut stats = LinkStats::default();
+        let mut delivered = vec![true; n_words];
+        for packet in delivered.chunks_mut(f.packet_words.max(1)) {
+            let ok = f.send(packet.len(), rng, &mut stats);
+            packet.fill(ok);
+        }
+        (delivered, stats)
+    }
+
     #[test]
     fn lossless_link_delivers_everything_with_one_attempt_each() {
         let mut rng = Rng64::new(1);
-        let (delivered, stats) = fault(0.0, 3).apply(100, &mut rng);
+        let (delivered, stats) = send_all(&fault(0.0, 3), 100, &mut rng);
         assert!(delivered.iter().all(|&d| d));
         assert_eq!(stats.lost_packets, 0);
         assert_eq!(stats.tx_words, 100);
         assert_eq!(stats.packets, 13); // ceil(100 / 8)
         assert!((stats.retry_factor() - 1.0).abs() < 1e-12);
-        assert!((stats.delivery_ratio() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn total_loss_erases_everything_and_burns_the_retry_budget() {
         let mut rng = Rng64::new(2);
         let f = fault(1.0, 2);
-        let (delivered, stats) = f.apply(64, &mut rng);
+        let (delivered, stats) = send_all(&f, 64, &mut rng);
         assert!(delivered.iter().all(|&d| !d));
         assert_eq!(stats.lost_packets, stats.packets);
         assert_eq!(stats.tx_words, 3 * 64); // 3 attempts per packet
@@ -162,7 +142,7 @@ mod tests {
     fn expected_attempts_matches_measured_rate() {
         let f = fault(0.5, 3);
         let mut rng = Rng64::new(3);
-        let (_, stats) = f.apply(80_000, &mut rng);
+        let (_, stats) = send_all(&f, 80_000, &mut rng);
         let measured = stats.tx_words as f64 / stats.data_words as f64;
         assert!(
             (measured / f.expected_attempts() - 1.0).abs() < 0.05,
@@ -176,7 +156,7 @@ mod tests {
         // P(lost) = p^(R+1) = 0.5^3 = 0.125.
         let f = fault(0.5, 2);
         let mut rng = Rng64::new(4);
-        let (_, stats) = f.apply(80_000, &mut rng);
+        let (_, stats) = send_all(&f, 80_000, &mut rng);
         let rate = stats.lost_packets as f64 / stats.packets as f64;
         assert!((rate - 0.125).abs() < 0.02, "loss rate {rate}");
     }
@@ -184,8 +164,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let f = fault(0.3, 1);
-        let (d1, s1) = f.apply(500, &mut Rng64::new(9));
-        let (d2, s2) = f.apply(500, &mut Rng64::new(9));
+        let (d1, s1) = send_all(&f, 500, &mut Rng64::new(9));
+        let (d2, s2) = send_all(&f, 500, &mut Rng64::new(9));
         assert_eq!(d1, d2);
         assert_eq!(s1, s2);
     }
@@ -198,7 +178,7 @@ mod tests {
             packet_words: 10,
         };
         let mut rng = Rng64::new(11);
-        let (delivered, _) = f.apply(100, &mut rng);
+        let (delivered, _) = send_all(&f, 100, &mut rng);
         for pkt in delivered.chunks(10) {
             assert!(
                 pkt.iter().all(|&d| d) || pkt.iter().all(|&d| !d),
@@ -215,12 +195,15 @@ mod tests {
             lost_packets: 1,
             tx_words: 15,
         };
-        let b = a;
-        a.accumulate(&b);
+        // The same session again: one packet lost after a retry, one sent.
+        let mut rng = Rng64::new(12);
+        let (lost, sent) = (fault(1.0, 1), fault(0.0, 1));
+        assert!(!lost.send(5, &mut rng, &mut a));
+        assert!(sent.send(5, &mut rng, &mut a));
         assert_eq!(a.data_words, 20);
         assert_eq!(a.lost_packets, 2);
         assert_eq!(a.tx_words, 30);
-        assert!((a.delivery_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(a.packets, 4);
         assert!((a.retry_factor() - 1.5).abs() < 1e-12);
     }
 }

@@ -2,6 +2,12 @@
 //! the design-space sweep (one index per point) and the batched OMP decode
 //! (one index per frame). It lives here because the caller's wait is a
 //! telemetry question: it is child time, not the waiting span's self time.
+//!
+//! It is the one pool for data-parallel maps. The only other place the
+//! program spawns a thread is a chunked stream's two-stage overlap
+//! (`efficsense_core::stream`): one scoped helper per large push runs the
+//! telemetry-free resample and LNA stage while the caller drains the back
+//! end, a pipeline of two different stages rather than a map.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -164,6 +164,17 @@ impl ObsRegistry {
         self.sink_enabled.store(enabled, Ordering::Relaxed);
     }
 
+    /// Removes the trace sink without closing it, for a caller that traces
+    /// only part of its work: reinstall the returned sink with
+    /// [`ObsRegistry::set_sink`] to resume the same trace. Spans that open
+    /// while no sink is installed stay out of the trace.
+    pub fn take_sink(&self) -> Option<Box<dyn Write + Send>> {
+        let mut slot = recover(self.sink.lock());
+        // relaxed: advisory fast-path flag cleared under the sink lock
+        self.sink_enabled.store(false, Ordering::Relaxed);
+        slot.take()
+    }
+
     /// Sets the trace sampling stride: 1 (the default) traces every span
     /// tree, `n` traces every n-th *root* span per thread. Children
     /// inherit their root's decision, so a sampled trace keeps whole span
@@ -680,6 +691,30 @@ mod tests {
         assert_eq!(lines[3].kind, "heartbeat");
         reg.set_sink(None);
         assert!(!reg.sink_enabled());
+    }
+
+    #[test]
+    fn a_taken_sink_pauses_the_trace_until_it_is_reinstalled() {
+        let reg = ObsRegistry::new();
+        let buf = SharedBuf::default();
+        reg.set_sink(Some(Box::new(buf.clone())));
+        drop(reg.span("traced"));
+        let sink = reg.take_sink();
+        assert!(sink.is_some() && !reg.sink_enabled());
+        drop(reg.span("paused"));
+        reg.set_sink(sink);
+        drop(reg.span("resumed"));
+        reg.flush();
+        let spans: Vec<String> = buf
+            .contents()
+            .lines()
+            .map(|l| TraceEvent::parse(l).expect("every sink line parses"))
+            .filter(|e| e.kind == "span")
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(spans, ["traced", "resumed"]);
+        // Every span still counts in the histograms.
+        assert_eq!(reg.snapshot().span("paused").map(|h| h.count), Some(1));
     }
 
     #[test]
