@@ -1,6 +1,8 @@
 //! Golden pins on the two back-end layers every sweep point ends in: the
 //! OMP decode (`reconstruct_batch`) and the detector's feature extraction
-//! (`FeatureExtractor::extract`). Each value is a digest of every output
+//! (`FeatureExtractor::extract`), plus the DSP kernels under them (the
+//! Butterworth design behind the detector's anti-alias filter, the
+//! spectral windows and the FFT). Each value is a digest of every output
 //! bit, so these move if a kernel selects a different atom, stops at a
 //! different iteration, or rounds a sum in a different order.
 //!
@@ -18,6 +20,9 @@ use efficsense::cs::memo::{DictionaryArtifacts, DictionaryParams};
 use efficsense::cs::recon::OmpConfig;
 use efficsense::cs::{Basis, Matrix};
 use efficsense::dsp::approx::is_zero;
+use efficsense::dsp::filter::IirFilter;
+use efficsense::dsp::window::Window;
+use efficsense::dsp::{Complex, Fft};
 use efficsense::ml::features::FeatureExtractor;
 use efficsense::signals::{EegClass, EegGenerator, EegParams};
 use efficsense_rng::Rng64;
@@ -283,5 +288,58 @@ fn feature_vectors_at_every_window_length() {
         bits.extend(extractor.extract(&normal[normal.len() - len..], fs));
         let got = record_fingerprint(&bits);
         assert_eq!(got, pinned, "window of {len} samples: {got:#018x}");
+    }
+}
+
+#[test]
+fn butterworth_lowpass_impulse_responses_at_orders_one_to_six() {
+    // 45 Hz at 537.6 Hz is the detector's order-4 anti-alias filter; the
+    // odd orders end in a first-order section. The zero-phase pass is the
+    // one the detector runs.
+    let (fc, fs) = (45.0, 537.6);
+    let mut impulse = vec![0.0; 512];
+    impulse[0] = 1.0;
+    for (order, pinned) in [
+        (1, [0x3ea4_d135_d18a_f978, 0x8f7f_9f5e_15e5_108c]),
+        (2, [0xc531_5853_2b49_5530, 0x6af9_2412_1aee_4230]),
+        (3, [0xd587_0d72_18ca_e455, 0x4e36_9058_957e_9c57]),
+        (4, [0x0fc8_e8ec_a981_6c1b, 0xa1b9_03e3_625d_18cc]),
+        (5, [0x4a97_6595_1978_e9c9, 0x5c09_246d_06d1_2a38]),
+        (6, [0x4cd5_2c0c_d00d_80e2, 0x85e1_8319_30df_e4c9]),
+    ] {
+        let mut lp = IirFilter::butterworth_lowpass(order, fc, fs);
+        let got = [
+            record_fingerprint(&lp.filter(&impulse)),
+            record_fingerprint(&lp.filtfilt(&impulse)),
+        ];
+        assert_eq!(got, pinned, "order {order}: {got:#018x?}");
+    }
+}
+
+#[test]
+fn hann_and_blackman_harris_coefficients() {
+    for (window, pinned) in [
+        (Window::Hann, [0x6362_e607_cbac_4d88, 0xd5ae_a2e7_01f7_2d24]),
+        (
+            Window::BlackmanHarris,
+            [0xc952_bb8f_12ab_bc7b, 0xebbf_021e_b1f5_ed65],
+        ),
+    ] {
+        let got = [256, 1000].map(|n| record_fingerprint(&window.coefficients(n)));
+        assert_eq!(got, pinned, "{window:?}: {got:#018x?}");
+    }
+}
+
+#[test]
+fn fft_forward_at_two_lengths() {
+    let mut rng = Rng64::new(0xFF7);
+    for (n, pinned) in [(64, 0x2131_f186_c729_57af), (1024, 0x448f_16d2_50dc_db49)] {
+        let mut buf: Vec<Complex> = (0..n)
+            .map(|_| Complex::new(rng.normal(), rng.normal()))
+            .collect();
+        Fft::new(n).forward(&mut buf);
+        let bits: Vec<f64> = buf.iter().flat_map(|z| [z.re, z.im]).collect();
+        let got = record_fingerprint(&bits);
+        assert_eq!(got, pinned, "length {n}: {got:#018x}");
     }
 }
