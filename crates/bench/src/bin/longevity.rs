@@ -18,7 +18,7 @@
 //! (`EFFICSENSE_SCALE=medium|full` lengthens the replay to one/four hours;
 //! `--trace <path>.jsonl` / `--metrics <path>.json` stream telemetry.)
 
-use efficsense_bench::{dataset_config, obs_from_args, scale, Scale};
+use efficsense_bench::{dataset_config, native_architecture, obs_from_args, scale, Scale};
 use efficsense_core::config::CsConfig;
 use efficsense_core::prelude::*;
 use efficsense_core::stream::StreamSimulator;
@@ -44,14 +44,6 @@ fn replay_seconds() -> f64 {
         Scale::Reduced => 600.0,
         Scale::Medium => 3600.0,
         Scale::Full => 14400.0,
-    }
-}
-
-/// The architecture a fault kind natively lives on.
-fn native_architecture(kind: FaultKind) -> Architecture {
-    match kind {
-        FaultKind::CapLeakage => Architecture::CompressiveSensing,
-        _ => Architecture::Baseline,
     }
 }
 

@@ -21,7 +21,8 @@
 //! `--trace <path>.jsonl` / `--metrics <path>.json` stream telemetry.)
 
 use efficsense_bench::{
-    dataset_config, design_space, obs_from_args, persist_quarantine, save_figure, scale, Scale,
+    dataset_config, design_space, native_architecture, obs_from_args, persist_quarantine,
+    save_figure, scale, Scale,
 };
 use efficsense_core::cache::SweepCache;
 use efficsense_core::prelude::*;
@@ -32,15 +33,6 @@ use std::sync::Arc;
 /// Master seed of every injected fault stream (kept fixed so reruns are
 /// bit-identical).
 const FAULT_SEED: u64 = 0xFA_017;
-
-/// The architecture a fault kind natively lives on (used for the
-/// monotonicity report; both architectures are swept regardless).
-fn native_architecture(kind: FaultKind) -> Architecture {
-    match kind {
-        FaultKind::CapLeakage => Architecture::CompressiveSensing,
-        _ => Architecture::Baseline,
-    }
-}
 
 /// The best (highest-accuracy) point of one architecture's Pareto front
 /// in one severity cell.

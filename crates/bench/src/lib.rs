@@ -4,7 +4,7 @@
 //! library provides the common workload scaling and output plumbing.
 //!
 //! Workload scale is controlled by `EFFICSENSE_SCALE`
-//! (`reduced` default / `medium` / `full`):
+//! (`reduced` default / `medium` / `full`; any other value is an error):
 //! * reduced — CI-friendly workload (minutes on one core);
 //! * medium — 102 × 23.6 s records, full Table III grid (tens of minutes);
 //! * full — paper-scale evaluation (hours; 501 × 23.6 s records).
@@ -36,21 +36,50 @@ impl Scale {
             Scale::Full => "full",
         }
     }
+
+    /// Parses a value of `EFFICSENSE_SCALE`, where `None` (unset) means
+    /// [`Scale::Reduced`].
+    ///
+    /// # Errors
+    ///
+    /// Any value other than `reduced`, `medium` or `full`, so that a typo
+    /// never runs (and caches) one scale under another's name.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("reduced") => Ok(Scale::Reduced),
+            Some("medium") => Ok(Scale::Medium),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "EFFICSENSE_SCALE must be reduced, medium or full (or unset), got `{other}`"
+            )),
+        }
+    }
 }
 
-/// Reads the requested scale from `EFFICSENSE_SCALE=medium|full|reduced`
-/// (default reduced).
+/// Reads the requested scale from `EFFICSENSE_SCALE=reduced|medium|full`
+/// (default reduced). Exits the process with status 2 on any other value.
 pub fn scale() -> Scale {
-    match std::env::var("EFFICSENSE_SCALE").as_deref() {
-        Ok("medium") => Scale::Medium,
-        Ok("full") => Scale::Full,
-        _ => Scale::Reduced,
-    }
+    let value = std::env::var_os("EFFICSENSE_SCALE");
+    let value = value.as_deref().map(std::ffi::OsStr::to_string_lossy);
+    Scale::parse(value.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Returns `true` when paper-scale evaluation was requested.
 pub fn full_scale() -> bool {
     scale() == Scale::Full
+}
+
+/// The architecture a fault kind natively lives on: hold-capacitor
+/// leakage acts only on the CS chain's charge-sharing encoder, and every
+/// other kind is scored on the Nyquist baseline.
+pub fn native_architecture(kind: FaultKind) -> Architecture {
+    match kind {
+        FaultKind::CapLeakage => Architecture::CompressiveSensing,
+        _ => Architecture::Baseline,
+    }
 }
 
 /// Dataset configuration for experiments, honouring the scale switch.
@@ -333,6 +362,21 @@ mod tests {
             let c = dataset_config();
             assert!(c.records_per_class <= 10);
             assert!(c.duration_s <= 10.0);
+        }
+    }
+
+    #[test]
+    fn scale_parses_the_three_names_and_rejects_the_rest() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Reduced));
+        for scale in [Scale::Reduced, Scale::Medium, Scale::Full] {
+            assert_eq!(Scale::parse(Some(scale.name())), Ok(scale));
+        }
+        for typo in ["Full", "ful", "FULL", "", " full", "paper"] {
+            let err = Scale::parse(Some(typo)).expect_err(typo);
+            assert!(
+                err.contains("reduced, medium or full") && err.contains(&format!("`{typo}`")),
+                "{err}"
+            );
         }
     }
 

@@ -218,31 +218,6 @@ impl SarAdc {
         inl.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// Code-density (histogram) linearity test: converts a slow full-range
-    /// ramp of `samples_per_code · 2^N` points and estimates DNL from the
-    /// relative occupancy of each code — the standard lab method, which sees
-    /// the *whole* converter (comparator noise included), unlike
-    /// [`SarAdc::dnl_lsb`] which reads the DAC levels directly.
-    ///
-    /// Returns per-code DNL estimates in LSB (first and last code excluded,
-    /// as is conventional — their bins are unbounded).
-    pub fn histogram_dnl_lsb(&mut self, samples_per_code: usize) -> Vec<f64> {
-        assert!(samples_per_code >= 4, "need several samples per code");
-        let steps = 1usize << self.n_bits;
-        let total = samples_per_code * steps;
-        let mut counts = vec![0usize; steps];
-        for i in 0..total {
-            // Slow ramp covering slightly beyond full scale.
-            let v = -self.v_fs / 2.0 + self.v_fs * (i as f64 + 0.5) / total as f64;
-            counts[self.quantize(v) as usize] += 1;
-        }
-        // Interior codes: expected occupancy is samples_per_code.
-        counts[1..steps - 1]
-            .iter()
-            .map(|&c| c as f64 / samples_per_code as f64 - 1.0)
-            .collect()
-    }
-
     /// Combined power breakdown of the converter's three Table II models
     /// (comparator, SAR logic, DAC) for DAC unit cap `c_u_f` and a scenario
     /// with RMS input `v_in_rms`. The models read design variables only,
@@ -387,28 +362,6 @@ mod tests {
             acc += d;
             assert!((acc - inl[k + 1]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn ideal_adc_histogram_dnl_is_flat() {
-        let mut adc = SarAdc::ideal(6, 2.0);
-        let dnl = adc.histogram_dnl_lsb(64);
-        let worst = dnl.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        assert!(worst < 0.05, "ideal histogram DNL {worst}");
-    }
-
-    #[test]
-    fn histogram_test_sees_mismatch() {
-        let tech = TechnologyParams::gpdk045();
-        // Bad matching: visible DNL through the histogram method too.
-        let mut adc = SarAdc::new(8, 2.0, 1e-15, 0.0, 0.0, &tech, 3);
-        let hist = adc.histogram_dnl_lsb(32);
-        let worst_hist = hist.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let worst_direct = adc.dnl_lsb().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        assert!(
-            worst_hist > 0.3 * worst_direct,
-            "{worst_hist} vs {worst_direct}"
-        );
     }
 
     #[test]

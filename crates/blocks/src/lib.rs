@@ -35,7 +35,6 @@ const NOISE_BLOCK: usize = 512;
 pub mod active_cs;
 pub mod adc;
 pub mod cs_frontend;
-pub mod lc_adc;
 pub mod lna;
 pub mod sampler;
 pub mod transmitter;

@@ -12,7 +12,7 @@ use efficsense_ml::metrics::Confusion;
 use efficsense_ml::mlp::MlpClassifier;
 use efficsense_ml::{Scaler, TrainConfig};
 use efficsense_rng::Rng64;
-use efficsense_signals::{EegDataset, Record};
+use efficsense_signals::EegDataset;
 
 /// A trained seizure detector (features → scaler → MLP).
 #[derive(Debug, Clone)]
@@ -223,16 +223,6 @@ impl SeizureDetector {
         }
         Confusion::from_labels(&truth, &preds)
     }
-
-    /// Self-test accuracy on the clean (resampled) records of a dataset.
-    pub fn clean_accuracy(&self, dataset: &EegDataset) -> f64 {
-        let outputs: Vec<(Vec<f64>, usize)> = dataset
-            .records
-            .iter()
-            .map(|r: &Record| (r.resampled(self.train_fs).samples, r.label()))
-            .collect();
-        self.accuracy(&outputs, self.train_fs)
-    }
 }
 
 #[cfg(test)]
@@ -248,11 +238,19 @@ mod tests {
         })
     }
 
+    /// Every record of `ds`, clean and resampled to 537.6 Hz, with its label.
+    fn clean(ds: &EegDataset) -> Vec<(Vec<f64>, usize)> {
+        ds.records
+            .iter()
+            .map(|r| (r.resampled(537.6).samples, r.label()))
+            .collect()
+    }
+
     #[test]
     fn detector_nails_clean_data() {
         let ds = small_dataset();
         let det = SeizureDetector::train_epoched(&ds, 537.6, 2.0, 1);
-        let acc = det.clean_accuracy(&ds);
+        let acc = det.accuracy(&clean(&ds), 537.6);
         assert!(acc >= 0.95, "clean accuracy {acc}");
     }
 
@@ -271,7 +269,7 @@ mod tests {
             ..Default::default()
         });
         let det = SeizureDetector::train_epoched(&train, 537.6, 2.0, 1);
-        let acc = det.clean_accuracy(&test);
+        let acc = det.accuracy(&clean(&test), 537.6);
         assert!(acc >= 0.9, "held-out accuracy {acc}");
     }
 
@@ -295,7 +293,7 @@ mod tests {
             })
             .collect();
         let noisy_acc = det.accuracy(&outputs, 537.6);
-        let clean_acc = det.clean_accuracy(&ds);
+        let clean_acc = det.accuracy(&clean(&ds), 537.6);
         assert!(
             noisy_acc < clean_acc - 0.05,
             "noise must cost accuracy: clean {clean_acc}, noisy {noisy_acc}"
@@ -315,11 +313,7 @@ mod tests {
     fn confusion_consistent_with_accuracy() {
         let ds = small_dataset();
         let det = SeizureDetector::train_epoched(&ds, 537.6, 2.0, 5);
-        let outputs: Vec<(Vec<f64>, usize)> = ds
-            .records
-            .iter()
-            .map(|r| (r.resampled(537.6).samples, r.label()))
-            .collect();
+        let outputs = clean(&ds);
         let acc = det.accuracy(&outputs, 537.6);
         let conf = det.confusion(&outputs, 537.6);
         assert!((conf.accuracy() - acc).abs() < 1e-12);
@@ -342,11 +336,7 @@ mod tests {
         let ds = small_dataset(); // 6 s records → 3 windows of 2 s
         let det = SeizureDetector::train_epoched(&ds, 537.6, 2.0, 1);
         assert_eq!(det.epoch_s, 2.0);
-        let outputs: Vec<(Vec<f64>, usize)> = ds
-            .records
-            .iter()
-            .map(|r| (r.resampled(537.6).samples, r.label()))
-            .collect();
+        let outputs = clean(&ds);
         let conf = det.confusion(&outputs, 537.6);
         let decisions = conf.tp + conf.tn + conf.fp + conf.fn_;
         let win = (2.0 * 537.6) as usize;

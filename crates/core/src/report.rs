@@ -152,24 +152,6 @@ pub fn text_table(results: &[SweepResult]) -> String {
     s
 }
 
-/// Writes a simple two-column CSV series (for single-axis figures).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_series<W: Write>(
-    mut w: W,
-    x_name: &str,
-    y_name: &str,
-    series: &[(f64, f64)],
-) -> std::io::Result<()> {
-    writeln!(w, "{x_name},{y_name}")?;
-    for (x, y) in series {
-        writeln!(w, "{x:.9},{y:.9}")?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,14 +273,5 @@ mod tests {
         let t = text_table(&[sample_result()]);
         assert!(t.contains("cs_n8"));
         assert!(t.contains("metric"));
-    }
-
-    #[test]
-    fn series_roundtrip() {
-        let mut buf = Vec::new();
-        write_series(&mut buf, "x", "y", &[(1.0, 2.0), (3.0, 4.0)]).expect("write succeeds");
-        let s = String::from_utf8(buf).expect("valid utf8");
-        assert_eq!(s.lines().count(), 3);
-        assert!(s.starts_with("x,y\n"));
     }
 }

@@ -227,11 +227,6 @@ impl Simulator {
         self.prefix = store;
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
-    }
-
     /// The configuration under simulation.
     pub fn config(&self) -> &SystemConfig {
         &self.cfg

@@ -95,11 +95,6 @@ impl Accumulator {
         self.v
     }
 
-    /// Overrides the hold voltage (used for reset and leakage modelling).
-    pub fn set_voltage(&mut self, v: f64) {
-        self.v = v;
-    }
-
     /// Discharges the hold capacitor.
     pub fn reset(&mut self) {
         self.v = 0.0;
@@ -247,14 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_set() {
+    fn reset_discharges_the_hold() {
         let mut acc = Accumulator::new(1e-12, 1e-12);
         acc.accumulate(1.0);
         assert!(!efficsense_dsp::approx::is_zero(acc.voltage()));
         acc.reset();
         assert_eq!(acc.voltage(), 0.0);
-        acc.set_voltage(0.3);
-        assert_eq!(acc.voltage(), 0.3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! IIR filtering.
 //!
-//! Provides transposed direct-form-II biquad sections, Butterworth low/high
-//! pass design of arbitrary even/odd order (as biquad cascades), a one-pole
+//! Provides transposed direct-form-II biquad sections, Butterworth low-pass
+//! design of arbitrary even/odd order (as biquad cascades), a one-pole
 //! low-pass (the LNA bandwidth model uses this) and zero-phase
 //! (forward-backward) filtering.
 
@@ -67,11 +67,6 @@ pub struct IirFilter {
 }
 
 impl IirFilter {
-    /// Builds a filter from explicit sections.
-    pub fn from_sections(sections: Vec<Biquad>) -> Self {
-        Self { sections }
-    }
-
     /// Designs an order-`order` Butterworth low-pass with cutoff `fc` Hz at
     /// sample rate `fs` Hz, using the bilinear transform.
     ///
@@ -88,19 +83,6 @@ impl IirFilter {
     ///
     /// Panics unless `0 < fc < fs/2` and `order >= 1`.
     pub fn butterworth_lowpass(order: usize, fc: f64, fs: f64) -> Self {
-        Self::butterworth(order, fc, fs, false)
-    }
-
-    /// Designs an order-`order` Butterworth high-pass with cutoff `fc` Hz.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fc < fs/2` and `order >= 1`.
-    pub fn butterworth_highpass(order: usize, fc: f64, fs: f64) -> Self {
-        Self::butterworth(order, fc, fs, true)
-    }
-
-    fn butterworth(order: usize, fc: f64, fs: f64, highpass: bool) -> Self {
         assert!(order >= 1, "filter order must be at least 1");
         assert!(
             fc > 0.0 && fc < fs / 2.0,
@@ -114,10 +96,10 @@ impl IirFilter {
             // Analog Butterworth pole-pair quality factor.
             let theta = std::f64::consts::PI * (2.0 * k as f64 + 1.0) / (2.0 * order as f64);
             let q = 1.0 / (2.0 * theta.sin());
-            sections.push(second_order_section(wc, q, highpass));
+            sections.push(second_order_section(wc, q));
         }
         if order % 2 == 1 {
-            sections.push(first_order_section(wc, highpass));
+            sections.push(first_order_section(wc));
         }
         Self { sections }
     }
@@ -161,39 +143,23 @@ impl IirFilter {
         let w = 2.0 * std::f64::consts::PI * f / fs;
         self.sections.iter().map(|s| s.magnitude_at(w)).product()
     }
-
-    /// Number of biquad sections.
-    pub fn section_count(&self) -> usize {
-        self.sections.len()
-    }
 }
 
-fn second_order_section(wc: f64, q: f64, highpass: bool) -> Biquad {
-    // Bilinear transform of H(s) = 1/(s^2 + s/q + 1) (LP) with s -> s/wc.
+fn second_order_section(wc: f64, q: f64) -> Biquad {
+    // Bilinear transform of H(s) = 1/(s^2 + s/q + 1) with s -> s/wc.
     let k = wc;
     let norm = 1.0 / (1.0 + k / q + k * k);
-    if highpass {
-        Biquad::new(
-            [norm, -2.0 * norm, norm],
-            [2.0 * (k * k - 1.0) * norm, (1.0 - k / q + k * k) * norm],
-        )
-    } else {
-        let b0 = k * k * norm;
-        Biquad::new(
-            [b0, 2.0 * b0, b0],
-            [2.0 * (k * k - 1.0) * norm, (1.0 - k / q + k * k) * norm],
-        )
-    }
+    let b0 = k * k * norm;
+    Biquad::new(
+        [b0, 2.0 * b0, b0],
+        [2.0 * (k * k - 1.0) * norm, (1.0 - k / q + k * k) * norm],
+    )
 }
 
-fn first_order_section(wc: f64, highpass: bool) -> Biquad {
+fn first_order_section(wc: f64) -> Biquad {
     let k = wc;
     let norm = 1.0 / (1.0 + k);
-    if highpass {
-        Biquad::new([norm, -norm, 0.0], [(k - 1.0) * norm, 0.0])
-    } else {
-        Biquad::new([k * norm, k * norm, 0.0], [(k - 1.0) * norm, 0.0])
-    }
+    Biquad::new([k * norm, k * norm, 0.0], [(k - 1.0) * norm, 0.0])
 }
 
 /// A one-pole low-pass filter `y[n] = y[n-1] + α (x[n] − y[n-1])`.
@@ -262,13 +228,6 @@ mod tests {
                 "order {order}: cutoff gain {db} dB"
             );
         }
-    }
-
-    #[test]
-    fn highpass_blocks_dc_passes_high() {
-        let f = IirFilter::butterworth_highpass(4, 50.0, 1000.0);
-        assert!(f.magnitude_at(0.001, 1000.0) < 1e-6);
-        assert!((f.magnitude_at(400.0, 1000.0) - 1.0).abs() < 1e-3);
     }
 
     #[test]

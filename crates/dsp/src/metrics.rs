@@ -5,7 +5,7 @@
 //! * **Tone-based** metrics ([`sndr_db`], [`thd_db`], [`enob`]) operate on a
 //!   single-sine test record, the classic mixed-signal characterisation used
 //!   for Fig. 4 of the paper.
-//! * **Reference-based** metrics ([`snr_ref_db`], [`prd_percent`], [`nmse`])
+//! * **Reference-based** metrics ([`snr_ref_db`], [`prd_percent`])
 //!   compare a processed/reconstructed signal against the known clean input,
 //!   which is how the paper's Fig. 7a scores arbitrary EEG waveforms.
 
@@ -198,25 +198,6 @@ pub fn prd_percent(reference: &[f64], test: &[f64]) -> f64 {
     100.0 * (err / sig).sqrt()
 }
 
-/// Normalised mean-square error `Σ(ref−test)² / Σ ref²` (linear, not dB).
-#[must_use]
-pub fn nmse(reference: &[f64], test: &[f64]) -> f64 {
-    let prd = prd_percent(reference, test) / 100.0;
-    prd * prd
-}
-
-/// Root-mean-square error between two signals (truncated to common length).
-#[must_use]
-pub fn rmse(reference: &[f64], test: &[f64]) -> f64 {
-    assert!(
-        !reference.is_empty() && !test.is_empty(),
-        "signals must be non-empty"
-    );
-    let n = reference.len().min(test.len());
-    let e: f64 = (0..n).map(|i| (reference[i] - test[i]).powi(2)).sum();
-    (e / n as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,8 +284,6 @@ mod tests {
     fn prd_zero_for_identical() {
         let x = sine(100, 100.0, 5.0, 1.0, 0.0);
         assert_eq!(prd_percent(&x, &x), 0.0);
-        assert_eq!(nmse(&x, &x), 0.0);
-        assert_eq!(rmse(&x, &x), 0.0);
     }
 
     #[test]
@@ -312,8 +291,6 @@ mod tests {
         let x = vec![1.0; 100];
         let y = vec![0.9; 100];
         assert!((prd_percent(&x, &y) - 10.0).abs() < 1e-9);
-        assert!((nmse(&x, &y) - 0.01).abs() < 1e-12);
-        assert!((rmse(&x, &y) - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -35,20 +35,6 @@ pub fn peak(x: &[f64]) -> f64 {
     x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
 }
 
-/// Minimum and maximum, or `None` for an empty slice.
-pub fn min_max(x: &[f64]) -> Option<(f64, f64)> {
-    if x.is_empty() {
-        return None;
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in x {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    Some((lo, hi))
-}
-
 /// Linear-interpolated percentile, `p` in `[0, 100]`.
 ///
 /// # Panics
@@ -155,7 +141,6 @@ mod tests {
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(rms(&[]), 0.0);
         assert_eq!(peak(&[]), 0.0);
-        assert_eq!(min_max(&[]), None);
         assert_eq!(line_length(&[]), 0.0);
         assert_eq!(zero_crossings(&[]), 0);
     }
@@ -217,11 +202,6 @@ mod tests {
         assert!(kurtosis(&spiky) > 10.0);
         let x = crate::spectrum::sine(1000, 1000.0, 10.0, 1.0, 0.0);
         assert!(kurtosis(&x) < 0.0);
-    }
-
-    #[test]
-    fn min_max_finds_extremes() {
-        assert_eq!(min_max(&[3.0, -1.0, 2.0]), Some((-1.0, 3.0)));
     }
 
     #[test]

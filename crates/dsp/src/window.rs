@@ -12,10 +12,6 @@ pub enum Window {
     /// Hann (raised-cosine) window.
     #[default]
     Hann,
-    /// Hamming window.
-    Hamming,
-    /// Blackman window.
-    Blackman,
     /// 4-term Blackman-Harris window (−92 dB side lobes).
     BlackmanHarris,
 }
@@ -36,8 +32,6 @@ impl Window {
         match self {
             Window::Rect => 1.0,
             Window::Hann => 0.5 - 0.5 * x.cos(),
-            Window::Hamming => 0.54 - 0.46 * x.cos(),
-            Window::Blackman => 0.42 - 0.5 * x.cos() + 0.08 * (2.0 * x).cos(),
             Window::BlackmanHarris => {
                 0.35875 - 0.48829 * x.cos() + 0.14128 * (2.0 * x).cos() - 0.01168 * (3.0 * x).cos()
             }
@@ -95,13 +89,7 @@ mod tests {
 
     #[test]
     fn windows_bounded_zero_one() {
-        for win in [
-            Window::Rect,
-            Window::Hann,
-            Window::Hamming,
-            Window::Blackman,
-            Window::BlackmanHarris,
-        ] {
+        for win in [Window::Rect, Window::Hann, Window::BlackmanHarris] {
             for (i, v) in win.coefficients(101).into_iter().enumerate() {
                 assert!((-1e-6..=1.0 + 1e-12).contains(&v), "{win:?}[{i}]={v}");
             }

@@ -231,13 +231,7 @@ fn variance_is_translation_invariant() {
 fn window_power_gain_le_one() {
     for case in 0..CASES {
         let n = Rng64::new(0x3140 + case).range(2, 512);
-        for w in [
-            Window::Rect,
-            Window::Hann,
-            Window::Hamming,
-            Window::Blackman,
-            Window::BlackmanHarris,
-        ] {
+        for w in [Window::Rect, Window::Hann, Window::BlackmanHarris] {
             let pg = w.power_gain(n);
             assert!(pg > 0.0 && pg <= 1.0 + 1e-12, "case {case}");
             assert!(w.enbw_bins(n) >= 1.0 - 1e-9, "case {case}");

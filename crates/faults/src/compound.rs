@@ -20,7 +20,6 @@
 //!    sample indices, so the realisation is invariant to how the stream is
 //!    chunked.
 
-use crate::link::LinkFault;
 use crate::plan::{ClockFault, FaultKind, FaultPlan};
 
 /// How one fault's severity evolves over stream time. All shapes produce a
@@ -281,13 +280,6 @@ impl CompoundPlan {
             parts.join("+")
         }
     }
-
-    /// Convenience: the link fault in force during the epoch containing
-    /// `t_s`, already filtered for no-ops (used by power drift models).
-    #[must_use]
-    pub fn link_at(&self, t_s: f64) -> Option<LinkFault> {
-        self.materialize(t_s).link.filter(|l| !l.is_noop())
-    }
 }
 
 #[cfg(test)]
@@ -431,19 +423,5 @@ mod tests {
         assert!(plan.update_period_s > 0.0);
         let nan = CompoundPlan::new(0, f64::NAN);
         assert!(nan.update_period_s > 0.0);
-    }
-
-    #[test]
-    fn link_at_filters_noops() {
-        let plan = CompoundPlan::new(4, 1.0).with(
-            FaultKind::PacketLoss,
-            SeverityProfile::Step {
-                before: 0.0,
-                after: 0.8,
-                at_s: 100.0,
-            },
-        );
-        assert!(plan.link_at(0.0).is_none());
-        assert!(plan.link_at(100.0).is_some());
     }
 }

@@ -41,11 +41,6 @@ impl AreaModel {
         self.total_capacitance().value() / tech.c_u_min_f
     }
 
-    /// Total capacitor area in µm².
-    pub fn total_area_um2(&self, tech: &TechnologyParams) -> f64 {
-        tech.cap_area_um2(self.total_capacitance().value())
-    }
-
     /// Iterator over `(label, unit_capacitance_f, count)` entries.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64, usize)> + '_ {
         self.entries.iter().map(|(l, c, n)| (l.as_str(), *c, *n))
@@ -117,14 +112,6 @@ mod tests {
         let cs = AreaModel::compressive(&tech, &design, 1e-15, 150, 2, 1e-12, 0.2e-12);
         // 150 × 1 pF of hold caps dwarfs the 256 fF DAC — the Fig. 9 message.
         assert!(cs.total_units(&tech) > 100.0 * base.total_units(&tech));
-    }
-
-    #[test]
-    fn area_um2_consistent_with_density() {
-        let (tech, _) = setup();
-        let mut a = AreaModel::new();
-        a.add("c", 1.025e-15, 1);
-        assert!((a.total_area_um2(&tech) - 1.0).abs() < 1e-9);
     }
 
     #[test]

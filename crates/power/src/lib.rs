@@ -24,7 +24,6 @@
 pub mod area;
 pub mod breakdown;
 pub mod design;
-pub mod fom;
 pub mod models;
 pub mod ota;
 pub mod tech;

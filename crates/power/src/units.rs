@@ -23,18 +23,6 @@ macro_rules! unit {
             pub const fn value(self) -> f64 {
                 self.0
             }
-            /// Constructs from a value scaled by 1e-15.
-            pub fn femto(v: f64) -> Self {
-                Self(v * 1e-15)
-            }
-            /// Constructs from a value scaled by 1e-12.
-            pub fn pico(v: f64) -> Self {
-                Self(v * 1e-12)
-            }
-            /// Constructs from a value scaled by 1e-9.
-            pub fn nano(v: f64) -> Self {
-                Self(v * 1e-9)
-            }
             /// Constructs from a value scaled by 1e-6.
             pub fn micro(v: f64) -> Self {
                 Self(v * 1e-6)
@@ -186,18 +174,15 @@ mod tests {
 
     #[test]
     fn constructors_scale() {
-        assert_eq!(Farads::femto(1.0).value(), 1e-15);
-        assert_eq!(Farads::pico(2.0).value(), 2e-12);
         assert_eq!(Volts::milli(25.27).value(), 0.02527);
         assert_eq!(Watts::micro(2.44).value(), 2.44e-6);
-        assert_eq!(Hertz::nano(1.0).value(), 1e-9);
     }
 
     #[test]
     fn display_uses_si_prefix() {
         assert_eq!(Watts::micro(2.44).to_string(), "2.4400 µW");
         assert_eq!(Volts(2.0).to_string(), "2.0000 V");
-        assert_eq!(Farads::femto(1.0).to_string(), "1.0000 fF");
+        assert_eq!(Farads(1e-15).to_string(), "1.0000 fF");
         assert_eq!(Hertz(537.6).to_string(), "537.6000 Hz");
     }
 

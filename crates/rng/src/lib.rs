@@ -3,7 +3,7 @@
 //! Seeded, reproducible pseudo-random numbers for the EffiCSense workspace.
 //!
 //! Every stochastic component of the framework — sensing matrices, synthetic
-//! EEG/ECG records, classifier initialisation, Monte-Carlo property tests —
+//! EEG records, classifier initialisation, Monte-Carlo property tests —
 //! must be reproducible from an explicit `u64` seed so that sweeps, paper
 //! figures and CI runs are bit-identical across machines. This crate is the
 //! single source of randomness: a std-only xoshiro256++ generator seeded

@@ -32,7 +32,6 @@
 
 pub mod artifact;
 pub mod dataset;
-pub mod ecg;
 pub mod eeg;
 pub mod noise;
 
