@@ -368,8 +368,8 @@ mod tests {
     #[test]
     fn scale_parses_the_three_names_and_rejects_the_rest() {
         assert_eq!(Scale::parse(None), Ok(Scale::Reduced));
-        for scale in [Scale::Reduced, Scale::Medium, Scale::Full] {
-            assert_eq!(Scale::parse(Some(scale.name())), Ok(scale));
+        for named in [Scale::Reduced, Scale::Medium, Scale::Full] {
+            assert_eq!(Scale::parse(Some(named.name())), Ok(named));
         }
         for typo in ["Full", "ful", "FULL", "", " full", "paper"] {
             let err = Scale::parse(Some(typo)).expect_err(typo);
