@@ -4,13 +4,13 @@
 //!
 //! Run: `cargo run --release -p efficsense-bench --bin fig10`
 
-use efficsense_bench::{save_figure, sweep_cached, uw};
+use efficsense_bench::{save_figure, scale, sweep_cached, uw};
 use efficsense_core::pareto::{pareto_front, within_area};
 use efficsense_core::sweep::Metric;
 
 fn main() {
     println!("=== Fig. 10: area-constrained Pareto fronts ===");
-    let results = sweep_cached(Metric::DetectionAccuracy);
+    let results = sweep_cached(scale(), Metric::DetectionAccuracy);
     // Constraints in C_u,min multiples, from "digital-only budget" to
     // unconstrained (the paper sweeps a comparable ladder).
     let caps: [(f64, &str); 4] = [

@@ -4,23 +4,17 @@
 //!
 //! Run: `cargo run --release -p efficsense-bench --bin fig4`
 
-use efficsense_bench::{save_figure, uw};
+use efficsense_bench::{save_figure, scale, uw, Scale};
 use efficsense_core::prelude::*;
 use efficsense_dsp::metrics::sndr_db;
 use efficsense_dsp::spectrum::{coherent_frequency, sine};
 use efficsense_power::BlockKind;
 
 fn main() {
+    let sc = scale();
     println!("=== Fig. 4: LNA noise sweep, baseline system, sine input ===");
-    let noise_grid = efficsense_core::space::log_grid(
-        1e-6,
-        20e-6,
-        if efficsense_bench::full_scale() {
-            16
-        } else {
-            8
-        },
-    );
+    let noise_grid =
+        efficsense_core::space::log_grid(1e-6, 20e-6, if sc == Scale::Full { 16 } else { 8 });
     // Test tone: 64 Hz (mid-band), 200 µV amplitude — a strong biosignal.
     let fs_in = 4096.0;
     let seconds = 8.0;

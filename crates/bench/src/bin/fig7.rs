@@ -8,7 +8,7 @@
 //! Run: `cargo run --release -p efficsense-bench --bin fig7`
 //! (`EFFICSENSE_SCALE=full` for paper-scale workloads.)
 
-use efficsense_bench::{save_figure, sweep_cached, uw};
+use efficsense_bench::{save_figure, scale, sweep_cached, uw};
 use efficsense_core::prelude::*;
 use efficsense_core::sweep::{split_by_architecture, Metric};
 
@@ -58,8 +58,9 @@ fn report_fronts(name: &str, results: &[SweepResult]) -> (Vec<SweepResult>, Vec<
 }
 
 fn main() {
+    let sc = scale();
     println!("=== Fig. 7a: SNR vs power ===");
-    let snr_results = sweep_cached(Metric::Snr);
+    let snr_results = sweep_cached(sc, Metric::Snr);
     let (snr_base, snr_cs) = report_fronts("fig7a", &snr_results);
     // The paper's observation: the baseline wins at high SNR, CS at low power.
     let best_base_snr = snr_base
@@ -89,7 +90,7 @@ fn main() {
 
     println!();
     println!("=== Fig. 7b: detection accuracy vs power ===");
-    let acc_results = sweep_cached(Metric::DetectionAccuracy);
+    let acc_results = sweep_cached(sc, Metric::DetectionAccuracy);
     let (acc_base, acc_cs) = report_fronts("fig7b", &acc_results);
 
     let constraint = 0.98;

@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run --release -p efficsense-bench --bin fig8`
 
-use efficsense_bench::{save_figure, sweep_cached, uw};
+use efficsense_bench::{save_figure, scale, sweep_cached, uw};
 use efficsense_core::pareto::optimal_under_constraint;
 use efficsense_core::prelude::*;
 use efficsense_core::sweep::{split_by_architecture, Metric};
@@ -32,8 +32,9 @@ fn pick<'a>(results: &'a [SweepResult], arch_results: Vec<&'a SweepResult>) -> &
 }
 
 fn main() {
+    let sc = scale();
     println!("=== Fig. 8: power distribution at the optimal design points ===");
-    let results = sweep_cached(Metric::DetectionAccuracy);
+    let results = sweep_cached(sc, Metric::DetectionAccuracy);
     let (base, cs) = split_by_architecture(&results);
     assert!(
         !base.is_empty() && !cs.is_empty(),
@@ -95,8 +96,8 @@ fn main() {
     // (sensitivity/specificity, standard for seizure detection).
     println!();
     println!("=== detection quality at the optima (beyond the paper) ===");
-    let dataset = EegDataset::generate(&efficsense_bench::dataset_config());
-    let space = efficsense_bench::design_space();
+    let dataset = EegDataset::generate(&sc.dataset_config());
+    let space = sc.design_space();
     let fs = space.template.design.f_sample_hz();
     // The accuracy sweep above trained this detector (same dataset, rate,
     // epoch and seed); on a cold run the memo hands it back.

@@ -4,12 +4,12 @@
 //!
 //! Run: `cargo run --release -p efficsense-bench --bin fig9`
 
-use efficsense_bench::{save_figure, sweep_cached};
+use efficsense_bench::{save_figure, scale, sweep_cached};
 use efficsense_core::sweep::{split_by_architecture, Metric};
 
 fn main() {
     println!("=== Fig. 9: accuracy vs capacitor area ===");
-    let results = sweep_cached(Metric::DetectionAccuracy);
+    let results = sweep_cached(scale(), Metric::DetectionAccuracy);
     let mut csv = String::from("architecture,area_units,accuracy,power_uw,label\n");
     for r in &results {
         csv.push_str(&format!(

@@ -18,7 +18,7 @@
 //! (`EFFICSENSE_SCALE=medium|full` lengthens the replay to one/four hours;
 //! `--trace <path>.jsonl` / `--metrics <path>.json` stream telemetry.)
 
-use efficsense_bench::{dataset_config, native_architecture, obs_from_args, scale, Scale};
+use efficsense_bench::{native_architecture, obs_from_args, scale, Scale, StageTable};
 use efficsense_core::config::CsConfig;
 use efficsense_core::prelude::*;
 use efficsense_core::stream::StreamSimulator;
@@ -37,10 +37,10 @@ const PUSH_LEN: usize = 4096;
 /// Score windows per run (drift-curve resolution).
 const WINDOWS: usize = 8;
 
-/// Replay length in seconds for the current scale: CI replays ten minutes,
-/// full scale replays four hours.
-fn replay_seconds() -> f64 {
-    match scale() {
+/// Replay length in seconds at a scale: CI replays ten minutes, full
+/// scale replays four hours.
+fn replay_seconds(sc: Scale) -> f64 {
+    match sc {
         Scale::Reduced => 600.0,
         Scale::Medium => 3600.0,
         Scale::Full => 14400.0,
@@ -338,8 +338,9 @@ fn gauntlet(arch: Architecture, input: &[f64], fs_in: f64) -> (bool, u64) {
 
 fn main() {
     let obs_session = obs_from_args();
-    let dataset = EegDataset::generate(&dataset_config());
-    let replay = build_replay(&dataset, replay_seconds());
+    let sc = scale();
+    let dataset = EegDataset::generate(&sc.dataset_config());
+    let replay = build_replay(&dataset, replay_seconds(sc));
     let seconds = replay.seconds;
     let custom = parse_custom_plan(seconds);
     println!(
@@ -439,7 +440,7 @@ fn main() {
     }));
     let snap = obs_session.finish();
     let summary = Json::obj([
-        ("scale", scale().name().into()),
+        ("scale", sc.name().into()),
         ("host", efficsense_bench::host_json()),
         ("stream_wall_s", stream_wall_s),
         ("replay_seconds", seconds.into()),
@@ -455,7 +456,7 @@ fn main() {
                 ("cs_samples", cs_n.into()),
             ]),
         ),
-        ("profile", efficsense_bench::profile_summary_json(&snap)),
+        ("profile", StageTable::new(&snap).to_json()),
     ]);
     efficsense_bench::write_bench_json("BENCH_longevity.json", &summary);
 

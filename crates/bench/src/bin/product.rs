@@ -28,11 +28,12 @@
 //! Run: `cargo run --release -p efficsense-bench --bin product`
 //! (`EFFICSENSE_SCALE=medium|full` widens the cell grid and workload;
 //! `EFFICSENSE_CACHE_FILE=<path>` overrides the persisted cache location;
-//! `--trace <path>.jsonl` streams telemetry events, `--metrics <path>.json`
-//! writes the final metrics snapshot, which is also embedded in
-//! `BENCH_sweep.json` under `"obs"`.)
+//! `--trace <path>.jsonl` streams span lineage for a flamegraph,
+//! `--metrics <path>.json` writes the final metrics snapshot — the file
+//! `cargo xtask trace diff` compares, also embedded in `BENCH_sweep.json`
+//! under `"obs"`.)
 
-use efficsense_bench::{dataset_config, design_space, figures_dir, obs_from_args, scale, Scale};
+use efficsense_bench::{figures_dir, obs_from_args, scale, Scale, StageTable};
 use efficsense_core::cache::SweepCache;
 use efficsense_core::pareto::pareto_front;
 use efficsense_core::prefix::{PrefixStats, PrefixStore};
@@ -40,6 +41,7 @@ use efficsense_core::prelude::*;
 use efficsense_core::sweep::Metric;
 use efficsense_cs::memo;
 use efficsense_obs::json::Json;
+use efficsense_obs::profile::cache_efficacy;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,6 +54,30 @@ const FAULT_SEED: u64 = 0xFA_017;
 /// sweeps), whose fastest run is reported.
 const REPEATS: usize = 5;
 
+/// The spans whose self times partition a sweep point's wall time: the
+/// point's own span and every stage and kernel nested in it. The decode
+/// kernels are children of `stage.reconstruct` (and, for the few training
+/// decodes, of `detect.train`), so their self times count too.
+const POINT_SPANS: [&str; 17] = [
+    "sweep.point",
+    "stage.simulate",
+    "sim.analog",
+    "sim.analog.build",
+    "sim.sample.build",
+    "sim.reference.build",
+    "sim.encode",
+    "sim.nyquist",
+    "sim.link",
+    "stage.reconstruct",
+    "recon.batch",
+    "recon.bmat",
+    "recon.frame",
+    "recon.gram",
+    "stage.power",
+    "stage.detect",
+    "detect.infer",
+];
+
 /// One `(fault kind, severity)` cell of the product.
 #[derive(Debug, Clone)]
 struct Cell {
@@ -62,8 +88,8 @@ struct Cell {
 /// The product grid: reduced keeps CI fast (and includes two severity-0
 /// cells, which share the clean content key — the cold-pass dedup case);
 /// medium/full run the full taxonomy × severity grid.
-fn cells() -> Vec<Cell> {
-    let (kinds, severities): (Vec<FaultKind>, Vec<f64>) = match scale() {
+fn cells(sc: Scale) -> Vec<Cell> {
+    let (kinds, severities): (Vec<FaultKind>, Vec<f64>) = match sc {
         Scale::Reduced => (
             vec![FaultKind::AdcStuckBit, FaultKind::CapLeakage],
             vec![0.0, 1.0],
@@ -163,9 +189,9 @@ fn fastest<T: PartialEq + std::fmt::Debug>(
 fn main() {
     let obs_session = obs_from_args();
     let sc = scale();
-    let dataset = EegDataset::generate(&dataset_config());
-    let space = design_space();
-    let cells = cells();
+    let dataset = EegDataset::generate(&sc.dataset_config());
+    let space = sc.design_space();
+    let cells = cells(sc);
     let points_per_pass = cells.len() * space.len();
     println!(
         "product sweep: {} cells × {} points over {} records ({} scale)",
@@ -388,66 +414,41 @@ fn main() {
     }
 
     // ---- Telemetry: freeze the registry, show the per-stage breakdown and
-    // check the span accounting identity — every stage's *self* time plus
-    // the per-point overhead must reassemble the per-point wall time.
+    // what each cache level saved, and check the span accounting identity —
+    // the self times of the point's spans must reassemble its wall time.
     let snap = obs_session.finish();
-    let self_s = |n: &str| snap.span(n).map_or(0, |s| s.self_ns) as f64 / 1e9;
     let point = snap.span("sweep.point").expect("sweep.point span recorded");
     println!(
         "  telemetry: {} point spans ({:.2}s), stage breakdown:",
         point.count,
         point.total_ns as f64 / 1e9
     );
-    for name in [
-        "stage.simulate",
-        "sim.analog",
-        "sim.analog.build",
-        "sim.sample.build",
-        "sim.reference.build",
-        "sim.encode",
-        "sim.nyquist",
-        "sim.link",
-        "stage.reconstruct",
-        "recon.batch",
-        "recon.bmat",
-        "recon.frame",
-        "recon.gram",
-        "stage.power",
-        "stage.detect",
-        "detect.infer",
-    ] {
-        if let Some(s) = snap.span(name) {
-            println!(
-                "    {:<18} total {:>8.2}s  self {:>8.2}s  ({} spans, mean {:.1} µs)",
-                name,
-                s.total_ns as f64 / 1e9,
-                s.self_ns as f64 / 1e9,
-                s.count,
-                s.mean_ns() / 1e3
-            );
-        }
+    for line in StageTable::new(&snap).to_string().lines() {
+        println!("    {line}");
     }
-    // The decode kernels are children of `stage.reconstruct` (and, for the
-    // few training decodes, of `detect.train`), so their self times are part
-    // of the per-point accounting identity.
-    let stage_sum_s = self_s("sweep.point")
-        + self_s("stage.simulate")
-        + self_s("sim.analog")
-        + self_s("sim.analog.build")
-        + self_s("sim.sample.build")
-        + self_s("sim.reference.build")
-        + self_s("sim.encode")
-        + self_s("sim.nyquist")
-        + self_s("sim.link")
-        + self_s("stage.detect")
-        + self_s("detect.infer")
-        + self_s("stage.reconstruct")
-        + self_s("recon.batch")
-        + self_s("recon.bmat")
-        + self_s("recon.frame")
-        + self_s("recon.gram")
-        + self_s("stage.power");
-    let stage_ratio = stage_sum_s / (point.total_ns as f64 / 1e9).max(1e-12);
+    println!(
+        "    {:<14} {:>10} {:>10} {:>9} {:>7} {:>14} {:>13}",
+        "cache level", "hits", "misses", "evicts", "hit%", "miss_cost_us", "saved_ms"
+    );
+    for r in cache_efficacy(&snap) {
+        let hit_pct = 100.0 * r.hits as f64 / ((r.hits + r.misses) as f64).max(1.0);
+        let cost = r
+            .est_miss_cost_ns
+            .map_or("-".to_string(), |c| format!("{:.1}", c / 1e3));
+        let saved = r
+            .est_saved_ns
+            .map_or("-".to_string(), |s| format!("{:.3}", s / 1e6));
+        println!(
+            "    {:<14} {:>10} {:>10} {:>9} {hit_pct:>6.1}% {cost:>14} {saved:>13}",
+            r.level, r.hits, r.misses, r.evictions
+        );
+    }
+    let stage_sum_ns: u64 = POINT_SPANS
+        .iter()
+        .filter_map(|name| snap.span(name))
+        .map(|s| s.self_ns)
+        .sum();
+    let stage_ratio = stage_sum_ns as f64 / (point.total_ns as f64).max(1.0);
     assert!(
         (0.9..=1.1).contains(&stage_ratio),
         "per-stage self times must sum to within 10% of per-point wall time \
@@ -521,7 +522,7 @@ fn main() {
                 ("dictionary_hits", dict_hits_within_sweep.into()),
             ]),
         ),
-        ("profile", efficsense_bench::profile_summary_json(&snap)),
+        ("profile", StageTable::new(&snap).to_json()),
         ("obs", Json::from(&snap)),
     ]);
     efficsense_bench::write_bench_json("BENCH_sweep.json", &summary);

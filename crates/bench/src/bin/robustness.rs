@@ -21,8 +21,7 @@
 //! `--trace <path>.jsonl` / `--metrics <path>.json` stream telemetry.)
 
 use efficsense_bench::{
-    dataset_config, design_space, native_architecture, obs_from_args, persist_quarantine,
-    save_figure, scale, Scale,
+    native_architecture, obs_from_args, persist_quarantine, save_figure, scale, Scale, StageTable,
 };
 use efficsense_core::cache::SweepCache;
 use efficsense_core::prelude::*;
@@ -74,12 +73,13 @@ fn front_row(
 
 fn main() {
     let obs_session = obs_from_args();
-    let severities: &[f64] = match scale() {
+    let sc = scale();
+    let severities: &[f64] = match sc {
         Scale::Reduced => &[0.0, 0.5, 1.0],
         Scale::Medium | Scale::Full => &[0.0, 0.25, 0.5, 0.75, 1.0],
     };
-    let dataset = EegDataset::generate(&dataset_config());
-    let space = design_space();
+    let dataset = EegDataset::generate(&sc.dataset_config());
+    let space = sc.design_space();
     let points_per_cell = space.points().len();
     let cache = Arc::new(SweepCache::new());
 
@@ -150,7 +150,7 @@ fn main() {
             r.best_area_units,
         ));
     }
-    let results_name = format!("robustness_{}.csv", scale().name());
+    let results_name = format!("robustness_{}.csv", sc.name());
     save_figure(&results_name, &csv);
 
     // Persist the quarantine next to the results CSV (header-only when every
@@ -218,7 +218,7 @@ fn main() {
     // BENCH_robustness.json: the matrix verdicts plus the per-stage
     // profile, mirroring the product/longevity summaries for CI trends.
     let summary = Json::obj([
-        ("scale", scale().name().into()),
+        ("scale", sc.name().into()),
         ("host", efficsense_bench::host_json()),
         ("fault_kinds", FaultKind::ALL.len().into()),
         ("severity_steps", severities.len().into()),
@@ -228,7 +228,7 @@ fn main() {
         ("l1_entries", stats.entries.into()),
         ("l1_hits", stats.hits.into()),
         ("l1_misses", stats.misses.into()),
-        ("profile", efficsense_bench::profile_summary_json(&snap)),
+        ("profile", StageTable::new(&snap).to_json()),
     ]);
     efficsense_bench::write_bench_json("BENCH_robustness.json", &summary);
 

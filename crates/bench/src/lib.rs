@@ -54,10 +54,35 @@ impl Scale {
             )),
         }
     }
+
+    /// The experiments' dataset at this scale.
+    pub fn dataset_config(self) -> DatasetConfig {
+        match self {
+            Scale::Full => DatasetConfig::paper_scale(0xEEC5),
+            Scale::Medium => DatasetConfig {
+                records_per_class: 34,
+                ..Default::default()
+            },
+            Scale::Reduced => DatasetConfig {
+                records_per_class: 5,
+                duration_s: 8.0,
+                ..Default::default()
+            },
+        }
+    }
+
+    /// The experiments' design space at this scale.
+    pub fn design_space(self) -> DesignSpace {
+        match self {
+            Scale::Full | Scale::Medium => DesignSpace::paper_defaults(),
+            Scale::Reduced => DesignSpace::reduced(),
+        }
+    }
 }
 
 /// Reads the requested scale from `EFFICSENSE_SCALE=reduced|medium|full`
-/// (default reduced). Exits the process with status 2 on any other value.
+/// (default reduced). Exits the process with status 2 on any other value,
+/// so each binary calls it once, in `main`.
 pub fn scale() -> Scale {
     let value = std::env::var_os("EFFICSENSE_SCALE");
     let value = value.as_deref().map(std::ffi::OsStr::to_string_lossy);
@@ -67,11 +92,6 @@ pub fn scale() -> Scale {
     })
 }
 
-/// Returns `true` when paper-scale evaluation was requested.
-pub fn full_scale() -> bool {
-    scale() == Scale::Full
-}
-
 /// The architecture a fault kind natively lives on: hold-capacitor
 /// leakage acts only on the CS chain's charge-sharing encoder, and every
 /// other kind is scored on the Nyquist baseline.
@@ -79,30 +99,6 @@ pub fn native_architecture(kind: FaultKind) -> Architecture {
     match kind {
         FaultKind::CapLeakage => Architecture::CompressiveSensing,
         _ => Architecture::Baseline,
-    }
-}
-
-/// Dataset configuration for experiments, honouring the scale switch.
-pub fn dataset_config() -> DatasetConfig {
-    match scale() {
-        Scale::Full => DatasetConfig::paper_scale(0xEEC5),
-        Scale::Medium => DatasetConfig {
-            records_per_class: 34,
-            ..Default::default()
-        },
-        Scale::Reduced => DatasetConfig {
-            records_per_class: 5,
-            duration_s: 8.0,
-            ..Default::default()
-        },
-    }
-}
-
-/// Design space for experiments, honouring the scale switch.
-pub fn design_space() -> DesignSpace {
-    match scale() {
-        Scale::Full | Scale::Medium => DesignSpace::paper_defaults(),
-        Scale::Reduced => DesignSpace::reduced(),
     }
 }
 
@@ -183,11 +179,9 @@ pub fn obs_from_args() -> ObsSession {
 }
 
 impl ObsSession {
-    /// Emits the registry's closing counter totals into the trace (so an
-    /// offline profile can join cache counters with span durations),
-    /// flushes the sink and freezes the registry. When the session was
-    /// started with `--metrics <path>`, the snapshot JSON is written there
-    /// too.
+    /// Flushes the trace sink and freezes the registry. When the session
+    /// was started with `--metrics <path>`, the snapshot JSON is written
+    /// there too.
     ///
     /// # Panics
     ///
@@ -195,7 +189,6 @@ impl ObsSession {
     /// bench output.
     pub fn finish(&self) -> efficsense_obs::Snapshot {
         let obs = efficsense_obs::global();
-        obs.emit_counters();
         obs.flush();
         let snap = obs.snapshot();
         if let Some(path) = &self.metrics_path {
@@ -206,40 +199,95 @@ impl ObsSession {
     }
 }
 
-/// The per-stage profile block of a `BENCH_*.json` summary (its
-/// `"profile"` key): the top stages by self time with their share of total
-/// self time, plus per-occurrence quantile upper bounds from the histogram
-/// buckets.
-#[must_use]
-pub fn profile_summary_json(snap: &efficsense_obs::Snapshot) -> Json {
-    let mut rows: Vec<(&String, &efficsense_obs::HistogramSnapshot)> =
-        snap.spans.iter().map(|(n, s)| (n, s)).collect();
-    rows.sort_by(|a, b| b.1.self_ns.cmp(&a.1.self_ns).then_with(|| a.0.cmp(b.0)));
-    let total_self: u64 = rows.iter().map(|(_, s)| s.self_ns).sum();
-    let stages = rows
-        .iter()
-        .take(8)
-        .map(|(name, s)| {
-            let share = if total_self == 0 {
-                0.0
-            } else {
-                s.self_ns as f64 / total_self as f64
-            };
-            Json::obj([
-                ("stage", name.as_str().into()),
-                ("count", s.count.into()),
-                ("self_s", (s.self_ns as f64 / 1e9).into()),
-                ("self_share", share.into()),
-                ("p50_us", s.p50_us().into()),
-                ("p95_us", s.p95_us().into()),
-                ("p99_us", s.p99_us().into()),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("total_self_s", (total_self as f64 / 1e9).into()),
-        ("stages", stages),
-    ])
+/// A snapshot's per-stage table: every span that recorded an occurrence,
+/// ordered by self time (name breaks ties), with its share of the summed
+/// self time. Its p50/p95/p99 are the histogram's bucket-ceiling bounds
+/// ([`HistogramSnapshot::quantile_upper_us`]), the same figures
+/// `--metrics` reports.
+///
+/// [`HistogramSnapshot::quantile_upper_us`]: efficsense_obs::HistogramSnapshot::quantile_upper_us
+#[derive(Debug)]
+pub struct StageTable<'a> {
+    total_self_ns: u64,
+    rows: Vec<(&'a str, &'a efficsense_obs::HistogramSnapshot)>,
+}
+
+impl<'a> StageTable<'a> {
+    /// The table of `snap`'s spans.
+    #[must_use]
+    pub fn new(snap: &'a efficsense_obs::Snapshot) -> Self {
+        let mut rows: Vec<_> = snap
+            .spans
+            .iter()
+            .filter(|(_, s)| s.count > 0)
+            .map(|(n, s)| (n.as_str(), s))
+            .collect();
+        rows.sort_by(|a, b| b.1.self_ns.cmp(&a.1.self_ns).then_with(|| a.0.cmp(b.0)));
+        let total_self_ns = rows.iter().map(|(_, s)| s.self_ns).sum();
+        Self {
+            total_self_ns,
+            rows,
+        }
+    }
+
+    fn share(&self, self_ns: u64) -> f64 {
+        if self.total_self_ns == 0 {
+            0.0
+        } else {
+            self_ns as f64 / self.total_self_ns as f64
+        }
+    }
+
+    /// The `"profile"` block of a `BENCH_*.json` summary: the summed self
+    /// time and the top eight stages.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let stages = self
+            .rows
+            .iter()
+            .take(8)
+            .map(|(name, s)| {
+                Json::obj([
+                    ("stage", (*name).into()),
+                    ("count", s.count.into()),
+                    ("self_s", (s.self_ns as f64 / 1e9).into()),
+                    ("self_share", self.share(s.self_ns).into()),
+                    ("p50_us", s.p50_us().into()),
+                    ("p95_us", s.p95_us().into()),
+                    ("p99_us", s.p99_us().into()),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("total_self_s", (self.total_self_ns as f64 / 1e9).into()),
+            ("stages", stages),
+        ])
+    }
+}
+
+/// Renders the table as text, one line per stage.
+impl std::fmt::Display for StageTable<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "{:<22} {:>8} {:>10} {:>10} {:>6} {:>9} {:>9} {:>9}",
+            "stage", "count", "total_s", "self_s", "self%", "p50_us", "p95_us", "p99_us"
+        )?;
+        for (name, s) in &self.rows {
+            writeln!(
+                f,
+                "{name:<22} {:>8} {:>10.3} {:>10.3} {:>5.1}% {:>9} {:>9} {:>9}",
+                s.count,
+                s.total_ns as f64 / 1e9,
+                s.self_ns as f64 / 1e9,
+                100.0 * self.share(s.self_ns),
+                s.p50_us(),
+                s.p95_us(),
+                s.p99_us()
+            )?;
+        }
+        Ok(())
+    }
 }
 
 /// The `"host"` block of every `BENCH_*.json` summary: the core count the
@@ -276,9 +324,9 @@ pub fn write_bench_json(path: &str, summary: &Json) {
 /// # Panics
 ///
 /// Panics on I/O errors, like every figure-cache write.
-pub fn sweep_cached(metric: efficsense_core::sweep::Metric) -> Vec<SweepResult> {
+pub fn sweep_cached(sc: Scale, metric: efficsense_core::sweep::Metric) -> Vec<SweepResult> {
     use efficsense_core::sweep::Metric;
-    let scale = scale().name();
+    let scale = sc.name();
     let stem = match metric {
         Metric::Snr => format!("sweep_snr_{scale}"),
         Metric::DetectionAccuracy => format!("sweep_accuracy_{scale}"),
@@ -291,8 +339,8 @@ pub fn sweep_cached(metric: efficsense_core::sweep::Metric) -> Vec<SweepResult> 
             cache_path.display()
         );
     }
-    let dataset = EegDataset::generate(&dataset_config());
-    let space = design_space();
+    let dataset = EegDataset::generate(&sc.dataset_config());
+    let space = sc.design_space();
     println!(
         "  sweeping {} design points over {} records ({} scale)…",
         space.len(),
@@ -357,12 +405,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reduced_config_is_small() {
-        if !full_scale() {
-            let c = dataset_config();
-            assert!(c.records_per_class <= 10);
-            assert!(c.duration_s <= 10.0);
+    fn per_scale_configs_grow_from_reduced_to_full() {
+        let reduced = Scale::Reduced.dataset_config();
+        assert!(reduced.records_per_class <= 10 && reduced.duration_s <= 10.0);
+        let medium = Scale::Medium.dataset_config();
+        assert_eq!(medium.records_per_class, 34);
+        let full = Scale::Full.dataset_config();
+        assert!(full.records_per_class > medium.records_per_class);
+        assert!(medium.duration_s > reduced.duration_s);
+        let points = |sc: Scale| sc.design_space().len();
+        assert!(points(Scale::Reduced) < points(Scale::Medium));
+        assert_eq!(points(Scale::Medium), points(Scale::Full));
+    }
+
+    #[test]
+    fn stage_table_orders_by_self_time_and_shares_it() {
+        use efficsense_obs::{LogicalClock, ObsRegistry};
+        let reg = ObsRegistry::new();
+        reg.set_clock(Arc::new(LogicalClock::new(1_000)));
+        {
+            let _outer = reg.span("outer"); // self 2 µs
+            drop(reg.span("inner")); // self 1 µs
         }
+        drop(reg.span("unused"));
+        reg.reset();
+        {
+            let _outer = reg.span("outer");
+            drop(reg.span("inner"));
+        }
+        let snap = reg.snapshot();
+        let table = StageTable::new(&snap);
+        let json = table.to_json();
+        let stages = json.get("stages").and_then(Json::as_arr).expect("stages");
+        let names: Vec<&str> = stages
+            .iter()
+            .filter_map(|s| s.get("stage").and_then(Json::as_str))
+            .collect();
+        assert_eq!(names, ["outer", "inner"], "zero-count rows stay out");
+        let share = stages[0].get("self_share").and_then(Json::as_f64);
+        assert!(share.is_some_and(|v| (v - 2.0 / 3.0).abs() < 1e-12));
+        // The bounds are the histogram's, as `--metrics` reports them.
+        assert_eq!(stages[0].get("p99_us").and_then(Json::as_u64), Some(4));
+        let text = table.to_string();
+        assert!(text.contains("outer") && text.contains(" 66.7%"), "{text}");
     }
 
     #[test]

@@ -110,11 +110,10 @@ impl Lna {
     /// seeded stream, so the noise realisation is identical with and
     /// without the fault; a no-op fault leaves the output bit-identical.
     pub fn inject_rail_fault(&mut self, fault: Option<LnaRailFault>, fault_seed: u64) {
-        self.rail = fault.filter(|f| !f.is_noop()).map(|fault| RailState {
-            fault,
-            rng: Rng64::new(fault_seed),
-            remaining: 0,
-        });
+        self.rail = None;
+        if let Some(fault) = fault.filter(|f| !f.is_noop()) {
+            self.install_rail_fault(fault, fault_seed);
+        }
     }
 
     /// Installs a railing fault unconditionally — even a currently-noop

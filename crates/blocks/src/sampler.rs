@@ -66,11 +66,10 @@ impl Sampler {
     /// concealed by holding the last acquired value (the hold cap keeps its
     /// charge when the track switch fails to close).
     pub fn inject_clock_fault(&mut self, fault: Option<ClockFault>, fault_seed: u64) {
-        self.clock = fault.filter(|f| !f.is_noop()).map(|fault| ClockState {
-            fault,
-            jitter_rng: Rng64::new(fault_seed ^ 0x0C10_CC00),
-            drop_rng: Rng64::new(fault_seed ^ 0x0D20_9ED5),
-        });
+        self.clock = None;
+        if let Some(fault) = fault.filter(|f| !f.is_noop()) {
+            self.install_clock_fault(fault, fault_seed);
+        }
     }
 
     /// Installs a sample-clock fault unconditionally — even a currently-noop

@@ -1,6 +1,6 @@
 //! The workspace's one JSON codec: every JSON document the workspace
-//! writes (trace lines, L1 cache JSONL, `.prof` profiles, `--metrics`
-//! snapshots, lint reports, `BENCH_*.json`) is a [`Json`] value rendered by
+//! writes (trace lines, L1 cache JSONL, `--metrics` snapshots, lint
+//! reports, `BENCH_*.json`) is a [`Json`] value rendered by
 //! its [`Display`](fmt::Display) impl, and every one it reads goes through
 //! [`Json::parse`].
 //!

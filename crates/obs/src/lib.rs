@@ -32,25 +32,26 @@
 //! snapshots regardless of worker-thread count or interleaving.
 //!
 //! [`ObsRegistry::snapshot`] freezes everything into an ordered
-//! name → value map ([`Snapshot`]) that serialises to JSON.
+//! name → value map ([`Snapshot`]) that serialises to JSON and parses
+//! back. The snapshot is the one per-stage aggregate: the `--metrics`
+//! file, the bench summaries' stage tables and `trace diff` all read it.
 //!
 //! The [`json`] module is the workspace's one JSON codec: a [`json::Json`]
 //! value type whose `Display` impl is the only JSON writer (trace lines,
-//! snapshots, profiles, the L1 cache file, lint reports and bench
-//! summaries) and whose parser reads all of them back.
+//! snapshots, the L1 cache file, lint reports and bench summaries) and
+//! whose parser reads all of them back.
 //!
 //! The [`profile`] module closes the loop offline: it rebuilds the span
-//! forest from a JSONL trace and aggregates it into a deterministic
-//! [`Profile`] — per-stage self/total time with exact p50/p95/p99,
-//! folded-stack flamegraph text, cache-efficacy estimates, and a
-//! per-stage [`profile::diff`] that attributes a throughput change to
-//! the stages responsible.
+//! forest from a JSONL trace into folded-stack flamegraph text
+//! ([`Profile`]), and over snapshots it estimates what each cache level
+//! saved and attributes a throughput change to the stages responsible
+//! ([`profile::diff`]).
 //!
 //! The [`store`] module holds the one content-addressed [`Store`] behind
 //! every evaluation cache (L1 results, L2 memo, detector memo, L3
 //! prefixes), with its `<namespace>.{hit,miss,evict}` counters. It sits
 //! here because both `efficsense-cs` and `efficsense-core` depend on this
-//! crate and the profiler already reads those counters.
+//! crate and the cache-efficacy report already reads those counters.
 //!
 //! The [`pool`] module holds the one worker pool that the sweep and the
 //! batched OMP decode fan out through, [`ObsRegistry::parallel_map`]. It
@@ -67,7 +68,7 @@ pub mod trace;
 
 pub use clock::{Clock, LogicalClock, MonotonicClock};
 pub use metrics::{bucket_floor_us, bucket_index, Counter, Histogram, HistogramSnapshot, BUCKETS};
-pub use profile::{Profile, ProfileBuilder, ProfileDiff, StageStats};
+pub use profile::{Profile, ProfileDiff};
 pub use registry::{global, ObsRegistry, Snapshot, SpanGuard};
 pub use store::{Store, StoreStats};
 pub use trace::TraceEvent;

@@ -1,70 +1,38 @@
-//! Offline trace analysis: causal span-forest reconstruction and
-//! deterministic profiling.
+//! Offline analysis: the span forest of a JSONL trace, and per-stage
+//! attribution over registry snapshots.
 //!
-//! A JSONL trace (see [`crate::trace`]) carries `begin`/`span` events with
-//! `span`/`parent`/`thread` lineage fields and an optional closing
-//! `counters` event. This module rebuilds the span forest from those
-//! links and aggregates it three ways:
+//! The registry's [`Snapshot`] is the one per-stage aggregate: it records
+//! every span whether or not a trace sink is installed or sampling drops
+//! the span's tree. This module reads it two ways:
 //!
-//! * **per stage** ([`StageStats`]) — occurrence count, summed total and
-//!   self time, and exact nearest-rank p50/p95/p99 over per-occurrence
-//!   totals;
-//! * **per folded call path** ([`StackStats`]) — `root;child;leaf` keys
-//!   in the standard collapsed-stack format, rendered by
-//!   [`Profile::to_folded`] for speedscope/inferno flamegraphs;
 //! * **cache efficacy** ([`cache_efficacy`]) — L1/L2/L3 hit/miss/evict
 //!   counters joined with the spans that price a miss, estimating the
-//!   time each cache level saved.
+//!   time each cache level saved;
+//! * **per-stage attribution** ([`diff`]) — every stage's self time per
+//!   sweep point in two snapshots, ranked by how much it moved.
 //!
-//! Everything aggregates over *names*, never span ids, threads or
-//! absolute timestamps, and every map is ordered — so under
-//! [`LogicalClock`](crate::clock::LogicalClock) the profile of a sweep is
-//! a pure function of the code path: bit-identical across worker-thread
-//! counts. That determinism is what makes [`diff`] trustworthy for
-//! attributing a throughput change to specific stages.
+//! A JSONL trace (see [`crate::trace`]) adds what a snapshot cannot hold:
+//! span lineage. Its `begin`/`span` events carry `span`/`parent`/`thread`
+//! fields, and [`Profile::from_trace`] rebuilds the span forest from those
+//! links into folded call paths (`root;child;leaf`), rendered by
+//! [`Profile::to_folded`] for speedscope/inferno flamegraphs.
+//!
+//! Stacks aggregate over *names*, never span ids, threads or absolute
+//! timestamps, and every map is ordered — so under
+//! [`LogicalClock`](crate::clock::LogicalClock) the folded stacks of a
+//! sweep are a pure function of the code path: bit-identical across
+//! worker-thread counts.
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use crate::registry::Snapshot;
 use crate::trace::TraceEvent;
-
-/// Profile file format version (the `"version"` key in
-/// [`Profile::to_json`]).
-pub const PROFILE_VERSION: u64 = 1;
 
 /// Parent chains longer than this are treated as broken (a corrupt trace
 /// could otherwise loop forever).
 const MAX_STACK_DEPTH: usize = 64;
 
-/// Per-name aggregate over every closed span occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageStats {
-    /// Closed occurrences.
-    pub count: u64,
-    /// Summed total durations (ns).
-    pub total_ns: u64,
-    /// Summed self times (ns).
-    pub self_ns: u64,
-    /// Exact nearest-rank median of per-occurrence totals (ns).
-    pub p50_ns: u64,
-    /// Exact nearest-rank 95th percentile (ns).
-    pub p95_ns: u64,
-    /// Exact nearest-rank 99th percentile (ns).
-    pub p99_ns: u64,
-}
-
-/// Aggregate for one folded call path (`root;child;leaf`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StackStats {
-    /// Closed occurrences of exactly this path.
-    pub count: u64,
-    /// Summed total durations (ns).
-    pub total_ns: u64,
-    /// Summed self times (ns) — the flamegraph weight.
-    pub self_ns: u64,
-}
-
-/// A reconstructed, order-deterministic profile of one trace.
+/// The span forest of one trace, folded into call paths.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Profile {
     /// Parsed event lines of any kind.
@@ -75,61 +43,30 @@ pub struct Profile {
     /// never appeared in the trace (truncation) or the chain exceeded 64
     /// levels. Their stack roots where the chain broke.
     pub orphans: u64,
-    /// Per-name aggregates, name-ordered.
-    pub stages: BTreeMap<String, StageStats>,
-    /// Folded call paths, path-ordered.
-    pub stacks: BTreeMap<String, StackStats>,
-    /// The last `"counters"` event in the trace, if any.
-    pub counters: BTreeMap<String, u64>,
+    /// Summed self time (ns) per folded call path (`root;child;leaf`),
+    /// path-ordered — the flamegraph weights.
+    pub stacks: BTreeMap<String, u64>,
 }
 
 fn field_u64(ev: &TraceEvent, key: &str) -> Option<u64> {
     ev.get(key)?.as_u64()
 }
 
-/// Exact nearest-rank quantile over an ascending-sorted slice (0 when
-/// empty).
-fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted.get(rank - 1).copied().unwrap_or(0)
-}
-
+/// Span lineage learned so far. Span names are interned so a
+/// million-event trace holds each name once.
 #[derive(Debug, Default)]
-struct StageAcc {
-    totals: Vec<u64>,
-    total_ns: u64,
-    self_ns: u64,
-}
-
-/// Streaming builder: feed trace lines (or parsed events), then
-/// [`finish`](ProfileBuilder::finish) into a [`Profile`]. Span names are
-/// interned so a million-event trace holds each name once.
-#[derive(Debug, Default)]
-pub struct ProfileBuilder {
+struct Forest {
     names: Vec<String>,
     name_ix: BTreeMap<String, u32>,
-    /// span id → (name index, parent id), learned from `begin` and
-    /// `span` events alike so an end event can resolve ancestors whose
-    /// own end has not been seen yet.
+    /// span id → (name index, parent id), learned from `begin` and `span`
+    /// events alike so an end event can resolve ancestors whose own end
+    /// has not been seen yet.
     lineage: BTreeMap<u64, (u32, Option<u64>)>,
-    stages: BTreeMap<u32, StageAcc>,
-    stacks: BTreeMap<Vec<u32>, StackStats>,
-    counters: BTreeMap<String, u64>,
-    events: u64,
-    skipped_lines: u64,
+    stacks: BTreeMap<Vec<u32>, u64>,
     orphans: u64,
 }
 
-impl ProfileBuilder {
-    /// An empty builder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl Forest {
     fn intern(&mut self, name: &str) -> u32 {
         if let Some(&ix) = self.name_ix.get(name) {
             return ix;
@@ -140,60 +77,21 @@ impl ProfileBuilder {
         ix
     }
 
-    /// Feeds one raw JSONL line; blank lines are ignored, unparseable
-    /// ones are counted in [`Profile::skipped_lines`].
-    pub fn add_line(&mut self, line: &str) {
-        let line = line.trim();
-        if line.is_empty() {
-            return;
-        }
-        match TraceEvent::parse(line) {
-            Some(ev) => self.add_event(&ev),
-            None => self.skipped_lines += 1,
-        }
-    }
-
-    /// Feeds one parsed event.
-    pub fn add_event(&mut self, ev: &TraceEvent) {
-        self.events += 1;
-        match ev.kind.as_str() {
-            "begin" => {
-                if let Some(id) = field_u64(ev, "span") {
-                    let nix = self.intern(&ev.name);
-                    self.lineage.insert(id, (nix, field_u64(ev, "parent")));
-                }
-            }
-            "span" => self.add_span(ev),
-            "counters" => {
-                // Last event wins: the registry emits its closing totals
-                // when the sink is detached or the session finishes.
-                self.counters = ev
-                    .fields
-                    .iter()
-                    .filter_map(|(k, v)| match v {
-                        Json::Int(n) => Some((k.clone(), *n)),
-                        _ => None,
-                    })
-                    .collect();
-            }
-            _ => {}
-        }
-    }
-
-    fn add_span(&mut self, ev: &TraceEvent) {
-        let Some(total_ns) = field_u64(ev, "total_ns") else {
-            return;
+    fn add_event(&mut self, ev: &TraceEvent) {
+        let is_end = match ev.kind.as_str() {
+            "begin" => false,
+            "span" => true,
+            _ => return,
         };
-        let self_ns = field_u64(ev, "self_ns").unwrap_or(total_ns);
         let nix = self.intern(&ev.name);
         let parent = field_u64(ev, "parent");
         if let Some(id) = field_u64(ev, "span") {
             self.lineage.insert(id, (nix, parent));
         }
-        let acc = self.stages.entry(nix).or_default();
-        acc.totals.push(total_ns);
-        acc.total_ns = acc.total_ns.saturating_add(total_ns);
-        acc.self_ns = acc.self_ns.saturating_add(self_ns);
+        let Some(total_ns) = field_u64(ev, "total_ns").filter(|_| is_end) else {
+            return;
+        };
+        let self_ns = field_u64(ev, "self_ns").unwrap_or(total_ns);
         // Walk the parent chain to the root (leaf-first, then reversed).
         let mut path = vec![nix];
         let mut cursor = parent;
@@ -214,167 +112,45 @@ impl ProfileBuilder {
             }
         }
         path.reverse();
-        let st = self.stacks.entry(path).or_default();
-        st.count += 1;
-        st.total_ns = st.total_ns.saturating_add(total_ns);
-        st.self_ns = st.self_ns.saturating_add(self_ns);
-    }
-
-    /// Aggregates everything into the final [`Profile`].
-    #[must_use]
-    pub fn finish(self) -> Profile {
-        let Self {
-            names,
-            stages: raw_stages,
-            stacks: raw_stacks,
-            counters,
-            events,
-            skipped_lines,
-            orphans,
-            ..
-        } = self;
-        let name_of = |ix: u32| names.get(ix as usize).cloned().unwrap_or_default();
-        let mut stages = BTreeMap::new();
-        for (nix, mut acc) in raw_stages {
-            acc.totals.sort_unstable();
-            stages.insert(
-                name_of(nix),
-                StageStats {
-                    count: acc.totals.len() as u64,
-                    total_ns: acc.total_ns,
-                    self_ns: acc.self_ns,
-                    p50_ns: nearest_rank(&acc.totals, 0.50),
-                    p95_ns: nearest_rank(&acc.totals, 0.95),
-                    p99_ns: nearest_rank(&acc.totals, 0.99),
-                },
-            );
-        }
-        let mut stacks: BTreeMap<String, StackStats> = BTreeMap::new();
-        for (path, st) in raw_stacks {
-            let key = path
-                .iter()
-                .map(|&ix| name_of(ix))
-                .collect::<Vec<_>>()
-                .join(";");
-            let merged = stacks.entry(key).or_default();
-            merged.count += st.count;
-            merged.total_ns = merged.total_ns.saturating_add(st.total_ns);
-            merged.self_ns = merged.self_ns.saturating_add(st.self_ns);
-        }
-        Profile {
-            events,
-            skipped_lines,
-            orphans,
-            stages,
-            stacks,
-            counters,
-        }
+        let weight = self.stacks.entry(path).or_default();
+        *weight = weight.saturating_add(self_ns);
     }
 }
 
 impl Profile {
-    /// Builds a profile from the full text of a JSONL trace.
+    /// Rebuilds the span forest from the full text of a JSONL trace. Blank
+    /// lines are ignored; unparseable ones are counted in
+    /// [`Profile::skipped_lines`].
     #[must_use]
     pub fn from_trace(text: &str) -> Profile {
-        let mut b = ProfileBuilder::new();
-        for line in text.lines() {
-            b.add_line(line);
+        let mut forest = Forest::default();
+        let (mut events, mut skipped_lines) = (0, 0);
+        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            match TraceEvent::parse(line) {
+                Some(ev) => {
+                    events += 1;
+                    forest.add_event(&ev);
+                }
+                None => skipped_lines += 1,
+            }
         }
-        b.finish()
-    }
-
-    /// Serialises the profile as one deterministic JSON document (the
-    /// `.prof` format consumed by `cargo xtask trace diff`):
-    ///
-    /// ```json
-    /// {"version":1,"events":9,"skipped_lines":0,"orphans":0,
-    ///  "stages":{"sweep.point":{"count":4,"total_ns":9,"self_ns":3,
-    ///            "p50_ns":2,"p95_ns":3,"p99_ns":3}},
-    ///  "stacks":{"sweep.point;stage.simulate":{"count":4,"total_ns":6,"self_ns":6}},
-    ///  "counters":{"cache.l1.hit":2}}
-    /// ```
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let stages = self.stages.iter().map(|(name, s)| {
-            let stats = Json::obj([
-                ("count", s.count.into()),
-                ("total_ns", s.total_ns.into()),
-                ("self_ns", s.self_ns.into()),
-                ("p50_ns", s.p50_ns.into()),
-                ("p95_ns", s.p95_ns.into()),
-                ("p99_ns", s.p99_ns.into()),
-            ]);
-            (name.as_str(), stats)
-        });
-        let stacks = self.stacks.iter().map(|(path, s)| {
-            let stats = Json::obj([
-                ("count", s.count.into()),
-                ("total_ns", s.total_ns.into()),
-                ("self_ns", s.self_ns.into()),
-            ]);
-            (path.as_str(), stats)
-        });
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.as_str(), Json::Int(*v)));
-        Json::obj([
-            ("version", PROFILE_VERSION.into()),
-            ("events", self.events.into()),
-            ("skipped_lines", self.skipped_lines.into()),
-            ("orphans", self.orphans.into()),
-            ("stages", Json::obj(stages)),
-            ("stacks", Json::obj(stacks)),
-            ("counters", Json::obj(counters)),
-        ])
-        .to_string()
-    }
-
-    /// Parses a profile serialised by [`Profile::to_json`]; `None` on
-    /// malformed input or an unknown format version.
-    #[must_use]
-    pub fn parse(text: &str) -> Option<Profile> {
-        let v = Json::parse(text)?;
-        if v.get("version")?.as_u64()? != PROFILE_VERSION {
-            return None;
+        let names = &forest.names;
+        let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
+        for (path, self_ns) in forest.stacks {
+            let key = path
+                .iter()
+                .map(|&ix| names.get(ix as usize).map_or("", String::as_str))
+                .collect::<Vec<_>>()
+                .join(";");
+            let merged = stacks.entry(key).or_default();
+            *merged = merged.saturating_add(self_ns);
         }
-        let mut stages = BTreeMap::new();
-        for (name, s) in v.get("stages")?.as_obj()? {
-            stages.insert(
-                name.clone(),
-                StageStats {
-                    count: s.get("count")?.as_u64()?,
-                    total_ns: s.get("total_ns")?.as_u64()?,
-                    self_ns: s.get("self_ns")?.as_u64()?,
-                    p50_ns: s.get("p50_ns")?.as_u64()?,
-                    p95_ns: s.get("p95_ns")?.as_u64()?,
-                    p99_ns: s.get("p99_ns")?.as_u64()?,
-                },
-            );
-        }
-        let mut stacks = BTreeMap::new();
-        for (path, s) in v.get("stacks")?.as_obj()? {
-            stacks.insert(
-                path.clone(),
-                StackStats {
-                    count: s.get("count")?.as_u64()?,
-                    total_ns: s.get("total_ns")?.as_u64()?,
-                    self_ns: s.get("self_ns")?.as_u64()?,
-                },
-            );
-        }
-        let mut counters = BTreeMap::new();
-        for (k, c) in v.get("counters")?.as_obj()? {
-            counters.insert(k.clone(), c.as_u64()?);
-        }
-        Some(Profile {
-            events: v.get("events")?.as_u64()?,
-            skipped_lines: v.get("skipped_lines")?.as_u64()?,
-            orphans: v.get("orphans")?.as_u64()?,
-            stages,
+        Profile {
+            events,
+            skipped_lines,
+            orphans: forest.orphans,
             stacks,
-            counters,
-        })
+        }
     }
 
     /// Renders the folded-stack flamegraph text: one
@@ -384,8 +160,8 @@ impl Profile {
     #[must_use]
     pub fn to_folded(&self) -> String {
         let mut out = String::new();
-        for (path, s) in &self.stacks {
-            out.push_str(&format!("{path} {}\n", s.self_ns));
+        for (path, self_ns) in &self.stacks {
+            out.push_str(&format!("{path} {self_ns}\n"));
         }
         out
     }
@@ -404,15 +180,16 @@ pub struct CacheLevelReport {
     /// Capacity evictions (0 for unbounded levels).
     pub evictions: u64,
     /// Estimated cost one miss pays (ns), from the level's rebuild
-    /// span(s); `None` when the trace carries no span to price it with.
+    /// span(s); `None` when the snapshot holds no span to price it with.
     pub est_miss_cost_ns: Option<f64>,
     /// `hits x est_miss_cost_ns` — estimated time the level saved (ns).
     pub est_saved_ns: Option<f64>,
 }
 
-/// Joins the trace's cache counters with span durations into per-level
-/// time-saved estimates. Every level is a [`crate::Store`] counting
-/// `<namespace>.{hit,miss,evict}`; levels with zero traffic are omitted.
+/// Joins a snapshot's cache counters with its span durations into
+/// per-level time-saved estimates. Every level is a [`crate::Store`]
+/// counting `<namespace>.{hit,miss,evict}`; levels with zero traffic are
+/// omitted.
 ///
 /// Pricing rules (all estimates, not measurements):
 ///
@@ -427,18 +204,17 @@ pub struct CacheLevelReport {
 /// * Levels without a dedicated rebuild span (l2.srbm, l2.detector,
 ///   l3.ct) report counters only (`est_* = None`).
 #[must_use]
-pub fn cache_efficacy(p: &Profile) -> Vec<CacheLevelReport> {
-    let c = |name: &str| p.counters.get(name).copied().unwrap_or(0);
+pub fn cache_efficacy(snap: &Snapshot) -> Vec<CacheLevelReport> {
+    let c = |name: &str| snap.counter(name).unwrap_or(0);
+    let total = |name: &str| snap.span(name).map_or(0, |s| s.total_ns);
     let mean = |name: &str| {
-        p.stages
-            .get(name)
+        snap.span(name)
             .filter(|s| s.count > 0)
-            .map(|s| s.total_ns as f64 / s.count as f64)
+            .map(crate::HistogramSnapshot::mean_ns)
     };
 
     let evals = c("sweep.evaluations");
-    let eval_work = p.stages.get("stage.simulate").map_or(0, |s| s.total_ns)
-        + p.stages.get("stage.detect").map_or(0, |s| s.total_ns);
+    let eval_work = total("stage.simulate") + total("stage.detect");
     let l1_cost = (evals > 0 && eval_work > 0).then(|| eval_work as f64 / evals as f64);
 
     let levels: [(&'static str, &str, Option<f64>); 8] = [
@@ -472,14 +248,14 @@ pub fn cache_efficacy(p: &Profile) -> Vec<CacheLevelReport> {
         .collect()
 }
 
-/// Per-stage share of a throughput delta between two profiles.
+/// Per-stage share of a throughput delta between two snapshots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageDelta {
     /// Span name.
     pub name: String,
-    /// Self time per sweep point in the old profile (ns).
+    /// Self time per sweep point in the old snapshot (ns).
     pub old_self_pp_ns: f64,
-    /// Self time per sweep point in the new profile (ns).
+    /// Self time per sweep point in the new snapshot (ns).
     pub new_self_pp_ns: f64,
     /// `new - old` (ns per point; positive means the stage got slower).
     pub delta_pp_ns: f64,
@@ -488,13 +264,13 @@ pub struct StageDelta {
 /// Attribution of a per-point cost change to individual stages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileDiff {
-    /// `sweep.point` occurrences in the old profile.
+    /// `sweep.point` occurrences in the old snapshot.
     pub old_points: u64,
-    /// `sweep.point` occurrences in the new profile.
+    /// `sweep.point` occurrences in the new snapshot.
     pub new_points: u64,
-    /// Mean wall time of one `sweep.point` in the old profile (ns).
+    /// Mean wall time of one `sweep.point` in the old snapshot (ns).
     pub old_point_ns: f64,
-    /// Mean wall time of one `sweep.point` in the new profile (ns).
+    /// Mean wall time of one `sweep.point` in the new snapshot (ns).
     pub new_point_ns: f64,
     /// Per-stage deltas, sorted by `|delta_pp_ns|` descending (name
     /// breaks ties).
@@ -510,29 +286,25 @@ impl ProfileDiff {
     }
 }
 
-/// Compares two profiles, normalising every stage's self time by its
-/// profile's `sweep.point` count so traces of different sweep sizes (or
-/// sampling strides) are comparable per point.
+/// Compares two snapshots, normalising every stage's self time by its
+/// snapshot's `sweep.point` count so runs of different sweep sizes are
+/// comparable per point.
 #[must_use]
-pub fn diff(old: &Profile, new: &Profile) -> ProfileDiff {
-    let points = |p: &Profile| p.stages.get("sweep.point").map_or(0, |s| s.count);
-    let point_mean = |p: &Profile| {
-        p.stages
-            .get("sweep.point")
-            .filter(|s| s.count > 0)
-            .map_or(0.0, |s| s.total_ns as f64 / s.count as f64)
-    };
+pub fn diff(old: &Snapshot, new: &Snapshot) -> ProfileDiff {
+    let points = |s: &Snapshot| s.span("sweep.point").map_or(0, |h| h.count);
+    let point_mean = |s: &Snapshot| s.span("sweep.point").map_or(0.0, |h| h.mean_ns());
     let (old_points, new_points) = (points(old), points(new));
     let (old_div, new_div) = (old_points.max(1) as f64, new_points.max(1) as f64);
-    let mut names: Vec<&String> = old.stages.keys().collect();
-    names.extend(new.stages.keys());
+    let mut names: Vec<&String> = old.spans.iter().chain(&new.spans).map(|(n, _)| n).collect();
     names.sort_unstable();
     names.dedup();
+    let self_pp =
+        |s: &Snapshot, name: &str, div: f64| s.span(name).map_or(0.0, |h| h.self_ns as f64) / div;
     let mut stages: Vec<StageDelta> = names
         .into_iter()
         .map(|name| {
-            let old_pp = old.stages.get(name).map_or(0.0, |s| s.self_ns as f64) / old_div;
-            let new_pp = new.stages.get(name).map_or(0.0, |s| s.self_ns as f64) / new_div;
+            let old_pp = self_pp(old, name, old_div);
+            let new_pp = self_pp(new, name, new_div);
             StageDelta {
                 name: name.clone(),
                 old_self_pp_ns: old_pp,
@@ -559,6 +331,9 @@ pub fn diff(old: &Profile, new: &Profile) -> ProfileDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::LogicalClock;
+    use crate::registry::ObsRegistry;
+    use std::sync::Arc;
 
     /// A three-deep tree on thread 0 plus a sibling root, with ids laid
     /// out like the registry does (`thread << 32 | seq`).
@@ -572,7 +347,6 @@ mod tests {
             r#"{"ts_ns":9,"kind":"span","name":"sweep.point","fields":{"span":1,"thread":0,"total_ns":8,"self_ns":3}}"#,
             r#"{"ts_ns":10,"kind":"begin","name":"sweep.point","fields":{"span":4294967297,"thread":1}}"#,
             r#"{"ts_ns":14,"kind":"span","name":"sweep.point","fields":{"span":4294967297,"thread":1,"total_ns":4,"self_ns":4}}"#,
-            r#"{"ts_ns":15,"kind":"counters","name":"registry.counters","fields":{"cache.l1.hit":3,"cache.l1.miss":2,"sweep.evaluations":2}}"#,
         ];
         let mut s = lines.join("\n");
         s.push('\n');
@@ -582,26 +356,15 @@ mod tests {
     #[test]
     fn reconstructs_the_parent_linked_forest() {
         let p = Profile::from_trace(&sample_trace());
-        assert_eq!(p.events, 9);
+        assert_eq!(p.events, 8);
         assert_eq!(p.skipped_lines, 0);
         assert_eq!(p.orphans, 0);
-        let point = p.stages.get("sweep.point").expect("sweep.point");
-        assert_eq!(point.count, 2);
-        assert_eq!(point.total_ns, 12);
-        assert_eq!(point.self_ns, 7);
-        // Quantiles over sorted totals [4, 8]: p50 -> 4, p95/p99 -> 8.
-        assert_eq!(point.p50_ns, 4);
-        assert_eq!(point.p95_ns, 8);
-        assert_eq!(point.p99_ns, 8);
-        // Stacks are keyed by the full name path.
+        // Stacks are keyed by the full name path and weighted by self time.
         assert_eq!(
-            p.stacks
-                .get("sweep.point;stage.simulate;sim.analog")
-                .map(|s| (s.count, s.total_ns, s.self_ns)),
-            Some((1, 2, 2))
+            p.stacks.get("sweep.point;stage.simulate;sim.analog"),
+            Some(&2)
         );
-        assert_eq!(p.stacks.get("sweep.point").map(|s| s.count), Some(2));
-        assert_eq!(p.counters.get("cache.l1.hit"), Some(&3));
+        assert_eq!(p.stacks.get("sweep.point"), Some(&7));
     }
 
     #[test]
@@ -614,50 +377,19 @@ mod tests {
         let p = Profile::from_trace(trace);
         assert_eq!(p.orphans, 1);
         assert_eq!(p.skipped_lines, 1);
-        assert_eq!(p.stacks.get("leaf").map(|s| s.count), Some(1));
+        assert_eq!(p.stacks.get("leaf"), Some(&3));
     }
 
     #[test]
-    fn events_without_lineage_still_profile_flat() {
-        // Pre-lineage traces (no span/parent ids) degrade to per-name
-        // stats with every span a root.
+    fn events_without_lineage_fold_as_roots() {
+        // Pre-lineage traces (no span/parent ids) make every span a root.
         let trace = concat!(
             "{\"ts_ns\":5,\"kind\":\"span\",\"name\":\"stage.power\",",
             "\"fields\":{\"total_ns\":5,\"self_ns\":5}}\n",
         );
         let p = Profile::from_trace(trace);
         assert_eq!(p.orphans, 0);
-        assert_eq!(p.stages.get("stage.power").map(|s| s.count), Some(1));
-        assert_eq!(p.stacks.get("stage.power").map(|s| s.count), Some(1));
-    }
-
-    #[test]
-    fn profile_json_round_trips() {
-        let p = Profile::from_trace(&sample_trace());
-        let json = p.to_json();
-        let back = Profile::parse(&json).expect("profile JSON parses");
-        assert_eq!(back, p);
-        assert_eq!(back.to_json(), json, "re-render is byte-identical");
-        assert_eq!(Profile::parse("{\"version\":999}"), None);
-        assert_eq!(Profile::parse("not json"), None);
-    }
-
-    #[test]
-    fn profile_json_bytes_are_pinned() {
-        // Golden bytes of the `.prof` format `trace diff` reads back.
-        assert_eq!(
-            Profile::from_trace(&sample_trace()).to_json(),
-            concat!(
-                r#"{"version":1,"events":9,"skipped_lines":0,"orphans":0,"stages":{"#,
-                r#""sim.analog":{"count":1,"total_ns":2,"self_ns":2,"p50_ns":2,"p95_ns":2,"p99_ns":2},"#,
-                r#""stage.simulate":{"count":1,"total_ns":5,"self_ns":3,"p50_ns":5,"p95_ns":5,"p99_ns":5},"#,
-                r#""sweep.point":{"count":2,"total_ns":12,"self_ns":7,"p50_ns":4,"p95_ns":8,"p99_ns":8}},"#,
-                r#""stacks":{"sweep.point":{"count":2,"total_ns":12,"self_ns":7},"#,
-                r#""sweep.point;stage.simulate":{"count":1,"total_ns":5,"self_ns":3},"#,
-                r#""sweep.point;stage.simulate;sim.analog":{"count":1,"total_ns":2,"self_ns":2}},"#,
-                r#""counters":{"cache.l1.hit":3,"cache.l1.miss":2,"sweep.evaluations":2}}"#
-            )
-        );
+        assert_eq!(p.stacks.get("stage.power"), Some(&5));
     }
 
     #[test]
@@ -675,62 +407,62 @@ mod tests {
         );
     }
 
+    /// A registry snapshot holding the sample trace's spans, where each
+    /// span's logical-clock duration is `tick` per clock read, plus L1
+    /// counters: 3 hits, 2 misses and 2 evaluations.
+    fn sample_snapshot(tick: u64) -> Snapshot {
+        let reg = ObsRegistry::new();
+        reg.set_clock(Arc::new(LogicalClock::new(tick)));
+        reg.counter("cache.l1.hit").add(3);
+        reg.counter("cache.l1.miss").add(2);
+        reg.counter("sweep.evaluations").add(2);
+        for _ in 0..2 {
+            let _point = reg.span("sweep.point");
+            let _sim = reg.span("stage.simulate");
+            drop(reg.span("sim.analog"));
+        }
+        reg.snapshot()
+    }
+
     #[test]
     fn cache_efficacy_joins_counters_with_spans() {
-        let p = Profile::from_trace(&sample_trace());
-        let report = cache_efficacy(&p);
-        // Only L1 has traffic in the sample trace.
+        // Each stage.simulate spans 4 reads (start, child start and end,
+        // end): total 3 ticks of 10 ns, twice.
+        let report = cache_efficacy(&sample_snapshot(10));
+        // Only L1 has traffic in the sample snapshot.
         assert_eq!(report.len(), 1);
         let l1 = &report[0];
         assert_eq!(l1.level, "l1.point");
         assert_eq!((l1.hits, l1.misses), (3, 2));
-        // stage.simulate total 5 over 2 evaluations -> 2.5 ns per miss.
+        // stage.simulate total 60 ns over 2 evaluations -> 30 ns per miss.
         let cost = l1.est_miss_cost_ns.expect("priced");
-        assert!((cost - 2.5).abs() < 1e-9);
+        assert!((cost - 30.0).abs() < 1e-9);
         let saved = l1.est_saved_ns.expect("saved");
-        assert!((saved - 7.5).abs() < 1e-9);
+        assert!((saved - 90.0).abs() < 1e-9);
     }
 
     #[test]
     fn diff_attributes_per_point_regressions_to_stages() {
-        let old = Profile::from_trace(&sample_trace());
-        // New trace: same shape but sim.analog got 10x slower.
-        let new_trace = sample_trace()
-            .replace(
-                "\"total_ns\":2,\"self_ns\":2",
-                "\"total_ns\":20,\"self_ns\":20",
-            )
-            .replace(
-                "\"total_ns\":5,\"self_ns\":3",
-                "\"total_ns\":23,\"self_ns\":3",
-            )
-            .replace(
-                "\"total_ns\":8,\"self_ns\":3",
-                "\"total_ns\":26,\"self_ns\":3",
-            );
-        let new = Profile::from_trace(&new_trace);
+        let old = sample_snapshot(10);
+        let mut new = old.clone();
+        // sim.analog got 10x slower: +90 ns self per point, carried up
+        // into its parents' totals.
+        for (name, h) in &mut new.spans {
+            h.total_ns += 180;
+            if name.as_str() == "sim.analog" {
+                h.self_ns += 180;
+            }
+        }
         let d = diff(&old, &new);
-        assert_eq!(d.old_points, 2);
-        assert_eq!(d.new_points, 2);
+        assert_eq!((d.old_points, d.new_points), (2, 2));
         assert!(d.new_point_ns > d.old_point_ns);
         let top = d.stages.first().expect("has stages");
         assert_eq!(top.name, "sim.analog", "regressed stage ranks first");
-        assert!((top.delta_pp_ns - 9.0).abs() < 1e-9, "{}", top.delta_pp_ns);
-        assert!(d.regressed(0.5), "(6->15 mean) is a >50% regression");
+        assert!((top.delta_pp_ns - 90.0).abs() < 1e-9, "{}", top.delta_pp_ns);
+        assert!(d.regressed(0.5), "(50 -> 140 ns mean) is a >50% regression");
         assert!(
             !diff(&old, &old).regressed(0.0),
             "self-diff never regresses"
         );
-    }
-
-    #[test]
-    fn nearest_rank_is_exact() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(nearest_rank(&v, 0.50), 50);
-        assert_eq!(nearest_rank(&v, 0.95), 95);
-        assert_eq!(nearest_rank(&v, 0.99), 99);
-        assert_eq!(nearest_rank(&v, 1.0), 100);
-        assert_eq!(nearest_rank(&v, 0.0), 1);
-        assert_eq!(nearest_rank(&[], 0.5), 0);
     }
 }

@@ -152,11 +152,11 @@ impl ObsRegistry {
 
     /// Installs a JSONL trace sink (e.g. a buffered file); `None` removes
     /// it. While no sink is installed, event emission short-circuits on a
-    /// relaxed atomic load. The outgoing sink, if any, receives a closing
-    /// `"counters"` event and a flush so its trace is self-contained.
+    /// relaxed atomic load. The outgoing sink, if any, is flushed first so
+    /// a buffered tail is never silently lost.
     pub fn set_sink(&self, sink: Option<Box<dyn Write + Send>>) {
         let enabled = sink.is_some();
-        self.finalize_sink();
+        self.flush();
         let mut slot = recover(self.sink.lock());
         *slot = sink;
         // relaxed: advisory fast-path flag; the sink itself is behind the
@@ -225,43 +225,6 @@ impl ObsRegistry {
     /// Flushes the trace sink, if any.
     pub fn flush(&self) {
         if let Some(sink) = recover(self.sink.lock()).as_mut() {
-            let _ = sink.flush();
-        }
-    }
-
-    /// Emits a `"counters"` trace event carrying every counter's current
-    /// value, making the trace file self-contained for offline analysis
-    /// (the profiler's cache-efficacy report joins these with span
-    /// durations). The last such event in a trace wins.
-    pub fn emit_counters(&self) {
-        if !self.sink_enabled() {
-            return;
-        }
-        let ev = self.counters_event();
-        self.emit(ev);
-    }
-
-    fn counters_event(&self) -> TraceEvent {
-        let mut ev = TraceEvent::new(self.now_ns(), "counters", "registry.counters");
-        for (k, v) in recover(self.counters.lock()).iter() {
-            ev = ev.field(k, v.get());
-        }
-        ev
-    }
-
-    /// Writes a closing `"counters"` event into the current sink and
-    /// flushes it. Called when the sink is detached — replacement via
-    /// [`ObsRegistry::set_sink`] or registry teardown — so a buffered
-    /// tail and the final counter totals are never silently lost.
-    fn finalize_sink(&self) {
-        if !self.sink_enabled() {
-            return;
-        }
-        let mut line = self.counters_event().into_json_line();
-        line.push('\n');
-        let mut slot = recover(self.sink.lock());
-        if let Some(sink) = slot.as_mut() {
-            let _ = sink.write_all(line.as_bytes());
             let _ = sink.flush();
         }
     }
@@ -379,7 +342,7 @@ impl Drop for ObsRegistry {
         // process-wide [`global`] registry lives in a `OnceLock` and never
         // drops — long-lived binaries flush through
         // [`ObsRegistry::flush`] / [`ObsRegistry::set_sink`] instead.)
-        self.finalize_sink();
+        self.flush();
     }
 }
 
@@ -481,6 +444,44 @@ impl Snapshot {
     #[must_use]
     pub fn to_json(&self) -> String {
         crate::json::Json::from(self).to_string()
+    }
+
+    /// Parses a snapshot written by [`Snapshot::to_json`] (a `--metrics`
+    /// file), reading each span's `count`, `total_ns`, `self_ns` and
+    /// [`BUCKETS`](crate::metrics::BUCKETS) bucket counts; the derived
+    /// mean and quantiles are not read back. `None` on malformed input.
+    #[must_use]
+    pub fn parse(text: &str) -> Option<Snapshot> {
+        let v = crate::json::Json::parse(text)?;
+        let counters = v
+            .get("counters")?
+            .as_obj()?
+            .iter()
+            .map(|(k, c)| Some((k.clone(), c.as_u64()?)))
+            .collect::<Option<_>>()?;
+        let spans = v
+            .get("spans")?
+            .as_obj()?
+            .iter()
+            .map(|(k, s)| {
+                let field = |key: &str| s.get(key)?.as_u64();
+                let buckets = s
+                    .get("buckets")?
+                    .as_arr()?
+                    .iter()
+                    .map(crate::json::Json::as_u64)
+                    .collect::<Option<Vec<u64>>>()
+                    .filter(|b| b.len() == crate::metrics::BUCKETS)?;
+                let hist = HistogramSnapshot {
+                    count: field("count")?,
+                    total_ns: field("total_ns")?,
+                    self_ns: field("self_ns")?,
+                    buckets,
+                };
+                Some((k.clone(), hist))
+            })
+            .collect::<Option<_>>()?;
+        Some(Snapshot { counters, spans })
     }
 }
 
@@ -666,6 +667,54 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_json_parses_back_to_the_snapshot() {
+        let reg = ObsRegistry::new();
+        reg.set_clock(Arc::new(LogicalClock::new(700)));
+        reg.counter("hits").add(7);
+        reg.counter("misses").incr();
+        {
+            let _outer = reg.span("outer");
+            drop(reg.span("inner"));
+        }
+        drop(reg.span("zero"));
+        reg.reset(); // a zero-count histogram keeps its entry
+        drop(reg.span("outer"));
+        let snap = reg.snapshot();
+        let json = snap.to_json();
+        assert_eq!(Snapshot::parse(&json), Some(snap));
+        assert_eq!(
+            Snapshot::parse(&json).map(|s| s.to_json()),
+            Some(json),
+            "re-render is byte-identical"
+        );
+    }
+
+    #[test]
+    fn snapshot_parse_rejects_malformed_input() {
+        use crate::metrics::BUCKETS;
+        let zeros = |n: usize| vec!["0"; n].join(",");
+        let span =
+            |buckets: &str| format!(r#""count":0,"total_ns":0,"self_ns":0,"buckets":[{buckets}]"#);
+        let doc = |span: &str| format!(r#"{{"counters":{{"c":1}},"spans":{{"s":{{{span}}}}}}}"#);
+        let good = span(&zeros(BUCKETS));
+        assert!(
+            Snapshot::parse(&doc(&good)).is_some(),
+            "the base case parses"
+        );
+        for bad in [
+            "not json".to_string(),
+            r#"{"counters":{}}"#.to_string(),
+            r#"{"counters":{"c":1.5},"spans":{}}"#.to_string(),
+            doc(&good.replace(r#""count":0,"#, "")),
+            doc(&good.replace(r#""self_ns":0"#, r#""self_ns":-1"#)),
+            doc(&span(&zeros(BUCKETS - 1))),
+            doc(&span(&format!(r#"{},"x""#, zeros(BUCKETS - 1)))),
+        ] {
+            assert_eq!(Snapshot::parse(&bad), None, "{bad}");
+        }
+    }
+
+    #[test]
     fn sink_receives_span_warn_and_heartbeat_events() {
         let reg = ObsRegistry::new();
         reg.set_clock(Arc::new(LogicalClock::new(10)));
@@ -835,13 +884,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_teardown_flushes_the_sink_and_appends_counters() {
+    fn registry_teardown_flushes_the_sink() {
         let buf = FlushGated::default();
         {
             let reg = ObsRegistry::new();
             reg.set_clock(Arc::new(LogicalClock::new(10)));
             reg.set_sink(Some(Box::new(buf.clone())));
-            reg.counter("work.done").add(3);
             drop(reg.span("s"));
             assert_eq!(buf.visible(), "", "nothing published before flush");
         } // registry drops here
@@ -850,31 +898,12 @@ mod tests {
             .lines()
             .map(|l| TraceEvent::parse(l).expect("parses"))
             .collect();
-        assert!(
-            events.iter().any(|e| e.kind == "span"),
+        let kinds: Vec<&str> = events.iter().map(|e| e.kind.as_str()).collect();
+        assert_eq!(
+            kinds,
+            ["begin", "span"],
             "buffered span flushed on teardown"
         );
-        let counters = events
-            .last()
-            .expect("teardown appends a closing counters event");
-        assert_eq!(counters.kind, "counters");
-        assert_eq!(counters.get("work.done"), Some(&crate::json::Json::Int(3)));
-    }
-
-    #[test]
-    fn emit_counters_writes_current_values() {
-        let reg = ObsRegistry::new();
-        reg.set_clock(Arc::new(LogicalClock::new(10)));
-        let buf = SharedBuf::default();
-        reg.set_sink(Some(Box::new(buf.clone())));
-        reg.counter("a.hit").add(5);
-        reg.emit_counters();
-        reg.flush();
-        let ev = TraceEvent::parse(buf.contents().lines().next().expect("one line"))
-            .expect("counters event parses");
-        assert_eq!(ev.kind, "counters");
-        assert_eq!(ev.name, "registry.counters");
-        assert_eq!(ev.get("a.hit"), Some(&crate::json::Json::Int(5)));
     }
 
     #[test]

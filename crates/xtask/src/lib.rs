@@ -11,8 +11,8 @@
 //! - the perf-trend gate (`cargo xtask bench-diff`) comparing sweep
 //!   benchmark summaries — see [`bench_diff`];
 //! - the causal trace analyser (`cargo xtask trace report|diff`) turning
-//!   JSONL span traces into per-stage profiles, flamegraphs and
-//!   regression attributions — see [`trace_cmd`].
+//!   JSONL span traces into flamegraphs and registry snapshots into
+//!   per-stage regression attributions — see [`trace_cmd`].
 
 pub mod bench_diff;
 pub mod budget;

@@ -3,8 +3,8 @@
 //! ```text
 //! cargo xtask lint [--root <dir>] [--format text|json|sarif]
 //! cargo xtask bench-diff [--baseline <path>] [--current <path>] [--tolerance <frac>] [--min <rate>]
-//! cargo xtask trace report --input <trace.jsonl> [--profile-out <path>] [--folded-out <path>]
-//! cargo xtask trace diff <old.prof> <new.prof> [--tolerance <frac>]
+//! cargo xtask trace report --input <trace.jsonl> [--folded-out <path>]
+//! cargo xtask trace diff <old.json> <new.json> [--tolerance <frac>]
 //! ```
 //!
 //! `lint` runs the domain-aware lint pass over every `.rs` file in the
@@ -21,18 +21,17 @@
 //! throughput floor on the current summary, so a refreshed baseline cannot
 //! erode back below a hard-won speedup one within-tolerance dip at a time.
 //!
-//! `trace report` reconstructs the causal span forest from a JSONL trace
-//! and prints per-stage wall/self-time (exact p50/p95/p99) plus the
-//! cache-efficacy join, optionally persisting the deterministic profile
-//! JSON and a folded-stack flamegraph. `trace diff` compares two
-//! persisted profiles, attributes the per-point cost change to stages,
-//! and exits non-zero on a regression beyond the tolerance.
+//! `trace report` reconstructs the causal span forest from a JSONL trace,
+//! prints its summary and optionally writes a folded-stack flamegraph.
+//! `trace diff` compares two registry snapshots (`--metrics` files),
+//! attributes the per-point cost change to stages, and exits non-zero on
+//! a regression beyond the tolerance.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use xtask::{bench_diff, trace_cmd};
 
-const USAGE: &str = "usage: cargo xtask lint [--root <dir>] [--format text|json|sarif]\n       cargo xtask bench-diff [--baseline <path>] [--current <path>] [--tolerance <frac>] [--min <rate>]\n       cargo xtask trace report --input <trace.jsonl> [--profile-out <path>] [--folded-out <path>]\n       cargo xtask trace diff <old.prof> <new.prof> [--tolerance <frac>]";
+const USAGE: &str = "usage: cargo xtask lint [--root <dir>] [--format text|json|sarif]\n       cargo xtask bench-diff [--baseline <path>] [--current <path>] [--tolerance <frac>] [--min <rate>]\n       cargo xtask trace report --input <trace.jsonl> [--folded-out <path>]\n       cargo xtask trace diff <old.json> <new.json> [--tolerance <frac>]";
 
 /// Output mode for `cargo xtask lint`.
 #[derive(Clone, Copy, PartialEq, Eq)]

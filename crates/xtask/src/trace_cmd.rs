@@ -1,20 +1,20 @@
-//! `cargo xtask trace` — offline analysis of causal JSONL traces.
+//! `cargo xtask trace` — offline analysis of span lineage and registry
+//! snapshots.
 //!
-//! Two subcommands over the span-lineage traces the obs registry writes:
-//!
-//! * `trace report` rebuilds the span forest from a trace, prints the
-//!   per-stage wall/self-time table (with exact nearest-rank
-//!   p50/p95/p99), the cache-efficacy join, and can persist the
-//!   deterministic profile JSON (`--profile-out`) and a folded-stack
-//!   flamegraph (`--folded-out`, speedscope/inferno format);
-//! * `trace diff` compares two persisted profiles and attributes the
-//!   per-point cost change to individual stages, failing when the new
-//!   per-point cost regressed beyond a tolerance.
+//! * `trace report` rebuilds the span forest from a JSONL trace, prints
+//!   its summary (events, call paths, skipped lines, orphans) and can
+//!   write a folded-stack flamegraph (`--folded-out`, speedscope/inferno
+//!   format);
+//! * `trace diff` compares two registry snapshots (the `--metrics` files
+//!   bench binaries write) and attributes the per-point cost change to
+//!   individual stages, failing when the new per-point cost regressed
+//!   beyond a tolerance.
 //!
 //! All heavy lifting lives in [`efficsense_obs::profile`]; this module is
 //! the CLI veneer (argument parsing, table rendering, file I/O).
 
 use efficsense_obs::profile::{self, Profile, ProfileDiff};
+use efficsense_obs::Snapshot;
 use std::path::PathBuf;
 
 /// Default fractional per-point regression tolerance for `trace diff`,
@@ -26,8 +26,6 @@ pub const DEFAULT_TOLERANCE: f64 = 0.3;
 pub struct ReportArgs {
     /// JSONL trace to analyse.
     pub input: PathBuf,
-    /// Where to write the profile JSON, if anywhere.
-    pub profile_out: Option<PathBuf>,
     /// Where to write the folded flamegraph text, if anywhere.
     pub folded_out: Option<PathBuf>,
 }
@@ -35,9 +33,9 @@ pub struct ReportArgs {
 /// Parsed `trace diff` invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffArgs {
-    /// Baseline profile JSON path.
+    /// Baseline snapshot JSON path.
     pub old: PathBuf,
-    /// Candidate profile JSON path.
+    /// Candidate snapshot JSON path.
     pub new: PathBuf,
     /// Fractional per-point regression tolerance.
     pub tolerance: f64,
@@ -46,15 +44,13 @@ pub struct DiffArgs {
 /// Parses `trace report` options.
 pub fn parse_report_args(args: &[String]) -> Result<ReportArgs, String> {
     let mut input: Option<PathBuf> = None;
-    let mut profile_out = None;
     let mut folded_out = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match (a.as_str(), it.next()) {
             ("--input", Some(p)) => input = Some(PathBuf::from(p)),
-            ("--profile-out", Some(p)) => profile_out = Some(PathBuf::from(p)),
             ("--folded-out", Some(p)) => folded_out = Some(PathBuf::from(p)),
-            (opt @ ("--input" | "--profile-out" | "--folded-out"), None) => {
+            (opt @ ("--input" | "--folded-out"), None) => {
                 return Err(format!("{opt} requires a path argument"));
             }
             (other, _) => return Err(format!("unknown trace report option `{other}`")),
@@ -62,12 +58,11 @@ pub fn parse_report_args(args: &[String]) -> Result<ReportArgs, String> {
     }
     Ok(ReportArgs {
         input: input.ok_or("trace report requires --input <trace.jsonl>")?,
-        profile_out,
         folded_out,
     })
 }
 
-/// Parses `trace diff` options: two positional profile paths plus an
+/// Parses `trace diff` options: two positional snapshot paths plus an
 /// optional `--tolerance`.
 pub fn parse_diff_args(args: &[String]) -> Result<DiffArgs, String> {
     let mut positional: Vec<PathBuf> = Vec::new();
@@ -92,79 +87,12 @@ pub fn parse_diff_args(args: &[String]) -> Result<DiffArgs, String> {
             tolerance,
         }),
         Err(_) => {
-            Err("trace diff requires exactly two profile paths: <old.prof> <new.prof>".to_string())
+            Err("trace diff requires exactly two snapshot paths: <old.json> <new.json>".to_string())
         }
     }
 }
 
-fn ms(ns: u64) -> f64 {
-    ns as f64 / 1e6
-}
-
-/// Renders the human-readable report for one profile: forest summary,
-/// per-stage table sorted by self time, and the cache-efficacy join.
-#[must_use]
-pub fn render_report(p: &Profile) -> String {
-    let mut out = format!(
-        "trace: {} events, {} stage(s), {} stack path(s), {} skipped line(s), {} orphan(s)\n",
-        p.events,
-        p.stages.len(),
-        p.stacks.len(),
-        p.skipped_lines,
-        p.orphans
-    );
-    let total_self: u64 = p.stages.values().map(|s| s.self_ns).sum();
-    out.push_str(&format!(
-        "\n{:<22} {:>8} {:>11} {:>11} {:>6} {:>9} {:>9} {:>9}\n",
-        "stage", "count", "total_ms", "self_ms", "self%", "p50_us", "p95_us", "p99_us"
-    ));
-    let mut rows: Vec<(&String, &profile::StageStats)> = p.stages.iter().collect();
-    rows.sort_by(|a, b| b.1.self_ns.cmp(&a.1.self_ns).then_with(|| a.0.cmp(b.0)));
-    for (name, s) in rows {
-        let share = if total_self == 0 {
-            0.0
-        } else {
-            100.0 * s.self_ns as f64 / total_self as f64
-        };
-        out.push_str(&format!(
-            "{name:<22} {:>8} {:>11.3} {:>11.3} {share:>5.1}% {:>9.1} {:>9.1} {:>9.1}\n",
-            s.count,
-            ms(s.total_ns),
-            ms(s.self_ns),
-            s.p50_ns as f64 / 1e3,
-            s.p95_ns as f64 / 1e3,
-            s.p99_ns as f64 / 1e3,
-        ));
-    }
-    let cache = profile::cache_efficacy(p);
-    if !cache.is_empty() {
-        out.push_str(&format!(
-            "\n{:<14} {:>10} {:>10} {:>9} {:>7} {:>14} {:>13}\n",
-            "cache level", "hits", "misses", "evicts", "hit%", "miss_cost_us", "saved_ms"
-        ));
-        for r in &cache {
-            let lookups = r.hits + r.misses;
-            let hit_pct = if lookups == 0 {
-                0.0
-            } else {
-                100.0 * r.hits as f64 / lookups as f64
-            };
-            let cost = r
-                .est_miss_cost_ns
-                .map_or("-".to_string(), |c| format!("{:.1}", c / 1e3));
-            let saved = r
-                .est_saved_ns
-                .map_or("-".to_string(), |s| format!("{:.3}", s / 1e6));
-            out.push_str(&format!(
-                "{:<14} {:>10} {:>10} {:>9} {hit_pct:>6.1}% {cost:>14} {saved:>13}\n",
-                r.level, r.hits, r.misses, r.evictions
-            ));
-        }
-    }
-    out
-}
-
-/// Renders the stage-attribution table for a profile diff.
+/// Renders the stage-attribution table for a snapshot diff.
 #[must_use]
 pub fn render_diff(d: &ProfileDiff, tolerance: f64) -> String {
     let mut out = format!(
@@ -203,32 +131,34 @@ pub fn render_diff(d: &ProfileDiff, tolerance: f64) -> String {
     out
 }
 
-/// Runs `trace report`: returns the rendered report, writing the optional
-/// artifacts on the way.
+/// Runs `trace report`: returns the one-line summary of the trace's span
+/// forest, writing the folded stacks on the way when asked.
 pub fn run_report(args: &ReportArgs) -> Result<String, String> {
     let text = std::fs::read_to_string(&args.input)
         .map_err(|e| format!("cannot read trace {}: {e}", args.input.display()))?;
     let p = Profile::from_trace(&text);
-    if let Some(path) = &args.profile_out {
-        std::fs::write(path, p.to_json() + "\n")
-            .map_err(|e| format!("cannot write profile {}: {e}", path.display()))?;
-    }
     if let Some(path) = &args.folded_out {
         std::fs::write(path, p.to_folded())
             .map_err(|e| format!("cannot write folded stacks {}: {e}", path.display()))?;
     }
-    Ok(render_report(&p))
+    Ok(format!(
+        "trace: {} events, {} stack path(s), {} skipped line(s), {} orphan(s)\n",
+        p.events,
+        p.stacks.len(),
+        p.skipped_lines,
+        p.orphans
+    ))
 }
 
 /// Runs `trace diff`: returns the rendered attribution plus whether the
-/// new profile regressed.
+/// new snapshot regressed.
 pub fn run_diff(args: &DiffArgs) -> Result<(String, bool), String> {
     let load = |label: &str, path: &PathBuf| {
         let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {label} profile {}: {e}", path.display()))?;
-        Profile::parse(&text).ok_or_else(|| {
+            .map_err(|e| format!("cannot read {label} snapshot {}: {e}", path.display()))?;
+        Snapshot::parse(&text).ok_or_else(|| {
             format!(
-                "{label} profile {} is not valid profile JSON",
+                "{label} snapshot {} is not a metrics snapshot",
                 path.display()
             )
         })
@@ -242,6 +172,8 @@ pub fn run_diff(args: &DiffArgs) -> Result<(String, bool), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use efficsense_obs::{LogicalClock, ObsRegistry};
+    use std::sync::Arc;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -250,66 +182,51 @@ mod tests {
     #[test]
     fn report_args_require_input() {
         assert!(parse_report_args(&[]).is_err());
-        let args = parse_report_args(&s(&[
-            "--input",
-            "t.jsonl",
-            "--profile-out",
-            "p.json",
-            "--folded-out",
-            "f.folded",
-        ]))
-        .expect("parses");
+        let args = parse_report_args(&s(&["--input", "t.jsonl", "--folded-out", "f.folded"]))
+            .expect("parses");
         assert_eq!(args.input, PathBuf::from("t.jsonl"));
-        assert_eq!(args.profile_out, Some(PathBuf::from("p.json")));
         assert_eq!(args.folded_out, Some(PathBuf::from("f.folded")));
         assert!(parse_report_args(&s(&["--input"])).is_err());
         assert!(parse_report_args(&s(&["--bogus", "x"])).is_err());
+        assert!(
+            parse_report_args(&s(&["--input", "t.jsonl", "--profile-out", "p.json"])).is_err(),
+            "the per-stage profile file is gone"
+        );
     }
 
     #[test]
     fn diff_args_take_two_positionals_and_a_tolerance() {
         let args =
-            parse_diff_args(&s(&["a.prof", "b.prof", "--tolerance", "0.1"])).expect("parses");
-        assert_eq!(args.old, PathBuf::from("a.prof"));
-        assert_eq!(args.new, PathBuf::from("b.prof"));
+            parse_diff_args(&s(&["a.json", "b.json", "--tolerance", "0.1"])).expect("parses");
+        assert_eq!(args.old, PathBuf::from("a.json"));
+        assert_eq!(args.new, PathBuf::from("b.json"));
         assert!((args.tolerance - 0.1).abs() < 1e-12);
-        assert!(parse_diff_args(&s(&["only-one.prof"])).is_err());
+        assert!(parse_diff_args(&s(&["only-one.json"])).is_err());
         assert!(parse_diff_args(&s(&["a", "b", "c"])).is_err());
         assert!(parse_diff_args(&s(&["a", "b", "--tolerance", "2.0"])).is_err());
     }
 
-    fn sample_profile() -> Profile {
-        Profile::from_trace(concat!(
-            "{\"ts_ns\":1,\"kind\":\"span\",\"name\":\"sweep.point\",",
-            "\"fields\":{\"span\":1,\"thread\":0,\"total_ns\":8000,\"self_ns\":3000}}\n",
-            "{\"ts_ns\":2,\"kind\":\"span\",\"name\":\"stage.simulate\",",
-            "\"fields\":{\"span\":2,\"parent\":1,\"thread\":0,\"total_ns\":5000,\"self_ns\":5000}}\n",
-            "{\"ts_ns\":3,\"kind\":\"counters\",\"name\":\"registry.counters\",",
-            "\"fields\":{\"cache.l1.hit\":7,\"cache.l1.miss\":3,\"sweep.evaluations\":3}}\n",
-        ))
-    }
-
-    #[test]
-    fn report_renders_stage_table_and_cache_join() {
-        let rendered = render_report(&sample_profile());
-        assert!(rendered.contains("sweep.point"), "{rendered}");
-        assert!(rendered.contains("stage.simulate"), "{rendered}");
-        assert!(rendered.contains("l1.point"), "{rendered}");
-        assert!(rendered.contains("70.0%"), "l1 hit rate:\n{rendered}");
+    /// A snapshot of two sweep points, each one `stage.simulate` deep,
+    /// where every clock read advances `tick` ns.
+    fn sample_snapshot(tick: u64) -> Snapshot {
+        let reg = ObsRegistry::new();
+        reg.set_clock(Arc::new(LogicalClock::new(tick)));
+        for _ in 0..2 {
+            let _point = reg.span("sweep.point");
+            drop(reg.span("stage.simulate"));
+        }
+        reg.snapshot()
     }
 
     #[test]
     fn diff_render_flags_regressions() {
-        let old = sample_profile();
-        let mut new = old.clone();
-        if let Some(s) = new.stages.get_mut("sweep.point") {
-            s.total_ns *= 3;
-            s.self_ns *= 3;
-        }
+        let old = sample_snapshot(1_000);
+        let new = sample_snapshot(3_000);
         let d = profile::diff(&old, &new);
         assert!(d.regressed(DEFAULT_TOLERANCE));
         let rendered = render_diff(&d, DEFAULT_TOLERANCE);
         assert!(rendered.contains("FAIL"), "{rendered}");
+        assert!(rendered.contains("stage.simulate"), "{rendered}");
         let ok = render_diff(&profile::diff(&old, &old), DEFAULT_TOLERANCE);
         assert!(ok.contains("trace diff: ok"), "{ok}");
     }
@@ -331,24 +248,35 @@ mod tests {
             ),
         )
         .expect("write trace");
-        let prof = dir.join("p.prof.json");
         let folded = dir.join("p.folded");
         let report = run_report(&ReportArgs {
             input: trace,
-            profile_out: Some(prof.clone()),
             folded_out: Some(folded.clone()),
         })
         .expect("report runs");
-        assert!(report.contains("sweep.point"));
+        assert_eq!(
+            report,
+            "trace: 1 events, 1 stack path(s), 0 skipped line(s), 0 orphan(s)\n"
+        );
         let folded_text = std::fs::read_to_string(&folded).expect("folded written");
         assert_eq!(folded_text, "sweep.point 8000\n");
+        let metrics = dir.join("metrics.json");
+        std::fs::write(&metrics, sample_snapshot(1_000).to_json()).expect("write snapshot");
         let (rendered, regressed) = run_diff(&DiffArgs {
-            old: prof.clone(),
-            new: prof.clone(),
+            old: metrics.clone(),
+            new: metrics.clone(),
             tolerance: DEFAULT_TOLERANCE,
         })
         .expect("diff runs");
         assert!(!regressed, "{rendered}");
+        assert!(rendered.contains("2 -> 2 point(s)"), "{rendered}");
+        let err = run_diff(&DiffArgs {
+            old: metrics,
+            new: folded,
+            tolerance: DEFAULT_TOLERANCE,
+        })
+        .expect_err("folded stacks are not a snapshot");
+        assert!(err.contains("not a metrics snapshot"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
