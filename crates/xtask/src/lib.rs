@@ -1,6 +1,6 @@
 //! Workspace automation library behind `cargo xtask`.
 //!
-//! Two subsystems, both std-only by design (they must build in the same
+//! Three subsystems, all std-only by design (they must build in the same
 //! offline environment as the models they guard):
 //!
 //! - the domain-aware lint pass (`cargo xtask lint`) enforcing the numerical,
