@@ -12,11 +12,13 @@
 //!   one sweep with a cleared memo store and again with a warm one, each
 //!   the fastest of five runs.
 //! * **Level 3** (`efficsense_core::prefix`): stage-prefix artifacts
-//!   (resampled records, LNA output, clean-clock samplings, references)
-//!   shared across sweep points — measured as a store-off pass vs the
-//!   headline uncached pass, plus an uncached thread-scaling section at
-//!   1/2/4 workers whose per-class L3 counts must equal pass A's (asserted
-//!   while no pass evicts).
+//!   (resampled records, LNA output, clean-clock samplings, encoded CS
+//!   frames, references) shared across sweep points — measured as a
+//!   store-off pass vs the headline uncached pass, plus an uncached
+//!   thread-scaling section at 1/2/4 workers whose per-class L3 counts
+//!   must equal pass A's (asserted while no pass evicts). At reduced scale
+//!   pass A must also read the exact `encoded` counts: ADC resolution and
+//!   the stuck-bit cells act after the encoder, so they share its frames.
 //! * **Level 1** (`efficsense_core::cache`): whole `evaluate_point` results
 //!   keyed by content ([`efficsense_core::cache::point_key`]) — measured
 //!   across the product passes. L1 is the only store of whole evaluations:
@@ -58,7 +60,7 @@ const REPEATS: usize = 5;
 /// point's own span and every stage and kernel nested in it. The decode
 /// kernels are children of `stage.reconstruct` (and, for the few training
 /// decodes, of `detect.train`), so their self times count too.
-const POINT_SPANS: [&str; 17] = [
+const POINT_SPANS: [&str; 18] = [
     "sweep.point",
     "stage.simulate",
     "sim.analog",
@@ -66,6 +68,7 @@ const POINT_SPANS: [&str; 17] = [
     "sim.sample.build",
     "sim.reference.build",
     "sim.encode",
+    "sim.encode.build",
     "sim.nyquist",
     "sim.link",
     "stage.reconstruct",
@@ -252,7 +255,7 @@ fn main() {
     let pstats = prefix_a.stats();
     println!(
         "    store off {:.2}s | on {:.2}s ({:.2}×) — analog {}h/{}m, sampled {}h/{}m, \
-         reference {}h/{}m",
+         encoded {}h/{}m, reference {}h/{}m",
         secs(t_prefix_off),
         secs(t_uncached),
         prefix_speedup,
@@ -260,18 +263,35 @@ fn main() {
         pstats.analog.misses,
         pstats.sampled.hits,
         pstats.sampled.misses,
+        pstats.encoded.hits,
+        pstats.encoded.misses,
         pstats.reference.hits,
         pstats.reference.misses,
     );
+    // The reduced grid has 16 CS points (4 LNA noise levels × 2 M × 2 ADC
+    // resolutions) in each of 4 cells over 15 records: 960 `encoded`
+    // lookups. Only the noise level, M and the CapLeakage@1 cell's leaky
+    // encoder reach the encoder, so 4 × 2 × {clean, leaky} × 15 = 240 of
+    // them build frames and the other 720 share them. A key axis that
+    // should not be there (the ADC resolution, a stuck bit) adds misses.
+    if sc == Scale::Reduced {
+        assert_eq!(
+            (pstats.encoded.misses, pstats.encoded.hits),
+            (240, 720),
+            "pass A must build each record's frames once per encoder"
+        );
+    }
 
     // ---- Thread scaling: the same uncached workload at fixed worker
     // counts, each with its own fresh store (so every pass does the same
     // work). The first CI evidence that the sweep worker pool scales.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut threads_scaling: Vec<(usize, f64)> = Vec::new();
-    // Per-class L3 `(hits, misses)`: ct, analog, reference, sampled.
-    let class_counts =
-        |s: PrefixStats| [s.ct, s.analog, s.reference, s.sampled].map(|c| (c.hits, c.misses));
+    // Per-class L3 `(hits, misses)`: ct, analog, reference, sampled,
+    // encoded.
+    let class_counts = |s: PrefixStats| {
+        [s.ct, s.analog, s.reference, s.sampled, s.encoded].map(|c| (c.hits, c.misses))
+    };
     println!("  thread scaling (uncached, fresh store per pass):");
     for threads in [1usize, 2, 4] {
         let store = Arc::new(PrefixStore::new());
@@ -507,6 +527,8 @@ fn main() {
                 ("analog_misses", pstats.analog.misses.into()),
                 ("sampled_hits", pstats.sampled.hits.into()),
                 ("sampled_misses", pstats.sampled.misses.into()),
+                ("encoded_hits", pstats.encoded.hits.into()),
+                ("encoded_misses", pstats.encoded.misses.into()),
                 ("reference_hits", pstats.reference.hits.into()),
                 ("reference_misses", pstats.reference.misses.into()),
                 ("evictions", pstats.evictions().into()),

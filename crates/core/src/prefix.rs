@@ -14,7 +14,7 @@
 //! * **L3** (this module) — *stage-prefix artifacts* of the simulation
 //!   pipeline, shared across sweep points whose prefixes coincide.
 //!
-//! Four artifact classes are stored, from shallowest to deepest prefix:
+//! Five artifact classes are stored, from shallowest to deepest prefix:
 //!
 //! | class       | contents                                   | key axes |
 //! |-------------|--------------------------------------------|----------|
@@ -22,10 +22,14 @@
 //! | `analog`    | LNA-amplified proxy buffer                 | `ct` axes + LNA gain/noise/bandwidth/k3/v_clip, mixed LNA seed, canonical LNA-fault params + stream seed |
 //! | `reference` | clean input at `f_s`, trimmed to a length  | record fingerprint, `fs_in`, `f_s`, length |
 //! | `sampled`   | clean-clock CS sampling of the `analog` buffer | `analog` key, `f_s`, sample count |
+//! | `encoded`   | the encoder's `M`-word frames of the `sampled` buffer, before the ADC | `sampled` key + M, N_Φ, s, Φ seed, C_s, C_h, sample period, imperfection flags, mismatch/leakage technology inputs, encoder seed, canonical leakage-fault multiplier |
 //!
 //! No class holds a record's finished output: whole evaluations are
 //! cached by L1 alone, so every run still drives its own back end (ADC
-//! and link, plus encoder and decoder on the CS path).
+//! and link, plus the decoder on the CS path). The `encoded` class stops
+//! at the encoder: ADC resolution, ADC stuck bits and link erasures act
+//! after it, so CS points that differ only there share one record's
+//! frames.
 //!
 //! Every artifact is **derived deterministically from its key**, so a
 //! memoized artifact is bit-identical to a freshly built one: attaching a
@@ -38,10 +42,10 @@
 //! The lookups sit at the stage boundaries of the simulation stream
 //! ([`crate::stream`]) and serve whole-record runs only
 //! ([`Simulator::run`], which fingerprints its record before the stream
-//! opens). `analog` (with `ct` inside its build), `sampled` and
-//! `reference` are consulted by the stages they replace; a missing
-//! artifact is built under its shard lock, exactly once per key. Chunked
-//! streams never consult the store.
+//! opens). `analog` (with `ct` inside its build), `encoded` (with
+//! `sampled` inside its build) and `reference` are consulted by the
+//! stages they replace; a missing artifact is built under its shard lock,
+//! exactly once per key. Chunked streams never consult the store.
 //!
 //! Unlike the unbounded L2 stores, every class here is **capped**: values
 //! are whole per-record signal buffers, so a long-running sweep server
@@ -53,7 +57,8 @@
 //! [`Simulator::run`]: crate::simulate::Simulator::run
 
 use crate::cache::{Fnv64, KeyHasher};
-use efficsense_faults::LnaRailFault;
+use efficsense_blocks::cs_frontend::EncoderImperfections;
+use efficsense_faults::{CapLeakageFault, LnaRailFault};
 use efficsense_obs::Store;
 use std::sync::Arc;
 
@@ -197,6 +202,78 @@ pub fn sampled_key(analog: PrefixKey, f_s: f64, n: usize) -> PrefixKey {
     PrefixKey(h.digest())
 }
 
+/// Everything the charge-sharing encoder's frames depend on beyond its
+/// clean-clock input: the exact constructor inputs of
+/// [`efficsense_blocks::ChargeSharingEncoder`] (with the technology and
+/// design fields it reads) plus the canonical parameters of an injected
+/// leakage fault. As with [`AnalogParams`], keying the constructor inputs
+/// makes the key sufficient by construction; nothing downstream of the
+/// encoder (ADC resolution, stuck bits, the link) is an axis.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EncoderParams {
+    /// Measurements per frame `M`.
+    pub m: usize,
+    /// Frame length `N_Φ`.
+    pub n_phi: usize,
+    /// Ones per sensing-matrix column `s`.
+    pub s: usize,
+    /// Seed of the s-SRBM schedule Φ.
+    pub phi_seed: u64,
+    /// Nominal sample capacitor (F).
+    pub c_sample_f: f64,
+    /// Nominal hold capacitor (F).
+    pub c_hold_f: f64,
+    /// Sample period driving the leakage droop (s).
+    pub sample_period_s: f64,
+    /// Which encoder imperfections are simulated.
+    pub imperfections: EncoderImperfections,
+    /// Capacitor matching coefficient (sets the mismatch σ).
+    pub c_pk_frac_um2: f64,
+    /// Capacitor density (sets the mismatch σ through the area).
+    pub cap_density_f_per_um2: f64,
+    /// Switch leakage current (sets τ).
+    pub i_leak_a: f64,
+    /// Reference voltage (sets τ).
+    pub v_ref: f64,
+    /// The encoder's seed (mismatch draws and kT/C noise stream).
+    pub seed: u64,
+    /// Active leakage fault; `None` covers both "no plan" and noop faults
+    /// (the encoder ignores those, so they must share the clean key).
+    pub leakage: Option<CapLeakageFault>,
+}
+
+/// Key of a record's encoded frames. Composes the `sampled` key, so every
+/// axis of the encoder's input is inherited.
+#[must_use]
+pub fn encoded_key(sampled: PrefixKey, p: &EncoderParams) -> PrefixKey {
+    let mut h = hasher("encoded");
+    h.field("sampled", &sampled.hex());
+    h.field_u64("m", p.m as u64);
+    h.field_u64("n_phi", p.n_phi as u64);
+    h.field_u64("s", p.s as u64);
+    h.field_u64("phi_seed", p.phi_seed);
+    h.field_u64("c_sample", p.c_sample_f.to_bits());
+    h.field_u64("c_hold", p.c_hold_f.to_bits());
+    h.field_u64("period", p.sample_period_s.to_bits());
+    let flags = p.imperfections;
+    h.field_u64("mismatch", u64::from(flags.mismatch));
+    h.field_u64("ktc_noise", u64::from(flags.ktc_noise));
+    h.field_u64("leakage", u64::from(flags.leakage));
+    h.field_u64("c_pk", p.c_pk_frac_um2.to_bits());
+    h.field_u64("cap_density", p.cap_density_f_per_um2.to_bits());
+    h.field_u64("i_leak", p.i_leak_a.to_bits());
+    h.field_u64("v_ref", p.v_ref.to_bits());
+    h.field_u64("seed", p.seed);
+    match p.leakage {
+        None => h.field("fault", "clean"),
+        Some(f) => {
+            h.field("fault", "leakage");
+            h.field_u64("leak_multiplier", f.leak_multiplier.to_bits());
+        }
+    }
+    PrefixKey(h.digest())
+}
+
 // ---------------------------------------------------------------------------
 // PrefixStore
 // ---------------------------------------------------------------------------
@@ -213,11 +290,13 @@ pub struct PrefixBudgets {
     pub reference: usize,
     /// Clean-clock CS samplings.
     pub sampled: usize,
+    /// Encoded CS frames.
+    pub encoded: usize,
 }
 
 impl Default for PrefixBudgets {
     fn default() -> Self {
-        // ~88 MB total at f64 size: comfortably holds a reduced-scale
+        // ~104 MB total at f64 size: comfortably holds a reduced-scale
         // product sweep while bounding a long-running server. The CT and
         // amplified buffers run at the proxy rate (8× oversampled), so they
         // get the larger shares.
@@ -226,6 +305,7 @@ impl Default for PrefixBudgets {
             analog: 4 << 20,
             reference: 1 << 20,
             sampled: 2 << 20,
+            encoded: 2 << 20,
         }
     }
 }
@@ -237,9 +317,10 @@ pub(crate) enum Class {
     Analog,
     Reference,
     Sampled,
+    Encoded,
 }
 
-/// The Level-3 prefix store: four bounded, content-addressed artifact
+/// The Level-3 prefix store: five bounded, content-addressed artifact
 /// classes (see the module docs), each a [`Store`] counting under
 /// `memo.<class>.*`. Cheap to share: clone an `Arc<PrefixStore>` into every
 /// [`crate::sweep::Sweep`] (or attach it to a bare
@@ -251,6 +332,7 @@ pub struct PrefixStore {
     analog: Store<PrefixKey, Vec<f64>>,
     reference: Store<PrefixKey, Vec<f64>>,
     sampled: Store<PrefixKey, Vec<f64>>,
+    encoded: Store<PrefixKey, Vec<f64>>,
 }
 
 impl Default for PrefixStore {
@@ -276,6 +358,7 @@ impl PrefixStore {
             analog: Store::new("memo.analog", b.analog, Vec::len),
             reference: Store::new("memo.reference", b.reference, Vec::len),
             sampled: Store::new("memo.sampled", b.sampled, Vec::len),
+            encoded: Store::new("memo.encoded", b.encoded, Vec::len),
         }
     }
 
@@ -283,9 +366,10 @@ impl PrefixStore {
     /// is every class's one build path: the build runs under the key's
     /// shard lock ([`Store::get_or_insert_with`]), so workers racing on one
     /// key build it exactly once and the class's counts do not depend on
-    /// the worker count. Lock order: only the `analog` build nests a
-    /// lookup, taking a `ct` shard lock while it holds an `analog` one; no
-    /// build touches its own class.
+    /// the worker count. Lock order: only two builds nest a lookup — the
+    /// `analog` build takes a `ct` shard lock while it holds an `analog`
+    /// one, and the `encoded` build a `sampled` lock under an `encoded`
+    /// one; no build touches its own class.
     pub(crate) fn get_or_build(
         &self,
         class: Class,
@@ -297,6 +381,7 @@ impl PrefixStore {
             Class::Analog => (&self.analog, "prefix: analog artifact"),
             Class::Reference => (&self.reference, "prefix: reference artifact"),
             Class::Sampled => (&self.sampled, "prefix: sampled artifact"),
+            Class::Encoded => (&self.encoded, "prefix: encoded artifact"),
         };
         store.get_or_insert_with(key, || {
             let artifact = build();
@@ -313,6 +398,7 @@ impl PrefixStore {
             analog: self.analog.stats(),
             reference: self.reference.stats(),
             sampled: self.sampled.stats(),
+            encoded: self.encoded.stats(),
             acquired: ClassStats::default(),
         }
     }
@@ -323,6 +409,7 @@ impl PrefixStore {
         self.analog.reset_stats();
         self.reference.reset_stats();
         self.sampled.reset_stats();
+        self.encoded.reset_stats();
     }
 }
 
@@ -337,6 +424,8 @@ pub struct PrefixStats {
     pub reference: ClassStats,
     /// Clean-clock CS samplings.
     pub sampled: ClassStats,
+    /// Encoded CS frames.
+    pub encoded: ClassStats,
     /// Always zero: the store has no `acquired` class. Kept only because
     /// the repository benchmark (`benchmark/`) reads it; it is removed in
     /// the next change that updates `benchmark/`.
@@ -345,10 +434,16 @@ pub struct PrefixStats {
 
 impl PrefixStats {
     fn total(&self, field: fn(&ClassStats) -> u64) -> u64 {
-        [self.ct, self.analog, self.reference, self.sampled]
-            .iter()
-            .map(field)
-            .sum()
+        [
+            self.ct,
+            self.analog,
+            self.reference,
+            self.sampled,
+            self.encoded,
+        ]
+        .iter()
+        .map(field)
+        .sum()
     }
 
     /// Total hits across every class.
@@ -540,6 +635,186 @@ mod tests {
         assert_ne!(sampled_key(a, 537.6, 4301), sampled_key(a, 537.6, 4300));
     }
 
+    fn encoder() -> EncoderParams {
+        EncoderParams {
+            m: 150,
+            n_phi: 384,
+            s: 2,
+            phi_seed: 0x5EB1,
+            c_sample_f: 0.1e-12,
+            c_hold_f: 0.5e-12,
+            sample_period_s: 1.0 / 537.6,
+            imperfections: EncoderImperfections::realistic(),
+            c_pk_frac_um2: 1e-4,
+            cap_density_f_per_um2: 1.025e-15,
+            i_leak_a: 1e-12,
+            v_ref: 2.0,
+            seed: 0xEFF1,
+            leakage: None,
+        }
+    }
+
+    /// `encoded_key` over the default sampled key.
+    fn encoded(p: &EncoderParams) -> PrefixKey {
+        encoded_key(sampled_key(analog_key(&params()), 537.6, 4301), p)
+    }
+
+    #[test]
+    fn encoded_key_inherits_sampled_axes() {
+        let a = sampled_key(analog_key(&params()), 537.6, 4301);
+        let b = sampled_key(analog_key(&params()), 537.6, 4300);
+        assert_ne!(encoded_key(a, &encoder()), encoded_key(b, &encoder()));
+    }
+
+    #[test]
+    fn encoder_schedule_axes_separate_keys() {
+        let base = encoded(&encoder());
+        for (axis, p) in [
+            ("m", EncoderParams { m: 75, ..encoder() }),
+            (
+                "n_phi",
+                EncoderParams {
+                    n_phi: 192,
+                    ..encoder()
+                },
+            ),
+            ("s", EncoderParams { s: 3, ..encoder() }),
+            (
+                "phi_seed",
+                EncoderParams {
+                    phi_seed: 0x5EB2,
+                    ..encoder()
+                },
+            ),
+        ] {
+            assert_ne!(base, encoded(&p), "{axis} must separate encoded keys");
+        }
+    }
+
+    #[test]
+    fn encoder_capacitor_and_period_axes_separate_keys() {
+        let base = encoded(&encoder());
+        for (axis, p) in [
+            (
+                "c_sample",
+                EncoderParams {
+                    c_sample_f: 0.2e-12,
+                    ..encoder()
+                },
+            ),
+            (
+                "c_hold",
+                EncoderParams {
+                    c_hold_f: 1e-12,
+                    ..encoder()
+                },
+            ),
+            (
+                "period",
+                EncoderParams {
+                    sample_period_s: 1.0 / 268.8,
+                    ..encoder()
+                },
+            ),
+        ] {
+            assert_ne!(base, encoded(&p), "{axis} must separate encoded keys");
+        }
+    }
+
+    #[test]
+    fn encoder_imperfection_flags_separate_keys() {
+        let all = EncoderImperfections::realistic();
+        let keys = [
+            EncoderImperfections {
+                mismatch: false,
+                ..all
+            },
+            EncoderImperfections {
+                ktc_noise: false,
+                ..all
+            },
+            EncoderImperfections {
+                leakage: false,
+                ..all
+            },
+            all,
+        ]
+        .map(|imperfections| {
+            encoded(&EncoderParams {
+                imperfections,
+                ..encoder()
+            })
+        });
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b, "each imperfection flag must separate keys");
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_technology_axes_separate_keys() {
+        let base = encoded(&encoder());
+        for (axis, p) in [
+            (
+                "c_pk",
+                EncoderParams {
+                    c_pk_frac_um2: 2e-4,
+                    ..encoder()
+                },
+            ),
+            (
+                "cap_density",
+                EncoderParams {
+                    cap_density_f_per_um2: 2e-15,
+                    ..encoder()
+                },
+            ),
+            (
+                "i_leak",
+                EncoderParams {
+                    i_leak_a: 2e-12,
+                    ..encoder()
+                },
+            ),
+            (
+                "v_ref",
+                EncoderParams {
+                    v_ref: 1.0,
+                    ..encoder()
+                },
+            ),
+        ] {
+            assert_ne!(base, encoded(&p), "{axis} must separate encoded keys");
+        }
+    }
+
+    #[test]
+    fn encoder_seed_axis_separates_keys() {
+        assert_ne!(
+            encoded(&encoder()),
+            encoded(&EncoderParams {
+                seed: 0xEFF2,
+                ..encoder()
+            })
+        );
+    }
+
+    #[test]
+    fn leakage_fault_axis_separates_clean_from_active_and_per_multiplier() {
+        let leaky = |leak_multiplier| EncoderParams {
+            leakage: Some(CapLeakageFault { leak_multiplier }),
+            ..encoder()
+        };
+        let clean = encoded(&encoder());
+        assert_ne!(
+            clean,
+            encoded(&leaky(100.0)),
+            "fault vs clean must separate"
+        );
+        assert_ne!(encoded(&leaky(100.0)), encoded(&leaky(10.0)));
+    }
+
     #[test]
     fn classes_never_alias_even_on_equal_axes() {
         // A CT key and a reference key over identical field values must
@@ -580,6 +855,7 @@ mod tests {
             analog: 32,
             reference: 32,
             sampled: 32,
+            encoded: 32,
         });
         let keys: Vec<PrefixKey> = (0..64).map(|i| ct_key(i, 100.0, 800.0)).collect();
         for &k in &keys {
@@ -607,6 +883,7 @@ mod tests {
             analog: 16,
             reference: 16,
             sampled: 16,
+            encoded: 16,
         });
         let key = ct_key(77, 100.0, 800.0);
         store.get_or_build(Class::Ct, key, || vec![0.0; 1000]);

@@ -139,6 +139,8 @@ pub(crate) struct CsState {
     /// The sensing schedule, shared process-wide across simulators with the
     /// same `(M, N_Φ, s, seed)` via [`efficsense_cs::memo`].
     pub(crate) phi: Arc<SensingMatrix>,
+    /// The seed `phi` was drawn from (an axis of the `encoded` prefix key).
+    pub(crate) phi_seed: u64,
     /// Decoder dictionary `A = Φ_eff·Ψ`, its OMP column norms, and the
     /// mean row energy of the effective matrix (the per-measurement noise
     /// gain of the discrepancy stopping rule) — likewise memoized.
@@ -181,6 +183,7 @@ impl Simulator {
             ArchState::Cs(CsState {
                 cs: cs.clone(),
                 phi,
+                phi_seed: seed,
                 art,
             })
         } else {

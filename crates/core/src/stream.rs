@@ -20,13 +20,15 @@
 //! **Whole-record runs.** [`Simulator::run`] knows its record before the
 //! stream opens. Its one push completes every stage, so each stage reports
 //! one per-record span (`sim.analog` ⊃ `sim.analog.build`,
-//! `sim.sample.build`, `sim.encode`, `sim.reference.build`); and with a
-//! Level-3 [`PrefixStore`] attached, the stage boundaries consult it: an
-//! `analog` hit replaces stage 1 and is read in place, a `ct` hit its
-//! resampling half, a `sampled` hit the CS clean-clock acquisition, a
-//! `reference` hit stage 3; a miss builds the artifact under its shard
-//! lock, exactly once per key. Chunked streams stay store-free: their
-//! record fingerprint only exists once the stream ends.
+//! `sim.sample.build`, `sim.encode` ⊃ `sim.encode.build`,
+//! `sim.reference.build`); and with a Level-3 [`PrefixStore`] attached,
+//! the stage boundaries consult it: an `analog` hit replaces stage 1 and
+//! is read in place, a `ct` hit its resampling half, an `encoded` hit the
+//! CS clean-clock acquisition and encoder (leaving the ADC and link to
+//! run per point), a `sampled` hit the acquisition half of an `encoded`
+//! build, a `reference` hit stage 3; a miss builds the artifact under its
+//! shard lock, exactly once per key. Chunked streams stay store-free:
+//! their record fingerprint only exists once the stream ends.
 //!
 //! **Two stages on two cores.** On a process that may use two cores, a
 //! chunked push whose new continuous-time range spans at least two
@@ -50,7 +52,7 @@
 //! [`Simulator::run`]: crate::simulate::Simulator::run
 
 use crate::config::{CsConfig, SystemConfig};
-use crate::prefix::{self, AnalogParams, Class, PrefixKey, PrefixStore};
+use crate::prefix::{self, AnalogParams, Class, EncoderParams, PrefixKey, PrefixStore};
 use crate::simulate::{ArchState, CsState, SimOutput, SimScratch, Simulator};
 use efficsense_blocks::{ChargeSharingEncoder, HoldState, Lna, Sampler, SarAdc};
 use efficsense_cs::decode::reconstruct_batch;
@@ -620,6 +622,8 @@ struct CsPath {
     cs: CsConfig,
     art: Arc<DictionaryArtifacts>,
     encoder: ChargeSharingEncoder,
+    /// The encoder's constructor inputs: the axes of its `encoded` key.
+    encoder_params: EncoderParams,
     link: Option<(LinkFault, Rng64)>,
     link_stats: Option<LinkStats>,
     /// Digitised frames awaiting decode.
@@ -771,33 +775,53 @@ impl BackEnd {
                         (whole && clean).then(|| efficsense_obs::span!("sim.sample.build"));
                     acq.run(amplified, compound, finished, n_samples, samples);
                 };
-                // The `sampled` boundary: a whole record's clean-clock
-                // acquisition is a pure function of its amplified buffer, so
-                // its key composes the `analog` key. (Clock-fault sampling is
-                // a per-plan stream; sharing it would buy nothing.)
-                let sampled = prefix.filter(|_| clean).map(|p| {
-                    let key = prefix::sampled_key(p.analog, f_s, n_samples as usize);
-                    p.store.get_or_build(Class::Sampled, key, || {
-                        let mut samples = Vec::new();
-                        acquire(&mut samples);
-                        samples
-                    })
-                });
-                if sampled.is_none() {
-                    acquire(&mut self.samples);
-                }
-                let (src, base, available) = match &sampled {
-                    Some(sampled) => (sampled.as_slice(), 0, sampled.len() as u64),
-                    None => (self.samples.as_slice(), self.samples_base, self.acq.next_i),
-                };
-                let n_phi = cs.cs.n_phi as u64;
+                let (n_phi, m) = (cs.cs.n_phi, cs.cs.m);
                 let queued = cs.frames.len();
-                {
-                    let _encode_span = whole.then(|| efficsense_obs::span!("sim.encode"));
-                    while (cs.frames_encoded + 1) * n_phi <= available {
-                        let start = (cs.frames_encoded * n_phi - base) as usize;
-                        let frame = &src[start..start + cs.cs.n_phi];
-                        cs.encode(frame, &mut self.adc, &mut self.tally, compound, f_s);
+                match prefix.filter(|_| clean) {
+                    // The `encoded` boundary: a whole record's clean-clock
+                    // frames are a pure function of its amplified buffer and
+                    // the encoder, so points that differ only after the
+                    // encoder (ADC bits, stuck bits, the link) share them and
+                    // only digitise. (Clock-fault sampling is a per-plan
+                    // stream; sharing it would buy nothing.)
+                    Some(p) => {
+                        // Every stored frame is digitised below, so this
+                        // must be the record's first and only drain.
+                        debug_assert_eq!(cs.frames_encoded, 0, "a whole record drains once");
+                        let _encode_span = efficsense_obs::span!("sim.encode");
+                        let sampled = prefix::sampled_key(p.analog, f_s, n_samples as usize);
+                        let key = prefix::encoded_key(sampled, &cs.encoder_params);
+                        let encoder = &mut cs.encoder;
+                        let frames = p.store.get_or_build(Class::Encoded, key, || {
+                            // Priced by the L3 cache-efficacy report: this
+                            // span is exactly the work an `encoded` hit
+                            // avoids. Its `sampled` lookup takes a `sampled`
+                            // shard lock under the `encoded` one.
+                            let _build_span = efficsense_obs::span!("sim.encode.build");
+                            let samples = p.store.get_or_build(Class::Sampled, sampled, || {
+                                let mut samples = Vec::new();
+                                acquire(&mut samples);
+                                samples
+                            });
+                            let mut words = Vec::with_capacity(samples.len() / n_phi * m);
+                            for frame in samples.chunks_exact(n_phi) {
+                                words.extend(encoder.encode_frame(frame));
+                            }
+                            words
+                        });
+                        for words in frames.chunks_exact(m) {
+                            cs.digitise(words.to_vec(), &mut self.adc, &mut self.tally);
+                        }
+                    }
+                    None => {
+                        acquire(&mut self.samples);
+                        let _encode_span = whole.then(|| efficsense_obs::span!("sim.encode"));
+                        while (cs.frames_encoded + 1) * n_phi as u64 <= self.acq.next_i {
+                            let start =
+                                (cs.frames_encoded * n_phi as u64 - self.samples_base) as usize;
+                            let frame = &self.samples[start..start + n_phi];
+                            cs.encode(frame, &mut self.adc, &mut self.tally, compound, f_s);
+                        }
                     }
                 }
                 if cs.link.is_some() {
@@ -806,7 +830,7 @@ impl BackEnd {
                 }
                 // Drop the encoded prefix; at the end of the record the
                 // trailing partial frame never reaches the encoder either.
-                let encoded = (cs.frames_encoded * n_phi).saturating_sub(self.samples_base);
+                let encoded = (cs.frames_encoded * n_phi as u64).saturating_sub(self.samples_base);
                 let consumed = if finished {
                     self.samples.len()
                 } else {
@@ -823,8 +847,8 @@ impl BackEnd {
 }
 
 impl CsPath {
-    /// Encodes and digitises one frame (after applying the frame-epoch
-    /// parameters of a compound plan), queueing its words.
+    /// Encodes one frame (after applying the frame-epoch parameters of a
+    /// compound plan) and digitises it.
     fn encode(
         &mut self,
         frame: &[f64],
@@ -845,12 +869,19 @@ impl CsPath {
                 adc.inject_stuck_bit(p.adc);
             }
         });
-        self.frames_encoded += 1;
-        let mut words = self.encoder.encode_frame(frame);
+        let words = self.encoder.encode_frame(frame);
+        self.digitise(words, adc, tally);
+    }
+
+    /// Digitises one frame of encoder output, queueing its words. The ADC
+    /// draws from its own stream, so digitising a record's frames after
+    /// encoding all of them gives the bits of interleaving the two.
+    fn digitise(&mut self, mut words: Vec<f64>, adc: &mut SarAdc, tally: &mut Tally) {
         adc.process_in_place(&mut words);
         for &v in &words {
             tally.add(v);
         }
+        self.frames_encoded += 1;
         self.frames.push(words);
     }
 
@@ -1176,6 +1207,7 @@ impl StreamSimulator {
     ) -> CsPath {
         let cfg = &sim.cfg;
         let cs = &state.cs;
+        let seed = cfg.seed ^ noise_seed.rotate_left(17);
         let mut encoder = ChargeSharingEncoder::new(
             state.phi.as_ref().clone(),
             cs.c_sample_f,
@@ -1184,15 +1216,35 @@ impl StreamSimulator {
             cs.imperfections,
             &cfg.tech,
             &cfg.design,
-            cfg.seed ^ noise_seed.rotate_left(17),
+            seed,
         );
         if arm.leakage {
             encoder.inject_leakage_fault(p0.leakage, &cfg.tech, &cfg.design);
         }
+        // The encoded key hashes the encoder's exact constructor inputs and
+        // leakage fault (a noop one leaves the encoder clean), so two runs
+        // sharing a key encode the same frames by construction.
+        let encoder_params = EncoderParams {
+            m: cs.m,
+            n_phi: cs.n_phi,
+            s: cs.s,
+            phi_seed: state.phi_seed,
+            c_sample_f: encoder.c_sample_f,
+            c_hold_f: encoder.c_hold_f,
+            sample_period_s: encoder.sample_period_s,
+            imperfections: cs.imperfections,
+            c_pk_frac_um2: cfg.tech.c_pk_frac_um2,
+            cap_density_f_per_um2: cfg.tech.cap_density_f_per_um2,
+            i_leak_a: cfg.tech.i_leak_a,
+            v_ref: cfg.design.v_ref,
+            seed,
+            leakage: p0.leakage.filter(|f| arm.leakage && !f.is_noop()),
+        };
         CsPath {
             cs: cs.clone(),
             art: state.art.clone(),
             encoder,
+            encoder_params,
             link,
             link_stats: None,
             frames: Vec::new(),

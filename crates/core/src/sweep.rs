@@ -202,10 +202,11 @@ impl Sweep {
 
     /// Attaches a shared Level-3 prefix store ([`crate::prefix`]): every
     /// point evaluation reuses stage-prefix artifacts (resampled records,
-    /// LNA output, clean-clock samplings, reference signals) built by
-    /// any other point — in this sweep or any other sweep sharing the
-    /// store. Artifacts are derived deterministically from their keys, so
-    /// attaching a store never changes sweep output, only cost.
+    /// LNA output, clean-clock samplings, encoded CS frames, reference
+    /// signals) built by any other point — in this sweep or any other
+    /// sweep sharing the store. Artifacts are derived deterministically
+    /// from their keys, so attaching a store never changes sweep output,
+    /// only cost.
     #[must_use]
     pub fn with_prefix_store(mut self, store: std::sync::Arc<crate::prefix::PrefixStore>) -> Self {
         self.prefix = Some(store);

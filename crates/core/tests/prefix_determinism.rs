@@ -4,7 +4,8 @@
 //! across 1/2/4 worker threads, (c) identity under eviction churn with a
 //! tiny budget, (d) chunked streams stay pinned to the store-assisted
 //! whole-record run, and (e) the stage boundaries that serve a run from
-//! another point's artifacts.
+//! another point's artifacts, down to the encoder output that points
+//! differing only after the encoder share.
 
 use efficsense_core::config::CsConfig;
 use efficsense_core::prefix::{PrefixBudgets, PrefixStore};
@@ -159,6 +160,7 @@ fn capped_store_churns_and_stays_bit_identical() {
         analog: 256,
         reference: 256,
         sampled: 256,
+        encoded: 256,
     }));
     let reference = sweep_with(2, None, None);
     let churned = sweep_with(2, None, Some(Arc::clone(&tiny)));
@@ -194,25 +196,49 @@ fn streaming_path_stays_pinned_to_the_store_assisted_batch_path() {
     }
 }
 
-/// Per-class `(hits, misses)` of a store: ct, analog, reference, sampled.
-fn class_counts(store: &PrefixStore) -> [(u64, u64); 4] {
+/// Per-class `(hits, misses)` of a store: ct, analog, reference, sampled,
+/// encoded.
+fn class_counts(store: &PrefixStore) -> [(u64, u64); 5] {
     let s = store.stats();
-    [s.ct, s.analog, s.reference, s.sampled].map(|c| (c.hits, c.misses))
+    [s.ct, s.analog, s.reference, s.sampled, s.encoded].map(|c| (c.hits, c.misses))
+}
+
+/// A CS simulator at the test noise level.
+fn cs_point(n_bits: u32, cs: CsConfig, plan: Option<FaultPlan>) -> Simulator {
+    let mut cfg = SystemConfig::compressive(n_bits, cs);
+    cfg.lna.noise_floor_vrms = 2e-6;
+    let mut sim = Simulator::new(cfg).expect("valid CS config");
+    sim.set_fault_plan(plan);
+    sim
+}
+
+/// Runs `first` into a fresh store, then `second` against it, and checks
+/// that the store left `second`'s output alone. Returns `second`'s
+/// per-class counts.
+fn counts_after(mut first: Simulator, mut second: Simulator) -> [(u64, u64); 5] {
+    let x = tone(4.0);
+    let off = second.run(&x, FS_IN, 7);
+    let store = Arc::new(PrefixStore::new());
+    first.set_prefix_store(Some(Arc::clone(&store)));
+    first.run(&x, FS_IN, 7);
+    store.reset_stats();
+    second.set_prefix_store(Some(Arc::clone(&store)));
+    let on = second.run(&x, FS_IN, 7);
+    assert_eq!(off, on, "stored artifacts changed the output");
+    class_counts(&store)
 }
 
 #[test]
 fn intermediate_boundaries_serve_runs_without_an_acquired_artifact() {
-    let x = tone(4.0);
     let cs_with_m = |m| {
-        let mut cfg = SystemConfig::compressive(
+        cs_point(
             8,
             CsConfig {
                 m,
                 ..Default::default()
             },
-        );
-        cfg.lna.noise_floor_vrms = 2e-6;
-        Simulator::new(cfg).expect("valid CS config")
+            None,
+        )
     };
     let mut baseline_cfg = SystemConfig::baseline(8);
     baseline_cfg.lna.noise_floor_vrms = 2e-6;
@@ -220,27 +246,70 @@ fn intermediate_boundaries_serve_runs_without_an_acquired_artifact() {
     // (run that fills the store, run under test, its per-class counts).
     let cases = [
         // Two CS points differing only in M share the record's amplified
-        // buffer, its clean-clock sampling and its reference.
+        // buffer, its clean-clock sampling and its reference; the encoder
+        // differs, so its frames miss.
         (
             cs_with_m(150),
             cs_with_m(96),
-            [(0, 0), (1, 0), (1, 0), (1, 0)],
+            [(0, 0), (1, 0), (1, 0), (1, 0), (0, 1)],
         ),
         // A baseline and a CS point at one noise level share only the
         // amplified buffer: their outputs, and so their references, differ
         // in length.
-        (baseline, cs_with_m(150), [(0, 0), (1, 0), (0, 1), (0, 1)]),
+        (
+            baseline,
+            cs_with_m(150),
+            [(0, 0), (1, 0), (0, 1), (0, 1), (0, 1)],
+        ),
     ];
-    for (mut first, mut second, expected) in cases {
-        let off = second.run(&x, FS_IN, 7);
-        let store = Arc::new(PrefixStore::new());
-        first.set_prefix_store(Some(Arc::clone(&store)));
-        first.run(&x, FS_IN, 7);
-        store.reset_stats();
-        second.set_prefix_store(Some(Arc::clone(&store)));
-        let on = second.run(&x, FS_IN, 7);
-        assert_eq!(off, on, "intermediate artifacts changed the output");
-        assert_eq!(class_counts(&store), expected, "{:?}", store.stats());
+    for (first, second, expected) in cases {
+        assert_eq!(counts_after(first, second), expected);
+    }
+}
+
+#[test]
+fn encoded_frames_are_shared_past_the_encoder_and_rebuilt_before_it() {
+    let cs = CsConfig::default;
+    let fault = |kind| Some(FaultPlan::single(kind, 1.0, 99));
+    let stored = || cs_point(8, cs(), None);
+    // Points that differ only after the encoder hit `encoded` and never
+    // look up the sampling it was built from.
+    let shared = [(0, 0), (1, 0), (1, 0), (0, 0), (1, 0)];
+    // Points that differ in the encoder rebuild its frames from the stored
+    // clean-clock sampling.
+    let rebuilt = [(0, 0), (1, 0), (1, 0), (1, 0), (0, 1)];
+    let cases = [
+        ("n_bits", cs_point(6, cs(), None), shared),
+        (
+            "ADC stuck bit",
+            cs_point(8, cs(), fault(FaultKind::AdcStuckBit)),
+            shared,
+        ),
+        (
+            "packet loss",
+            cs_point(8, cs(), fault(FaultKind::PacketLoss)),
+            shared,
+        ),
+        (
+            "C_h",
+            cs_point(
+                8,
+                CsConfig {
+                    c_hold_f: 1e-12,
+                    ..cs()
+                },
+                None,
+            ),
+            rebuilt,
+        ),
+        (
+            "leakage",
+            cs_point(8, cs(), fault(FaultKind::CapLeakage)),
+            rebuilt,
+        ),
+    ];
+    for (what, second, expected) in cases {
+        assert_eq!(counts_after(stored(), second), expected, "{what}");
     }
 }
 
@@ -277,7 +346,7 @@ fn class_counts_do_not_depend_on_the_worker_count() {
             assert_eq!(
                 counts(threads),
                 one_worker,
-                "run {run} at {threads} workers (ct, analog, reference, sampled)"
+                "run {run} at {threads} workers (ct, analog, reference, sampled, encoded)"
             );
         }
     }

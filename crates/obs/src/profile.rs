@@ -9,7 +9,7 @@
 //!   counters joined with the spans that price a miss, estimating the
 //!   time each cache level saved;
 //! * **per-stage attribution** ([`diff`]) — every stage's self time per
-//!   sweep point in two snapshots, ranked by how much it moved.
+//!   evaluated sweep point in two snapshots, ranked by how much it moved.
 //!
 //! A JSONL trace (see [`crate::trace`]) adds what a snapshot cannot hold:
 //! span lineage. Its `begin`/`span` events carry `span`/`parent`/`thread`
@@ -198,9 +198,9 @@ pub struct CacheLevelReport {
 ///   `(Σ stage.simulate + Σ stage.detect) / sweep.evaluations`.
 /// * **L2 dict** (`memo.dict.*`) — a hit skips the Gram/AᵀA dictionary
 ///   build, priced as the mean `recon.gram` span.
-/// * **L3 analog / reference / sampled** (`memo.<class>.*`) — a hit
-///   skips the class rebuild, priced by the mean `sim.analog.build`,
-///   `sim.reference.build` or `sim.sample.build` span.
+/// * **L3 analog / reference / sampled / encoded** (`memo.<class>.*`) — a
+///   hit skips the class rebuild, priced by the mean `sim.analog.build`,
+///   `sim.reference.build`, `sim.sample.build` or `sim.encode.build` span.
 /// * Levels without a dedicated rebuild span (l2.srbm, l2.detector,
 ///   l3.ct) report counters only (`est_* = None`).
 #[must_use]
@@ -217,7 +217,7 @@ pub fn cache_efficacy(snap: &Snapshot) -> Vec<CacheLevelReport> {
     let eval_work = total("stage.simulate") + total("stage.detect");
     let l1_cost = (evals > 0 && eval_work > 0).then(|| eval_work as f64 / evals as f64);
 
-    let levels: [(&'static str, &str, Option<f64>); 8] = [
+    let levels: [(&'static str, &str, Option<f64>); 9] = [
         ("l1.point", "cache.l1", l1_cost),
         ("l2.dict", "memo.dict", mean("recon.gram")),
         ("l2.srbm", "memo.srbm", None),
@@ -230,6 +230,7 @@ pub fn cache_efficacy(snap: &Snapshot) -> Vec<CacheLevelReport> {
             mean("sim.reference.build"),
         ),
         ("l3.sampled", "memo.sampled", mean("sim.sample.build")),
+        ("l3.encoded", "memo.encoded", mean("sim.encode.build")),
     ];
     levels
         .into_iter()
@@ -253,77 +254,93 @@ pub fn cache_efficacy(snap: &Snapshot) -> Vec<CacheLevelReport> {
 pub struct StageDelta {
     /// Span name.
     pub name: String,
-    /// Self time per sweep point in the old snapshot (ns).
-    pub old_self_pp_ns: f64,
-    /// Self time per sweep point in the new snapshot (ns).
-    pub new_self_pp_ns: f64,
-    /// `new - old` (ns per point; positive means the stage got slower).
-    pub delta_pp_ns: f64,
+    /// Self time per evaluation in the old snapshot (ns).
+    pub old_self_ns: f64,
+    /// Self time per evaluation in the new snapshot (ns).
+    pub new_self_ns: f64,
+    /// `new - old` (ns per evaluation; positive means the stage got
+    /// slower).
+    pub delta_ns: f64,
 }
 
-/// Attribution of a per-point cost change to individual stages.
+/// Attribution of a per-evaluation cost change to individual stages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileDiff {
-    /// `sweep.point` occurrences in the old snapshot.
-    pub old_points: u64,
-    /// `sweep.point` occurrences in the new snapshot.
-    pub new_points: u64,
-    /// Mean wall time of one `sweep.point` in the old snapshot (ns).
-    pub old_point_ns: f64,
-    /// Mean wall time of one `sweep.point` in the new snapshot (ns).
-    pub new_point_ns: f64,
-    /// Per-stage deltas, sorted by `|delta_pp_ns|` descending (name
-    /// breaks ties).
+    /// Evaluations in the old snapshot: its `sweep.evaluations` counter,
+    /// or its `sweep.point` count when the counter is absent or zero.
+    pub old_evaluations: u64,
+    /// Evaluations in the new snapshot.
+    pub new_evaluations: u64,
+    /// `sweep.point` wall time per evaluation in the old snapshot (ns).
+    pub old_eval_ns: f64,
+    /// `sweep.point` wall time per evaluation in the new snapshot (ns).
+    pub new_eval_ns: f64,
+    /// Per-stage deltas, sorted by `|delta_ns|` descending (name breaks
+    /// ties).
     pub stages: Vec<StageDelta>,
 }
 
 impl ProfileDiff {
-    /// `true` when the new per-point cost exceeds the old by more than
-    /// `tolerance` (fractional: 0.3 = 30% slower).
+    /// `true` when the new per-evaluation cost exceeds the old by more
+    /// than `tolerance` (fractional: 0.3 = 30% slower).
     #[must_use]
     pub fn regressed(&self, tolerance: f64) -> bool {
-        self.old_point_ns > 0.0 && self.new_point_ns > self.old_point_ns * (1.0 + tolerance)
+        self.old_eval_ns > 0.0 && self.new_eval_ns > self.old_eval_ns * (1.0 + tolerance)
     }
 }
 
-/// Compares two snapshots, normalising every stage's self time by its
-/// snapshot's `sweep.point` count so runs of different sweep sizes are
-/// comparable per point.
+/// The evaluations a snapshot's costs divide by: its `sweep.evaluations`
+/// counter, or its `sweep.point` count when the counter is absent or zero.
+/// A point served whole by the L1 cache opens a `sweep.point` span but
+/// does no stage work, so counting it would dilute every stage's cost by
+/// the share of cached points.
+fn evaluations(s: &Snapshot) -> u64 {
+    s.counter("sweep.evaluations")
+        .filter(|&n| n > 0)
+        .or_else(|| s.span("sweep.point").map(|h| h.count))
+        .unwrap_or(0)
+}
+
+/// Compares two snapshots, normalising every stage's self time and the
+/// summed `sweep.point` wall time by the snapshot's evaluations (its
+/// `sweep.evaluations` counter, or its `sweep.point` count without one),
+/// so runs of different sweep sizes or cache-hit shares are comparable
+/// per evaluated point.
 #[must_use]
 pub fn diff(old: &Snapshot, new: &Snapshot) -> ProfileDiff {
-    let points = |s: &Snapshot| s.span("sweep.point").map_or(0, |h| h.count);
-    let point_mean = |s: &Snapshot| s.span("sweep.point").map_or(0.0, |h| h.mean_ns());
-    let (old_points, new_points) = (points(old), points(new));
-    let (old_div, new_div) = (old_points.max(1) as f64, new_points.max(1) as f64);
+    let (old_evaluations, new_evaluations) = (evaluations(old), evaluations(new));
+    let (old_div, new_div) = (old_evaluations.max(1) as f64, new_evaluations.max(1) as f64);
+    let point_wall =
+        |s: &Snapshot, div: f64| s.span("sweep.point").map_or(0.0, |h| h.total_ns as f64) / div;
     let mut names: Vec<&String> = old.spans.iter().chain(&new.spans).map(|(n, _)| n).collect();
     names.sort_unstable();
     names.dedup();
-    let self_pp =
+    let self_per_eval =
         |s: &Snapshot, name: &str, div: f64| s.span(name).map_or(0.0, |h| h.self_ns as f64) / div;
     let mut stages: Vec<StageDelta> = names
         .into_iter()
         .map(|name| {
-            let old_pp = self_pp(old, name, old_div);
-            let new_pp = self_pp(new, name, new_div);
+            let old_self_ns = self_per_eval(old, name, old_div);
+            let new_self_ns = self_per_eval(new, name, new_div);
             StageDelta {
                 name: name.clone(),
-                old_self_pp_ns: old_pp,
-                new_self_pp_ns: new_pp,
-                delta_pp_ns: new_pp - old_pp,
+                old_self_ns,
+                new_self_ns,
+                delta_ns: new_self_ns - old_self_ns,
             }
         })
         .collect();
     stages.sort_by(|a, b| {
-        b.delta_pp_ns
+        b.delta_ns
             .abs()
-            .total_cmp(&a.delta_pp_ns.abs())
+            .total_cmp(&a.delta_ns.abs())
             .then_with(|| a.name.cmp(&b.name))
     });
     ProfileDiff {
-        old_points,
-        new_points,
-        old_point_ns: point_mean(old),
-        new_point_ns: point_mean(new),
+        old_evaluations,
+        new_evaluations,
+        old_eval_ns: point_wall(old, old_div),
+        new_eval_ns: point_wall(new, new_div),
         stages,
     }
 }
@@ -454,15 +471,46 @@ mod tests {
             }
         }
         let d = diff(&old, &new);
-        assert_eq!((d.old_points, d.new_points), (2, 2));
-        assert!(d.new_point_ns > d.old_point_ns);
+        assert_eq!((d.old_evaluations, d.new_evaluations), (2, 2));
+        assert!(d.new_eval_ns > d.old_eval_ns);
         let top = d.stages.first().expect("has stages");
         assert_eq!(top.name, "sim.analog", "regressed stage ranks first");
-        assert!((top.delta_pp_ns - 90.0).abs() < 1e-9, "{}", top.delta_pp_ns);
+        assert!((top.delta_ns - 90.0).abs() < 1e-9, "{}", top.delta_ns);
         assert!(d.regressed(0.5), "(50 -> 140 ns mean) is a >50% regression");
         assert!(
             !diff(&old, &old).regressed(0.0),
             "self-diff never regresses"
         );
+    }
+
+    #[test]
+    fn warm_point_spans_leave_per_evaluation_stage_costs_unchanged() {
+        let tick = 10;
+        let old = sample_snapshot(tick);
+        // The same two evaluations plus five points served whole by L1:
+        // each opens a `sweep.point` span and does no stage work.
+        let reg = ObsRegistry::new();
+        reg.set_clock(Arc::new(LogicalClock::new(tick)));
+        reg.counter("sweep.evaluations").add(2);
+        for _ in 0..2 {
+            let _point = reg.span("sweep.point");
+            let _sim = reg.span("stage.simulate");
+            drop(reg.span("sim.analog"));
+        }
+        for _ in 0..5 {
+            drop(reg.span("sweep.point"));
+        }
+        let new = reg.snapshot();
+        let d = diff(&old, &new);
+        assert_eq!((d.old_evaluations, d.new_evaluations), (2, 2));
+        for stage in d.stages.iter().filter(|s| s.name != "sweep.point") {
+            assert_eq!(stage.old_self_ns, stage.new_self_ns, "{}", stage.name);
+        }
+        // Without the counter the point count is the denominator.
+        let mut uncounted = new.clone();
+        uncounted
+            .counters
+            .retain(|(name, _)| name != "sweep.evaluations");
+        assert_eq!(diff(&old, &uncounted).new_evaluations, 7);
     }
 }

@@ -1,6 +1,6 @@
 //! The one content-addressed store behind every evaluation cache: the L1
 //! result cache, the L2 sensing/decoder memo, the detector memo and the
-//! four L3 prefix classes are all [`Store`] instances.
+//! five L3 prefix classes are all [`Store`] instances.
 //!
 //! Every cached value is derived deterministically from its key, so a
 //! store changes what a lookup costs, never what it returns. Each store

@@ -24,7 +24,7 @@
 //! `trace report` reconstructs the causal span forest from a JSONL trace,
 //! prints its summary and optionally writes a folded-stack flamegraph.
 //! `trace diff` compares two registry snapshots (`--metrics` files),
-//! attributes the per-point cost change to stages, and exits non-zero on
+//! attributes the per-evaluation cost change to stages, and exits non-zero on
 //! a regression beyond the tolerance.
 
 use std::path::PathBuf;

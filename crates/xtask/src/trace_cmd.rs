@@ -6,9 +6,9 @@
 //!   write a folded-stack flamegraph (`--folded-out`, speedscope/inferno
 //!   format);
 //! * `trace diff` compares two registry snapshots (the `--metrics` files
-//!   bench binaries write) and attributes the per-point cost change to
-//!   individual stages, failing when the new per-point cost regressed
-//!   beyond a tolerance.
+//!   bench binaries write) and attributes the per-evaluation cost change
+//!   to individual stages, failing when the new per-evaluation cost
+//!   regressed beyond a tolerance.
 //!
 //! All heavy lifting lives in [`efficsense_obs::profile`]; this module is
 //! the CLI veneer (argument parsing, table rendering, file I/O).
@@ -17,7 +17,7 @@ use efficsense_obs::profile::{self, Profile, ProfileDiff};
 use efficsense_obs::Snapshot;
 use std::path::PathBuf;
 
-/// Default fractional per-point regression tolerance for `trace diff`,
+/// Default fractional per-evaluation regression tolerance for `trace diff`,
 /// matching the bench-diff gate: CI boxes are noisy, 2x is a bug.
 pub const DEFAULT_TOLERANCE: f64 = 0.3;
 
@@ -37,7 +37,7 @@ pub struct DiffArgs {
     pub old: PathBuf,
     /// Candidate snapshot JSON path.
     pub new: PathBuf,
-    /// Fractional per-point regression tolerance.
+    /// Fractional per-evaluation regression tolerance.
     pub tolerance: f64,
 }
 
@@ -96,33 +96,34 @@ pub fn parse_diff_args(args: &[String]) -> Result<DiffArgs, String> {
 #[must_use]
 pub fn render_diff(d: &ProfileDiff, tolerance: f64) -> String {
     let mut out = format!(
-        "trace diff: {} -> {} point(s); mean point {:.3} -> {:.3} ms (tolerance {:.0}%)\n",
-        d.old_points,
-        d.new_points,
-        d.old_point_ns / 1e6,
-        d.new_point_ns / 1e6,
+        "trace diff: {} -> {} evaluation(s); point wall per evaluation {:.3} -> {:.3} ms \
+         (tolerance {:.0}%)\n",
+        d.old_evaluations,
+        d.new_evaluations,
+        d.old_eval_ns / 1e6,
+        d.new_eval_ns / 1e6,
         tolerance * 100.0
     );
     out.push_str(&format!(
         "\n{:<22} {:>14} {:>14} {:>14}\n",
-        "stage", "old_us/pt", "new_us/pt", "delta_us/pt"
+        "stage", "old_us/eval", "new_us/eval", "delta_us/eval"
     ));
     for s in &d.stages {
-        // Sub-0.05 µs/pt deltas are formatting noise at this precision.
-        if s.delta_pp_ns.abs() < 50.0 && s.old_self_pp_ns < 50.0 && s.new_self_pp_ns < 50.0 {
+        // Sub-0.05 µs/eval deltas are formatting noise at this precision.
+        if s.delta_ns.abs() < 50.0 && s.old_self_ns < 50.0 && s.new_self_ns < 50.0 {
             continue;
         }
         out.push_str(&format!(
             "{:<22} {:>14.1} {:>14.1} {:>+14.1}\n",
             s.name,
-            s.old_self_pp_ns / 1e3,
-            s.new_self_pp_ns / 1e3,
-            s.delta_pp_ns / 1e3
+            s.old_self_ns / 1e3,
+            s.new_self_ns / 1e3,
+            s.delta_ns / 1e3
         ));
     }
     if d.regressed(tolerance) {
         out.push_str(&format!(
-            "trace diff: FAIL — per-point cost regressed beyond {:.0}% tolerance\n",
+            "trace diff: FAIL — per-evaluation cost regressed beyond {:.0}% tolerance\n",
             tolerance * 100.0
         ));
     } else {
@@ -269,7 +270,7 @@ mod tests {
         })
         .expect("diff runs");
         assert!(!regressed, "{rendered}");
-        assert!(rendered.contains("2 -> 2 point(s)"), "{rendered}");
+        assert!(rendered.contains("2 -> 2 evaluation(s)"), "{rendered}");
         let err = run_diff(&DiffArgs {
             old: metrics,
             new: folded,

@@ -4,7 +4,10 @@
 //! run must give the same bits with a shared store as without one, and
 //! each grid cell's outputs are pinned by digest, so a store that served
 //! one cell another's artifact, or a back end that digitised differently
-//! with a store attached, fails here.
+//! with a store attached, fails here. The ADC bits and the stuck bit act
+//! after the encoder, so the grid encodes each record twice (clean and
+//! leaky encoder) and serves the other eight runs from the `encoded`
+//! class.
 
 use efficsense::core::config::{CsConfig, SystemConfig};
 use efficsense::core::prefix::{record_fingerprint, PrefixStore};
@@ -75,4 +78,6 @@ fn store_on_equals_store_off_across_adc_bits_and_faults() {
             "{n_bits} bits, {fault:?}"
         );
     }
+    let encoded = store.stats().encoded;
+    assert_eq!((encoded.misses, encoded.hits), (4, 8), "{encoded:?}");
 }
